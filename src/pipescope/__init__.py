@@ -15,7 +15,6 @@ from .graph import (
     validate_network,
 )
 from .simulate import (
-    BoundaryFlow,
     Histories,
     SimConfig,
     conservation_residual,

@@ -161,6 +161,10 @@ def cmd_reconstruct(resolved: dict) -> list:
     net = _require_network(resolved)
     started = time.time()
     irm = load_irm(resolved["irm"])
+    if irm.leaves != net.accessible:
+        raise ConfigError(
+            f"IRM leaves {list(irm.leaves)} differ from the network's accessible leaves {list(net.accessible)}"
+        )
     pipes = _parse_list(resolved["pipes"], str) if resolved["pipes"] else list(net.pipes)
     lams = _parse_list(resolved["lam"], float)
     if len(lams) == 1:
@@ -181,7 +185,6 @@ def cmd_reconstruct(resolved: dict) -> list:
             dt=irm.dt,
             dx=resolved["dx"],
             lam=lam,
-            sigma_shift=int(resolved["sigma_shift"]),
         )
         vp = volume_profile(net, irm, pid, cfg, jobs=jobs)
         ap = area_profile(vp, cfg.dx)
@@ -289,18 +292,47 @@ def cmd_plot(resolved: dict) -> list:
     return [out]
 
 
+# per command: preset section and option defaults (None marks a required option)
+OPTIONS = {
+    "oracle-irm": ("oracle", {"horizon": None, "dt": None, "prune_eps": 1e-4, "out": None}),
+    "simulate-irm": (
+        "simulate",
+        {
+            "dx": None,
+            "courant": 0.95,
+            "duration": None,
+            "resample_dt": 0.0,
+            "smooth_window": 0.02,
+            "dump_traces": "",
+            "dump_fields": "",
+            "out": None,
+        },
+    ),
+    "reconstruct": (
+        "reconstruct",
+        {"irm": None, "tau": None, "dx": None, "lam": None, "pipes": "", "jobs": "1", "out": None},
+    ),
+}
+RUNNERS = {
+    "oracle-irm": cmd_oracle_irm,
+    "simulate-irm": cmd_simulate_irm,
+    "reconstruct": cmd_reconstruct,
+    "plot": cmd_plot,
+}
+
+
 def cmd_replay(manifest_path: str) -> list:
     manifest = _load_json(manifest_path)
     command = manifest.get("command")
-    runner = {
-        "oracle-irm": cmd_oracle_irm,
-        "simulate-irm": cmd_simulate_irm,
-        "reconstruct": cmd_reconstruct,
-        "plot": cmd_plot,
-    }.get(command)
-    if runner is None:
+    if command not in RUNNERS:
         raise ConfigError(f"manifest has unknown command {command!r}")
-    return runner(manifest["config"])
+    config = manifest["config"]
+    if command in OPTIONS:
+        # an option this version lacks would silently change what the run means
+        unknown = sorted(set(config) - set(OPTIONS[command][1]) - {"network"})
+        if unknown:
+            raise ConfigError(f"manifest sets option(s) {', '.join(unknown)} that {command} no longer has")
+    return RUNNERS[command](config)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -342,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dx", type=float)
     p.add_argument("--lambda", dest="lam", help="comma-separated per-pipe weights (or one for all)")
     p.add_argument("--pipes", help="comma-separated pipe ids (default: all)")
-    p.add_argument("--sigma-shift", dest="sigma_shift", type=int, choices=[0, 1])
     p.add_argument("--jobs", type=int, help="worker threads per profile (env PIPESCOPE_JOBS)")
     p.add_argument("--out", help="output directory")
 
@@ -362,46 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "oracle-irm":
-            resolved = _resolve(
-                args,
-                {"horizon": None, "dt": None, "prune_eps": 1e-4, "out": None},
-                "oracle",
-            )
-            outputs = cmd_oracle_irm(resolved)
-        elif args.command == "simulate-irm":
-            resolved = _resolve(
-                args,
-                {
-                    "dx": None,
-                    "courant": 0.95,
-                    "duration": None,
-                    "resample_dt": 0.0,
-                    "smooth_window": 0.02,
-                    "dump_traces": "",
-                    "dump_fields": "",
-                    "out": None,
-                },
-                "simulate",
-            )
-            outputs = cmd_simulate_irm(resolved)
-        elif args.command == "reconstruct":
-            env_jobs = os.environ.get("PIPESCOPE_JOBS", "1")
-            resolved = _resolve(
-                args,
-                {
-                    "irm": None,
-                    "tau": None,
-                    "dx": None,
-                    "lam": None,
-                    "pipes": "",
-                    "sigma_shift": 1,
-                    "jobs": env_jobs,
-                    "out": None,
-                },
-                "reconstruct",
-            )
-            outputs = cmd_reconstruct(resolved)
+        if args.command in OPTIONS:
+            section, defaults = OPTIONS[args.command]
+            if args.command == "reconstruct":
+                defaults = {**defaults, "jobs": os.environ.get("PIPESCOPE_JOBS", "1")}
+            outputs = RUNNERS[args.command](_resolve(args, defaults, section))
         elif args.command == "plot":
             resolved = {"inputs": args.inputs, "truth": args.truth, "out": args.out}
             outputs = cmd_plot(resolved)

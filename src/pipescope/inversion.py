@@ -9,13 +9,13 @@ times t_l = l*dt (l = 1..M), block (receiver j, source i) holds
 in 0-based kernel indexing; the second index realizes the time-reversed
 kernel argument 2*tau - t - s evaluated midpoint-consistently (each
 sample stands for the half-open cell ending at it, so both arguments
-shift by dt/2 and the reflected term lands one sample up). A calibration
-flag can drop that one-sample shift. Columns with s_k <= tau - f(x_i) +
-tol and rows with t_l <= tau - f(x_j) + tol are zeroed, the diagonal
-blocks add nu_j * a/(A(x_j) g) on the diagonal, and the right-hand side
-is h0 on active rows. The solve restricts to active indices, minimizes
-||Hq - b||^2 + lambda*||q||^2 through the augmented least-squares stack,
-and scatters exact zeros back onto the inactive samples.
+shift by dt/2 and the reflected term lands one sample up). Columns with
+s_k <= tau - f(x_i) + tol and rows with t_l <= tau - f(x_j) + tol are
+zeroed, the diagonal blocks add nu_j * a/(A(x_j) g) on the diagonal, and
+the right-hand side is h0 on active rows. The solve restricts to active
+indices, minimizes ||Hq - b||^2 + lambda*||q||^2 through the augmented
+least-squares stack, and scatters exact zeros back onto the inactive
+samples.
 
 Volumes come from the flow integral scaled by a^2/(h0*g); areas are the
 forward difference quotient of the volume profile.
@@ -61,9 +61,7 @@ class ReconConfig:
     dt: sample step, must match the IRM grid;
     dx: reconstruction step along the pipe;
     lam: Tikhonov weight; h0: target head (the discrete solve uses it as
-    the right-hand side and the volume formula divides it out again);
-    sigma_shift: one-sample shift of the time-reversed kernel index
-    (1 = midpoint-consistent reference convention, 0 = unshifted).
+    the right-hand side and the volume formula divides it out again).
     """
 
     tau: float
@@ -71,7 +69,6 @@ class ReconConfig:
     dx: float
     lam: float = 0.0
     h0: float = 1.0
-    sigma_shift: int = 1
 
     @property
     def tol(self) -> float:
@@ -131,7 +128,7 @@ def assemble_system(
     lv = np.arange(1, m + 1)
     s_times = lv * dt
     idx_diff = np.abs(lv[:, None] - lv[None, :])
-    idx_rev = 2 * m + cfg.sigma_shift - lv[:, None] - lv[None, :]
+    idx_rev = 2 * m + 1 - lv[:, None] - lv[None, :]
 
     nu = np.array([net.leaf_nu(leaf) for leaf in irm.leaves], dtype=float)
     active = s_times[None, :] - (cfg.tau - f_vec[:, None]) > cfg.tol

@@ -347,20 +347,40 @@ def save_irm(irm: SampledIRM, path) -> None:
 
 
 def load_irm(path) -> SampledIRM:
+    """Read an IRM file written by ``save_irm``.
+
+    Every kernel sample of the header's N x N x n grid must appear in
+    exactly one row with a finite value; anything else raises OutOfRange.
+    """
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline())
+            leaves = tuple(header["leaves"])
+            n_samples = int(header["n"])
+            dt = float(header["dt"])
+            direct = tuple(float(d) for d in header["direct"])
+            horizon = float(header["horizon"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise OutOfRange(f"{path}: unreadable IRM header: {exc}") from exc
+        if not dt > 0:
+            raise OutOfRange(f"{path}: header dt = {dt} is not positive")
         if fh.readline().strip() != "i,j,t,k":
             raise OutOfRange(f"{path}: missing i,j,t,k column header")
-        leaves = tuple(header["leaves"])
-        n = len(leaves)
-        n_samples = int(header["n"])
-        dt = float(header["dt"])
-        k = np.zeros((n, n, n_samples))
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i_s, j_s, t_s, k_s = line.split(",")
-            idx = int(round(float(t_s) / dt))
-            k[int(i_s), int(j_s), idx] = float(k_s)
-    return SampledIRM(dt, leaves, tuple(float(d) for d in header["direct"]), k, float(header["horizon"]))
+        rows = [line.strip() for line in fh if line.strip()]
+    n = len(leaves)
+    if len(rows) != n * n * n_samples:  # checked before the header's shape is allocated
+        raise OutOfRange(f"{path}: {len(rows)} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
+    k = np.full((n, n, n_samples), np.nan)  # NaN marks a sample no row has set
+    for row in rows:
+        try:
+            i_s, j_s, t_s, k_s = row.split(",")
+            i, j, idx, value = int(i_s), int(j_s), round(float(t_s) / dt), float(k_s)
+        except (ValueError, OverflowError) as exc:
+            raise OutOfRange(f"{path}: unreadable kernel row {row!r}") from exc
+        if not (0 <= i < n and 0 <= j < n and 0 <= idx < n_samples):
+            raise OutOfRange(f"{path}: row {row!r} lies outside the header's {n}x{n}x{n_samples} grid")
+        k[i, j, idx] = value
+    bad = np.count_nonzero(~np.isfinite(k))
+    if bad:
+        raise OutOfRange(f"{path}: {bad} kernel sample(s) not finite, or unset because of duplicate rows")
+    return SampledIRM(dt, leaves, direct, k, horizon)

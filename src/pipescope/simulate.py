@@ -1,22 +1,32 @@
 """Direct problem: time-domain transient solver on the pipe network.
 
-The scheme is the method of characteristics. Each pipe is split into
-cells of (near-)uniform size; the area profile is sampled at cell
-centers, giving one characteristic impedance B = a/(gA) per cell. Per
-time step, Riemann-type compatibility values are carried to every node
-along the two characteristics:
+The scheme is the method of characteristics on one node array that
+concatenates the nodes of every pipe. Each pipe is split into cells of
+(near-)uniform size; the area profile is sampled at cell centers, giving
+one characteristic impedance B = a/(gA) per cell. Per time step, every
+cell carries Riemann-type compatibility values to its two nodes:
 
-    C+ at node i:  H + B_left  * Q evaluated at the foot x_i - a*dt
-    C- at node i:  H - B_right * Q evaluated at the foot x_i + a*dt
+    C+ at its right node:  H + B * Q evaluated at the foot x - a*dt
+    C- at its left node:   H - B * Q evaluated at the foot x + a*dt
 
 At Courant number 1 the feet are the neighbouring nodes and the
 transport is exact; below 1 the foot values are linearly interpolated
 along the space line (the deliberate model-mismatch device used when
 synthesizing measurement data). Interior nodes solve the two-equation
-system; junction nodes solve head continuity plus the Kirchhoff balance
-in closed form, so flow conservation at junctions holds to round-off by
-construction. The inaccessible end is a closed end (Q = 0), the simplest
-member of the class of inactive boundary conditions the model allows.
+system C+ - B_left * Q = H = C- + B_right * Q.
+
+Every vertex, be it an accessible leaf, x0 or a junction, obeys one rule:
+head continuity, and Kirchhoff balance of the pipe flows nu_e * Q_e
+against the flow s_v injected there. With c_e the C- value at an x = 0
+end and the C+ value at an x = length end, each pipe end e at vertex v
+has H_e = h_v and nu_e * Q_e = (h_v - c_e) / B_e, so
+
+    h_v = (sum_e c_e / B_e + s_v) / sum_e 1 / B_e.
+
+s_v is the prescribed inflow at driven accessible leaves and zero
+elsewhere: x0 and undriven leaves are closed ends (Q = 0), the simplest
+member of the class of inactive boundary conditions the model allows, and
+flow balances at junctions to round-off by construction.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from .graph import Network
 
 __all__ = [
     "SimConfig",
-    "BoundaryFlow",
     "Histories",
     "simulate",
     "step_inflow",
@@ -61,7 +70,6 @@ class _PipeGrid:
     dx: float
     areas: np.ndarray       # per cell, len n
     impedance: np.ndarray   # B = a/(gA) per cell, len n
-    theta: float            # a*dt/dx for this pipe
 
 
 @dataclass
@@ -79,25 +87,10 @@ class Histories:
         return float(self.t[1] - self.t[0])
 
 
-class BoundaryFlow:
-    """Prescribed inflow nu*Q per accessible leaf, sampled on the run's grid.
-
-    Leaves without a series are closed (zero inflow). Series are implicitly
-    zero before t = 0.
-    """
-
-    def __init__(self, series: dict[str, np.ndarray]):
-        self.series = {leaf: np.asarray(s, dtype=float) for leaf, s in series.items()}
-
-    def at(self, leaf: str, step: int) -> float:
-        s = self.series.get(leaf)
-        return float(s[step]) if s is not None else 0.0
-
-
-def step_inflow(net: Network, cfg: SimConfig, leaf: str, magnitude: float = 1.0) -> BoundaryFlow:
+def step_inflow(net: Network, cfg: SimConfig, leaf: str, magnitude: float = 1.0) -> dict[str, np.ndarray]:
     """Ideal unit step: value ``magnitude`` from t = 0 on, at one leaf."""
     n_steps = _step_count(cfg.duration, _time_step(net, cfg))
-    return BoundaryFlow({leaf: np.full(n_steps + 1, magnitude)})
+    return {leaf: np.full(n_steps + 1, magnitude)}
 
 
 def _pipe_grids(net: Network, cfg: SimConfig) -> dict[str, _PipeGrid]:
@@ -109,7 +102,7 @@ def _pipe_grids(net: Network, cfg: SimConfig) -> dict[str, _PipeGrid]:
         centers = (x[:-1] + x[1:]) / 2
         areas = np.asarray(pipe.area(centers), dtype=float)
         impedance = net.wave_speed / (net.gravity * areas)
-        grids[pid] = _PipeGrid(pid, x, dx, areas, impedance, theta=np.nan)
+        grids[pid] = _PipeGrid(pid, x, dx, areas, impedance)
     return grids
 
 
@@ -122,112 +115,75 @@ def _step_count(duration: float, dt: float) -> int:
     return int(duration / dt + 1e-6)
 
 
-def simulate(net: Network, flows: BoundaryFlow, cfg: SimConfig) -> Histories:
+def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig) -> Histories:
     """Run the transient solver and record full node histories.
 
-    Prescribed nu*Q applies at accessible leaves, x0 is closed, junctions
-    couple pipes through exact head continuity and flow balance.
+    ``flows`` maps accessible leaves to their prescribed inflow nu*Q, one
+    sample per time step from t = 0; leaves without a series are closed.
+    Every vertex then takes its head from the single vertex rule of the
+    module docstring, already at t = 0 on the quiescent network.
     """
     dt = _time_step(net, cfg)
     n_steps = _step_count(cfg.duration, dt)
     grids = _pipe_grids(net, cfg)
-    for g in grids.values():
-        g.theta = net.wave_speed * dt / g.dx
+    vertex = {v: i for i, v in enumerate(net.vertices)}
 
-    for leaf, series in flows.series.items():
+    inflow = np.zeros((n_steps + 1, len(vertex)))
+    for leaf, series in flows.items():
         if leaf not in net.accessible:
             raise MismatchedSeriesLength(f"{leaf!r} is not an accessible leaf")
         if len(series) != n_steps + 1:
             raise MismatchedSeriesLength(
                 f"series for {leaf!r} has {len(series)} samples, run needs {n_steps + 1}"
             )
+        inflow[:, vertex[leaf]] = series
 
-    H = {pid: np.zeros(len(g.x)) for pid, g in grids.items()}
-    Q = {pid: np.zeros(len(g.x)) for pid, g in grids.items()}
-    H_hist = {pid: np.zeros((n_steps + 1, len(g.x))) for pid, g in grids.items()}
-    Q_hist = {pid: np.zeros((n_steps + 1, len(g.x))) for pid, g in grids.items()}
+    # cells of all pipes in one array: left node, impedance, Courant ratio
+    sizes = np.array([len(g.impedance) for g in grids.values()])
+    first_node = np.concatenate([[0], np.cumsum(sizes + 1)])
+    lo = np.concatenate([s + np.arange(n) for s, n in zip(first_node, sizes)])
+    hi = lo + 1
+    B = np.concatenate([g.impedance for g in grids.values()])
+    theta = np.repeat([net.wave_speed * dt / g.dx for g in grids.values()], sizes)
+    rest = 1 - theta
+    # interior nodes: the right node of every cell that has a right neighbour
+    inner = np.flatnonzero(lo[1:] == hi[:-1])
+    mid, B_inner, B_sum = hi[inner], B[inner], B[inner] + B[inner + 1]
 
-    # vertex -> list of (pipe id, node index, cell impedance at that end, end kind)
-    ends: dict[str, list[tuple[str, int, float, int]]] = {v: [] for v in net.vertices}
-    for pid, pipe in net.pipes.items():
-        g = grids[pid]
-        ends[pipe.from_vertex].append((pid, 0, g.impedance[0], 0))
-        ends[pipe.to_vertex].append((pid, len(g.x) - 1, g.impedance[-1], 1))
+    # pipe ends in pipe order, the x = 0 end first: node, vertex, end cell, nu
+    first_cell = first_node[:-1] - np.arange(len(sizes))
+    end_node = np.column_stack([first_node[:-1], first_node[1:] - 1]).ravel()
+    end_cell = np.column_stack([first_cell, first_cell + sizes - 1]).ravel()
+    end_vertex = np.array([vertex[v] for p in net.pipes.values() for v in (p.from_vertex, p.to_vertex)])
+    nu = np.tile([1.0, -1.0], len(sizes))
+    B_end = B[end_cell]
+    inv_B_vertex = np.bincount(end_vertex, 1.0 / B_end, len(vertex))  # sum_e 1/B_e
 
-    leaves = set(net.leaves)
-
-    def apply_boundaries(step: int, cp: dict[str, np.ndarray], cm: dict[str, np.ndarray]):
-        for v, attached in ends.items():
-            if v in leaves:
-                pid, node, b, kind = attached[0]
-                inflow = flows.at(v, step) if v in net.accessible else 0.0
-                if kind == 0:  # x = 0 end, nu = +1
-                    Q[pid][node] = inflow
-                    H[pid][node] = cm[pid][node] + b * inflow
-                else:  # x = length end, nu = -1
-                    Q[pid][node] = -inflow
-                    H[pid][node] = cp[pid][node] - b * (-inflow)
-            else:
-                num = 0.0
-                den = 0.0
-                for pid, node, b, kind in attached:
-                    c = cp[pid][node] if kind == 1 else cm[pid][node]
-                    num += c / b
-                    den += 1.0 / b
-                h_v = num / den
-                for pid, node, b, kind in attached:
-                    if kind == 1:
-                        Q[pid][node] = (cp[pid][node] - h_v) / b
-                    else:
-                        Q[pid][node] = (h_v - cm[pid][node]) / b
-                    H[pid][node] = h_v
-
-    # state at t = 0: quiescent interior, boundary conditions already active
-    zero_c = {pid: np.zeros(len(g.x)) for pid, g in grids.items()}
-    apply_boundaries(0, zero_c, zero_c)
-    for pid in grids:
-        H_hist[pid][0] = H[pid]
-        Q_hist[pid][0] = Q[pid]
-
-    for step in range(1, n_steps + 1):
-        cp = {}
-        cm = {}
-        for pid, g in grids.items():
-            h, q, th, b = H[pid], Q[pid], g.theta, g.impedance
-            hf_p = th * h[:-1] + (1 - th) * h[1:]
-            qf_p = th * q[:-1] + (1 - th) * q[1:]
-            hf_m = th * h[1:] + (1 - th) * h[:-1]
-            qf_m = th * q[1:] + (1 - th) * q[:-1]
-            cpa = np.empty_like(h)
-            cma = np.empty_like(h)
-            cpa[0] = np.nan
-            cpa[1:] = hf_p + b * qf_p
-            cma[-1] = np.nan
-            cma[:-1] = hf_m - b * qf_m
-            cp[pid] = cpa
-            cm[pid] = cma
-
-        for pid, g in grids.items():
-            b = g.impedance
-            if len(b) > 1:
-                q_new = (cp[pid][1:-1] - cm[pid][1:-1]) / (b[:-1] + b[1:])
-                h_new = cp[pid][1:-1] - b[:-1] * q_new
-                Q[pid][1:-1] = q_new
-                H[pid][1:-1] = h_new
-
-        apply_boundaries(step, cp, cm)
-
-        for pid in grids:
-            H_hist[pid][step] = H[pid]
-            Q_hist[pid][step] = Q[pid]
+    H = np.zeros((n_steps + 1, first_node[-1]))
+    Q = np.zeros_like(H)
+    h = q = np.zeros(first_node[-1])  # quiescent state before t = 0
+    for step in range(n_steps + 1):
+        cp = theta * h[lo] + rest * h[hi] + B * (theta * q[lo] + rest * q[hi])
+        cm = theta * h[hi] + rest * h[lo] - B * (theta * q[hi] + rest * q[lo])
+        h, q = H[step], Q[step]
+        q_inner = (cp[inner] - cm[inner + 1]) / B_sum
+        q[mid] = q_inner
+        h[mid] = cp[inner] - B_inner * q_inner
+        c_end = np.where(nu > 0, cm[end_cell], cp[end_cell])
+        h_v = (np.bincount(end_vertex, c_end / B_end, len(vertex)) + inflow[step]) / inv_B_vertex
+        h_end = h_v[end_vertex]
+        h[end_node] = h_end
+        q[end_node] = nu * (h_end - c_end) / B_end
 
     t = np.arange(n_steps + 1) * dt
+    H_pipe = {pid: H[:, s : s + n + 1] for pid, s, n in zip(grids, first_node, sizes)}
+    Q_pipe = {pid: Q[:, s : s + n + 1] for pid, s, n in zip(grids, first_node, sizes)}
     boundary = {}
     for leaf in net.accessible:
         pipe = net.leaf_pipe(leaf)
         node = 0 if pipe.end_coord(leaf) == 0.0 else -1
-        boundary[leaf] = H_hist[pipe.id][:, node]
-    return Histories(t, grids, H_hist, Q_hist, boundary)
+        boundary[leaf] = H_pipe[pipe.id][:, node]
+    return Histories(t, grids, H_pipe, Q_pipe, boundary)
 
 
 def junction_scatter(incident_head, incident: int, admittances):

@@ -289,3 +289,60 @@ def test_config_file_precedence(tmp_path, net1_path):
         ["oracle-irm", "--network", str(net1_path), "--config", str(cfg), "--dt", "0.02", "--out", str(out2)]
     ) == 0
     assert load_irm(out2).dt == 0.02
+
+
+@pytest.fixture
+def exp1_irm_path(tmp_path):
+    path = tmp_path / "irm.csv"
+    assert run(["oracle-irm", "--preset", "exp1", "--out", str(path)]) == 0
+    return path
+
+
+def _reconstruct_exit(irm_path, out_dir, capsys):
+    capsys.readouterr()
+    code = run(["reconstruct", "--preset", "exp1", "--irm", str(irm_path), "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    return code, err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines[: len(lines) // 2],  # file cut in half
+        lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0] + ",nan"] + lines[6:],  # NaN sample
+        lambda lines: lines[:-1] + ["0,0,99.0,1.0"],  # row beyond the header's n
+    ],
+    ids=["truncated", "nan-sample", "time-out-of-range"],
+)
+def test_reconstruct_bad_irm_file_exit_2(tmp_path, exp1_irm_path, capsys, edit):
+    lines = exp1_irm_path.read_text().splitlines()
+    exp1_irm_path.write_text("\n".join(edit(lines)) + "\n")
+    code, err = _reconstruct_exit(exp1_irm_path, tmp_path / "r", capsys)
+    assert code == 2
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("leaves", [["B", "A"], ["A", "Z"]], ids=["reversed", "unknown"])
+def test_reconstruct_irm_leaves_must_match_network(tmp_path, exp1_irm_path, capsys, leaves):
+    header, *rows = exp1_irm_path.read_text().splitlines()
+    spec = json.loads(header)
+    spec["leaves"] = leaves
+    exp1_irm_path.write_text("\n".join([json.dumps(spec), *rows]) + "\n")
+    code, err = _reconstruct_exit(exp1_irm_path, tmp_path / "r", capsys)
+    assert code == 2
+    assert "accessible leaves" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_replay_rejects_removed_sigma_shift_option(tmp_path, exp1_irm_path, capsys, shift):
+    # manifests recorded while the kernel shift was still an option carry it
+    out_dir = tmp_path / "r"
+    code, _ = _reconstruct_exit(exp1_irm_path, out_dir, capsys)
+    assert code == 0
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["sigma_shift"] = shift
+    manifest_path.write_text(json.dumps(manifest))
+    assert run(["replay", str(manifest_path)]) == 2
+    err = capsys.readouterr().err
+    assert "sigma_shift" in err and err.count("\n") == 1

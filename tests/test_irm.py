@@ -238,3 +238,41 @@ def test_irm_round_trip_bit_exact(exp1_net, tmp_path):
     assert np.array_equal(loaded.k, irm.k)
     save_irm(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _saved_exp1_irm(exp1_net, tmp_path):
+    path = tmp_path / "irm.csv"
+    save_irm(sample_irm(oracle_irm(exp1_net, horizon=1.61), dt=0.01), path)
+    return path, path.read_text().splitlines()
+
+
+def test_load_irm_rejects_truncated_file(exp1_net, tmp_path):
+    path, lines = _saved_exp1_irm(exp1_net, tmp_path)
+    path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+    with pytest.raises(OutOfRange, match="kernel rows"):
+        load_irm(path)
+
+
+@pytest.mark.parametrize("row", ["0,0,99.0,1.0", "0,2,0.0,1.0", "-1,0,0.0,1.0"])
+def test_load_irm_rejects_row_outside_header_grid(exp1_net, tmp_path, row):
+    path, lines = _saved_exp1_irm(exp1_net, tmp_path)
+    path.write_text("\n".join(lines[:-1] + [row]) + "\n")
+    with pytest.raises(OutOfRange, match="outside"):
+        load_irm(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_load_irm_rejects_nonfinite_sample(exp1_net, tmp_path, value):
+    path, lines = _saved_exp1_irm(exp1_net, tmp_path)
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(OutOfRange, match="not finite"):
+        load_irm(path)
+
+
+def test_load_irm_rejects_duplicate_row(exp1_net, tmp_path):
+    # the row count still matches the header, but one sample is never set
+    path, lines = _saved_exp1_irm(exp1_net, tmp_path)
+    path.write_text("\n".join(lines[:-1] + [lines[2]]) + "\n")
+    with pytest.raises(OutOfRange, match="duplicate"):
+        load_irm(path)

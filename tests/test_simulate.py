@@ -1,17 +1,19 @@
 """Transient solver: wave physics, junction algebra, conservation."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipescope import (
-    BoundaryFlow,
     SimConfig,
     conservation_residual,
     junction_scatter,
     simulate,
     step_inflow,
+    validate_network,
 )
 from pipescope.errors import MismatchedSeriesLength, UnstableConfig
 
@@ -80,9 +82,9 @@ def test_courant_above_one_rejected():
 def test_series_length_mismatch(single_pipe_net):
     cfg = SimConfig(dx=5.0, duration=0.5)
     with pytest.raises(MismatchedSeriesLength):
-        simulate(single_pipe_net, BoundaryFlow({"L": np.ones(7)}), cfg)
+        simulate(single_pipe_net, {"L": np.ones(7)}, cfg)
     with pytest.raises(MismatchedSeriesLength):
-        simulate(single_pipe_net, BoundaryFlow({"R": np.ones(101)}), cfg)
+        simulate(single_pipe_net, {"R": np.ones(101)}, cfg)
 
 
 # -- wave propagation ---------------------------------------------------------
@@ -94,7 +96,7 @@ def test_right_moving_wave_uniform_pipe(single_pipe_net):
     n_steps = int(cfg.duration / 0.005 + 1e-6)
     series = np.zeros(n_steps + 1)
     series[:5] = 1.0
-    hist = simulate(single_pipe_net, BoundaryFlow({"L": series}), cfg)
+    hist = simulate(single_pipe_net, {"L": series}, cfg)
 
     k = np.searchsorted(hist.t, 0.3)
     h_row = hist.H["P"][k]
@@ -161,6 +163,27 @@ def test_junction_head_continuity_and_kirchhoff(exp2_net):
     assert np.abs(inflow).max() <= 1e-9 * q_scale
 
 
+def test_accessible_leaf_at_pipe_end(single_pipe_spec):
+    # the same pipe with from/to swapped puts the driven leaf at x = length,
+    # where nu = -1: the leaf trace must not depend on the orientation
+    single_pipe_spec["pipes"][0]["area"]["blocks"] = [{"x0": 150.0, "x1": 210.0, "delta": -0.3}]
+    swapped = copy.deepcopy(single_pipe_spec)
+    swapped["pipes"][0].update({"from": "R", "to": "L"})
+    swapped["pipes"][0]["area"]["blocks"] = [{"x0": 290.0, "x1": 350.0, "delta": -0.3}]
+    cfg = SimConfig(dx=5.0, duration=1.2, courant=0.95)
+    runs = []
+    for spec in (single_pipe_spec, swapped):
+        net = validate_network(spec)
+        series = np.random.default_rng(5).normal(size=len(step_inflow(net, cfg, "L")["L"]))
+        hist = simulate(net, {"L": series}, cfg)
+        node, nu = (0, 1.0) if net.leaf_nu("L") == 1 else (-1, -1.0)
+        scale = np.abs(series).max()
+        assert np.abs(nu * hist.Q["P"][:, node] - series).max() <= 1e-12 * scale
+        runs.append(hist.boundary["L"])
+    forward, backward = runs
+    assert np.abs(backward - forward).max() <= 1e-12 * np.abs(forward).max()
+
+
 def test_linearity(exp1_net):
     cfg = SimConfig(dx=10.0, duration=0.9, courant=0.95)
     n = int(cfg.duration / (0.95 * 10.0 / 1000.0) + 1e-6) + 1
@@ -168,9 +191,9 @@ def test_linearity(exp1_net):
     f1 = rng.normal(size=n)
     f2 = rng.normal(size=n)
     alpha, beta = 1.7, -0.4
-    h_1 = simulate(exp1_net, BoundaryFlow({"A": f1}), cfg)
-    h_2 = simulate(exp1_net, BoundaryFlow({"B": f2}), cfg)
-    h_12 = simulate(exp1_net, BoundaryFlow({"A": alpha * f1, "B": beta * f2}), cfg)
+    h_1 = simulate(exp1_net, {"A": f1}, cfg)
+    h_2 = simulate(exp1_net, {"B": f2}, cfg)
+    h_12 = simulate(exp1_net, {"A": alpha * f1, "B": beta * f2}, cfg)
     for pid in exp1_net.pipes:
         combo = alpha * h_1.H[pid] + beta * h_2.H[pid]
         assert np.allclose(combo, h_12.H[pid], rtol=1e-12, atol=1e-9)
@@ -210,7 +233,7 @@ def test_table_area_profile_simulates():
 
 def test_conservation_zero_flow(exp2_net):
     cfg = SimConfig(dx=5.0, duration=0.3, courant=1.0)
-    hist = simulate(exp2_net, BoundaryFlow({}), cfg)
+    hist = simulate(exp2_net, {}, cfg)
     assert conservation_residual(hist, exp2_net, 0.2) == 0.0
 
 
