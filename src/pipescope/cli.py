@@ -42,9 +42,22 @@ def _load_json(path):
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _known_options(config, keys, source: str) -> dict:
+    """Return ``config`` if it is a JSON object with keys only from ``keys`` and ``network``.
+
+    An option the command lacks would silently change what the run means, so it is refused.
+    """
+    if not isinstance(config, dict):
+        raise ConfigError(f"{source} is not a JSON object")
+    unknown = sorted(set(config) - set(keys) - {"network"})
+    if unknown:
+        raise ConfigError(f"{source} sets option(s) {', '.join(unknown)} that the command does not have")
+    return config
+
+
 def _resolve(args: argparse.Namespace, keys: dict[str, object], preset_section: str) -> dict:
     """Merge flag values over config-file values over preset values over defaults."""
-    file_cfg = _load_json(args.config) if getattr(args, "config", None) else {}
+    file_cfg = _known_options(_load_json(args.config), keys, f"config file {args.config}") if args.config else {}
     preset_cfg = {}
     network_spec = None
     if getattr(args, "preset", None):
@@ -177,7 +190,6 @@ def cmd_reconstruct(resolved: dict) -> list:
 
     out_dir = resolved["out"]
     os.makedirs(out_dir, exist_ok=True)
-    jobs = int(resolved["jobs"])
     outputs = []
     for pid, lam in zip(pipes, lams):
         cfg = ReconConfig(
@@ -186,7 +198,7 @@ def cmd_reconstruct(resolved: dict) -> list:
             dx=resolved["dx"],
             lam=lam,
         )
-        vp = volume_profile(net, irm, pid, cfg, jobs=jobs)
+        vp = volume_profile(net, irm, pid, cfg)
         ap = area_profile(vp, cfg.dx)
         vol_path = os.path.join(out_dir, f"{pid}_volume.csv")
         with open(vol_path, "w") as fh:
@@ -292,10 +304,11 @@ def cmd_plot(resolved: dict) -> list:
     return [out]
 
 
-# per command: preset section and option defaults (None marks a required option)
+# per command: runner, preset section and option defaults (None marks a required option)
 OPTIONS = {
-    "oracle-irm": ("oracle", {"horizon": None, "dt": None, "prune_eps": 1e-4, "out": None}),
+    "oracle-irm": (cmd_oracle_irm, "oracle", {"horizon": None, "dt": None, "prune_eps": 1e-4, "out": None}),
     "simulate-irm": (
+        cmd_simulate_irm,
         "simulate",
         {
             "dx": None,
@@ -309,30 +322,21 @@ OPTIONS = {
         },
     ),
     "reconstruct": (
+        cmd_reconstruct,
         "reconstruct",
-        {"irm": None, "tau": None, "dx": None, "lam": None, "pipes": "", "jobs": "1", "out": None},
+        {"irm": None, "tau": None, "dx": None, "lam": None, "pipes": "", "out": None},
     ),
-}
-RUNNERS = {
-    "oracle-irm": cmd_oracle_irm,
-    "simulate-irm": cmd_simulate_irm,
-    "reconstruct": cmd_reconstruct,
-    "plot": cmd_plot,
 }
 
 
 def cmd_replay(manifest_path: str) -> list:
+    """Re-run a manifest written by one of the ``OPTIONS`` commands."""
     manifest = _load_json(manifest_path)
-    command = manifest.get("command")
-    if command not in RUNNERS:
-        raise ConfigError(f"manifest has unknown command {command!r}")
-    config = manifest["config"]
-    if command in OPTIONS:
-        # an option this version lacks would silently change what the run means
-        unknown = sorted(set(config) - set(OPTIONS[command][1]) - {"network"})
-        if unknown:
-            raise ConfigError(f"manifest sets option(s) {', '.join(unknown)} that {command} no longer has")
-    return RUNNERS[command](config)
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if command not in OPTIONS:
+        raise ConfigError(f"manifest {manifest_path} has no known command: {command!r}")
+    runner, _, keys = OPTIONS[command]
+    return runner(_known_options(manifest.get("config"), keys, f"manifest {manifest_path} config"))
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -374,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dx", type=float)
     p.add_argument("--lambda", dest="lam", help="comma-separated per-pipe weights (or one for all)")
     p.add_argument("--pipes", help="comma-separated pipe ids (default: all)")
-    p.add_argument("--jobs", type=int, help="worker threads per profile (env PIPESCOPE_JOBS)")
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("plot", help="render area/volume CSVs as an SVG figure")
@@ -394,10 +397,8 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command in OPTIONS:
-            section, defaults = OPTIONS[args.command]
-            if args.command == "reconstruct":
-                defaults = {**defaults, "jobs": os.environ.get("PIPESCOPE_JOBS", "1")}
-            outputs = RUNNERS[args.command](_resolve(args, defaults, section))
+            runner, section, defaults = OPTIONS[args.command]
+            outputs = runner(_resolve(args, defaults, section))
         elif args.command == "plot":
             resolved = {"inputs": args.inputs, "truth": args.truth, "out": args.out}
             outputs = cmd_plot(resolved)

@@ -14,6 +14,7 @@ sets) is a pure function of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,20 +263,18 @@ def _build_area_profile(spec) -> BlockAreaProfile | TableAreaProfile:
     if "samples" in spec:
         xs = tuple(float(v) for v in spec["samples"]["x"])
         vals = tuple(float(v) for v in spec["samples"]["A"])
-        if len(xs) != len(vals) or len(xs) < 2:
-            raise InvalidNetworkSpec("area sample table needs matching x/A lists of length >= 2")
+        if len(xs) != len(vals) or len(xs) < 2 or not all(map(math.isfinite, xs + vals)):
+            raise InvalidNetworkSpec("area sample table needs matching finite x/A lists of length >= 2")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise InvalidNetworkSpec("area sample x values must be strictly increasing")
         # the reconstruction theory needs A constant near leaf ends
         if vals[0] != vals[1] or vals[-1] != vals[-2]:
             raise InvalidNetworkSpec("area table must be constant on its first and last segment")
         return TableAreaProfile(xs, vals)
-    blocks = tuple(
-        (float(b["x0"]), float(b["x1"]), float(b["delta"])) for b in spec.get("blocks", ())
-    )
-    for lo, hi, _ in blocks:
-        if hi <= lo:
-            raise InvalidNetworkSpec(f"area block has empty interval ({lo}, {hi})")
+    blocks = tuple((float(b["x0"]), float(b["x1"]), float(b["delta"])) for b in spec.get("blocks", ()))
+    for lo, hi, delta in blocks:
+        if not (lo < hi and math.isfinite(lo + hi + delta)):
+            raise InvalidNetworkSpec(f"area block ({lo}, {hi}, {delta}) is empty or not finite")
     return BlockAreaProfile(float(spec["base"]), blocks)
 
 
@@ -292,32 +291,35 @@ def validate_network(spec: dict) -> Network:
         raw_pipes = list(spec["pipes"])
         x0 = spec["x0"]
         accessible = list(spec["accessible"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidNetworkSpec(f"missing or malformed field: {exc}") from exc
 
-    if wave_speed <= 0 or gravity <= 0:
-        raise InvalidNetworkSpec("wave_speed and gravity must be positive")
+    if not (0 < wave_speed < math.inf and 0 < gravity < math.inf):
+        raise InvalidNetworkSpec("wave_speed and gravity must be positive and finite")
     if len(set(vertices)) != len(vertices):
         raise InvalidNetworkSpec("duplicate vertex ids")
 
     pipes = []
     seen_ids = set()
     for rp in raw_pipes:
-        pid = rp["id"]
+        try:
+            pid, v_from, v_to = rp["id"], rp["from"], rp["to"]
+            length = float(rp["length"])
+            area = _build_area_profile(rp["area"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidNetworkSpec(f"pipe entry {rp!r}: missing or malformed field: {exc}") from exc
         if pid in seen_ids:
             raise InvalidNetworkSpec(f"duplicate pipe id {pid!r}")
         seen_ids.add(pid)
-        if rp["from"] not in vertices or rp["to"] not in vertices:
+        if v_from not in vertices or v_to not in vertices:
             raise InvalidNetworkSpec(f"pipe {pid!r} references unknown vertices")
-        if rp["from"] == rp["to"]:
+        if v_from == v_to:
             raise CycleDetected(f"pipe {pid!r} is a self-loop")
-        length = float(rp["length"])
-        if length <= 0:
-            raise NonpositiveLength(f"pipe {pid!r} has length {length}")
-        area = _build_area_profile(rp["area"])
-        if area.min_area(length) <= 0:
-            raise NonpositiveArea(f"pipe {pid!r} area profile is not positive everywhere")
-        pipes.append(Pipe(pid, rp["from"], rp["to"], length, area))
+        if not 0 < length < math.inf:
+            raise NonpositiveLength(f"pipe {pid!r} has length {length}, not a positive finite number")
+        if not 0 < area.min_area(length) < math.inf:
+            raise NonpositiveArea(f"pipe {pid!r} area profile is not positive and finite everywhere")
+        pipes.append(Pipe(pid, v_from, v_to, length, area))
 
     if len(pipes) < len(vertices) - 1:
         raise Disconnected(f"{len(pipes)} pipes cannot connect {len(vertices)} vertices")

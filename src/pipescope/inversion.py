@@ -9,13 +9,16 @@ times t_l = l*dt (l = 1..M), block (receiver j, source i) holds
 in 0-based kernel indexing; the second index realizes the time-reversed
 kernel argument 2*tau - t - s evaluated midpoint-consistently (each
 sample stands for the half-open cell ending at it, so both arguments
-shift by dt/2 and the reflected term lands one sample up). Columns with
-s_k <= tau - f(x_i) + tol and rows with t_l <= tau - f(x_j) + tol are
-zeroed, the diagonal blocks add nu_j * a/(A(x_j) g) on the diagonal, and
-the right-hand side is h0 on active rows. The solve restricts to active
-indices, minimizes ||Hq - b||^2 + lambda*||q||^2 through the augmented
-least-squares stack, and scatters exact zeros back onto the inactive
-samples.
+shift by dt/2 and the reflected term lands one sample up), and the
+diagonal blocks add nu_j * a/(A(x_j) g) on the diagonal. None of this
+depends on p: ``control_matrix`` builds it once per profile.
+
+A point enters through its action times f alone: sample l of leaf i is
+active when t_l > tau - f(x_i) + tol. The solve keeps the active rows
+and columns, with right-hand side h0, and puts exact zeros on the
+inactive samples. It minimizes ||Hq - b||^2 + lambda*||q||^2 through the
+normal equations (H^T H + lambda I) q = H^T b, or, at lambda = 0, by a
+rank-checked least-squares solve that refuses a rank-deficient system.
 
 Volumes come from the flow integral scaled by a^2/(h0*g); areas are the
 forward difference quotient of the volume profile.
@@ -24,7 +27,6 @@ forward difference quotient of the volume profile.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,7 @@ __all__ = [
     "BCSystem",
     "VolumeProfile",
     "AreaProfile",
+    "control_matrix",
     "assemble_system",
     "solve_boundary_flows",
     "volume",
@@ -81,10 +84,10 @@ class ReconConfig:
 
 @dataclass
 class BCSystem:
-    """Dense discretized control system for one reconstruction point."""
+    """Control system for one reconstruction point: the shared matrix and this point's mask."""
 
-    matrix: np.ndarray        # (N*M, N*M), row blocks by receiver, column blocks by source
-    rhs: np.ndarray           # (N*M,)
+    matrix: np.ndarray        # (N*M, N*M) unmasked, row blocks by receiver, column blocks by source
+    rhs: np.ndarray           # (N*M,), h0 on active rows, 0 elsewhere
     active: np.ndarray        # (N, M) bool, per (leaf, sample)
     nu: np.ndarray            # (N,)
     leaves: tuple[str, ...]
@@ -106,10 +109,8 @@ class AreaProfile:
     areas: np.ndarray      # m^2
 
 
-def assemble_system(
-    irm: SampledIRM, f: ActionTimes, cfg: ReconConfig, net: Network
-) -> BCSystem:
-    """Build the blocked control matrix, mask, and right-hand side."""
+def control_matrix(irm: SampledIRM, cfg: ReconConfig, net: Network) -> np.ndarray:
+    """The unmasked control matrix, the same for every point solved with ``cfg``."""
     if abs(irm.dt - cfg.dt) > cfg.tol:
         raise GridMismatch(f"IRM dt {irm.dt} does not match configured dt {cfg.dt}")
     m = cfg.samples_per_leaf
@@ -117,65 +118,66 @@ def assemble_system(
         raise HorizonTooShort(
             f"kernels have {irm.n_samples} samples, need {2 * m} to span 2*tau"
         )
+    n = len(irm.leaves)
+    lv = np.arange(1, m + 1)
+    idx_diff = np.abs(lv[:, None] - lv[None, :])
+    idx_rev = 2 * m + 1 - lv[:, None] - lv[None, :]
+    nu = np.array([net.leaf_nu(leaf) for leaf in irm.leaves], dtype=float)
+
+    matrix = np.empty((n * m, n * m))
+    for j in range(n):
+        for i in range(n):
+            kernel = irm.k[i, j]
+            block = 0.5 * cfg.dt * nu[i] * (kernel[idx_diff] + kernel[idx_rev])
+            matrix[j * m : (j + 1) * m, i * m : (i + 1) * m] = block
+    areas = np.array([net.leaf_area(leaf) for leaf in irm.leaves])
+    matrix[np.diag_indices(n * m)] += np.repeat(nu * net.wave_speed / (areas * net.gravity), m)
+    return matrix
+
+
+def assemble_system(
+    irm: SampledIRM, f: ActionTimes, cfg: ReconConfig, net: Network, matrix: np.ndarray | None = None
+) -> BCSystem:
+    """The system for the point with action times ``f`` on ``matrix`` (built when not given)."""
+    if matrix is None:
+        matrix = control_matrix(irm, cfg, net)
     f_vec = f.as_vector(irm.leaves)
     if float(f_vec.max(initial=0.0)) - cfg.tau > cfg.tol:
         raise ActionTimeExceedsTau(
             f"max action time {f_vec.max():.6g}s exceeds tau = {cfg.tau}s at {f.cut_point}"
         )
-
-    n = len(irm.leaves)
-    dt = cfg.dt
-    lv = np.arange(1, m + 1)
-    s_times = lv * dt
-    idx_diff = np.abs(lv[:, None] - lv[None, :])
-    idx_rev = 2 * m + 1 - lv[:, None] - lv[None, :]
-
-    nu = np.array([net.leaf_nu(leaf) for leaf in irm.leaves], dtype=float)
+    m = cfg.samples_per_leaf
+    s_times = np.arange(1, m + 1) * cfg.dt
     active = s_times[None, :] - (cfg.tau - f_vec[:, None]) > cfg.tol
-
-    matrix = np.zeros((n * m, n * m))
-    rhs = np.zeros(n * m)
-    for j in range(n):
-        rhs[j * m : (j + 1) * m] = np.where(active[j], cfg.h0, 0.0)
-        for i in range(n):
-            kernel = irm.k[i, j]
-            block = 0.5 * dt * nu[i] * (kernel[idx_diff] + kernel[idx_rev])
-            block[:, ~active[i]] = 0.0
-            block[~active[j], :] = 0.0
-            if i == j:
-                area = net.leaf_area(irm.leaves[j])
-                block[np.diag_indices(m)] += nu[j] * net.wave_speed / (area * net.gravity)
-            matrix[j * m : (j + 1) * m, i * m : (i + 1) * m] = block
-    return BCSystem(matrix, rhs, active, nu, irm.leaves, m, dt)
+    rhs = np.where(active.ravel(), cfg.h0, 0.0)
+    nu = np.array([net.leaf_nu(leaf) for leaf in irm.leaves], dtype=float)
+    return BCSystem(matrix, rhs, active, nu, irm.leaves, m, cfg.dt)
 
 
 def solve_boundary_flows(sys: BCSystem, lam: float) -> dict[str, np.ndarray]:
-    """Solve the restricted system; inactive samples come back exactly zero.
+    """Solve on the active samples; inactive samples come back exactly zero.
 
     Returns the boundary flow series Q_p(t, x_i) per leaf on the grid
     t = dt..M*dt.
     """
-    mask = sys.active.ravel()
-    restricted = sys.matrix[np.ix_(mask, mask)]
-    b = sys.rhs[mask]
-    n_active = restricted.shape[0]
-    if n_active == 0:
-        q = np.zeros(sys.matrix.shape[0])
-    else:
+    idx = np.flatnonzero(sys.active)
+    q = np.zeros(sys.matrix.shape[0])
+    if idx.size:
+        restricted = sys.matrix[np.ix_(idx, idx)]
+        b = sys.rhs[idx]
         if lam > 0:
-            stacked = np.vstack([restricted, math.sqrt(lam) * np.eye(n_active)])
-            target = np.concatenate([b, np.zeros(n_active)])
-            sol, *_ = np.linalg.lstsq(stacked, target, rcond=None)
+            normal = restricted.T @ restricted
+            normal[np.diag_indices(idx.size)] += lam
+            try:
+                q[idx] = np.linalg.solve(normal, restricted.T @ b)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystem(f"normal equations singular with lambda = {lam}: {exc}") from exc
         else:
             sol, _, rank, _ = np.linalg.lstsq(restricted, b, rcond=None)
-            if rank < n_active:
-                raise SingularSystem(
-                    f"restricted matrix rank {rank} < {n_active} with lambda = 0"
-                )
-        q = np.zeros(sys.matrix.shape[0])
-        q[mask] = sol
-    m = sys.samples_per_leaf
-    return {leaf: q[i * m : (i + 1) * m] for i, leaf in enumerate(sys.leaves)}
+            if rank < idx.size:
+                raise SingularSystem(f"restricted matrix rank {rank} < {idx.size} with lambda = 0")
+            q[idx] = sol
+    return dict(zip(sys.leaves, q.reshape(len(sys.leaves), sys.samples_per_leaf)))
 
 
 def volume(flows: dict[str, np.ndarray], cfg: ReconConfig, net: Network) -> float:
@@ -193,17 +195,15 @@ def volume(flows: dict[str, np.ndarray], cfg: ReconConfig, net: Network) -> floa
 def volume_for_point(
     net: Network, irm: SampledIRM, point: PointOnPipe, cfg: ReconConfig
 ) -> float:
-    f = action_times(net, point, endpoint_ok=True)
-    sys = assemble_system(irm, f, cfg, net)
-    flows = solve_boundary_flows(sys, cfg.lam)
-    return volume(flows, cfg, net)
+    sys = assemble_system(irm, action_times(net, point, endpoint_ok=True), cfg, net)
+    return volume(solve_boundary_flows(sys, cfg.lam), cfg, net)
 
 
 def _profile_points(net: Network, pipe_id: str, start_offset: float, cfg: ReconConfig):
-    """Cut points spaced dx apart, walking from the far end towards x0."""
+    """Action times and positions of cut points spaced dx apart, from the far end towards x0."""
     pipe = net.pipes[pipe_id]
     from_far = net.far_side_vertex(pipe_id) == pipe.from_vertex
-    points = []
+    fs = []
     positions = []
     k = 1
     while True:
@@ -220,10 +220,10 @@ def _profile_points(net: Network, pipe_id: str, start_offset: float, cfg: ReconC
                     f"first point {p} needs action time {f.max_f:.6g}s > tau = {cfg.tau}s"
                 )
             break
-        points.append(p)
+        fs.append(f)
         positions.append(d - start_offset)
         k += 1
-    return points, positions
+    return fs, positions
 
 
 def volume_profile(
@@ -232,21 +232,17 @@ def volume_profile(
     pipe_id: str,
     cfg: ReconConfig,
     start_offset: float = 0.0,
-    jobs: int = 1,
 ) -> VolumeProfile:
-    """Volumes V(p) at dx-spaced points along one pipe, each solved independently.
+    """Volumes V(p) at dx-spaced points along one pipe, on one shared control matrix.
 
     ``start_offset`` is measured in meters from the pipe end away from x0;
     points run from there towards x0, stopping at the pipe end or where the
-    action times would exceed tau. Points are independent solves, so they
-    can fan out across ``jobs`` worker threads with identical results.
+    action times would exceed tau.
     """
-    points, positions = _profile_points(net, pipe_id, start_offset, cfg)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            volumes = list(pool.map(lambda p: volume_for_point(net, irm, p, cfg), points))
-    else:
-        volumes = [volume_for_point(net, irm, p, cfg) for p in points]
+    fs, positions = _profile_points(net, pipe_id, start_offset, cfg)
+    matrix = control_matrix(irm, cfg, net)
+    systems = (assemble_system(irm, f, cfg, net, matrix) for f in fs)
+    volumes = [volume(solve_boundary_flows(sys, cfg.lam), cfg, net) for sys in systems]
     return VolumeProfile(pipe_id, np.asarray(positions), np.asarray(volumes))
 
 

@@ -61,6 +61,19 @@ def test_non_tree_network_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps(dict(EXP1_NETWORK, pipes=[{k: v for k, v in EXP1_NETWORK["pipes"][0].items() if k != "id"}])),
+    json.dumps(EXP1_NETWORK).replace('"length": 400.0', '"length": NaN'),
+], ids=["no-pipe-id", "nan-length"])
+def test_malformed_network_file_exit_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = run(["oracle-irm", "--network", str(bad), "--horizon", "1.0", "--dt", "0.01", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+
+
 def test_missing_required_flag_exit_2(tmp_path, net1_path):
     assert run(["oracle-irm", "--network", str(net1_path), "--dt", "0.01", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -333,16 +346,56 @@ def test_reconstruct_irm_leaves_must_match_network(tmp_path, exp1_irm_path, caps
     assert "accessible leaves" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("shift", [0, 1])
-def test_replay_rejects_removed_sigma_shift_option(tmp_path, exp1_irm_path, capsys, shift):
-    # manifests recorded while the kernel shift was still an option carry it
+def _replay_exit(tmp_path, exp1_irm_path, capsys, edit):
+    """Exit code and stderr of replaying an exp1 reconstruct manifest after ``edit``."""
     out_dir = tmp_path / "r"
     code, _ = _reconstruct_exit(exp1_irm_path, out_dir, capsys)
     assert code == 0
     manifest_path = out_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["config"]["sigma_shift"] = shift
-    manifest_path.write_text(json.dumps(manifest))
-    assert run(["replay", str(manifest_path)]) == 2
-    err = capsys.readouterr().err
+    manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+    code = run(["replay", str(manifest_path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_replay_rejects_removed_sigma_shift_option(tmp_path, exp1_irm_path, capsys, shift):
+    # manifests recorded while the kernel shift was still an option carry it
+    code, err = _replay_exit(tmp_path, exp1_irm_path, capsys, lambda m: {**m, "config": {**m["config"], "sigma_shift": shift}})
+    assert code == 2
     assert "sigma_shift" in err and err.count("\n") == 1
+
+
+def test_replay_rejects_removed_jobs_option(tmp_path, exp1_irm_path, capsys):
+    # manifests recorded while reconstruct had a worker-thread count carry it
+    code, err = _replay_exit(tmp_path, exp1_irm_path, capsys, lambda m: {**m, "config": {**m["config"], "jobs": "1"}})
+    assert code == 2
+    assert "jobs" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: {"command": m["command"]},
+        lambda m: {**m, "config": [1]},
+        lambda m: [1],
+        lambda m: {"command": "plot", "config": {}},  # plot writes no manifest
+    ],
+    ids=["no-config", "config-not-object", "not-object", "plot"],
+)
+def test_replay_malformed_manifest_exit_2(tmp_path, exp1_irm_path, capsys, edit):
+    code, err = _replay_exit(tmp_path, exp1_irm_path, capsys, edit)
+    assert code == 2
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cfg", [{"sigma_shift": 0}, {"jobs": 2}, [1]], ids=["sigma_shift", "jobs", "not-object"])
+def test_config_file_unknown_key_exit_2(tmp_path, exp1_irm_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = run(["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--config", str(path),
+                "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()

@@ -89,6 +89,28 @@ def test_nonpositive_length_and_area(exp1_spec):
         validate_network(dict(exp1_spec, pipes=bad))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda spec: spec["pipes"][0].pop("id"),
+        lambda spec: spec["pipes"][0]["area"].pop("base"),
+        lambda spec: spec["pipes"][0].update(length=math.nan),
+        lambda spec: spec["pipes"][0].update(length=math.inf),
+        lambda spec: spec["pipes"][0]["area"].update(base=math.nan),
+        lambda spec: spec["pipes"][0]["area"].update(blocks=[{"x0": 10, "x1": 20, "delta": math.nan}]),
+        lambda spec: spec["pipes"][0].update(area={"samples": {"x": [0, 100, 200, 300, 400], "A": [1, 1, math.nan, 1, 1]}}),
+        lambda spec: spec.update(wave_speed=math.inf),
+        lambda spec: spec.update(gravity=math.nan),
+    ],
+    ids=["no-pipe-id", "no-area-base", "nan-length", "inf-length", "nan-base", "nan-delta", "nan-table",
+         "inf-wave-speed", "nan-gravity"],
+)
+def test_malformed_or_nonfinite_spec_rejected(exp1_spec, edit):
+    edit(exp1_spec)
+    with pytest.raises(InvalidNetworkSpec):
+        validate_network(exp1_spec)
+
+
 def test_accessible_order_is_authoritative(exp1_spec):
     exp1_spec["accessible"] = ["B", "A"]
     net = validate_network(exp1_spec)

@@ -8,9 +8,11 @@ from pipescope import (
     PointOnPipe,
     ReconConfig,
     SampledIRM,
+    SimConfig,
     action_times,
     area_profile,
     assemble_system,
+    measure_irm,
     oracle_irm,
     sample_irm,
     solve_boundary_flows,
@@ -25,12 +27,61 @@ from pipescope.errors import (
     SingularSystem,
     TooFewPoints,
 )
-from pipescope.inversion import VolumeProfile
+from pipescope.inversion import VolumeProfile, _profile_points
 
 
 @pytest.fixture(scope="module")
 def exp1_irm(exp1_net):
     return sample_irm(oracle_irm(exp1_net, horizon=1.61), dt=0.01)
+
+
+@pytest.fixture(scope="module")
+def exp2_irm(exp2_net):
+    irm, _ = measure_irm(
+        exp2_net, SimConfig(dx=5.0, duration=1.9, courant=0.95), resample_dt=0.007, smooth_window_s=0.02
+    )
+    return irm
+
+
+def masked_system(irm, f, cfg, net):
+    """Reference: the full (N*M)^2 matrix built per point, inactive rows and columns zeroed."""
+    m = cfg.samples_per_leaf
+    n = len(irm.leaves)
+    lv = np.arange(1, m + 1)
+    idx_diff = np.abs(lv[:, None] - lv[None, :])
+    idx_rev = 2 * m + 1 - lv[:, None] - lv[None, :]
+    nu = np.array([net.leaf_nu(leaf) for leaf in irm.leaves], dtype=float)
+    active = lv[None, :] * cfg.dt - (cfg.tau - f.as_vector(irm.leaves)[:, None]) > cfg.tol
+    matrix = np.zeros((n * m, n * m))
+    rhs = np.zeros(n * m)
+    for j in range(n):
+        rhs[j * m : (j + 1) * m] = np.where(active[j], cfg.h0, 0.0)
+        for i in range(n):
+            kernel = irm.k[i, j]
+            block = 0.5 * cfg.dt * nu[i] * (kernel[idx_diff] + kernel[idx_rev])
+            block[:, ~active[i]] = 0.0
+            block[~active[j], :] = 0.0
+            if i == j:
+                area = net.leaf_area(irm.leaves[j])
+                block[np.diag_indices(m)] += nu[j] * net.wave_speed / (area * net.gravity)
+            matrix[j * m : (j + 1) * m, i * m : (i + 1) * m] = block
+    return matrix, rhs, active
+
+
+def reference_volume(irm, point, cfg, net):
+    """Reference: masked build, then least squares on the stacked [H; sqrt(lambda) I]."""
+    f = action_times(net, point, endpoint_ok=True)
+    matrix, rhs, active = masked_system(irm, f, cfg, net)
+    mask = active.ravel()
+    restricted = matrix[np.ix_(mask, mask)]
+    n_active = restricted.shape[0]
+    stacked = np.vstack([restricted, np.sqrt(cfg.lam) * np.eye(n_active)])
+    target = np.concatenate([rhs[mask], np.zeros(n_active)])
+    sol, *_ = np.linalg.lstsq(stacked, target, rcond=None)
+    q = np.zeros(matrix.shape[0])
+    q[mask] = sol
+    m = cfg.samples_per_leaf
+    return volume({leaf: q[i * m : (i + 1) * m] for i, leaf in enumerate(irm.leaves)}, cfg, net)
 
 
 def zero_irm(net, dt, horizon):
@@ -60,13 +111,38 @@ def test_single_active_leaf_zeroes_other_blocks(exp1_net, exp1_irm):
     sys = assemble_system(exp1_irm, f, ReconConfig(**EXP1_CFG), exp1_net)
     m = sys.samples_per_leaf
     assert not sys.active[1].any()
-    # all B-involved kernel entries are masked away; only the plain identity
-    # remains on the B diagonal (and those rows solve to exactly zero flow)
-    assert np.all(sys.matrix[:m, m:] == 0.0)
-    b_block = sys.matrix[m:, m:]
-    assert np.array_equal(b_block, np.diag(np.diag(b_block)))
-    assert np.all(sys.matrix[m:, :m] == 0.0)
+    # the restricted system holds no B row or column, so no B-involved
+    # kernel entry reaches the solve and the B flows come back exactly zero
+    assert np.flatnonzero(sys.active).max() < m
     assert np.all(sys.rhs[m:] == 0.0)
+    for lam in (0.0, 1e-5):
+        assert np.all(solve_boundary_flows(sys, lam)["B"] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "preset, pipe, offset, tau, dt",
+    [
+        ("exp1", "DC", 100.0, 0.8, 0.01),
+        ("exp1", "AD", 200.0, 0.8, 0.01),
+        ("exp1", "BD", 150.0, 0.8, 0.01),
+        ("exp2", "ED", 250.0, 0.9, 0.007),
+        ("exp2", "BE", 100.0, 0.9, 0.007),
+    ],
+)
+def test_restricted_matrix_matches_masked_build(request, preset, pipe, offset, tau, dt):
+    # the shared matrix differs from the per-point masked one only in the
+    # rows and columns the restriction drops
+    net = request.getfixturevalue(f"{preset}_net")
+    irm = request.getfixturevalue(f"{preset}_irm")
+    cfg = ReconConfig(tau=tau, dt=dt, dx=10.0)
+    f = action_times(net, PointOnPipe(pipe, offset))
+    sys = assemble_system(irm, f, cfg, net)
+    matrix, rhs, active = masked_system(irm, f, cfg, net)
+    idx = np.flatnonzero(active)
+    assert 0 < idx.size < active.size
+    assert np.array_equal(sys.active, active)
+    assert np.array_equal(sys.rhs, rhs)
+    assert np.array_equal(sys.matrix[np.ix_(idx, idx)], matrix[np.ix_(idx, idx)])
 
 
 def test_grid_mismatch_and_short_horizon(exp1_net, exp1_irm):
@@ -160,6 +236,22 @@ def test_singular_system_raises():
     assert np.isfinite(flows["A"]).all()
 
 
+def test_singular_normal_equations_raise():
+    # lambda = 1e-5 is lost against H^T H entries of 2e20, which leaves the
+    # normal equations exactly singular
+    sys = BCSystem(
+        matrix=1e10 * np.ones((2, 2)),
+        rhs=np.array([1.0, 1.0]),
+        active=np.array([[True, True]]),
+        nu=np.array([1.0]),
+        leaves=("A",),
+        samples_per_leaf=2,
+        dt=0.01,
+    )
+    with pytest.raises(SingularSystem, match="normal equations"):
+        solve_boundary_flows(sys, 1e-5)
+
+
 # -- volumes ------------------------------------------------------------------
 
 
@@ -203,11 +295,28 @@ def test_exp1_volume_monotone(exp1_net, exp1_irm):
         assert np.all(np.diff(vp.volumes) > 0.0)
 
 
-def test_profile_serial_parallel_identical(exp1_net, exp1_irm):
-    cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
-    serial = volume_profile(exp1_net, exp1_irm, "DC", cfg, jobs=1)
-    parallel = volume_profile(exp1_net, exp1_irm, "DC", cfg, jobs=4)
-    assert np.array_equal(serial.volumes, parallel.volumes)
+@pytest.mark.parametrize(
+    "preset, pipe, lam",
+    [
+        ("exp1", "AD", 1e-5),
+        ("exp1", "BD", 1e-5),
+        ("exp1", "DC", 1e-5),
+        ("exp2", "ED", 1.0),
+        ("exp2", "BE", 1e-5),
+    ],
+)
+def test_profile_matches_stacked_lstsq(request, preset, pipe, lam):
+    # the normal-equation solve on the shared matrix against the per-point
+    # masked build solved by least squares on [H; sqrt(lambda) I]
+    net = request.getfixturevalue(f"{preset}_net")
+    irm = request.getfixturevalue(f"{preset}_irm")
+    tau, dx = (0.8, 10.0) if preset == "exp1" else (0.9, 7.0)
+    cfg = ReconConfig(tau=tau, dt=irm.dt, dx=dx, lam=lam)
+    vp = volume_profile(net, irm, pipe, cfg)
+    fs, _ = _profile_points(net, pipe, 0.0, cfg)
+    expected = np.array([reference_volume(irm, f.cut_point, cfg, net) for f in fs])
+    assert len(vp.volumes) == len(expected) > 10
+    assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))
 
 
 def test_profile_unreachable_first_point(exp1_net, exp1_irm):
