@@ -130,6 +130,7 @@ def cmd_simulate_irm(resolved: dict) -> list:
         cfg,
         resample_dt=resolved["resample_dt"] or None,
         smooth_window_s=resolved["smooth_window"],
+        fields=bool(resolved.get("dump_fields")),
     )
     out = resolved["out"]
     save_irm(irm, out)
@@ -228,10 +229,14 @@ def _read_profile_csv(path):
         rows = [line.strip().split(",") for line in fh if line.strip()]
     if header[:2] != ["pipe", "x_m"] or len(header) != 3 or not rows:
         raise ConfigError(f"{path}: expected pipe,x_m,(A_m2|V_m3) CSV with data rows")
-    pipe_id = rows[0][0]
-    x = np.array([float(r[1]) for r in rows])
-    y = np.array([float(r[2]) for r in rows])
-    return pipe_id, header[2], x, y
+    if any(len(r) != 3 for r in rows):
+        raise ConfigError(f"{path}: every data row needs three fields")
+    try:
+        x = np.array([float(r[1]) for r in rows])
+        y = np.array([float(r[2]) for r in rows])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: unreadable number in a data row: {exc}") from exc
+    return rows[0][0], header[2], x, y
 
 
 def _svg_polyline(points, style):

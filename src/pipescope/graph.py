@@ -260,6 +260,8 @@ class Network:
 
 
 def _build_area_profile(spec) -> BlockAreaProfile | TableAreaProfile:
+    if not isinstance(spec, dict):
+        raise TypeError("area is not a JSON object")
     if "samples" in spec:
         xs = tuple(float(v) for v in spec["samples"]["x"])
         vals = tuple(float(v) for v in spec["samples"]["A"])
@@ -281,18 +283,23 @@ def _build_area_profile(spec) -> BlockAreaProfile | TableAreaProfile:
 def validate_network(spec: dict) -> Network:
     """Validate a raw network description (the JSON schema) into a Network.
 
+    Vertex and pipe ids are strings; ``vertices``, ``pipes`` and
+    ``accessible`` are lists.
+
     Raises: CycleDetected, Disconnected, DegreeTwoVertex, NonLeafX0,
     NonpositiveLength, NonpositiveArea, InvalidNetworkSpec.
     """
     try:
         wave_speed = float(spec["wave_speed"])
         gravity = float(spec["gravity"])
-        vertices = list(spec["vertices"])
-        raw_pipes = list(spec["pipes"])
+        vertices, raw_pipes, accessible = spec["vertices"], spec["pipes"], spec["accessible"]
         x0 = spec["x0"]
-        accessible = list(spec["accessible"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidNetworkSpec(f"missing or malformed field: {exc}") from exc
+    if not all(isinstance(v, list) for v in (vertices, raw_pipes, accessible)):
+        raise InvalidNetworkSpec("vertices, pipes and accessible must be lists")
+    if not vertices or not all(isinstance(v, str) for v in (*vertices, x0, *accessible)):
+        raise InvalidNetworkSpec("vertices, x0 and accessible must be string vertex ids, at least one vertex")
 
     if not (0 < wave_speed < math.inf and 0 < gravity < math.inf):
         raise InvalidNetworkSpec("wave_speed and gravity must be positive and finite")
@@ -306,8 +313,10 @@ def validate_network(spec: dict) -> Network:
             pid, v_from, v_to = rp["id"], rp["from"], rp["to"]
             length = float(rp["length"])
             area = _build_area_profile(rp["area"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidNetworkSpec(f"pipe entry {rp!r}: missing or malformed field: {exc}") from exc
+        if not all(isinstance(v, str) for v in (pid, v_from, v_to)):
+            raise InvalidNetworkSpec(f"pipe entry {rp!r}: id, from and to must be strings")
         if pid in seen_ids:
             raise InvalidNetworkSpec(f"duplicate pipe id {pid!r}")
         seen_ids.add(pid)

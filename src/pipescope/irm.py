@@ -222,29 +222,33 @@ def remove_initial_pulse(trace, t, a: float, g: float, leaf_area: float):
 
 
 def median_smooth(series, window: int):
-    """Centered running median; the window shrinks near the edges."""
+    """Centered running median along the last axis; the window shrinks near the edges.
+
+    Every full window is taken at once from a sliding-window view; only
+    the ``window - 1`` edge samples are computed one by one.
+    """
     if window < 1:
         raise WindowTooLarge("window must be at least 1 sample")
     series = np.asarray(series, dtype=float)
-    if window > len(series):
-        raise WindowTooLarge(f"window {window} exceeds series length {len(series)}")
+    n = series.shape[-1]
+    if window > n:
+        raise WindowTooLarge(f"window {window} exceeds series length {n}")
     if window == 1:
         return series.copy()
     left = (window - 1) // 2
     right = window // 2
     out = np.empty_like(series)
-    for i in range(len(series)):
-        lo = max(0, i - left)
-        hi = min(len(series), i + right + 1)
-        out[i] = np.median(series[lo:hi])
+    out[..., left : n - right] = np.median(np.lib.stride_tricks.sliding_window_view(series, window, axis=-1), axis=-1)
+    for i in (*range(left), *range(n - right, n)):
+        out[..., i] = np.median(series[..., max(0, i - left) : i + right + 1], axis=-1)
     return out
 
 
 def differentiate(series, t):
-    """Central differences inside, one-sided at the ends."""
+    """Central differences inside, one-sided at the ends, along the last axis."""
     series = np.asarray(series, dtype=float)
     t = np.asarray(t, dtype=float)
-    return np.gradient(series, t[1] - t[0])
+    return np.gradient(series, t[1] - t[0], axis=-1)
 
 
 def resample(series, t_old, t_new):
@@ -264,22 +268,21 @@ def irm_row_from_step_response(
 ) -> dict[str, np.ndarray]:
     """Turn unit-step head traces into one row of reflection kernels.
 
-    The self-trace first loses its direct step term; every trace is then
-    median-smoothed (window given in seconds, floored to samples) and
-    differentiated in time. Output stays on the simulation grid.
+    The self-trace first loses its direct step term; the traces are then
+    median-smoothed together (window given in seconds, floored to samples)
+    and differentiated in time. Output stays on the simulation grid.
     """
     dt = float(bundle.t[1] - bundle.t[0])
     window = max(1, int(smooth_window_s / dt))
-    row = {}
-    for leaf, trace in bundle.traces.items():
-        h = np.asarray(trace, dtype=float)
-        if leaf == bundle.source:
-            h = remove_initial_pulse(
-                h, bundle.t, net.wave_speed, net.gravity, net.leaf_area(leaf)
-            )
-        h = median_smooth(h, window)
-        row[leaf] = differentiate(h, bundle.t)
-    return row
+    leaves = list(bundle.traces)
+    h = np.array(list(bundle.traces.values()), dtype=float)
+    if bundle.source in bundle.traces:
+        src = leaves.index(bundle.source)
+        h[src] = remove_initial_pulse(
+            h[src], bundle.t, net.wave_speed, net.gravity, net.leaf_area(bundle.source)
+        )
+    kernels = differentiate(median_smooth(h, window), bundle.t)
+    return dict(zip(leaves, kernels))
 
 
 def measure_irm(
@@ -287,19 +290,21 @@ def measure_irm(
     cfg: SimConfig,
     resample_dt: float | None = None,
     smooth_window_s: float = 0.02,
+    fields: bool = False,
 ) -> tuple[SampledIRM, list[Histories]]:
     """Simulate step responses for every source leaf and assemble the IRM.
 
     One forward run per accessible leaf (unit step there, all other ends
-    closed), the processing pipeline per receiver, then an optional
-    resampling to a coarser grid. Returns the IRM and the raw histories.
+    closed), the processing pipeline per source row, then an optional
+    resampling to a coarser grid. Returns the IRM and the raw histories,
+    which hold node fields only if ``fields`` asks for them.
     """
     n = len(net.accessible)
     rows = {}
     runs = []
     t_hist = None
     for source in net.accessible:
-        hist = simulate(net, step_inflow(net, cfg, source), cfg)
+        hist = simulate(net, step_inflow(net, cfg, source), cfg, fields=fields)
         runs.append(hist)
         t_hist = hist.t
         bundle = StepResponseBundle(source, hist.t, dict(hist.boundary))

@@ -74,7 +74,10 @@ class _PipeGrid:
 
 @dataclass
 class Histories:
-    """Node-sampled solution H(t, x), Q(t, x) per pipe, plus leaf head traces."""
+    """Head traces at the accessible leaves, plus H(t, x), Q(t, x) per pipe if recorded.
+
+    ``H`` and ``Q`` are empty dicts for a run made with ``fields=False``.
+    """
 
     t: np.ndarray
     grids: dict[str, _PipeGrid]
@@ -115,13 +118,15 @@ def _step_count(duration: float, dt: float) -> int:
     return int(duration / dt + 1e-6)
 
 
-def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig) -> Histories:
-    """Run the transient solver and record full node histories.
+def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig, fields: bool = True) -> Histories:
+    """Run the transient solver and record the head trace at every accessible leaf.
 
     ``flows`` maps accessible leaves to their prescribed inflow nu*Q, one
     sample per time step from t = 0; leaves without a series are closed.
     Every vertex then takes its head from the single vertex rule of the
-    module docstring, already at t = 0 on the quiescent network.
+    module docstring, already at t = 0 on the quiescent network. With
+    ``fields`` the H and Q history of every node is kept as well; without
+    it each step lives only as long as the next one needs it.
     """
     dt = _time_step(net, cfg)
     n_steps = _step_count(cfg.duration, dt)
@@ -159,13 +164,20 @@ def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig) -> Hist
     B_end = B[end_cell]
     inv_B_vertex = np.bincount(end_vertex, 1.0 / B_end, len(vertex))  # sum_e 1/B_e
 
-    H = np.zeros((n_steps + 1, first_node[-1]))
-    Q = np.zeros_like(H)
-    h = q = np.zeros(first_node[-1])  # quiescent state before t = 0
+    # a leaf is the vertex of exactly one pipe end
+    end_at = dict(zip(end_vertex.tolist(), end_node.tolist()))
+    leaf_node = np.array([end_at[vertex[leaf]] for leaf in net.accessible])
+
+    n_nodes = first_node[-1]
+    if fields:
+        H = np.zeros((n_steps + 1, n_nodes))
+        Q = np.zeros_like(H)
+    traces = np.empty((n_steps + 1, len(leaf_node)))
+    h = q = np.zeros(n_nodes)  # quiescent state before t = 0
     for step in range(n_steps + 1):
         cp = theta * h[lo] + rest * h[hi] + B * (theta * q[lo] + rest * q[hi])
         cm = theta * h[hi] + rest * h[lo] - B * (theta * q[hi] + rest * q[lo])
-        h, q = H[step], Q[step]
+        h, q = (H[step], Q[step]) if fields else (np.empty(n_nodes), np.empty(n_nodes))
         q_inner = (cp[inner] - cm[inner + 1]) / B_sum
         q[mid] = q_inner
         h[mid] = cp[inner] - B_inner * q_inner
@@ -174,15 +186,15 @@ def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig) -> Hist
         h_end = h_v[end_vertex]
         h[end_node] = h_end
         q[end_node] = nu * (h_end - c_end) / B_end
+        traces[step] = h[leaf_node]
 
     t = np.arange(n_steps + 1) * dt
-    H_pipe = {pid: H[:, s : s + n + 1] for pid, s, n in zip(grids, first_node, sizes)}
-    Q_pipe = {pid: Q[:, s : s + n + 1] for pid, s, n in zip(grids, first_node, sizes)}
-    boundary = {}
-    for leaf in net.accessible:
-        pipe = net.leaf_pipe(leaf)
-        node = 0 if pipe.end_coord(leaf) == 0.0 else -1
-        boundary[leaf] = H_pipe[pipe.id][:, node]
+    boundary = {leaf: traces[:, k] for k, leaf in enumerate(net.accessible)}
+    if not fields:
+        return Histories(t, grids, {}, {}, boundary)
+    pipe_nodes = {pid: slice(s, s + n + 1) for pid, s, n in zip(grids, first_node, sizes)}
+    H_pipe = {pid: H[:, nodes] for pid, nodes in pipe_nodes.items()}
+    Q_pipe = {pid: Q[:, nodes] for pid, nodes in pipe_nodes.items()}
     return Histories(t, grids, H_pipe, Q_pipe, boundary)
 
 
@@ -218,8 +230,10 @@ def conservation_residual(hist: Histories, net: Network, tau: float) -> float:
     taken one step before tau, which is the cell-interior value the exact
     solution holds on the open interval ending at tau. At Courant 1 the
     identity is exact to round-off; below 1 it measures interpolation
-    diffusion.
+    diffusion. It needs the node fields of a run made with ``fields=True``.
     """
+    if not hist.H:
+        raise ValueError("conservation_residual needs node fields: simulate with fields=True")
     dt = hist.dt
     k_tau = int(round(tau / dt))
     if not 1 <= k_tau <= len(hist.t) - 1:

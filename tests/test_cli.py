@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from pipescope import SimConfig, simulate, step_inflow, validate_network
 from pipescope.cli import run
 from pipescope.irm import load_irm
 from pipescope.presets import EXP1_NETWORK
@@ -64,7 +65,8 @@ def test_non_tree_network_exit_2(tmp_path):
 @pytest.mark.parametrize("text", [
     json.dumps(dict(EXP1_NETWORK, pipes=[{k: v for k, v in EXP1_NETWORK["pipes"][0].items() if k != "id"}])),
     json.dumps(EXP1_NETWORK).replace('"length": 400.0', '"length": NaN'),
-], ids=["no-pipe-id", "nan-length"])
+    json.dumps(EXP1_NETWORK).replace('"id": "AD"', '"id": ["AD"]'),
+], ids=["no-pipe-id", "nan-length", "list-pipe-id"])
 def test_malformed_network_file_exit_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -213,6 +215,36 @@ def test_plot_empty_csv_exit_2(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("pipe,x_m,A_m2\n")
     assert run(["plot", "--in", str(empty), "--out", str(tmp_path / "x.svg")]) == 2
+
+
+@pytest.mark.parametrize("row", ["P,abc,1", "P,1"], ids=["not-a-number", "short-row"])
+def test_plot_bad_csv_row_exit_2(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"pipe,x_m,A_m2\nP,0.0,1.0\n{row}\n")
+    assert run(["plot", "--in", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+
+
+def test_simulate_irm_dump_fields(tmp_path, net1_path):
+    fields = tmp_path / "fields"
+    code = run(["simulate-irm", "--network", str(net1_path), "--dx", "50", "--courant", "1.0", "--duration", "0.3",
+                "--dump-fields", str(fields), "--out", str(tmp_path / "irm.csv")])
+    assert code == 0
+    net = validate_network(EXP1_NETWORK)
+    cfg = SimConfig(dx=50.0, duration=0.3, courant=1.0)
+    hist = simulate(net, step_inflow(net, cfg, "B"), cfg, fields=True)
+    header, *rows = (fields / "src_B_pipe_DC.csv").read_text().splitlines()
+    assert header == "t,x,H,Q"
+    grid = hist.grids["DC"]
+    assert len(rows) == len(hist.t) * len(grid.x)
+    expected = [
+        f"{float(t)!r},{float(x)!r},{float(hist.H['DC'][k, node])!r},{float(hist.Q['DC'][k, node])!r}"
+        for k, t in enumerate(hist.t)
+        for node, x in enumerate(grid.x)
+    ]
+    assert rows == expected
+    assert len(list(fields.iterdir())) == len(net.accessible) * len(net.pipes)
 
 
 def test_simulate_irm_with_traces(tmp_path, net1_path):

@@ -1,5 +1,6 @@
 """Topology validation, travel times, action times, admissible sets."""
 
+import copy
 import math
 
 import numpy as np
@@ -24,9 +25,11 @@ from pipescope.errors import (
     NonLeafX0,
     NonpositiveArea,
     NonpositiveLength,
+    PipescopeError,
     PointIsJunction,
 )
 from pipescope.graph import region_area_integral, region_contains
+from pipescope.presets import EXP1_NETWORK
 
 
 def test_exp1_network_validates(exp1_net):
@@ -101,14 +104,70 @@ def test_nonpositive_length_and_area(exp1_spec):
         lambda spec: spec["pipes"][0].update(area={"samples": {"x": [0, 100, 200, 300, 400], "A": [1, 1, math.nan, 1, 1]}}),
         lambda spec: spec.update(wave_speed=math.inf),
         lambda spec: spec.update(gravity=math.nan),
+        lambda spec: spec["pipes"][0].update(length=10**400),
+        lambda spec: spec["pipes"][0].update(area="wide"),
+        lambda spec: spec.update(vertices=[], pipes=[]),
+        lambda spec: spec.update(vertices="ABCD"),
     ],
     ids=["no-pipe-id", "no-area-base", "nan-length", "inf-length", "nan-base", "nan-delta", "nan-table",
-         "inf-wave-speed", "nan-gravity"],
+         "inf-wave-speed", "nan-gravity", "length-overflows-float", "area-not-object", "no-vertices",
+         "vertices-not-list"],
 )
 def test_malformed_or_nonfinite_spec_rejected(exp1_spec, edit):
     edit(exp1_spec)
     with pytest.raises(InvalidNetworkSpec):
         validate_network(exp1_spec)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda spec: spec["pipes"][0].update(id=["AD"]),
+        lambda spec: spec["vertices"].__setitem__(0, ["A"]),
+        lambda spec: spec["pipes"][0].update({"from": {"A": 1}}),
+        lambda spec: spec["pipes"][0].update(to=["D"]),
+        lambda spec: spec["accessible"].__setitem__(0, ["A"]),
+        lambda spec: spec.update(x0={"C": 1}),
+    ],
+    ids=["pipe-id", "vertex", "from", "to", "accessible", "x0"],
+)
+def test_unhashable_id_rejected(exp1_spec, edit):
+    edit(exp1_spec)
+    with pytest.raises(InvalidNetworkSpec):
+        validate_network(exp1_spec)
+
+
+def _json_paths(value, path=()):
+    """Every path from the root of a JSON document to one of its values."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, (*path, key))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.just(10**400) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZ_PATHS = [p for p in _json_paths(EXP1_NETWORK) if p] + [
+    ("pipes", 1, "area", "blocks", 0, key) for key in ("x0", "x1", "delta")
+]
+
+
+@given(st.sampled_from(FUZZ_PATHS), JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_fuzz_one_field_raises_only_pipescope_errors(path, value):
+    spec = copy.deepcopy(EXP1_NETWORK)
+    spec["pipes"][1]["area"]["blocks"] = [{"x0": 100.0, "x1": 150.0, "delta": -0.3}]
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        validate_network(spec)
+    except PipescopeError:
+        pass
 
 
 def test_accessible_order_is_authoritative(exp1_spec):

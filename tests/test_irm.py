@@ -150,6 +150,42 @@ def test_median_smooth_window_guard():
         median_smooth(np.zeros(4), 0)
 
 
+def _median_smooth_loop(series, window):
+    """The per-sample running median that the vectorised one must reproduce bit for bit."""
+    if window == 1:
+        return series.copy()
+    left, right = (window - 1) // 2, window // 2
+    out = np.empty_like(series)
+    for i in range(len(series)):
+        out[i] = np.median(series[max(0, i - left) : min(len(series), i + right + 1)])
+    return out
+
+
+def test_median_smooth_matches_per_sample_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        series = rng.normal(size=n)
+        series[rng.random(n) < 0.2] = 0.0  # repeated values and signed zeros tie in the partition
+        series[rng.random(n) < 0.1] = -0.0
+        for window in {min(w, n) for w in (1, 2, 3, int(rng.integers(1, n + 1)), n)}:
+            got = median_smooth(series, window)
+            assert got.tobytes() == _median_smooth_loop(series, window).tobytes()
+
+
+def test_median_smooth_rows_match_one_dimensional_calls():
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(4, 57))
+    for window in (2, 5, 8, 57):
+        got = median_smooth(block, window)
+        assert got.shape == block.shape
+        for row, series in zip(got, block):
+            assert row.tobytes() == median_smooth(series, window).tobytes()
+            assert row.tobytes() == _median_smooth_loop(series, window).tobytes()
+    with pytest.raises(WindowTooLarge):
+        median_smooth(block, 58)
+
+
 def test_differentiate():
     t = np.linspace(0.0, 1.0, 101)
     assert differentiate(3.0 * t + 1.0, t) == pytest.approx(np.full(101, 3.0))
@@ -207,6 +243,22 @@ def test_measured_kernels_vanish_near_zero(exp1_net):
     # cross kernel silent until the A-to-B arrival at 0.7 s
     quiet = t < 0.7 - 0.05
     assert np.abs(irm.k[0, 1][quiet]).max() < 1e-9
+
+
+def test_measured_kernels_match_per_trace_reference(exp2_net):
+    # the one-trace-at-a-time pipeline: subtract, smooth, differentiate, resample
+    cfg = SimConfig(dx=10.0, duration=0.6, courant=0.95)
+    irm, runs = measure_irm(exp2_net, cfg, resample_dt=0.007)
+    for i, (source, hist) in enumerate(zip(exp2_net.accessible, runs)):
+        assert hist.H == hist.Q == {}
+        window = max(1, int(0.02 / hist.dt))
+        t_out = np.arange(irm.n_samples) * irm.dt
+        for j, leaf in enumerate(exp2_net.accessible):
+            h = np.asarray(hist.boundary[leaf], dtype=float)
+            if leaf == source:
+                h = h - (exp2_net.wave_speed / (exp2_net.gravity * exp2_net.leaf_area(leaf))) * (hist.t >= 0.0)
+            kernel = np.gradient(_median_smooth_loop(h, window), hist.t[1] - hist.t[0])
+            assert irm.k[i, j].tobytes() == np.interp(t_out, hist.t, kernel).tobytes()
 
 
 def test_measured_irm_matches_oracle_bins(exp1_net):

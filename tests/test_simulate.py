@@ -247,3 +247,27 @@ def test_conservation_courant_095(exp2_net):
     cfg = SimConfig(dx=5.0, duration=0.6, courant=0.95)
     hist = simulate(exp2_net, step_inflow(exp2_net, cfg, "A"), cfg)
     assert conservation_residual(hist, exp2_net, 0.5) < 1e-2
+
+
+@pytest.mark.parametrize("preset_net", ["exp1_net", "exp2_net"])
+def test_leaf_traces_without_fields_are_bit_identical(preset_net, request):
+    net = request.getfixturevalue(preset_net)
+    cfg = SimConfig(dx=10.0, duration=0.5, courant=0.95)
+    flows = step_inflow(net, cfg, net.accessible[0])
+    full = simulate(net, flows, cfg, fields=True)
+    lean = simulate(net, flows, cfg, fields=False)
+    assert lean.H == lean.Q == {}
+    assert list(lean.boundary) == list(net.accessible)
+    assert lean.t.tobytes() == full.t.tobytes()
+    for leaf in net.accessible:
+        pipe = net.leaf_pipe(leaf)
+        node = 0 if pipe.end_coord(leaf) == 0.0 else -1
+        assert lean.boundary[leaf].tobytes() == full.H[pipe.id][:, node].tobytes()
+        assert full.boundary[leaf].tobytes() == full.H[pipe.id][:, node].tobytes()
+
+
+def test_conservation_residual_needs_fields(exp2_net):
+    cfg = SimConfig(dx=10.0, duration=0.6, courant=1.0)
+    hist = simulate(exp2_net, step_inflow(exp2_net, cfg, "A"), cfg, fields=False)
+    with pytest.raises(ValueError, match="fields=True"):
+        conservation_residual(hist, exp2_net, 0.5)
