@@ -112,18 +112,18 @@ def _write_manifest(command: str, resolved: dict, inputs: dict, outputs: list, p
 
 def cmd_oracle_irm(resolved: dict) -> list:
     net = _require_network(resolved)
-    started = time.time()
+    started = time.perf_counter()
     analytic = oracle_irm(net, resolved["horizon"], prune_eps=resolved["prune_eps"])
     irm = sample_irm(analytic, resolved["dt"])
     out = resolved["out"]
     save_irm(irm, out)
-    _write_manifest("oracle-irm", resolved, {}, [out], f"{out}.manifest.json", time.time() - started)
+    _write_manifest("oracle-irm", resolved, {}, [out], f"{out}.manifest.json", time.perf_counter() - started)
     return [out]
 
 
 def cmd_simulate_irm(resolved: dict) -> list:
     net = _require_network(resolved)
-    started = time.time()
+    started = time.perf_counter()
     cfg = SimConfig(dx=resolved["dx"], duration=resolved["duration"], courant=resolved["courant"])
     irm, runs = measure_irm(
         net,
@@ -161,7 +161,7 @@ def cmd_simulate_irm(resolved: dict) -> list:
                                 f"{float(hist.H[pid][k, node])!r},{float(hist.Q[pid][k, node])!r}\n"
                             )
                 outputs.append(path)
-    _write_manifest("simulate-irm", resolved, {}, outputs, f"{out}.manifest.json", time.time() - started)
+    _write_manifest("simulate-irm", resolved, {}, outputs, f"{out}.manifest.json", time.perf_counter() - started)
     return outputs
 
 
@@ -173,7 +173,7 @@ def _parse_list(value, cast):
 
 def cmd_reconstruct(resolved: dict) -> list:
     net = _require_network(resolved)
-    started = time.time()
+    started = time.perf_counter()
     irm = load_irm(resolved["irm"])
     if irm.leaves != net.accessible:
         raise ConfigError(
@@ -218,7 +218,7 @@ def cmd_reconstruct(resolved: dict) -> list:
         {"irm": str(resolved["irm"])},
         outputs,
         os.path.join(out_dir, "manifest.json"),
-        time.time() - started,
+        time.perf_counter() - started,
     )
     return outputs
 
@@ -236,6 +236,8 @@ def _read_profile_csv(path):
         y = np.array([float(r[2]) for r in rows])
     except ValueError as exc:
         raise ConfigError(f"{path}: unreadable number in a data row: {exc}") from exc
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ConfigError(f"{path}: a data row holds a number that is not finite")
     return rows[0][0], header[2], x, y
 
 

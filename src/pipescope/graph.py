@@ -15,6 +15,7 @@ sets) is a pure function of it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,12 +260,26 @@ class Network:
         return side
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a boolean, string or anything else raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _list(value) -> list:
+    """A JSON list; a string or object, which would iterate as characters or keys, raises TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return value
+
+
 def _build_area_profile(spec) -> BlockAreaProfile | TableAreaProfile:
     if not isinstance(spec, dict):
         raise TypeError("area is not a JSON object")
     if "samples" in spec:
-        xs = tuple(float(v) for v in spec["samples"]["x"])
-        vals = tuple(float(v) for v in spec["samples"]["A"])
+        xs = tuple(_number(v) for v in _list(spec["samples"]["x"]))
+        vals = tuple(_number(v) for v in _list(spec["samples"]["A"]))
         if len(xs) != len(vals) or len(xs) < 2 or not all(map(math.isfinite, xs + vals)):
             raise InvalidNetworkSpec("area sample table needs matching finite x/A lists of length >= 2")
         if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -273,25 +288,26 @@ def _build_area_profile(spec) -> BlockAreaProfile | TableAreaProfile:
         if vals[0] != vals[1] or vals[-1] != vals[-2]:
             raise InvalidNetworkSpec("area table must be constant on its first and last segment")
         return TableAreaProfile(xs, vals)
-    blocks = tuple((float(b["x0"]), float(b["x1"]), float(b["delta"])) for b in spec.get("blocks", ()))
+    blocks = tuple((_number(b["x0"]), _number(b["x1"]), _number(b["delta"])) for b in _list(spec.get("blocks", [])))
     for lo, hi, delta in blocks:
         if not (lo < hi and math.isfinite(lo + hi + delta)):
             raise InvalidNetworkSpec(f"area block ({lo}, {hi}, {delta}) is empty or not finite")
-    return BlockAreaProfile(float(spec["base"]), blocks)
+    return BlockAreaProfile(_number(spec["base"]), blocks)
 
 
 def validate_network(spec: dict) -> Network:
     """Validate a raw network description (the JSON schema) into a Network.
 
-    Vertex and pipe ids are strings; ``vertices``, ``pipes`` and
-    ``accessible`` are lists.
+    Vertex and pipe ids are strings; ``vertices``, ``pipes``,
+    ``accessible``, area ``blocks`` and sample tables are lists; lengths,
+    areas, wave speed and gravity are numbers, never booleans or strings.
 
     Raises: CycleDetected, Disconnected, DegreeTwoVertex, NonLeafX0,
     NonpositiveLength, NonpositiveArea, InvalidNetworkSpec.
     """
     try:
-        wave_speed = float(spec["wave_speed"])
-        gravity = float(spec["gravity"])
+        wave_speed = _number(spec["wave_speed"])
+        gravity = _number(spec["gravity"])
         vertices, raw_pipes, accessible = spec["vertices"], spec["pipes"], spec["accessible"]
         x0 = spec["x0"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -311,7 +327,7 @@ def validate_network(spec: dict) -> Network:
     for rp in raw_pipes:
         try:
             pid, v_from, v_to = rp["id"], rp["from"], rp["to"]
-            length = float(rp["length"])
+            length = _number(rp["length"])
             area = _build_area_profile(rp["area"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidNetworkSpec(f"pipe entry {rp!r}: missing or malformed field: {exc}") from exc

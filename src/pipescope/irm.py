@@ -1,8 +1,9 @@
 """Impulse-response matrix construction and processing.
 
 Two routes produce the same object. The analytic route tracks delta
-wavefronts through a network of uniform pipes with exact rational
-arithmetic: a unit-volume impulse launches a head pulse of amplitude
+wavefronts through a network of uniform pipes exactly, with times as
+integer ticks of a common rational unit and amplitudes as exact
+rationals: a unit-volume impulse launches a head pulse of amplitude
 a/(gA) down the source pipe, junctions split it via the scattering
 coefficients, closed leaves reflect it with no sign change, and each
 arrival at an accessible leaf records twice the traveling amplitude.
@@ -108,14 +109,21 @@ def oracle_irm(
 ) -> AnalyticIRM:
     """Exact impulse-response deltas on a network of uniform pipes.
 
-    Event-driven wavefront tracking: fronts are (arrival time, vertex,
-    via pipe, amplitude) processed in time order, with amplitudes kept
-    as exact rationals so equal-time arrivals merge exactly and the
-    reciprocity k_ij = k_ji holds bit-for-bit. Fronts whose amplitude
-    falls below ``prune_eps`` times the initial amplitude are dropped;
-    the geometric decay of the junction coefficients then bounds the
-    event count, with ``max_events`` as a hard guard.
+    Event-driven wavefront tracking: fronts are (arrival tick, seq,
+    scattering rule, amplitude) processed in time order. Times are
+    integer ticks of 1/D s, D the least common multiple of the exact
+    travel times' denominators; amplitudes are exact rationals, so
+    equal-time arrivals merge exactly and the reciprocity k_ij = k_ji
+    holds bit-for-bit. Each (vertex, arriving pipe) has one rule, built
+    once: the receiver at an accessible leaf and the outgoing fronts
+    (coefficient, ticks, next rule), from ``junction_scatter`` at a
+    junction. Fronts whose amplitude falls to ``prune_eps`` times the
+    initial amplitude are dropped; the geometric decay of the junction
+    coefficients then bounds the event count, with ``max_events`` as a
+    hard guard.
     """
+    if not 0 <= horizon < math.inf or not 0 <= prune_eps < math.inf:
+        raise OutOfRange(f"horizon {horizon} and prune_eps {prune_eps} must be finite and >= 0")
     for pipe in net.pipes.values():
         if not pipe.area.is_constant:
             raise NonuniformPipeArea(f"pipe {pipe.id!r} has a nonconstant area profile")
@@ -124,73 +132,60 @@ def oracle_irm(
     g = Fraction(net.gravity)
     admittance = {pid: g * Fraction(float(p.area(0.0))) / a for pid, p in net.pipes.items()}
     travel = {pid: Fraction(p.length) / a for pid, p in net.pipes.items()}
-    horizon_fr = Fraction(horizon)
+    scale = math.lcm(*(t.denominator for t in travel.values()))
+    ticks = {pid: int(t * scale) for pid, t in travel.items()}
+    horizon_ticks = math.floor(Fraction(horizon) * scale)
 
     n = len(net.accessible)
     leaf_index = {leaf: i for i, leaf in enumerate(net.accessible)}
-    arrivals: dict[tuple[int, int], dict[Fraction, Fraction]] = {
-        (i, j): {} for i in range(n) for j in range(n)
-    }
+    ends = {(p.from_vertex, p.id): p.to_vertex for p in net.pipes.values()}
+    ends.update({(p.to_vertex, p.id): p.from_vertex for p in net.pipes.values()})
+    rule_of = {end: r for r, end in enumerate(ends)}
+    rules = []  # per rule: (receiver index or None, [(coefficient, ticks, next rule), ...])
+    for vertex, via in ends:
+        attached = [p.id for p in net.adjacent_pipes(vertex)]
+        if len(attached) == 1:  # closed end: same-sign reflection back along the same pipe
+            outs = [(Fraction(1), via)]
+        else:
+            ys = [admittance[pid] for pid in attached]
+            reflected, transmitted = junction_scatter(Fraction(1), attached.index(via), ys)
+            outs = [*zip(transmitted, (pid for pid in attached if pid != via)), (reflected, via)]
+        fronts = [(coeff, ticks[pid], rule_of[(ends[(vertex, pid)], pid)]) for coeff, pid in outs]
+        rules.append((leaf_index.get(vertex), fronts))
 
+    deltas = {}
     for i, source in enumerate(net.accessible):
         pipe = net.leaf_pipe(source)
         amp0 = a / (g * Fraction(float(net.leaf_area(source))))
         threshold = Fraction(prune_eps) * amp0
-        other = pipe.to_vertex if pipe.from_vertex == source else pipe.from_vertex
+        arrivals: list[dict[int, Fraction]] = [{} for _ in range(n)]  # per receiver: tick -> weight
 
-        heap: list[tuple[Fraction, int, str, str, Fraction]] = []
+        heap: list[tuple[int, int, int, Fraction]] = []
         seq = 0
-        first_arrival = travel[pipe.id]
-        if first_arrival <= horizon_fr:
-            heap.append((first_arrival, seq, other, pipe.id, amp0))
+        if ticks[pipe.id] <= horizon_ticks:
+            heap.append((ticks[pipe.id], seq, rule_of[(ends[(source, pipe.id)], pipe.id)], amp0))
         events = 0
         while heap:
-            t, _, vertex, via, amp = heapq.heappop(heap)
+            t, _, rule, amp = heapq.heappop(heap)
             events += 1
             if events > max_events:
-                raise HorizonTooLarge(
-                    f"more than {max_events} wavefront events before {horizon}s"
-                )
+                raise HorizonTooLarge(f"more than {max_events} wavefront events before {horizon}s")
+            receiver, fronts = rules[rule]
+            if receiver is not None:
+                bucket = arrivals[receiver]
+                bucket[t] = bucket.get(t, 0) + 2 * amp
+            for coeff, pipe_ticks, next_rule in fronts:
+                t_arr = t + pipe_ticks
+                if t_arr <= horizon_ticks:
+                    amplitude = coeff * amp
+                    if abs(amplitude) > threshold:
+                        seq += 1
+                        heapq.heappush(heap, (t_arr, seq, next_rule, amplitude))
+        for j, bucket in enumerate(arrivals):
+            deltas[(i, j)] = tuple(
+                (float(Fraction(t, scale)), float(c)) for t, c in sorted(bucket.items()) if c != 0
+            )
 
-            def push(next_vertex, next_pipe, amplitude):
-                nonlocal seq
-                if abs(amplitude) <= threshold:
-                    return
-                t_arr = t + travel[next_pipe]
-                if t_arr > horizon_fr:
-                    return
-                seq += 1
-                heapq.heappush(heap, (t_arr, seq, next_vertex, next_pipe, amplitude))
-
-            if net.degree(vertex) == 1:
-                if vertex != net.x0:
-                    j = leaf_index[vertex]
-                    bucket = arrivals[(i, j)]
-                    bucket[t] = bucket.get(t, Fraction(0)) + 2 * amp
-                # closed end: same-sign reflection back along the same pipe
-                pipe_obj = net.pipes[via]
-                back = pipe_obj.to_vertex if pipe_obj.from_vertex == vertex else pipe_obj.from_vertex
-                push(back, via, amp)
-            else:
-                attached = net.adjacent_pipes(vertex)
-                ids = [p.id for p in attached]
-                ys = [admittance[pid] for pid in ids]
-                incident = ids.index(via)
-                reflected, transmitted = junction_scatter(amp, incident, ys)
-                others = [pid for k, pid in enumerate(ids) if k != incident]
-                for pid, t_amp in zip(others, transmitted):
-                    p = net.pipes[pid]
-                    w = p.to_vertex if p.from_vertex == vertex else p.from_vertex
-                    push(w, pid, t_amp)
-                p = net.pipes[via]
-                w = p.to_vertex if p.from_vertex == vertex else p.from_vertex
-                push(w, via, reflected)
-
-    deltas = {}
-    for key, bucket in arrivals.items():
-        deltas[key] = tuple(
-            (float(t), float(c)) for t, c in sorted(bucket.items()) if c != 0
-        )
     direct = tuple(net.wave_speed / (net.leaf_area(leaf) * net.gravity) for leaf in net.accessible)
     return AnalyticIRM(net.accessible, direct, deltas, horizon)
 
@@ -201,8 +196,8 @@ def sample_irm(an: AnalyticIRM, dt: float) -> SampledIRM:
     A delta at t0 becomes one sample of height coefficient/dt at the grid
     point inside [t0 - dt/2, t0 + dt/2); deltas sharing a bin add up.
     """
-    if dt <= 0:
-        raise OutOfRange("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise OutOfRange(f"dt must be positive and finite, not {dt}")
     n = len(an.leaves)
     n_samples = grid_size(an.horizon, dt)
     k = np.zeros((n, n, n_samples))
@@ -365,7 +360,7 @@ def load_irm(path) -> SampledIRM:
             dt = float(header["dt"])
             direct = tuple(float(d) for d in header["direct"])
             horizon = float(header["horizon"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise OutOfRange(f"{path}: unreadable IRM header: {exc}") from exc
         if not dt > 0:
             raise OutOfRange(f"{path}: header dt = {dt} is not positive")

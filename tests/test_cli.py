@@ -51,6 +51,21 @@ def test_oracle_irm_zero_horizon(tmp_path, net1_path):
     assert np.all(irm.k == 0.0)
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--horizon", "nan"), ("--horizon", "inf"), ("--horizon", "-1"), ("--prune-eps", "nan"),
+     ("--prune-eps", "inf"), ("--prune-eps", "-1"), ("--dt", "inf"), ("--dt", "nan")],
+)
+def test_oracle_irm_bad_option_exit_2(tmp_path, net1_path, capsys, flag, value):
+    argv = {"--horizon": "1.61", "--dt": "0.01", "--prune-eps": "1e-4", flag: value}
+    code = run(["oracle-irm", "--network", str(net1_path), *(x for kv in argv.items() for x in kv),
+                "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_non_tree_network_exit_2(tmp_path):
     spec = copy.deepcopy(EXP1_NETWORK)
     spec["pipes"].append(
@@ -217,7 +232,9 @@ def test_plot_empty_csv_exit_2(tmp_path):
     assert run(["plot", "--in", str(empty), "--out", str(tmp_path / "x.svg")]) == 2
 
 
-@pytest.mark.parametrize("row", ["P,abc,1", "P,1"], ids=["not-a-number", "short-row"])
+@pytest.mark.parametrize(
+    "row", ["P,abc,1", "P,1", "P,nan,1", "P,1,inf"], ids=["not-a-number", "short-row", "nan-x", "inf-y"]
+)
 def test_plot_bad_csv_row_exit_2(tmp_path, capsys, row):
     bad = tmp_path / "bad.csv"
     bad.write_text(f"pipe,x_m,A_m2\nP,0.0,1.0\n{row}\n")

@@ -137,6 +137,30 @@ def test_unhashable_id_rejected(exp1_spec, edit):
         validate_network(exp1_spec)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda spec: spec["pipes"][0].update(length=True),
+        lambda spec: spec["pipes"][0].update(length="400"),
+        lambda spec: spec["pipes"][0]["area"].update(base=True),
+        lambda spec: spec.update(wave_speed=True),
+        lambda spec: spec.update(gravity="9.81"),
+        lambda spec: spec["pipes"][0]["area"].update(blocks=[{"x0": True, "x1": 20, "delta": -0.1}]),
+        lambda spec: spec["pipes"][0].update(area={"samples": {"x": "0124", "A": "3333"}}),
+        lambda spec: spec["pipes"][0].update(area={"samples": {"x": [0, 100, 200, 400], "A": "3333"}}),
+        lambda spec: spec["pipes"][0].update(area={"samples": {"x": [0, 100, 200, 400], "A": [1, 1, True, 1]}}),
+        lambda spec: spec["pipes"][0]["area"].update(blocks={}),
+        lambda spec: spec["pipes"][0]["area"].update(blocks=""),
+    ],
+    ids=["bool-length", "string-length", "bool-base", "bool-wave-speed", "string-gravity", "bool-block-edge",
+         "string-samples", "string-sample-areas", "bool-sample-area", "object-blocks", "string-blocks"],
+)
+def test_boolean_string_or_object_for_number_or_list_rejected(exp1_spec, edit):
+    edit(exp1_spec)
+    with pytest.raises(InvalidNetworkSpec):
+        validate_network(exp1_spec)
+
+
 def _json_paths(value, path=()):
     """Every path from the root of a JSON document to one of its values."""
     yield path

@@ -1,7 +1,15 @@
 """Impulse-response matrix: oracle, binning, processing pipeline, persistence."""
 
+import copy
+import heapq
+import json
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipescope import (
     AnalyticIRM,
@@ -17,9 +25,12 @@ from pipescope import (
     resample,
     sample_irm,
     save_irm,
+    validate_network,
 )
 from pipescope.errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, WindowTooLarge
 from pipescope.irm import grid_size
+from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
+from pipescope.simulate import junction_scatter
 
 C = 1000.0 / 9.81  # a/(gA) for unit area
 
@@ -71,20 +82,132 @@ def test_oracle_rejects_nonuniform(exp2_net):
         oracle_irm(exp2_net, horizon=1.0)
 
 
-def test_oracle_exp2_uniform_baseline():
-    # all-unit-area version of the star network: 4-pipe junction T = 1/2
-    from pipescope import validate_network
-    from pipescope.presets import EXP2_NETWORK
-    import copy
-
-    spec = copy.deepcopy(EXP2_NETWORK)
+def _uniform_spec(spec):
+    spec = copy.deepcopy(spec)
     for p in spec["pipes"]:
         p["area"] = {"base": 1.0, "blocks": []}
-    net = validate_network(spec)
+    return spec
+
+
+def test_oracle_exp2_uniform_baseline():
+    # all-unit-area version of the star network: 4-pipe junction T = 1/2
+    net = validate_network(_uniform_spec(EXP2_NETWORK))
     an = oracle_irm(net, horizon=0.7)
     t0, w0 = an.deltas[(0, 0)][0]
     assert t0 == pytest.approx(0.6)
     assert w0 / C == pytest.approx(2 * (-1.0 / 2.0))
+
+
+def _reference_oracle(net, horizon, prune_eps=1e-4):
+    """The wavefront oracle with Fraction times and per-event scattering, as a reference.
+
+    Returns the AnalyticIRM and the largest per-source event count.
+    """
+    a = Fraction(net.wave_speed)
+    g = Fraction(net.gravity)
+    admittance = {pid: g * Fraction(float(p.area(0.0))) / a for pid, p in net.pipes.items()}
+    travel = {pid: Fraction(p.length) / a for pid, p in net.pipes.items()}
+    horizon_fr = Fraction(horizon)
+    n = len(net.accessible)
+    leaf_index = {leaf: i for i, leaf in enumerate(net.accessible)}
+    arrivals = {(i, j): {} for i in range(n) for j in range(n)}
+    most_events = 0
+    for i, source in enumerate(net.accessible):
+        pipe = net.leaf_pipe(source)
+        amp0 = a / (g * Fraction(float(net.leaf_area(source))))
+        threshold = Fraction(prune_eps) * amp0
+        other = pipe.to_vertex if pipe.from_vertex == source else pipe.from_vertex
+        heap = []
+        seq = 0
+        if travel[pipe.id] <= horizon_fr:
+            heap.append((travel[pipe.id], seq, other, pipe.id, amp0))
+        events = 0
+        while heap:
+            t, _, vertex, via, amp = heapq.heappop(heap)
+            events += 1
+
+            def push(next_vertex, next_pipe, amplitude):
+                nonlocal seq
+                t_arr = t + travel[next_pipe]
+                if abs(amplitude) > threshold and t_arr <= horizon_fr:
+                    seq += 1
+                    heapq.heappush(heap, (t_arr, seq, next_vertex, next_pipe, amplitude))
+
+            def far(pid):
+                p = net.pipes[pid]
+                return p.to_vertex if p.from_vertex == vertex else p.from_vertex
+
+            if net.degree(vertex) == 1:
+                if vertex != net.x0:
+                    bucket = arrivals[(i, leaf_index[vertex])]
+                    bucket[t] = bucket.get(t, Fraction(0)) + 2 * amp
+                push(far(via), via, amp)
+            else:
+                ids = [p.id for p in net.adjacent_pipes(vertex)]
+                incident = ids.index(via)
+                reflected, transmitted = junction_scatter(amp, incident, [admittance[pid] for pid in ids])
+                for pid, t_amp in zip([pid for k, pid in enumerate(ids) if k != incident], transmitted):
+                    push(far(pid), pid, t_amp)
+                push(far(via), via, reflected)
+        most_events = max(most_events, events)
+    deltas = {
+        key: tuple((float(t), float(c)) for t, c in sorted(bucket.items()) if c != 0)
+        for key, bucket in arrivals.items()
+    }
+    direct = tuple(net.wave_speed / (net.leaf_area(leaf) * net.gravity) for leaf in net.accessible)
+    return AnalyticIRM(net.accessible, direct, deltas, horizon), most_events
+
+
+# a uniform tree whose travel times are not decimal: 123.4 m is a binary fraction with a long denominator
+ODD_TREE = {
+    "wave_speed": 1000.0,
+    "gravity": 9.81,
+    "vertices": ["x0", "J1", "J2", "L1", "L2", "L3"],
+    "pipes": [
+        {"id": "P1", "from": "J1", "to": "x0", "length": 240.0, "area": {"base": 1.5, "blocks": []}},
+        {"id": "P2", "from": "L1", "to": "J1", "length": 280.0, "area": {"base": 1.5, "blocks": []}},
+        {"id": "P3", "from": "J1", "to": "J2", "length": 123.4, "area": {"base": 1.5, "blocks": []}},
+        {"id": "P4", "from": "L2", "to": "J2", "length": 240.0, "area": {"base": 1.5, "blocks": []}},
+        {"id": "P5", "from": "J2", "to": "L3", "length": 280.0, "area": {"base": 1.5, "blocks": []}},
+    ],
+    "x0": "x0",
+    "accessible": ["L1", "L2", "L3"],
+}
+
+
+@pytest.mark.parametrize(
+    "spec, horizon, prune_eps",
+    [
+        (EXP1_NETWORK, 3.0, 1e-4),
+        (EXP1_NETWORK, 1.6, 1e-4),  # arrivals exactly at the horizon (as a float, 1.6 is just above 8/5)
+        (EXP1_NETWORK, 1.5999999999999999, 1e-4),  # just below 8/5: those arrivals drop out
+        (_uniform_spec(EXP2_NETWORK), 1.5, 1e-4),
+        (ODD_TREE, 2.0, 1e-4),
+        (ODD_TREE, 2.0, 1e-6),
+    ],
+    ids=["exp1", "exp1-at-horizon", "exp1-below-horizon", "exp2-uniform", "odd-tree-1e-4", "odd-tree-1e-6"],
+)
+def test_oracle_matches_fraction_time_reference(spec, horizon, prune_eps):
+    net = validate_network(spec)
+    expected, _ = _reference_oracle(net, horizon, prune_eps)
+    assert oracle_irm(net, horizon, prune_eps=prune_eps) == expected
+
+
+def test_oracle_event_guard_boundary_matches_reference():
+    net = validate_network(ODD_TREE)
+    expected, events = _reference_oracle(net, 2.0)
+    with pytest.raises(HorizonTooLarge):
+        oracle_irm(net, 2.0, max_events=events - 1)
+    assert oracle_irm(net, 2.0, max_events=events) == expected
+
+
+@pytest.mark.parametrize(
+    "horizon, prune_eps",
+    [(math.nan, 1e-4), (math.inf, 1e-4), (-1.0, 1e-4), (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)],
+)
+def test_oracle_rejects_bad_horizon_or_prune_eps(exp1_net, horizon, prune_eps):
+    with pytest.raises(OutOfRange):
+        oracle_irm(exp1_net, horizon, prune_eps=prune_eps)
 
 
 # -- binning ------------------------------------------------------------------
@@ -328,3 +451,64 @@ def test_load_irm_rejects_duplicate_row(exp1_net, tmp_path):
     path.write_text("\n".join(lines[:-1] + [lines[2]]) + "\n")
     with pytest.raises(OutOfRange, match="duplicate"):
         load_irm(path)
+
+
+def test_load_irm_rejects_infinite_header_count(exp1_net, tmp_path):
+    path, lines = _saved_exp1_irm(exp1_net, tmp_path)
+    header = json.loads(lines[0])
+    header["n"] = math.inf
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(OutOfRange, match="header"):
+        load_irm(path)
+
+
+def _small_irm_lines():
+    """The lines of a small valid IRM file: exp1, 2 x 2 kernels of 6 samples."""
+    irm = sample_irm(oracle_irm(validate_network(EXP1_NETWORK), horizon=0.75), dt=0.15)
+    return irm, [
+        json.dumps({"dt": irm.dt, "n": irm.n_samples, "leaves": list(irm.leaves),
+                    "direct": list(irm.direct), "horizon": irm.horizon}),
+        "i,j,t,k",
+        *(f"{i},{j},{s * irm.dt!r},{float(irm.k[i, j, s])!r}"
+          for i in range(2) for j in range(2) for s in range(irm.n_samples)),
+    ]
+
+
+SMALL_IRM, SMALL_IRM_LINES = _small_irm_lines()
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.just(10**400) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_irm_lines(draw):
+    """The small IRM file with one line replaced, dropped or duplicated, or one header field replaced."""
+    lines = list(SMALL_IRM_LINES)
+    k = draw(st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(["replace", "drop", "duplicate", "header"]))
+    if action == "replace":
+        lines[k] = draw(TEXT)
+    elif action == "drop":
+        del lines[k]
+    elif action == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        header = json.loads(lines[0])
+        header[draw(st.sampled_from(sorted(header)))] = draw(JSON_VALUES)
+        lines[0] = json.dumps(header)
+    return lines
+
+
+@given(damaged_irm_lines())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_load_irm_raises_only_out_of_range(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("fuzz") / "irm.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        loaded = load_irm(path)
+    except OutOfRange:
+        return
+    assert loaded.k.shape == SMALL_IRM.k.shape and np.isfinite(loaded.k).all()
