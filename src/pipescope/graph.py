@@ -308,12 +308,10 @@ def validate_network(spec: dict) -> Network:
     try:
         wave_speed = _number(spec["wave_speed"])
         gravity = _number(spec["gravity"])
-        vertices, raw_pipes, accessible = spec["vertices"], spec["pipes"], spec["accessible"]
+        vertices, raw_pipes, accessible = (_list(spec[key]) for key in ("vertices", "pipes", "accessible"))
         x0 = spec["x0"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidNetworkSpec(f"missing or malformed field: {exc}") from exc
-    if not all(isinstance(v, list) for v in (vertices, raw_pipes, accessible)):
-        raise InvalidNetworkSpec("vertices, pipes and accessible must be lists")
     if not vertices or not all(isinstance(v, str) for v in (*vertices, x0, *accessible)):
         raise InvalidNetworkSpec("vertices, x0 and accessible must be string vertex ids, at least one vertex")
 
