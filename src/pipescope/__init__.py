@@ -25,14 +25,12 @@ from .simulate import (
 from .irm import (
     AnalyticIRM,
     SampledIRM,
-    StepResponseBundle,
     differentiate,
     irm_row_from_step_response,
     load_irm,
     measure_irm,
     median_smooth,
     oracle_irm,
-    remove_initial_pulse,
     resample,
     sample_irm,
     save_irm,
@@ -46,6 +44,5 @@ from .inversion import (
     assemble_system,
     solve_boundary_flows,
     volume,
-    volume_for_point,
     volume_profile,
 )

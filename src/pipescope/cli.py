@@ -42,22 +42,38 @@ def _load_json(path):
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _known_options(config, keys, source: str) -> dict:
-    """Return ``config`` if it is a JSON object with keys only from ``keys`` and ``network``.
+def _known_options(config, command: str, source: str) -> dict:
+    """Return ``config`` if it is a JSON object setting only options of ``command``, each of its flag's type.
 
-    An option the command lacks would silently change what the run means, so it is refused.
+    An option the command lacks would silently change what the run means,
+    so it is refused. A ``float`` flag takes a finite JSON number, not a
+    boolean; any other a string, or for ``lam`` and ``pipes`` also a list.
     """
     if not isinstance(config, dict):
         raise ConfigError(f"{source} is not a JSON object")
+    keys = OPTIONS[command][2]
     unknown = sorted(set(config) - set(keys) - {"network"})
     if unknown:
         raise ConfigError(f"{source} sets option(s) {', '.join(unknown)} that the command does not have")
+    flags = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    types = {a.dest: a.type or str for a in flags._actions}
+    for key, value in config.items():
+        if key == "network":
+            continue
+        number = types[key] is float
+        if number:
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+        else:
+            ok = isinstance(value, str) or (key in ("lam", "pipes") and isinstance(value, list))
+        if not ok:
+            raise ConfigError(f"{source} sets {key} to {value!r}, not a {'finite number' if number else 'string'}")
     return config
 
 
-def _resolve(args: argparse.Namespace, keys: dict[str, object], preset_section: str) -> dict:
+def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Merge flag values over config-file values over preset values over defaults."""
-    file_cfg = _known_options(_load_json(args.config), keys, f"config file {args.config}") if args.config else {}
+    _, preset_section, keys = OPTIONS[command]
+    file_cfg = _known_options(_load_json(args.config), command, f"config file {args.config}") if args.config else {}
     preset_cfg = {}
     network_spec = None
     if getattr(args, "preset", None):
@@ -166,9 +182,14 @@ def cmd_simulate_irm(resolved: dict) -> list:
 
 
 def _parse_list(value, cast):
-    if isinstance(value, (list, tuple)):
-        return [cast(v) for v in value]
-    return [cast(v) for v in str(value).split(",") if v != ""]
+    """A comma-separated string or a JSON list of strings and numbers, as ``cast`` values."""
+    items = value if isinstance(value, list) else [v for v in value.split(",") if v != ""]
+    if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in items):
+        raise ConfigError(f"list {value!r} holds an item that is neither a string nor a number")
+    try:
+        return [cast(v) for v in items]
+    except ValueError as exc:
+        raise ConfigError(f"unreadable list {value!r}: {exc}") from exc
 
 
 def cmd_reconstruct(resolved: dict) -> list:
@@ -342,8 +363,11 @@ def cmd_replay(manifest_path: str) -> list:
     command = manifest.get("command") if isinstance(manifest, dict) else None
     if command not in OPTIONS:
         raise ConfigError(f"manifest {manifest_path} has no known command: {command!r}")
-    runner, _, keys = OPTIONS[command]
-    return runner(_known_options(manifest.get("config"), keys, f"manifest {manifest_path} config"))
+    config = _known_options(manifest.get("config"), command, f"manifest {manifest_path} config")
+    missing = sorted(OPTIONS[command][2].keys() - config.keys())
+    if missing:
+        raise ConfigError(f"manifest {manifest_path} config lacks option(s) {', '.join(missing)}")
+    return OPTIONS[command][0](config)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -404,8 +428,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command in OPTIONS:
-            runner, section, defaults = OPTIONS[args.command]
-            outputs = runner(_resolve(args, defaults, section))
+            outputs = OPTIONS[args.command][0](_resolve(args, args.command))
         elif args.command == "plot":
             resolved = {"inputs": args.inputs, "truth": args.truth, "out": args.out}
             outputs = cmd_plot(resolved)

@@ -10,18 +10,20 @@ in 0-based kernel indexing; the second index realizes the time-reversed
 kernel argument 2*tau - t - s evaluated midpoint-consistently (each
 sample stands for the half-open cell ending at it, so both arguments
 shift by dt/2 and the reflected term lands one sample up), and the
-diagonal blocks add nu_j * a/(A(x_j) g) on the diagonal. None of this
-depends on p: ``control_matrix`` builds it once per profile.
+diagonal blocks add the direct impulse nu_j * a/(A(x_j) g), which the
+IRM kernels leave out, on the diagonal. None of this depends on p:
+``control_matrix`` builds it once per profile.
 
 A point enters through its action times f alone: sample l of leaf i is
 active when t_l > tau - f(x_i) + tol. The solve keeps the active rows
-and columns, with right-hand side h0, and puts exact zeros on the
-inactive samples. It minimizes ||Hq - b||^2 + lambda*||q||^2 through the
-normal equations (H^T H + lambda I) q = H^T b, or, at lambda = 0, by a
-rank-checked least-squares solve that refuses a rank-deficient system.
+and columns, with the unit target head b = 1, and puts exact zeros on
+the inactive samples. It minimizes ||Hq - b||^2 + lambda*||q||^2 through
+the normal equations (H^T H + lambda I) q = H^T b, or, at lambda = 0, by
+a rank-checked least-squares solve that refuses a rank-deficient system.
 
-Volumes come from the flow integral scaled by a^2/(h0*g); areas are the
-forward difference quotient of the volume profile.
+Volumes come from the flow integral for that unit target,
+V = a^2/g * sum_i nu_i * integral Q_p(t, x_i) dt; areas are the forward
+difference quotient of the volume profile.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "assemble_system",
     "solve_boundary_flows",
     "volume",
-    "volume_for_point",
     "volume_profile",
     "area_profile",
 ]
@@ -63,15 +64,13 @@ class ReconConfig:
     tau: control horizon (needs 2*tau within the IRM horizon);
     dt: sample step, must match the IRM grid;
     dx: reconstruction step along the pipe;
-    lam: Tikhonov weight; h0: target head (the discrete solve uses it as
-    the right-hand side and the volume formula divides it out again).
+    lam: Tikhonov weight.
     """
 
     tau: float
     dt: float
     dx: float
     lam: float = 0.0
-    h0: float = 1.0
 
     @property
     def tol(self) -> float:
@@ -87,12 +86,8 @@ class BCSystem:
     """Control system for one reconstruction point: the shared matrix and this point's mask."""
 
     matrix: np.ndarray        # (N*M, N*M) unmasked, row blocks by receiver, column blocks by source
-    rhs: np.ndarray           # (N*M,), h0 on active rows, 0 elsewhere
     active: np.ndarray        # (N, M) bool, per (leaf, sample)
-    nu: np.ndarray            # (N,)
     leaves: tuple[str, ...]
-    samples_per_leaf: int
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -149,13 +144,11 @@ def assemble_system(
     m = cfg.samples_per_leaf
     s_times = np.arange(1, m + 1) * cfg.dt
     active = s_times[None, :] - (cfg.tau - f_vec[:, None]) > cfg.tol
-    rhs = np.where(active.ravel(), cfg.h0, 0.0)
-    nu = np.array([net.leaf_nu(leaf) for leaf in irm.leaves], dtype=float)
-    return BCSystem(matrix, rhs, active, nu, irm.leaves, m, cfg.dt)
+    return BCSystem(matrix, active, irm.leaves)
 
 
 def solve_boundary_flows(sys: BCSystem, lam: float) -> dict[str, np.ndarray]:
-    """Solve on the active samples; inactive samples come back exactly zero.
+    """Solve for a unit head on the active samples; inactive samples come back exactly zero.
 
     Returns the boundary flow series Q_p(t, x_i) per leaf on the grid
     t = dt..M*dt.
@@ -164,7 +157,7 @@ def solve_boundary_flows(sys: BCSystem, lam: float) -> dict[str, np.ndarray]:
     q = np.zeros(sys.matrix.shape[0])
     if idx.size:
         restricted = sys.matrix[np.ix_(idx, idx)]
-        b = sys.rhs[idx]
+        b = np.ones(idx.size)
         if lam > 0:
             normal = restricted.T @ restricted
             normal[np.diag_indices(idx.size)] += lam
@@ -177,29 +170,22 @@ def solve_boundary_flows(sys: BCSystem, lam: float) -> dict[str, np.ndarray]:
             if rank < idx.size:
                 raise SingularSystem(f"restricted matrix rank {rank} < {idx.size} with lambda = 0")
             q[idx] = sol
-    return dict(zip(sys.leaves, q.reshape(len(sys.leaves), sys.samples_per_leaf)))
+    return dict(zip(sys.leaves, q.reshape(sys.active.shape)))
 
 
 def volume(flows: dict[str, np.ndarray], cfg: ReconConfig, net: Network) -> float:
     """Internal volume cut off by the point the flows were solved for.
 
-    V = a^2/(h0*g) * sum_i nu_i * integral Q_p(t, x_i) dt. The solver
-    emits plain Q per leaf, so nu folds in exactly once here.
+    V = a^2/g * sum_i nu_i * integral Q_p(t, x_i) dt. The solver emits
+    plain Q per leaf, so nu folds in exactly once here.
     """
     total = 0.0
     for leaf, series in flows.items():
         total += net.leaf_nu(leaf) * float(np.sum(series)) * cfg.dt
-    return net.wave_speed**2 / (cfg.h0 * net.gravity) * total
+    return net.wave_speed**2 / net.gravity * total
 
 
-def volume_for_point(
-    net: Network, irm: SampledIRM, point: PointOnPipe, cfg: ReconConfig
-) -> float:
-    sys = assemble_system(irm, action_times(net, point, endpoint_ok=True), cfg, net)
-    return volume(solve_boundary_flows(sys, cfg.lam), cfg, net)
-
-
-def _profile_points(net: Network, pipe_id: str, start_offset: float, cfg: ReconConfig):
+def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig):
     """Action times and positions of cut points spaced dx apart, from the far end towards x0."""
     pipe = net.pipes[pipe_id]
     from_far = net.far_side_vertex(pipe_id) == pipe.from_vertex
@@ -207,7 +193,7 @@ def _profile_points(net: Network, pipe_id: str, start_offset: float, cfg: ReconC
     positions = []
     k = 1
     while True:
-        d = start_offset + k * cfg.dx
+        d = k * cfg.dx
         if d > pipe.length + cfg.dx * 1e-9:
             break
         d = min(d, pipe.length)
@@ -221,25 +207,18 @@ def _profile_points(net: Network, pipe_id: str, start_offset: float, cfg: ReconC
                 )
             break
         fs.append(f)
-        positions.append(d - start_offset)
+        positions.append(d)
         k += 1
     return fs, positions
 
 
-def volume_profile(
-    net: Network,
-    irm: SampledIRM,
-    pipe_id: str,
-    cfg: ReconConfig,
-    start_offset: float = 0.0,
-) -> VolumeProfile:
+def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig) -> VolumeProfile:
     """Volumes V(p) at dx-spaced points along one pipe, on one shared control matrix.
 
-    ``start_offset`` is measured in meters from the pipe end away from x0;
-    points run from there towards x0, stopping at the pipe end or where the
-    action times would exceed tau.
+    Points start dx from the pipe end away from x0 and run towards x0,
+    stopping at the pipe end or where the action times would exceed tau.
     """
-    fs, positions = _profile_points(net, pipe_id, start_offset, cfg)
+    fs, positions = _profile_points(net, pipe_id, cfg)
     matrix = control_matrix(irm, cfg, net)
     systems = (assemble_system(irm, f, cfg, net, matrix) for f in fs)
     volumes = [volume(solve_boundary_flows(sys, cfg.lam), cfg, net) for sys in systems]

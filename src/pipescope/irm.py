@@ -8,12 +8,14 @@ a/(gA) down the source pipe, junctions split it via the scattering
 coefficients, closed leaves reflect it with no sign change, and each
 arrival at an accessible leaf records twice the traveling amplitude.
 The measured route runs the transient solver with a unit-step inflow
-per source leaf and post-processes the head traces: subtract the direct
-a/(gA) step at the source, median-smooth, differentiate, resample.
+per source leaf and post-processes the head traces: median-smooth,
+differentiate, resample.
 
-The direct impulse coefficients a/(A(x_i) g) are stored separately from
-the sampled reflection kernels so the inversion never differentiates a
-delta numerically.
+Neither route keeps the direct impulse a/(A(x_i) g) at t = 0: the
+inversion adds it to the control matrix's diagonal from the network, so
+no kernel holds a delta to differentiate. On the measured route it is
+the a/(gA) step of the source trace, constant on all of t >= 0, so
+differentiation removes it with no subtraction.
 """
 
 from __future__ import annotations
@@ -38,12 +40,10 @@ from .simulate import Histories, SimConfig, junction_scatter, simulate, step_inf
 __all__ = [
     "AnalyticIRM",
     "SampledIRM",
-    "StepResponseBundle",
     "oracle_irm",
     "sample_irm",
     "measure_irm",
     "irm_row_from_step_response",
-    "remove_initial_pulse",
     "median_smooth",
     "differentiate",
     "resample",
@@ -67,38 +67,26 @@ class AnalyticIRM:
     """Delta trains per (source, receiver) pair over the accessible leaves.
 
     ``deltas[i, j]`` is a tuple of (arrival time s, weight) with weights in
-    head-per-volume units; the t = 0 direct impulse is excluded and kept in
-    ``direct`` as the coefficients a/(A(x_i) g).
+    head-per-volume units; the t = 0 direct impulse is excluded.
     """
 
     leaves: tuple[str, ...]
-    direct: tuple[float, ...]
     deltas: dict[tuple[int, int], tuple[tuple[float, float], ...]]
     horizon: float
 
 
 @dataclass(frozen=True)
 class SampledIRM:
-    """Uniformly sampled reflection kernels k[i, j] plus direct coefficients."""
+    """Uniformly sampled reflection kernels k[i, j]."""
 
     dt: float
     leaves: tuple[str, ...]
-    direct: tuple[float, ...]
     k: np.ndarray  # shape (N, N, n_samples)
     horizon: float
 
     @property
     def n_samples(self) -> int:
         return self.k.shape[2]
-
-
-@dataclass(frozen=True)
-class StepResponseBundle:
-    """Head traces at all accessible leaves for a unit-step source at one leaf."""
-
-    source: str
-    t: np.ndarray
-    traces: dict[str, np.ndarray]
 
 
 def oracle_irm(
@@ -185,9 +173,7 @@ def oracle_irm(
             deltas[(i, j)] = tuple(
                 (float(Fraction(t, scale)), float(c)) for t, c in sorted(bucket.items()) if c != 0
             )
-
-    direct = tuple(net.wave_speed / (net.leaf_area(leaf) * net.gravity) for leaf in net.accessible)
-    return AnalyticIRM(net.accessible, direct, deltas, horizon)
+    return AnalyticIRM(net.accessible, deltas, horizon)
 
 
 def sample_irm(an: AnalyticIRM, dt: float) -> SampledIRM:
@@ -206,14 +192,7 @@ def sample_irm(an: AnalyticIRM, dt: float) -> SampledIRM:
             idx = math.ceil(t0 / dt - 0.5)
             if 0 <= idx < n_samples:
                 k[i, j, idx] += coeff / dt
-    return SampledIRM(dt, an.leaves, an.direct, k, an.horizon)
-
-
-def remove_initial_pulse(trace, t, a: float, g: float, leaf_area: float):
-    """Subtract the direct a/(gA) unit-step head from a self-trace."""
-    trace = np.asarray(trace, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return trace - (a / (g * leaf_area)) * (t >= 0.0)
+    return SampledIRM(dt, an.leaves, k, an.horizon)
 
 
 def median_smooth(series, window: int):
@@ -259,25 +238,17 @@ def resample(series, t_old, t_new):
 
 
 def irm_row_from_step_response(
-    bundle: StepResponseBundle, net: Network, smooth_window_s: float = 0.02
+    t, traces: dict[str, np.ndarray], smooth_window_s: float = 0.02
 ) -> dict[str, np.ndarray]:
-    """Turn unit-step head traces into one row of reflection kernels.
+    """Turn one source's unit-step head traces, keyed by leaf, into one row of reflection kernels.
 
-    The self-trace first loses its direct step term; the traces are then
-    median-smoothed together (window given in seconds, floored to samples)
-    and differentiated in time. Output stays on the simulation grid.
+    The traces are median-smoothed together (window given in seconds,
+    floored to samples) and differentiated in time. Output stays on the
+    simulation grid t.
     """
-    dt = float(bundle.t[1] - bundle.t[0])
-    window = max(1, int(smooth_window_s / dt))
-    leaves = list(bundle.traces)
-    h = np.array(list(bundle.traces.values()), dtype=float)
-    if bundle.source in bundle.traces:
-        src = leaves.index(bundle.source)
-        h[src] = remove_initial_pulse(
-            h[src], bundle.t, net.wave_speed, net.gravity, net.leaf_area(bundle.source)
-        )
-    kernels = differentiate(median_smooth(h, window), bundle.t)
-    return dict(zip(leaves, kernels))
+    window = max(1, int(smooth_window_s / float(t[1] - t[0])))
+    kernels = differentiate(median_smooth(np.array(list(traces.values()), dtype=float), window), t)
+    return dict(zip(traces, kernels))
 
 
 def measure_irm(
@@ -302,8 +273,7 @@ def measure_irm(
         hist = simulate(net, step_inflow(net, cfg, source), cfg, fields=fields)
         runs.append(hist)
         t_hist = hist.t
-        bundle = StepResponseBundle(source, hist.t, dict(hist.boundary))
-        rows[source] = irm_row_from_step_response(bundle, net, smooth_window_s)
+        rows[source] = irm_row_from_step_response(hist.t, hist.boundary, smooth_window_s)
 
     if resample_dt is None:
         t_out = t_hist
@@ -317,8 +287,7 @@ def measure_irm(
         for j, receiver in enumerate(net.accessible):
             series = rows[source][receiver]
             k[i, j] = series if resample_dt is None else resample(series, t_hist, t_out)
-    direct = tuple(net.wave_speed / (net.leaf_area(leaf) * net.gravity) for leaf in net.accessible)
-    return SampledIRM(dt_out, net.accessible, direct, k, float(t_out[-1])), runs
+    return SampledIRM(dt_out, net.accessible, k, float(t_out[-1])), runs
 
 
 # -- persistence --------------------------------------------------------------
@@ -327,15 +296,7 @@ def measure_irm(
 def save_irm(irm: SampledIRM, path) -> None:
     """Write the IRM file: one JSON header line, then CSV rows i,j,t,k."""
     lines = [
-        json.dumps(
-            {
-                "dt": irm.dt,
-                "n": irm.n_samples,
-                "leaves": list(irm.leaves),
-                "direct": list(irm.direct),
-                "horizon": irm.horizon,
-            }
-        ),
+        json.dumps({"dt": irm.dt, "n": irm.n_samples, "leaves": list(irm.leaves), "horizon": irm.horizon}),
         "i,j,t,k",
     ]
     for i in range(len(irm.leaves)):
@@ -349,19 +310,22 @@ def save_irm(irm: SampledIRM, path) -> None:
 def load_irm(path) -> SampledIRM:
     """Read an IRM file written by ``save_irm``.
 
-    Every kernel sample of the header's N x N x n grid must appear in
-    exactly one row with a finite value; anything else raises OutOfRange.
+    The header's ``leaves`` must be a list of strings, and every kernel
+    sample of its N x N x n grid must appear in exactly one row with a
+    finite value; anything else raises OutOfRange. Other header keys, such
+    as the ``direct`` coefficients older files carry, are ignored.
     """
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
-            leaves = tuple(header["leaves"])
+            leaves = header["leaves"]
             n_samples = int(header["n"])
             dt = float(header["dt"])
-            direct = tuple(float(d) for d in header["direct"])
             horizon = float(header["horizon"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise OutOfRange(f"{path}: unreadable IRM header: {exc}") from exc
+        if not (isinstance(leaves, list) and all(isinstance(leaf, str) for leaf in leaves)):
+            raise OutOfRange(f"{path}: header leaves {leaves!r} is not a list of strings")
         if not dt > 0:
             raise OutOfRange(f"{path}: header dt = {dt} is not positive")
         if fh.readline().strip() != "i,j,t,k":
@@ -383,4 +347,4 @@ def load_irm(path) -> SampledIRM:
     bad = np.count_nonzero(~np.isfinite(k))
     if bad:
         raise OutOfRange(f"{path}: {bad} kernel sample(s) not finite, or unset because of duplicate rows")
-    return SampledIRM(dt, leaves, direct, k, horizon)
+    return SampledIRM(dt, tuple(leaves), k, horizon)

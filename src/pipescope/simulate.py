@@ -65,7 +65,6 @@ class SimConfig:
 
 @dataclass
 class _PipeGrid:
-    pipe_id: str
     x: np.ndarray           # node coordinates, len n+1
     dx: float
     areas: np.ndarray       # per cell, len n
@@ -90,10 +89,10 @@ class Histories:
         return float(self.t[1] - self.t[0])
 
 
-def step_inflow(net: Network, cfg: SimConfig, leaf: str, magnitude: float = 1.0) -> dict[str, np.ndarray]:
-    """Ideal unit step: value ``magnitude`` from t = 0 on, at one leaf."""
+def step_inflow(net: Network, cfg: SimConfig, leaf: str) -> dict[str, np.ndarray]:
+    """Ideal unit step: value 1 from t = 0 on, at one leaf."""
     n_steps = _step_count(cfg.duration, _time_step(net, cfg))
-    return {leaf: np.full(n_steps + 1, magnitude)}
+    return {leaf: np.ones(n_steps + 1)}
 
 
 def _pipe_grids(net: Network, cfg: SimConfig) -> dict[str, _PipeGrid]:
@@ -105,7 +104,7 @@ def _pipe_grids(net: Network, cfg: SimConfig) -> dict[str, _PipeGrid]:
         centers = (x[:-1] + x[1:]) / 2
         areas = np.asarray(pipe.area(centers), dtype=float)
         impedance = net.wave_speed / (net.gravity * areas)
-        grids[pid] = _PipeGrid(pid, x, dx, areas, impedance)
+        grids[pid] = _PipeGrid(x, dx, areas, impedance)
     return grids
 
 

@@ -207,13 +207,12 @@ def test_criterion_6_junction_algebra():
 
 def test_criterion_7_masking_and_identity_limits(single_pipe_net, exp1_net, exp1_irm):
     n_samples = int(1.61 / 0.01 + 1e-6) + 1
-    direct = (single_pipe_net.wave_speed / (single_pipe_net.gravity * 1.0),)
-    irm0 = SampledIRM(0.01, ("L",), direct, np.zeros((1, 1, n_samples)), 1.61)
+    irm0 = SampledIRM(0.01, ("L",), np.zeros((1, 1, n_samples)), 1.61)
     cfg = ReconConfig(tau=0.8, dt=0.01, dx=10.0, lam=0.0)
     f = action_times(single_pipe_net, PointOnPipe("P", 300.0))
     sys = assemble_system(irm0, f, cfg, single_pipe_net)
     flows = solve_boundary_flows(sys, 0.0)
-    flat = cfg.h0 * 1.0 * single_pipe_net.gravity / single_pipe_net.wave_speed
+    flat = 1.0 * single_pipe_net.gravity / single_pipe_net.wave_speed
     err = np.abs(flows["L"][sys.active[0]] - flat).max()
     assert err < 1e-10
     assert np.all(flows["L"][~sys.active[0]] == 0.0)

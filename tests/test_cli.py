@@ -1,10 +1,15 @@
 """Command-line behavior: exit codes, file outputs, determinism, replay."""
 
+import contextlib
 import copy
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pipescope import SimConfig, simulate, step_inflow, validate_network
 from pipescope.cli import run
@@ -373,8 +378,9 @@ def _reconstruct_exit(irm_path, out_dir, capsys):
         lambda lines: lines[: len(lines) // 2],  # file cut in half
         lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0] + ",nan"] + lines[6:],  # NaN sample
         lambda lines: lines[:-1] + ["0,0,99.0,1.0"],  # row beyond the header's n
+        lambda lines: [lines[0].replace('["A", "B"]', '"AB"'), *lines[1:]],  # leaves not a list
     ],
-    ids=["truncated", "nan-sample", "time-out-of-range"],
+    ids=["truncated", "nan-sample", "time-out-of-range", "leaves-string"],
 )
 def test_reconstruct_bad_irm_file_exit_2(tmp_path, exp1_irm_path, capsys, edit):
     lines = exp1_irm_path.read_text().splitlines()
@@ -428,8 +434,9 @@ def test_replay_rejects_removed_jobs_option(tmp_path, exp1_irm_path, capsys):
         lambda m: {**m, "config": [1]},
         lambda m: [1],
         lambda m: {"command": "plot", "config": {}},  # plot writes no manifest
+        lambda m: {**m, "config": {k: v for k, v in m["config"].items() if k != "tau"}},
     ],
-    ids=["no-config", "config-not-object", "not-object", "plot"],
+    ids=["no-config", "config-not-object", "not-object", "plot", "missing-option"],
 )
 def test_replay_malformed_manifest_exit_2(tmp_path, exp1_irm_path, capsys, edit):
     code, err = _replay_exit(tmp_path, exp1_irm_path, capsys, edit)
@@ -448,3 +455,105 @@ def test_config_file_unknown_key_exit_2(tmp_path, exp1_irm_path, capsys, cfg):
     err = capsys.readouterr().err
     assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
     assert not (tmp_path / "r").exists()
+
+
+def test_reconstruct_ignores_direct_in_older_irm_header(tmp_path, exp1_irm_path, capsys):
+    # IRM files written before the direct coefficients left the header still carry them
+    header, *rows = exp1_irm_path.read_text().splitlines()
+    spec = json.loads(header)
+    old = {"dt": spec["dt"], "n": spec["n"], "leaves": spec["leaves"], "direct": [1000.0 / 9.81] * 2,
+           "horizon": spec["horizon"]}
+    old_path = tmp_path / "old_irm.csv"
+    old_path.write_text("\n".join([json.dumps(old), *rows]) + "\n")
+    assert _reconstruct_exit(exp1_irm_path, tmp_path / "new", capsys)[0] == 0
+    assert _reconstruct_exit(old_path, tmp_path / "old", capsys)[0] == 0
+    new_out, old_out = read_dir_bytes(tmp_path / "new"), read_dir_bytes(tmp_path / "old")
+    del new_out["manifest.json"], old_out["manifest.json"]  # they name different IRM files
+    assert len(new_out) == 6 and new_out == old_out
+
+
+@pytest.mark.parametrize(
+    "key, value", [("lam", [True]), ("lam", [{}]), ("lam", ["x"]), ("lam", "1e-5,x"), ("pipes", [None])]
+)
+def test_config_list_with_bad_element_exit_2(tmp_path, exp1_irm_path, capsys, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    code = run(["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--config", str(path),
+                "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+
+
+# every option of the three manifest-writing commands with a valid value, on small exp1 runs
+VALID_OPTIONS = {
+    "oracle-irm": {"horizon": 1.61, "dt": 0.01, "prune_eps": 1e-4, "out": "irm.csv"},
+    "simulate-irm": {"dx": 20.0, "courant": 0.95, "duration": 0.5, "resample_dt": 0.0, "smooth_window": 0.02,
+                     "dump_traces": "", "dump_fields": "", "out": "irm.csv"},
+    "reconstruct": {"irm": "exp1_irm.csv", "tau": 0.8, "dx": 10.0, "lam": "1e-5", "pipes": "AD", "out": "r"},
+}
+NOT_A_NUMBER = (st.text(max_size=5) | st.booleans() | st.none() | st.just(10**400)
+                | st.sampled_from([math.inf, -math.inf, math.nan]) | st.lists(st.integers(), max_size=2)
+                | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+NOT_A_STRING = (st.integers() | st.floats() | st.booleans() | st.none()
+                | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@st.composite
+def wrong_option(draw):
+    """A command, one of its options and a JSON value of the wrong type for it."""
+    command = draw(st.sampled_from(sorted(VALID_OPTIONS)))
+    key = draw(st.sampled_from(sorted(VALID_OPTIONS[command])))
+    if isinstance(VALID_OPTIONS[command][key], float):
+        return command, key, draw(NOT_A_NUMBER)
+    if key in ("lam", "pipes"):
+        return command, key, draw(NOT_A_STRING)
+    return command, key, draw(NOT_A_STRING | st.lists(st.text(max_size=3), max_size=2))
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A directory holding the exp1 network and its oracle IRM."""
+    work = tmp_path_factory.mktemp("inputs")
+    (work / "net.json").write_text(json.dumps(EXP1_NETWORK))
+    assert run(["oracle-irm", "--preset", "exp1", "--out", str(work / "exp1_irm.csv")]) == 0
+    return work
+
+
+def _run_with_options(work, inputs, command, changes, through_replay):
+    """Exit code and stderr of ``command`` on VALID_OPTIONS with ``changes``, from a config file or a manifest."""
+    directory = {"out": work, "irm": inputs}
+    config = {k: str(directory[k] / v) if k in directory else v for k, v in VALID_OPTIONS[command].items()}
+    config.update(changes)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        if through_replay:
+            path = work / "manifest.json"
+            path.write_text(json.dumps({"command": command, "config": {**config, "network": EXP1_NETWORK}}))
+            code = run(["replay", str(path)])
+        else:
+            path = work / "cfg.json"
+            path.write_text(json.dumps(config))
+            code = run([command, "--network", str(inputs / "net.json"), "--config", str(path)])
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(VALID_OPTIONS))
+@pytest.mark.parametrize("through_replay", [False, True])
+def test_valid_options_run(tmp_path, valid_inputs, command, through_replay):
+    # the baseline the fuzz test below breaks one option of
+    assert _run_with_options(tmp_path, valid_inputs, command, {}, through_replay)[0] == 0
+
+
+@given(wrong_option(), st.booleans())
+@example(("oracle-irm", "horizon", "1.61"), False)
+@settings(max_examples=150, deadline=None)
+def test_fuzz_option_of_wrong_type_exit_2(tmp_path_factory, valid_inputs, bad, through_replay):
+    # wrong types are refused before any run starts, so no output appears
+    command, key, value = bad
+    work = tmp_path_factory.mktemp("wrong")
+    code, err = _run_with_options(work, valid_inputs, command, {key: value}, through_replay)
+    assert code == 2
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert [p.name for p in work.iterdir()] == ["manifest.json" if through_replay else "cfg.json"]

@@ -17,7 +17,6 @@ from pipescope import (
     sample_irm,
     solve_boundary_flows,
     volume,
-    volume_for_point,
     volume_profile,
 )
 from pipescope.errors import (
@@ -55,7 +54,7 @@ def masked_system(irm, f, cfg, net):
     matrix = np.zeros((n * m, n * m))
     rhs = np.zeros(n * m)
     for j in range(n):
-        rhs[j * m : (j + 1) * m] = np.where(active[j], cfg.h0, 0.0)
+        rhs[j * m : (j + 1) * m] = np.where(active[j], 1.0, 0.0)
         for i in range(n):
             kernel = irm.k[i, j]
             block = 0.5 * cfg.dt * nu[i] * (kernel[idx_diff] + kernel[idx_rev])
@@ -87,8 +86,13 @@ def reference_volume(irm, point, cfg, net):
 def zero_irm(net, dt, horizon):
     n = len(net.accessible)
     samples = int(horizon / dt + 1e-6) + 1
-    direct = tuple(net.wave_speed / (net.leaf_area(l) * net.gravity) for l in net.accessible)
-    return SampledIRM(dt, net.accessible, direct, np.zeros((n, n, samples)), horizon)
+    return SampledIRM(dt, net.accessible, np.zeros((n, n, samples)), horizon)
+
+
+def point_volume(net, irm, point, cfg):
+    """V(p) for one point, on a control matrix built just for it."""
+    sys = assemble_system(irm, action_times(net, point, endpoint_ok=True), cfg, net)
+    return volume(solve_boundary_flows(sys, cfg.lam), cfg, net)
 
 
 EXP1_CFG = dict(tau=0.8, dt=0.01, dx=10.0)
@@ -99,8 +103,9 @@ EXP1_CFG = dict(tau=0.8, dt=0.01, dx=10.0)
 
 def test_exp1_system_dimensions(exp1_net, exp1_irm):
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
-    sys = assemble_system(exp1_irm, f, ReconConfig(**EXP1_CFG), exp1_net)
-    assert sys.samples_per_leaf == 80
+    cfg = ReconConfig(**EXP1_CFG)
+    sys = assemble_system(exp1_irm, f, cfg, exp1_net)
+    assert cfg.samples_per_leaf == 80
     assert sys.matrix.shape == (160, 160)
     assert sys.active.shape == (2, 80)
 
@@ -109,12 +114,12 @@ def test_single_active_leaf_zeroes_other_blocks(exp1_net, exp1_irm):
     # p on AD: only f(A) > 0, all B-columns and B-rows drop out
     f = action_times(exp1_net, PointOnPipe("AD", 200.0))
     sys = assemble_system(exp1_irm, f, ReconConfig(**EXP1_CFG), exp1_net)
-    m = sys.samples_per_leaf
+    m = sys.active.shape[1]
     assert not sys.active[1].any()
     # the restricted system holds no B row or column, so no B-involved
-    # kernel entry reaches the solve and the B flows come back exactly zero
+    # kernel entry and no right-hand side entry reaches the solve, and the
+    # B flows come back exactly zero
     assert np.flatnonzero(sys.active).max() < m
-    assert np.all(sys.rhs[m:] == 0.0)
     for lam in (0.0, 1e-5):
         assert np.all(solve_boundary_flows(sys, lam)["B"] == 0.0)
 
@@ -141,7 +146,7 @@ def test_restricted_matrix_matches_masked_build(request, preset, pipe, offset, t
     idx = np.flatnonzero(active)
     assert 0 < idx.size < active.size
     assert np.array_equal(sys.active, active)
-    assert np.array_equal(sys.rhs, rhs)
+    assert np.array_equal(np.where(sys.active.ravel(), 1.0, 0.0), rhs)
     assert np.array_equal(sys.matrix[np.ix_(idx, idx)], matrix[np.ix_(idx, idx)])
 
 
@@ -183,7 +188,7 @@ def test_identity_limit_flat_flow(single_pipe_net):
     f = action_times(single_pipe_net, PointOnPipe("P", 300.0))
     sys = assemble_system(irm, f, cfg, single_pipe_net)
     flows = solve_boundary_flows(sys, cfg.lam)
-    expected = cfg.h0 * 1.0 * single_pipe_net.gravity / single_pipe_net.wave_speed
+    expected = 1.0 * single_pipe_net.gravity / single_pipe_net.wave_speed
     active = sys.active[0]
     assert np.abs(flows["L"][active] - expected).max() < 1e-10
     assert np.all(flows["L"][~active] == 0.0)
@@ -220,15 +225,7 @@ def test_tikhonov_large_lambda_kills_flow(exp1_net, exp1_irm):
 
 def test_singular_system_raises():
     matrix = np.array([[1.0, 1.0], [1.0, 1.0]])
-    sys = BCSystem(
-        matrix=matrix,
-        rhs=np.array([1.0, 1.0]),
-        active=np.array([[True, True]]),
-        nu=np.array([1.0]),
-        leaves=("A",),
-        samples_per_leaf=2,
-        dt=0.01,
-    )
+    sys = BCSystem(matrix=matrix, active=np.array([[True, True]]), leaves=("A",))
     with pytest.raises(SingularSystem):
         solve_boundary_flows(sys, 0.0)
     # with regularization the same system solves fine
@@ -239,15 +236,7 @@ def test_singular_system_raises():
 def test_singular_normal_equations_raise():
     # lambda = 1e-5 is lost against H^T H entries of 2e20, which leaves the
     # normal equations exactly singular
-    sys = BCSystem(
-        matrix=1e10 * np.ones((2, 2)),
-        rhs=np.array([1.0, 1.0]),
-        active=np.array([[True, True]]),
-        nu=np.array([1.0]),
-        leaves=("A",),
-        samples_per_leaf=2,
-        dt=0.01,
-    )
+    sys = BCSystem(matrix=1e10 * np.ones((2, 2)), active=np.array([[True, True]]), leaves=("A",))
     with pytest.raises(SingularSystem, match="normal equations"):
         solve_boundary_flows(sys, 1e-5)
 
@@ -257,13 +246,13 @@ def test_singular_normal_equations_raise():
 
 def test_exp1_volume_at_dc_point(exp1_net, exp1_irm):
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
-    v = volume_for_point(exp1_net, exp1_irm, PointOnPipe("DC", 100.0), cfg)
+    v = point_volume(exp1_net, exp1_irm, PointOnPipe("DC", 100.0), cfg)
     assert v == pytest.approx(800.0, rel=1e-6)
 
 
 def test_exp1_volume_near_leaf(exp1_net, exp1_irm):
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
-    v = volume_for_point(exp1_net, exp1_irm, PointOnPipe("AD", 10.0), cfg)
+    v = point_volume(exp1_net, exp1_irm, PointOnPipe("AD", 10.0), cfg)
     assert v == pytest.approx(10.0, rel=1e-6)
 
 
@@ -313,7 +302,7 @@ def test_profile_matches_stacked_lstsq(request, preset, pipe, lam):
     tau, dx = (0.8, 10.0) if preset == "exp1" else (0.9, 7.0)
     cfg = ReconConfig(tau=tau, dt=irm.dt, dx=dx, lam=lam)
     vp = volume_profile(net, irm, pipe, cfg)
-    fs, _ = _profile_points(net, pipe, 0.0, cfg)
+    fs, _ = _profile_points(net, pipe, cfg)
     expected = np.array([reference_volume(irm, f.cut_point, cfg, net) for f in fs])
     assert len(vp.volumes) == len(expected) > 10
     assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))
@@ -359,7 +348,7 @@ def test_exp1_full_reconstruction(exp1_net, exp1_irm):
 
 def test_identity_limit_random_trees():
     # with zero kernels every solve is closed form no matter the topology or
-    # pipe orientation: flat flow h0*A*g/a per active sample, zeros elsewhere,
+    # pipe orientation: flat flow A*g/a per active sample, zeros elsewhere,
     # and the volume collapses to a * sum_i A_i * (active_i * dt)
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -384,7 +373,7 @@ def test_identity_limit_random_trees():
         v = volume(flows, cfg, net)
         expected_v = 0.0
         for i, leaf in enumerate(net.accessible):
-            flat = cfg.h0 * net.leaf_nu(leaf) * net.leaf_area(leaf) * net.gravity / net.wave_speed
+            flat = net.leaf_nu(leaf) * net.leaf_area(leaf) * net.gravity / net.wave_speed
             active = sys.active[i]
             assert np.abs(flows[leaf][active] - flat).max(initial=0.0) < 1e-10
             assert np.all(flows[leaf][~active] == 0.0)

@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 from pipescope import (
     AnalyticIRM,
     SimConfig,
-    StepResponseBundle,
     differentiate,
     irm_row_from_step_response,
     load_irm,
     measure_irm,
     median_smooth,
     oracle_irm,
-    remove_initial_pulse,
     resample,
     sample_irm,
     save_irm,
@@ -48,7 +46,6 @@ def test_oracle_exp1_delta_trains(exp1_net):
     _assert_train(an.deltas[(0, 0)], [(0.8, -2 / 3), (1.4, 8 / 9), (1.6, 2 / 9)])
     _assert_train(an.deltas[(1, 1)], [(0.6, -2 / 3), (1.2, 2 / 9), (1.4, 8 / 9)])
     _assert_train(an.deltas[(0, 1)], [(0.7, 4 / 3), (1.3, -4 / 9), (1.5, -4 / 9)])
-    assert an.direct == pytest.approx((C, C))
 
 
 def test_oracle_reciprocity_exact(exp1_net):
@@ -154,8 +151,7 @@ def _reference_oracle(net, horizon, prune_eps=1e-4):
         key: tuple((float(t), float(c)) for t, c in sorted(bucket.items()) if c != 0)
         for key, bucket in arrivals.items()
     }
-    direct = tuple(net.wave_speed / (net.leaf_area(leaf) * net.gravity) for leaf in net.accessible)
-    return AnalyticIRM(net.accessible, direct, deltas, horizon), most_events
+    return AnalyticIRM(net.accessible, deltas, horizon), most_events
 
 
 # a uniform tree whose travel times are not decimal: 123.4 m is a binary fraction with a long denominator
@@ -222,35 +218,27 @@ def test_sample_irm_exp1_bins(exp1_net):
 
 
 def test_sample_irm_empty():
-    an = AnalyticIRM(("A",), (C,), {(0, 0): ()}, horizon=1.0)
+    an = AnalyticIRM(("A",), {(0, 0): ()}, horizon=1.0)
     irm = sample_irm(an, dt=0.1)
     assert irm.k.shape == (1, 1, 11)
     assert np.all(irm.k == 0.0)
 
 
 def test_sample_irm_same_bin_sums():
-    an = AnalyticIRM(("A",), (C,), {(0, 0): ((0.501, 2.0), (0.503, 3.0))}, horizon=1.0)
+    an = AnalyticIRM(("A",), {(0, 0): ((0.501, 2.0), (0.503, 3.0))}, horizon=1.0)
     irm = sample_irm(an, dt=0.01)
     assert irm.k[0, 0, 50] == pytest.approx(500.0)
 
 
 def test_sample_irm_half_open_bin_edge():
     # t0 exactly between grid points: the lower bin wins the half-open test
-    an = AnalyticIRM(("A",), (C,), {(0, 0): ((0.055, 1.0),)}, horizon=0.1)
+    an = AnalyticIRM(("A",), {(0, 0): ((0.055, 1.0),)}, horizon=0.1)
     irm = sample_irm(an, dt=0.01)
     assert irm.k[0, 0, 5] == pytest.approx(100.0)
     assert irm.k[0, 0, 6] == 0.0
 
 
 # -- processing steps ---------------------------------------------------------
-
-
-def test_remove_initial_pulse():
-    t = np.arange(0.0, 1.0, 0.1)
-    step = C * np.ones_like(t)
-    assert remove_initial_pulse(step, t, 1000.0, 9.81, 1.0) == pytest.approx(np.zeros_like(t))
-    zero = np.zeros_like(t)
-    assert remove_initial_pulse(zero, t, 1000.0, 9.81, 1.0) == pytest.approx(-C * np.ones_like(t))
 
 
 def test_median_smooth_identity_and_constant():
@@ -334,25 +322,21 @@ def test_resample_exp2_regrid_length():
     assert grid_size(1.9, 0.007) == 272
 
 
-def test_row_pipeline_source_only_subtraction(exp1_net):
+def test_row_pipeline_direct_step_differentiates_away():
     t = np.arange(0.0, 0.5, 0.01)
     flat = np.full_like(t, C)
-    bundle = StepResponseBundle("A", t, {"A": flat.copy(), "B": flat.copy()})
-    row = irm_row_from_step_response(bundle, exp1_net, smooth_window_s=0.0)
-    # source trace loses the direct step and differentiates to zero
+    # the direct a/(gA) step a source trace carries is constant on t >= 0,
+    # so it differentiates to zero with no subtraction, as does a receiver's constant
+    row = irm_row_from_step_response(t, {"A": flat.copy(), "B": flat.copy()}, smooth_window_s=0.0)
     assert row["A"] == pytest.approx(np.zeros_like(t))
-    # receiver trace keeps its constant, so it also differentiates to zero,
-    # but only because no subtraction happened first
     assert row["B"] == pytest.approx(np.zeros_like(t))
-    bundle2 = StepResponseBundle("A", t, {"B": C * t})
-    row2 = irm_row_from_step_response(bundle2, exp1_net, smooth_window_s=0.0)
+    row2 = irm_row_from_step_response(t, {"B": C * t}, smooth_window_s=0.0)
     assert row2["B"] == pytest.approx(np.full_like(t, C))
 
 
-def test_row_pipeline_zero_input(exp1_net):
+def test_row_pipeline_zero_input():
     t = np.arange(0.0, 0.5, 0.01)
-    bundle = StepResponseBundle("A", t, {"B": np.zeros_like(t)})
-    row = irm_row_from_step_response(bundle, exp1_net)
+    row = irm_row_from_step_response(t, {"B": np.zeros_like(t)})
     assert row["B"] == pytest.approx(np.zeros_like(t))
 
 
@@ -369,7 +353,7 @@ def test_measured_kernels_vanish_near_zero(exp1_net):
 
 
 def test_measured_kernels_match_per_trace_reference(exp2_net):
-    # the one-trace-at-a-time pipeline: subtract, smooth, differentiate, resample
+    # the one-trace-at-a-time pipeline: smooth, differentiate, resample
     cfg = SimConfig(dx=10.0, duration=0.6, courant=0.95)
     irm, runs = measure_irm(exp2_net, cfg, resample_dt=0.007)
     for i, (source, hist) in enumerate(zip(exp2_net.accessible, runs)):
@@ -378,10 +362,27 @@ def test_measured_kernels_match_per_trace_reference(exp2_net):
         t_out = np.arange(irm.n_samples) * irm.dt
         for j, leaf in enumerate(exp2_net.accessible):
             h = np.asarray(hist.boundary[leaf], dtype=float)
+            kernel = np.gradient(_median_smooth_loop(h, window), hist.t[1] - hist.t[0])
+            assert irm.k[i, j].tobytes() == np.interp(t_out, hist.t, kernel).tobytes()
+
+
+def test_measured_kernels_match_direct_step_subtraction_to_round_off(exp2_net):
+    # the direct a/(gA) step the source trace carries is constant on t >= 0, so
+    # subtracting it before differentiating, as an earlier pipeline did, moves
+    # the kernels only at round-off
+    cfg = SimConfig(dx=5.0, duration=1.9, courant=0.95)
+    irm, runs = measure_irm(exp2_net, cfg, resample_dt=0.007)
+    reference = np.empty_like(irm.k)
+    t_out = np.arange(irm.n_samples) * irm.dt
+    for i, (source, hist) in enumerate(zip(exp2_net.accessible, runs)):
+        window = max(1, int(0.02 / hist.dt))
+        for j, leaf in enumerate(exp2_net.accessible):
+            h = np.asarray(hist.boundary[leaf], dtype=float)
             if leaf == source:
                 h = h - (exp2_net.wave_speed / (exp2_net.gravity * exp2_net.leaf_area(leaf))) * (hist.t >= 0.0)
             kernel = np.gradient(_median_smooth_loop(h, window), hist.t[1] - hist.t[0])
-            assert irm.k[i, j].tobytes() == np.interp(t_out, hist.t, kernel).tobytes()
+            reference[i, j] = np.interp(t_out, hist.t, kernel)
+    assert np.abs(irm.k - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_measured_irm_matches_oracle_bins(exp1_net):
@@ -409,7 +410,6 @@ def test_irm_round_trip_bit_exact(exp1_net, tmp_path):
     loaded = load_irm(p1)
     assert loaded.leaves == irm.leaves
     assert loaded.dt == irm.dt
-    assert loaded.direct == irm.direct
     assert np.array_equal(loaded.k, irm.k)
     save_irm(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -453,6 +453,16 @@ def test_load_irm_rejects_duplicate_row(exp1_net, tmp_path):
         load_irm(path)
 
 
+@pytest.mark.parametrize("leaves", ["AB", ["A", 1], {"A": 0, "B": 1}])
+def test_load_irm_rejects_leaves_not_list_of_strings(exp1_net, tmp_path, leaves):
+    path, lines = _saved_exp1_irm(exp1_net, tmp_path)
+    header = json.loads(lines[0])
+    header["leaves"] = leaves
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(OutOfRange, match="leaves"):
+        load_irm(path)
+
+
 def test_load_irm_rejects_infinite_header_count(exp1_net, tmp_path):
     path, lines = _saved_exp1_irm(exp1_net, tmp_path)
     header = json.loads(lines[0])
@@ -466,8 +476,7 @@ def _small_irm_lines():
     """The lines of a small valid IRM file: exp1, 2 x 2 kernels of 6 samples."""
     irm = sample_irm(oracle_irm(validate_network(EXP1_NETWORK), horizon=0.75), dt=0.15)
     return irm, [
-        json.dumps({"dt": irm.dt, "n": irm.n_samples, "leaves": list(irm.leaves),
-                    "direct": list(irm.direct), "horizon": irm.horizon}),
+        json.dumps({"dt": irm.dt, "n": irm.n_samples, "leaves": list(irm.leaves), "horizon": irm.horizon}),
         "i,j,t,k",
         *(f"{i},{j},{s * irm.dt!r},{float(irm.k[i, j, s])!r}"
           for i in range(2) for j in range(2) for s in range(irm.n_samples)),
