@@ -7,7 +7,7 @@ experiment runs with a single flag. Every output set gets a manifest
 JSON recording the resolved configuration; ``replay`` re-runs a
 manifest and reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error,
+Exit codes: 0 success, 2 configuration or file error, 3 numeric error,
 4 reconstruction point out of reach (action time exceeds tau).
 """
 
@@ -109,7 +109,7 @@ def _require_network(resolved: dict) -> Network:
     return validate_network(resolved["network"])
 
 
-def _write_manifest(command: str, resolved: dict, inputs: dict, outputs: list, path, wall: float):
+def _write_manifest(command: str, resolved: dict, inputs: dict, outputs: list, path, wall: float, **extra):
     manifest = {
         "command": command,
         "version": __version__,
@@ -117,6 +117,7 @@ def _write_manifest(command: str, resolved: dict, inputs: dict, outputs: list, p
         "inputs": inputs,
         "outputs": [str(o) for o in outputs],
         "wall_time_s": wall,
+        **extra,
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -209,18 +210,15 @@ def cmd_reconstruct(resolved: dict) -> list:
     unknown = [p for p in pipes if p not in net.pipes]
     if unknown:
         raise ConfigError(f"unknown pipe id(s): {', '.join(unknown)}")
+    cfgs = [ReconConfig(tau=resolved["tau"], dt=irm.dt, dx=resolved["dx"], lam=lam) for lam in lams]
 
     out_dir = resolved["out"]
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
-    for pid, lam in zip(pipes, lams):
-        cfg = ReconConfig(
-            tau=resolved["tau"],
-            dt=irm.dt,
-            dx=resolved["dx"],
-            lam=lam,
-        )
+    profiles = {}  # per pipe: the volume solver that ran and the IRM reciprocity deviation it saw
+    for pid, cfg in zip(pipes, cfgs):
         vp = volume_profile(net, irm, pid, cfg)
+        profiles[pid] = {"solver": vp.solver, "reciprocity": vp.reciprocity}
         ap = area_profile(vp, cfg.dx)
         vol_path = os.path.join(out_dir, f"{pid}_volume.csv")
         with open(vol_path, "w") as fh:
@@ -240,6 +238,7 @@ def cmd_reconstruct(resolved: dict) -> list:
         outputs,
         os.path.join(out_dir, "manifest.json"),
         time.perf_counter() - started,
+        profiles=profiles,
     )
     return outputs
 
@@ -450,6 +449,9 @@ def run(argv=None) -> int:
         return EXIT_NUMERIC
     except PipescopeError as exc:
         print(f"pipescope: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an input that cannot be read or an output that cannot be written
+        print(f"pipescope: file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for path in outputs:
         print(path)

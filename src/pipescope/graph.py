@@ -45,8 +45,6 @@ __all__ = [
     "network_distance",
     "action_times",
     "admissible_set",
-    "region_contains",
-    "region_area_integral",
 ]
 
 
@@ -493,18 +491,3 @@ def action_times(net: Network, p: PointOnPipe, *, endpoint_ok: bool = False) -> 
     for leaf in net.accessible:
         f[leaf] = travel_time(net, leaf, p) if leaf in region.boundary_leaves else 0.0
     return ActionTimes(f, p)
-
-
-# -- region helpers (testing and diagnostics) --------------------------------
-
-
-def region_contains(net: Network, region: AdmissibleSet, point: PointOnPipe) -> bool:
-    for pid, (lo, hi) in region.covered:
-        if pid == point.pipe and lo <= point.offset <= hi:
-            return True
-    return False
-
-
-def region_area_integral(net: Network, region: AdmissibleSet) -> float:
-    """Integral of the area profile over a covered region: its volume in m^3."""
-    return sum(net.pipes[pid].area.integral(lo, hi) for pid, (lo, hi) in region.covered)

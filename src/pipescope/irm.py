@@ -246,6 +246,8 @@ def irm_row_from_step_response(
     floored to samples) and differentiated in time. Output stays on the
     simulation grid t.
     """
+    if not 0 <= smooth_window_s < math.inf:
+        raise OutOfRange(f"smoothing window must be finite and >= 0, not {smooth_window_s}")
     window = max(1, int(smooth_window_s / float(t[1] - t[0])))
     kernels = differentiate(median_smooth(np.array(list(traces.values()), dtype=float), window), t)
     return dict(zip(traces, kernels))
@@ -265,6 +267,8 @@ def measure_irm(
     resampling to a coarser grid. Returns the IRM and the raw histories,
     which hold node fields only if ``fields`` asks for them.
     """
+    if resample_dt is not None and not 0 < resample_dt < math.inf:
+        raise OutOfRange(f"resampling dt must be positive and finite, not {resample_dt}")
     n = len(net.accessible)
     rows = {}
     runs = []

@@ -31,6 +31,7 @@ flow balances at junctions to round-off by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.courant <= 1.0:
             raise UnstableConfig(f"courant = {self.courant} outside (0, 1]")
-        if self.dx <= 0 or self.duration < 0:
-            raise UnstableConfig("dx must be positive and duration nonnegative")
+        if not (0 < self.dx < math.inf and 0 <= self.duration < math.inf):
+            raise UnstableConfig(f"dx {self.dx} must be positive and duration {self.duration} >= 0, both finite")
 
 
 @dataclass

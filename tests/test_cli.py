@@ -390,6 +390,57 @@ def test_reconstruct_bad_irm_file_exit_2(tmp_path, exp1_irm_path, capsys, edit):
     assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
 
 
+def test_reconstruct_manifest_records_solver(tmp_path, exp1_irm_path):
+    out = tmp_path / "r"
+    assert run(["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--out", str(out)]) == 0
+    profiles = json.loads((out / "manifest.json").read_text())["profiles"]
+    assert profiles == {pid: {"solver": "layer-stripping", "reciprocity": 0.0} for pid in ("AD", "BD", "DC")}
+    out = tmp_path / "r0"
+    argv = ["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--pipes", "AD", "--lambda", "0"]
+    assert run([*argv, "--out", str(out)]) == 0
+    profiles = json.loads((out / "manifest.json").read_text())["profiles"]
+    assert profiles == {"AD": {"solver": "per-point: lambda = 0", "reciprocity": 0.0}}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--lambda", "nan"], ["--lambda", "-1"], ["--lambda", "inf"], ["--lambda", "1e-5,nan,1e-5"],
+     ["--tau", "nan"], ["--tau", "-0.8"], ["--dx", "0"], ["--dx", "nan"]],
+)
+def test_reconstruct_out_of_range_flag_exit_2(tmp_path, exp1_irm_path, capsys, flags):
+    capsys.readouterr()
+    code = run(["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), *flags, "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--dx", "nan"), ("--dx", "inf"), ("--duration", "nan"), ("--duration", "-1"), ("--smooth-window", "-1"),
+     ("--smooth-window", "nan"), ("--resample-dt", "-1"), ("--resample-dt", "nan")],
+)
+def test_simulate_irm_out_of_range_flag_exit_2(tmp_path, capsys, flag, value):
+    code = run(["simulate-irm", "--preset", "exp2", flag, value, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_missing_input_or_unwritable_output_exit_2(tmp_path, capsys):
+    argvs = [
+        ["reconstruct", "--preset", "exp1", "--irm", str(tmp_path / "nonexist.csv"), "--out", str(tmp_path / "r")],
+        ["oracle-irm", "--preset", "exp1", "--out", str(tmp_path / "no" / "dir" / "x.csv")],
+    ]
+    for argv in argvs:
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pipescope: file error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("leaves", [["B", "A"], ["A", "Z"]], ids=["reversed", "unknown"])
 def test_reconstruct_irm_leaves_must_match_network(tmp_path, exp1_irm_path, capsys, leaves):
     header, *rows = exp1_irm_path.read_text().splitlines()

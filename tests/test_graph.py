@@ -28,8 +28,19 @@ from pipescope.errors import (
     PipescopeError,
     PointIsJunction,
 )
-from pipescope.graph import region_area_integral, region_contains
 from pipescope.presets import EXP1_NETWORK
+
+
+def region_contains(net, region, point):
+    for pid, (lo, hi) in region.covered:
+        if pid == point.pipe and lo <= point.offset <= hi:
+            return True
+    return False
+
+
+def region_area_integral(net, region):
+    """Integral of the area profile over a covered region: its volume in m^3."""
+    return sum(net.pipes[pid].area.integral(lo, hi) for pid, (lo, hi) in region.covered)
 
 
 def test_exp1_network_validates(exp1_net):

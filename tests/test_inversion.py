@@ -1,5 +1,7 @@
 """Boundary-control system assembly, solve, volumes, area profiles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,12 @@ from pipescope.errors import (
     ActionTimeExceedsTau,
     GridMismatch,
     HorizonTooShort,
+    OutOfRange,
     SingularSystem,
     TooFewPoints,
 )
-from pipescope.inversion import VolumeProfile, _profile_points
+import pipescope.inversion as inversion
+from pipescope.inversion import VolumeProfile, _profile_points, control_matrix
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +91,14 @@ def zero_irm(net, dt, horizon):
     n = len(net.accessible)
     samples = int(horizon / dt + 1e-6) + 1
     return SampledIRM(dt, net.accessible, np.zeros((n, n, samples)), horizon)
+
+
+def per_point_volumes(net, irm, pipe, cfg):
+    """Reference: one assembled system and one solve per point, as the per-point path does."""
+    fs, _ = _profile_points(net, pipe, cfg)
+    matrix = control_matrix(irm, cfg, net)
+    systems = (assemble_system(irm, f, cfg, net, matrix) for f in fs)
+    return np.array([volume(solve_boundary_flows(sys, cfg.lam), cfg, net) for sys in systems])
 
 
 def point_volume(net, irm, point, cfg):
@@ -408,3 +420,150 @@ def test_reversed_pipe_orientation(exp1_irm):
     for pid in ("DA", "BD", "CD"):
         ap = area_profile(volume_profile(net, irm, pid, cfg), cfg.dx)
         assert np.abs(ap.areas - 1.0).max() < 1e-8
+
+
+# -- layer stripping: one factorisation per profile ----------------------------
+
+# six accessible leaves L1-L6, x0 behind J1; lengths are whole multiples of a*dt
+TREE6 = {
+    "wave_speed": 1000.0,
+    "gravity": 9.81,
+    "vertices": ["X", "J1", "J2", "J3", "J4", "J5", "L1", "L2", "L3", "L4", "L5", "L6"],
+    "pipes": [
+        {"id": pid, "from": a, "to": b, "length": length, "area": {"base": area, "blocks": []}}
+        for pid, a, b, length, area in [
+            ("J1X", "J1", "X", 120.0, 1.0),
+            ("J2J1", "J2", "J1", 90.0, 1.5),
+            ("J1J3", "J1", "J3", 110.0, 0.5),
+            ("J4J2", "J4", "J2", 80.0, 2.0),
+            ("L1J2", "L1", "J2", 130.0, 1.0),
+            ("L2J3", "L2", "J3", 100.0, 1.5),
+            ("J5J3", "J5", "J3", 70.0, 1.0),
+            ("L3J4", "L3", "J4", 60.0, 0.5),
+            ("J4L4", "J4", "L4", 90.0, 1.0),
+            ("L5J5", "L5", "J5", 100.0, 2.0),
+            ("L6J5", "L6", "J5", 80.0, 1.0),
+        ]
+    ],
+    "x0": "X",
+    "accessible": ["L1", "L2", "L3", "L4", "L5", "L6"],
+}
+TREE6_CFG = dict(tau=0.5, dt=0.01, dx=10.0)
+
+
+@pytest.fixture(scope="module")
+def tree6():
+    from pipescope import validate_network
+
+    net = validate_network(TREE6)
+    # unpruned: dropping small wavefronts breaks k_ij = k_ji on a tree of mixed areas
+    return net, sample_irm(oracle_irm(net, horizon=1.01, prune_eps=0.0), dt=0.01)
+
+
+def _profile_case(request, case, lam):
+    """Network, IRM and config of one of the three test networks."""
+    if case == "tree6":
+        net, irm = request.getfixturevalue("tree6")
+        return net, irm, ReconConfig(**TREE6_CFG, lam=lam)
+    net = request.getfixturevalue(f"{case}_net")
+    irm = request.getfixturevalue(f"{case}_irm")
+    tau, dx = (0.8, 10.0) if case == "exp1" else (0.9, 7.0)
+    return net, irm, ReconConfig(tau=tau, dt=irm.dt, dx=dx, lam=lam)
+
+
+LAYER_CASES = [
+    ("exp1", "AD", 1e-5), ("exp1", "BD", 1e-5), ("exp1", "DC", 1e-5),
+    ("exp2", "AE", 1e-5), ("exp2", "BE", 1e-5), ("exp2", "CE", 1e-5), ("exp2", "ED", 1.0),
+    *[("tree6", pid, 1e-5) for pid in sorted(p["id"] for p in TREE6["pipes"])],
+]
+
+
+@pytest.mark.parametrize("case, pipe, lam", LAYER_CASES)
+def test_layer_stripping_matches_per_point(request, case, pipe, lam):
+    net, irm, cfg = _profile_case(request, case, lam)
+    vp = volume_profile(net, irm, pipe, cfg)
+    expected = per_point_volumes(net, irm, pipe, cfg)
+    assert vp.solver == "layer-stripping"
+    assert vp.reciprocity <= 1e-14
+    assert len(vp.volumes) == len(expected) > 5
+    assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))
+
+
+def test_tree6_profiles_reach_many_unknowns(tree6):
+    # the in-test tree exercises several LDL^T blocks and every leaf
+    net, irm = tree6
+    cfg = ReconConfig(**TREE6_CFG, lam=1e-5)
+    fs, _ = _profile_points(net, "J1X", cfg)
+    active = assemble_system(irm, fs[-1], cfg, net).active
+    assert active.any(axis=1).all() and active.sum() > 2 * inversion._BLOCK
+
+
+def _assert_matches_reference(net, irm, pipe, cfg, vp, points=None):
+    fs, _ = _profile_points(net, pipe, cfg)
+    points = points if points is not None else [f.cut_point for f in fs]
+    expected = np.array([reference_volume(irm, p, cfg, net) for p in points])
+    assert len(vp.volumes) == len(expected) > 10
+    assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))
+
+
+def test_fallback_without_regularization(exp1_net, exp1_irm):
+    cfg = ReconConfig(**EXP1_CFG, lam=0.0)
+    vp = volume_profile(exp1_net, exp1_irm, "AD", cfg)
+    assert vp.solver == "per-point: lambda = 0"
+    _assert_matches_reference(exp1_net, exp1_irm, "AD", cfg, vp)
+
+
+def test_fallback_on_nonreciprocal_irm(exp1_net, exp1_irm):
+    # k_AB no longer equals k_BA: S is not symmetric, and DC uses both leaves
+    k = exp1_irm.k.copy()
+    k[0, 1] += 1e-6 * np.abs(k).max()
+    irm = SampledIRM(exp1_irm.dt, exp1_irm.leaves, k, exp1_irm.horizon)
+    cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
+    vp = volume_profile(exp1_net, irm, "DC", cfg)
+    assert vp.reciprocity > inversion.RECIPROCITY_TOL
+    assert vp.solver.startswith("per-point: reciprocity deviation")
+    _assert_matches_reference(exp1_net, irm, "DC", cfg, vp)
+
+
+def test_fallback_when_active_sets_do_not_nest(exp1_net, exp1_irm, monkeypatch):
+    # the same points from x0 outwards: each active set holds the next one's
+    cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
+    fs, positions = _profile_points(exp1_net, "DC", cfg)
+    monkeypatch.setattr(inversion, "_profile_points", lambda *args: (fs[::-1], positions[::-1]))
+    vp = volume_profile(exp1_net, exp1_irm, "DC", cfg)
+    assert vp.solver == "per-point: active sets do not nest"
+    _assert_matches_reference(exp1_net, exp1_irm, "DC", cfg, vp, [f.cut_point for f in fs[::-1]])
+
+
+def test_fallback_when_factorisation_is_inaccurate(exp1_net, exp1_irm, monkeypatch):
+    # pivots off by 1e-8 relative leave a residual far above STABILITY_TOL
+    ldlt = inversion._ldlt
+
+    def perturbed(a):
+        ldlt(a)
+        a[np.diag_indices(a.shape[0])] *= 1 + 1e-8
+
+    monkeypatch.setattr(inversion, "_ldlt", perturbed)
+    cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
+    vp = volume_profile(exp1_net, exp1_irm, "DC", cfg)
+    assert vp.solver == "per-point: stability check failed"
+    _assert_matches_reference(exp1_net, exp1_irm, "DC", cfg, vp)
+
+
+@pytest.mark.parametrize("field, value", [("lam", math.nan), ("lam", -1.0), ("lam", math.inf),
+                                          ("tau", math.nan), ("dt", 0.0), ("dx", -10.0), ("dx", math.inf)])
+def test_recon_config_out_of_range(field, value):
+    with pytest.raises(OutOfRange):
+        ReconConfig(**{**EXP1_CFG, "lam": 1e-5, field: value})
+
+
+@pytest.mark.parametrize("lam", [math.nan, -1.0, math.inf])
+def test_solve_refuses_bad_lambda(lam):
+    sys = BCSystem(matrix=np.eye(2), active=np.array([[True, True]]), leaves=("A",))
+    with pytest.raises(OutOfRange):
+        solve_boundary_flows(sys, lam)
+
+
+def test_pipe_shorter_than_dx_gives_empty_profile(exp1_net, exp1_irm):
+    vp = volume_profile(exp1_net, exp1_irm, "BD", ReconConfig(tau=0.8, dt=0.01, dx=500.0, lam=1e-5))
+    assert vp.positions.size == vp.volumes.size == 0

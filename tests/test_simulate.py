@@ -1,6 +1,7 @@
 """Transient solver: wave physics, junction algebra, conservation."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +78,16 @@ def test_scatter_exact_rational_balance():
 def test_courant_above_one_rejected():
     with pytest.raises(UnstableConfig):
         SimConfig(dx=5.0, duration=1.0, courant=1.2)
+
+
+@pytest.mark.parametrize(
+    "dx, duration, courant",
+    [(math.nan, 1.0, 0.95), (math.inf, 1.0, 0.95), (0.0, 1.0, 0.95), (5.0, math.nan, 0.95), (5.0, math.inf, 0.95),
+     (5.0, -1.0, 0.95), (5.0, 1.0, math.nan)],
+)
+def test_nonfinite_or_out_of_range_config_rejected(dx, duration, courant):
+    with pytest.raises(UnstableConfig):
+        SimConfig(dx=dx, duration=duration, courant=courant)
 
 
 def test_series_length_mismatch(single_pipe_net):
