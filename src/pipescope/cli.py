@@ -1,6 +1,8 @@
 """Command-line front end: experiment orchestration, file I/O, plots.
 
-Subcommands: oracle-irm, simulate-irm, reconstruct, plot, replay. Option
+Subcommands: oracle-irm, simulate-irm, reconstruct, plot, show-network,
+replay. The table ``OPTIONS`` declares each of the first three once; the
+parser, the --config and manifest checks and ``replay`` read it. Option
 precedence is flags > --config file > --preset values > built-in
 defaults; the two presets carry the stock experiment constants so each
 experiment runs with a single flag. Every output set gets a manifest
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,28 +46,26 @@ def _load_json(path):
 
 
 def _known_options(config, command: str, source: str) -> dict:
-    """Return ``config`` if it is a JSON object setting only options of ``command``, each of its flag's type.
+    """Return ``config`` if it is a JSON object setting only options of ``command``, each of its declared type.
 
     An option the command lacks would silently change what the run means,
-    so it is refused. A ``float`` flag takes a finite JSON number, not a
-    boolean; any other a string, or for ``lam`` and ``pipes`` also a list.
+    so it is refused. A ``float`` option takes a finite JSON number, not a
+    boolean; any other a string, or for a ``list`` option also a list.
     """
     if not isinstance(config, dict):
         raise ConfigError(f"{source} is not a JSON object")
-    keys = OPTIONS[command][2]
-    unknown = sorted(set(config) - set(keys) - {"network"})
+    options = OPTIONS[command][3]
+    unknown = sorted(set(config) - set(options) - {"network"})
     if unknown:
         raise ConfigError(f"{source} sets option(s) {', '.join(unknown)} that the command does not have")
-    flags = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
-    types = {a.dest: a.type or str for a in flags._actions}
     for key, value in config.items():
         if key == "network":
             continue
-        number = types[key] is float
+        number = options[key].type is float
         if number:
             ok = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
         else:
-            ok = isinstance(value, str) or (key in ("lam", "pipes") and isinstance(value, list))
+            ok = isinstance(value, str) or (options[key].type is list and isinstance(value, list))
         if not ok:
             raise ConfigError(f"{source} sets {key} to {value!r}, not a {'finite number' if number else 'string'}")
     return config
@@ -72,7 +73,7 @@ def _known_options(config, command: str, source: str) -> dict:
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Merge flag values over config-file values over preset values over defaults."""
-    _, preset_section, keys = OPTIONS[command]
+    _, _, preset_section, options = OPTIONS[command]
     file_cfg = _known_options(_load_json(args.config), command, f"config file {args.config}") if args.config else {}
     preset_cfg = {}
     network_spec = None
@@ -81,7 +82,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         preset_cfg = p.get(preset_section, {})
         network_spec = p["network"]
     resolved = {}
-    for key, default in keys.items():
+    for key, option in options.items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
@@ -90,7 +91,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         elif key in preset_cfg:
             resolved[key] = preset_cfg[key]
         else:
-            resolved[key] = default
+            resolved[key] = option.default
     missing = [k for k, v in resolved.items() if v is None]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join('--' + m.replace('_', '-') for m in missing)}")
@@ -122,6 +123,14 @@ def _write_manifest(command: str, resolved: dict, inputs: dict, outputs: list, p
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path, header: str, rows):
+    """Write ``rows`` under ``header``: strings as they are, numbers as ``repr(float(v))``, which reads back exactly."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join([v if isinstance(v, str) else repr(float(v)) for v in row]) + "\n")
 
 
 # -- commands -----------------------------------------------------------------
@@ -158,10 +167,7 @@ def cmd_simulate_irm(resolved: dict) -> list:
         for source, hist in zip(net.accessible, runs):
             for leaf, series in hist.boundary.items():
                 path = os.path.join(trace_dir, f"src_{source}_probe_{leaf}.csv")
-                with open(path, "w") as fh:
-                    fh.write("t,H\n")
-                    for t, h in zip(hist.t, series):
-                        fh.write(f"{float(t)!r},{float(h)!r}\n")
+                _write_csv(path, "t,H", zip(hist.t, series))
                 outputs.append(path)
     if resolved.get("dump_fields"):
         field_dir = resolved["dump_fields"]
@@ -169,14 +175,8 @@ def cmd_simulate_irm(resolved: dict) -> list:
         for source, hist in zip(net.accessible, runs):
             for pid, grid in hist.grids.items():
                 path = os.path.join(field_dir, f"src_{source}_pipe_{pid}.csv")
-                with open(path, "w") as fh:
-                    fh.write("t,x,H,Q\n")
-                    for k, t in enumerate(hist.t):
-                        for node, x in enumerate(grid.x):
-                            fh.write(
-                                f"{float(t)!r},{float(x)!r},"
-                                f"{float(hist.H[pid][k, node])!r},{float(hist.Q[pid][k, node])!r}\n"
-                            )
+                t, x = np.repeat(hist.t, len(grid.x)), np.tile(grid.x, len(hist.t))  # time-major, as H and Q
+                _write_csv(path, "t,x,H,Q", zip(t, x, hist.H[pid].ravel(), hist.Q[pid].ravel()))
                 outputs.append(path)
     _write_manifest("simulate-irm", resolved, {}, outputs, f"{out}.manifest.json", time.perf_counter() - started)
     return outputs
@@ -221,25 +221,13 @@ def cmd_reconstruct(resolved: dict) -> list:
         profiles[pid] = {"solver": vp.solver, "reciprocity": vp.reciprocity}
         ap = area_profile(vp, cfg.dx)
         vol_path = os.path.join(out_dir, f"{pid}_volume.csv")
-        with open(vol_path, "w") as fh:
-            fh.write("pipe,x_m,V_m3\n")
-            for x, v in zip(vp.positions, vp.volumes):
-                fh.write(f"{pid},{float(x)!r},{float(v)!r}\n")
+        _write_csv(vol_path, "pipe,x_m,V_m3", ((pid, x, v) for x, v in zip(vp.positions, vp.volumes)))
         area_path = os.path.join(out_dir, f"{pid}_area.csv")
-        with open(area_path, "w") as fh:
-            fh.write("pipe,x_m,A_m2\n")
-            for x, a in zip(ap.positions, ap.areas):
-                fh.write(f"{pid},{float(x)!r},{float(a)!r}\n")
+        _write_csv(area_path, "pipe,x_m,A_m2", ((pid, x, a) for x, a in zip(ap.positions, ap.areas)))
         outputs.extend([vol_path, area_path])
-    _write_manifest(
-        "reconstruct",
-        resolved,
-        {"irm": str(resolved["irm"])},
-        outputs,
-        os.path.join(out_dir, "manifest.json"),
-        time.perf_counter() - started,
-        profiles=profiles,
-    )
+    manifest = os.path.join(out_dir, "manifest.json")
+    _write_manifest("reconstruct", resolved, {"irm": str(resolved["irm"])}, outputs, manifest,
+                    time.perf_counter() - started, profiles=profiles)
     return outputs
 
 
@@ -331,28 +319,41 @@ def cmd_plot(resolved: dict) -> list:
     return [out]
 
 
-# per command: runner, preset section and option defaults (None marks a required option)
+class Option(NamedTuple):
+    """One option of a command. ``type`` is ``float``, ``str``, or ``list``: a comma-separated string or a JSON list."""
+
+    flag: str
+    type: type
+    default: object  # None marks a required option
+    help: str | None = None
+
+
+# per command that writes a manifest: runner, subcommand help, preset section and options in flag order
 OPTIONS = {
-    "oracle-irm": (cmd_oracle_irm, "oracle", {"horizon": None, "dt": None, "prune_eps": 1e-4, "out": None}),
-    "simulate-irm": (
-        cmd_simulate_irm,
-        "simulate",
-        {
-            "dx": None,
-            "courant": 0.95,
-            "duration": None,
-            "resample_dt": 0.0,
-            "smooth_window": 0.02,
-            "dump_traces": "",
-            "dump_fields": "",
-            "out": None,
-        },
-    ),
-    "reconstruct": (
-        cmd_reconstruct,
-        "reconstruct",
-        {"irm": None, "tau": None, "dx": None, "lam": None, "pipes": "", "out": None},
-    ),
+    "oracle-irm": (cmd_oracle_irm, "exact impulse-response matrix on uniform pipes", "oracle", {
+        "horizon": Option("--horizon", float, None),
+        "dt": Option("--dt", float, None),
+        "prune_eps": Option("--prune-eps", float, 1e-4),
+        "out": Option("--out", str, None),
+    }),
+    "simulate-irm": (cmd_simulate_irm, "impulse-response matrix from step-response runs", "simulate", {
+        "dx": Option("--dx", float, None),
+        "courant": Option("--courant", float, 0.95),
+        "duration": Option("--duration", float, None),
+        "resample_dt": Option("--resample-dt", float, 0.0),
+        "smooth_window": Option("--smooth-window", float, 0.02),
+        "dump_traces": Option("--dump-traces", str, ""),
+        "dump_fields": Option("--dump-fields", str, ""),
+        "out": Option("--out", str, None),
+    }),
+    "reconstruct": (cmd_reconstruct, "area profiles from an IRM file", "reconstruct", {
+        "irm": Option("--irm", str, None),
+        "tau": Option("--tau", float, None),
+        "dx": Option("--dx", float, None),
+        "lam": Option("--lambda", list, None, "comma-separated per-pipe weights (or one for all)"),
+        "pipes": Option("--pipes", list, "", "comma-separated pipe ids (default: all)"),
+        "out": Option("--out", str, None, "output directory"),
+    }),
 }
 
 
@@ -363,7 +364,7 @@ def cmd_replay(manifest_path: str) -> list:
     if command not in OPTIONS:
         raise ConfigError(f"manifest {manifest_path} has no known command: {command!r}")
     config = _known_options(manifest.get("config"), command, f"manifest {manifest_path} config")
-    missing = sorted(OPTIONS[command][2].keys() - config.keys())
+    missing = sorted(OPTIONS[command][3].keys() - config.keys())
     if missing:
         raise ConfigError(f"manifest {manifest_path} config lacks option(s) {', '.join(missing)}")
     return OPTIONS[command][0](config)
@@ -372,43 +373,18 @@ def cmd_replay(manifest_path: str) -> list:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--network", help="network JSON file")
-    p.add_argument("--preset", choices=["exp1", "exp2"], help="built-in experiment defaults")
-    p.add_argument("--config", help="JSON file with option defaults")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pipescope", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"pipescope {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("oracle-irm", help="exact impulse-response matrix on uniform pipes")
-    _add_common(p)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--prune-eps", dest="prune_eps", type=float)
-    p.add_argument("--out")
-
-    p = sub.add_parser("simulate-irm", help="impulse-response matrix from step-response runs")
-    _add_common(p)
-    p.add_argument("--dx", type=float)
-    p.add_argument("--courant", type=float)
-    p.add_argument("--duration", type=float)
-    p.add_argument("--resample-dt", dest="resample_dt", type=float)
-    p.add_argument("--smooth-window", dest="smooth_window", type=float)
-    p.add_argument("--dump-traces", dest="dump_traces")
-    p.add_argument("--dump-fields", dest="dump_fields")
-    p.add_argument("--out")
-
-    p = sub.add_parser("reconstruct", help="area profiles from an IRM file")
-    _add_common(p)
-    p.add_argument("--irm")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--dx", type=float)
-    p.add_argument("--lambda", dest="lam", help="comma-separated per-pipe weights (or one for all)")
-    p.add_argument("--pipes", help="comma-separated pipe ids (default: all)")
-    p.add_argument("--out", help="output directory")
+    for command, (_, help_text, _, options) in OPTIONS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--network", help="network JSON file")
+        p.add_argument("--preset", choices=["exp1", "exp2"], help="built-in experiment defaults")
+        p.add_argument("--config", help="JSON file with option defaults")
+        for key, option in options.items():
+            p.add_argument(option.flag, dest=key, type=float if option.type is float else str, help=option.help)
 
     p = sub.add_parser("plot", help="render area/volume CSVs as an SVG figure")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
@@ -429,15 +405,12 @@ def run(argv=None) -> int:
         if args.command in OPTIONS:
             outputs = OPTIONS[args.command][0](_resolve(args, args.command))
         elif args.command == "plot":
-            resolved = {"inputs": args.inputs, "truth": args.truth, "out": args.out}
-            outputs = cmd_plot(resolved)
+            outputs = cmd_plot(vars(args))
         elif args.command == "show-network":
             print(json.dumps(preset(args.preset)["network"], indent=1))
             return 0
-        elif args.command == "replay":
+        else:  # argparse allows no other command than replay
             outputs = cmd_replay(args.manifest)
-        else:  # pragma: no cover - argparse enforces the choices
-            return EXIT_CONFIG
     except ActionTimeExceedsTau as exc:
         print(f"pipescope: point out of reach: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE

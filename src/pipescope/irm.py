@@ -101,14 +101,18 @@ def oracle_irm(
     scattering rule, amplitude) processed in time order. Times are
     integer ticks of 1/D s, D the least common multiple of the exact
     travel times' denominators; amplitudes are exact rationals, so
-    equal-time arrivals merge exactly and the reciprocity k_ij = k_ji
-    holds bit-for-bit. Each (vertex, arriving pipe) has one rule, built
-    once: the receiver at an accessible leaf and the outgoing fronts
-    (coefficient, ticks, next rule), from ``junction_scatter`` at a
-    junction. Fronts whose amplitude falls to ``prune_eps`` times the
-    initial amplitude are dropped; the geometric decay of the junction
-    coefficients then bounds the event count, with ``max_events`` as a
-    hard guard.
+    equal-time arrivals merge exactly. Each (vertex, arriving pipe) has
+    one rule, built once: the receiver at an accessible leaf and the
+    outgoing fronts (coefficient, ticks, next rule), from
+    ``junction_scatter`` at a junction. Fronts whose amplitude falls to
+    ``prune_eps`` times the initial amplitude are dropped; the geometric
+    decay of the junction coefficients then bounds the event count, with
+    ``max_events`` as a hard guard.
+
+    Unpruned, the reciprocity k_ij = k_ji holds exactly. Pruning drops
+    different fronts from each source where pipe areas differ, so the
+    train for source i > j is copied from source j's: reciprocity then
+    holds bit-for-bit at any ``prune_eps``.
     """
     if not 0 <= horizon < math.inf or not 0 <= prune_eps < math.inf:
         raise OutOfRange(f"horizon {horizon} and prune_eps {prune_eps} must be finite and >= 0")
@@ -173,6 +177,9 @@ def oracle_irm(
             deltas[(i, j)] = tuple(
                 (float(Fraction(t, scale)), float(c)) for t, c in sorted(bucket.items()) if c != 0
             )
+    for i, j in deltas:
+        if i > j:
+            deltas[(i, j)] = deltas[(j, i)]
     return AnalyticIRM(net.accessible, deltas, horizon)
 
 
@@ -248,6 +255,10 @@ def irm_row_from_step_response(
     """
     if not 0 <= smooth_window_s < math.inf:
         raise OutOfRange(f"smoothing window must be finite and >= 0, not {smooth_window_s}")
+    if len(t) < 2:
+        raise OutOfRange(
+            f"a step response needs two or more time samples, not {len(t)}: the run is shorter than one time step"
+        )
     window = max(1, int(smooth_window_s / float(t[1] - t[0])))
     kernels = differentiate(median_smooth(np.array(list(traces.values()), dtype=float), window), t)
     return dict(zip(traces, kernels))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipescope import SimConfig, simulate, step_inflow, validate_network
-from pipescope.cli import run
+from pipescope.cli import OPTIONS, run
 from pipescope.irm import load_irm
 from pipescope.presets import EXP1_NETWORK
 
@@ -98,6 +98,22 @@ def test_malformed_network_file_exit_2(tmp_path, capsys, text):
 
 def test_missing_required_flag_exit_2(tmp_path, net1_path):
     assert run(["oracle-irm", "--network", str(net1_path), "--dt", "0.01", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_config_file_supplies_network(tmp_path, net1_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": EXP1_NETWORK, "horizon": 1.61, "dt": 0.01}))
+    assert run(["oracle-irm", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    assert run(["oracle-irm", "--config", str(cfg), "--network", str(net1_path), "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_no_network_exit_2(tmp_path, capsys):
+    code = run(["oracle-irm", "--horizon", "1.61", "--dt", "0.01", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no network given" in err and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_irm_bad_courant_exit_2(tmp_path, net1_path):
@@ -429,6 +445,15 @@ def test_simulate_irm_out_of_range_flag_exit_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_simulate_irm_shorter_than_one_step_exit_2(tmp_path, net1_path, capsys):
+    code = run(["simulate-irm", "--network", str(net1_path), "--dx", "5", "--duration", "0", "--out",
+                str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "two or more time samples" in err and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_missing_input_or_unwritable_output_exit_2(tmp_path, capsys):
     argvs = [
         ["reconstruct", "--preset", "exp1", "--irm", str(tmp_path / "nonexist.csv"), "--out", str(tmp_path / "r")],
@@ -439,6 +464,16 @@ def test_missing_input_or_unwritable_output_exit_2(tmp_path, capsys):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("pipescope: file error:") and err.count("\n") == 1
+
+
+def test_reconstruct_unknown_pipe_exit_2(tmp_path, exp1_irm_path, capsys):
+    capsys.readouterr()
+    code = run(["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--pipes", "XX", "--lambda", "1e-5",
+                "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown pipe id(s): XX" in err and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("leaves", [["B", "A"], ["A", "Z"]], ids=["reversed", "unknown"])
@@ -608,3 +643,81 @@ def test_fuzz_option_of_wrong_type_exit_2(tmp_path_factory, valid_inputs, bad, t
     assert code == 2
     assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
     assert [p.name for p in work.iterdir()] == ["manifest.json" if through_replay else "cfg.json"]
+
+
+def test_valid_options_name_every_option():
+    assert {command: set(options) for command, options in VALID_OPTIONS.items()} == {
+        command: set(spec[3]) for command, spec in OPTIONS.items()
+    }
+
+
+# per number or list option, values a run accepts, sized so that no run takes long
+VALID_VALUES = {
+    "horizon": st.floats(0.0, 2.0),
+    "dt": st.floats(0.005, 0.05),
+    "prune_eps": st.floats(1e-4, 1e-2),
+    "dx": st.floats(5.0, 50.0),
+    "courant": st.floats(0.5, 1.0),
+    "duration": st.floats(0.0, 1.0),
+    "resample_dt": st.just(0.0) | st.floats(0.005, 0.05),
+    "smooth_window": st.floats(0.0, 0.05),
+    "tau": st.floats(0.1, 1.0),
+    "lam": st.sampled_from(["1e-5", "0", "1e-5,1e-3,0.1"]),
+    "pipes": st.sampled_from(["", "AD", "AD,BD,DC"]),
+}
+
+
+@st.composite
+def fuzzed_options(draw, work, inputs):
+    """A command and its options, each left out, valid or bad; every path lies under ``work`` or ``inputs``."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    valid = {
+        **VALID_VALUES,
+        "out": st.just(str(work / ("r" if command == "reconstruct" else "irm.csv"))),
+        "irm": st.just(str(inputs / "exp1_irm.csv")),
+        "dump_traces": st.sampled_from(["", str(work / "traces")]),
+        "dump_fields": st.sampled_from(["", str(work / "fields")]),
+    }
+    options = {}
+    for key, option in OPTIONS[command][3].items():
+        kind = draw(st.sampled_from(["valid", "valid", "valid", "absent", "bad"]))
+        if kind == "valid":
+            options[key] = draw(valid[key])
+        elif kind == "bad" and option.type is str:  # a path in a directory that does not exist
+            options[key] = str(work / "missing" / key)
+        elif kind == "bad":
+            bad = draw(st.sampled_from(["x", math.nan, math.inf, -1.0]))
+            options[key] = bad if option.type is float else str(bad)
+    return command, options
+
+
+def _exit_and_stderr(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse refuses a flag value
+            code = exc.code
+    return code, stderr.getvalue()
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzz_whole_cli_exits_cleanly(tmp_path_factory, valid_inputs, data):
+    # the same options as flags, from a --config file and from a replay manifest
+    work = tmp_path_factory.mktemp("cli")
+    command, options = data.draw(fuzzed_options(work, valid_inputs))
+    network = str(valid_inputs / "net.json")
+    flags = [f"{OPTIONS[command][3][key].flag}={value}" for key, value in options.items()]
+    (work / "cfg.json").write_text(json.dumps(options))
+    manifest = {"command": command, "config": {**options, "network": EXP1_NETWORK}}
+    (work / "manifest.json").write_text(json.dumps(manifest))
+    results = [
+        _exit_and_stderr([command, "--network", network, *flags]),
+        _exit_and_stderr([command, "--network", network, "--config", str(work / "cfg.json")]),
+        _exit_and_stderr(["replay", str(work / "manifest.json")]),
+    ]
+    for code, err in results:
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+    assert results[0][0] == results[1][0]  # a config file means what the same flags mean

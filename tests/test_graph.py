@@ -85,6 +85,47 @@ def test_disconnected_rejected(exp1_spec):
         validate_network(exp1_spec)
 
 
+def test_disconnected_with_tree_pipe_count_rejected():
+    # a triangle and an isolated vertex: V - 1 pipes, but not a tree
+    pipes = [{"id": a + b, "from": a, "to": b, "length": 100.0, "area": {"base": 1.0, "blocks": []}}
+             for a, b in ("AB", "BC", "CA")]
+    spec = {"wave_speed": 1000.0, "gravity": 9.81, "vertices": ["A", "B", "C", "D"], "pipes": pipes,
+            "x0": "D", "accessible": []}
+    with pytest.raises(Disconnected, match="not connected"):
+        validate_network(spec)
+
+
+@pytest.mark.parametrize(
+    "pipe, error, match",
+    [
+        ({"id": "AD", "from": "A", "to": "B"}, InvalidNetworkSpec, "duplicate pipe id"),
+        ({"id": "AZ", "from": "A", "to": "Z"}, InvalidNetworkSpec, "unknown vertices"),
+        ({"id": "DD", "from": "D", "to": "D"}, CycleDetected, "self-loop"),
+    ],
+    ids=["duplicate-id", "unknown-vertex", "self-loop"],
+)
+def test_bad_pipe_ends_rejected(exp1_spec, pipe, error, match):
+    exp1_spec["pipes"].append({**pipe, "length": 100.0, "area": {"base": 1.0, "blocks": []}})
+    with pytest.raises(error, match=match):
+        validate_network(exp1_spec)
+
+
+@pytest.mark.parametrize(
+    "x, areas, match",
+    [
+        ([0, 100, 100, 400], [1, 1, 0.7, 0.7], "strictly increasing"),
+        ([0, 200, 100, 400], [1, 1, 0.7, 0.7], "strictly increasing"),
+        ([0, 100, 200, 400], [0.9, 1, 1, 1], "constant on its first and last segment"),
+        ([0, 100, 200, 400], [1, 1, 1, 0.9], "constant on its first and last segment"),
+    ],
+    ids=["repeated-x", "decreasing-x", "first-segment", "last-segment"],
+)
+def test_bad_area_table_rejected(exp1_spec, x, areas, match):
+    exp1_spec["pipes"][0]["area"] = {"samples": {"x": x, "A": areas}}
+    with pytest.raises(InvalidNetworkSpec, match=match):
+        validate_network(exp1_spec)
+
+
 def test_nonleaf_x0_rejected(exp1_spec):
     exp1_spec["x0"] = "D"
     exp1_spec["accessible"] = ["A", "B", "C"]

@@ -498,6 +498,45 @@ def test_tree6_profiles_reach_many_unknowns(tree6):
     assert active.any(axis=1).all() and active.sum() > 2 * inversion._BLOCK
 
 
+def test_pruned_oracle_keeps_layer_stripping(tree6):
+    # pruning drops different fronts from each source on this mixed-area
+    # tree; the oracle's mirrored trains keep S symmetric, so every pipe
+    # takes the factorisation, within 1e-5 of the unpruned IRM's volumes
+    net, exact = tree6
+    analytic = oracle_irm(net, horizon=1.01)
+    n = len(net.accessible)
+    assert all(analytic.deltas[(i, j)] == analytic.deltas[(j, i)] for i in range(n) for j in range(i))
+    irm = sample_irm(analytic, dt=0.01)
+    cfg = ReconConfig(**TREE6_CFG, lam=1e-5)
+    for pid in sorted(net.pipes):
+        vp = volume_profile(net, irm, pid, cfg)
+        assert vp.solver == "layer-stripping" and vp.reciprocity == 0.0
+        expected = volume_profile(net, exact, pid, cfg).volumes
+        assert np.all(np.abs(vp.volumes - expected) <= 1e-5 * np.abs(expected))
+
+
+def test_profile_action_times_nest():
+    # layer stripping needs each point's active samples to hold the previous
+    # point's: no leaf's action time falls as the cut point moves towards x0
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from pipescope import validate_network
+    from test_graph import tree_specs
+
+    @given(tree_specs(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def run(spec, data):
+        net = validate_network(spec)
+        pid = data.draw(st.sampled_from(sorted(net.pipes)))
+        cfg = ReconConfig(tau=10.0, dt=0.01, dx=data.draw(st.floats(min_value=5.0, max_value=50.0)), lam=1e-5)
+        fs, _ = _profile_points(net, pid, cfg)
+        times = np.array([f.as_vector(net.accessible) for f in fs])
+        assert len(fs) >= 1 and (times[:-1] <= times[1:]).all()  # every pipe is at least dx long
+
+    run()
+
+
 def _assert_matches_reference(net, irm, pipe, cfg, vp, points=None):
     fs, _ = _profile_points(net, pipe, cfg)
     points = points if points is not None else [f.cut_point for f in fs]

@@ -79,6 +79,12 @@ def test_oracle_rejects_nonuniform(exp2_net):
         oracle_irm(exp2_net, horizon=1.0)
 
 
+def test_oracle_rejects_table_area(exp1_spec):
+    exp1_spec["pipes"][0]["area"] = {"samples": {"x": [0.0, 100.0, 200.0, 400.0], "A": [1.0, 1.0, 0.7, 0.7]}}
+    with pytest.raises(NonuniformPipeArea, match="'AD'"):
+        oracle_irm(validate_network(exp1_spec), horizon=1.0)
+
+
 def _uniform_spec(spec):
     spec = copy.deepcopy(spec)
     for p in spec["pipes"]:
