@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -41,7 +42,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -125,6 +126,12 @@ def _write_manifest(command: str, resolved: dict, inputs: dict, outputs: list, p
         fh.write("\n")
 
 
+def _reciprocity(irm) -> float:
+    """max|k_ij - k_ji| / max|k| of an IRM, the deviation from reciprocity; 0 for an all-zero IRM."""
+    peak = np.abs(irm.k).max(initial=0.0)
+    return float(np.abs(irm.k - irm.k.transpose(1, 0, 2)).max(initial=0.0) / peak) if peak > 0 else 0.0
+
+
 def _write_csv(path, header: str, rows):
     """Write ``rows`` under ``header``: strings as they are, numbers as ``repr(float(v))``, which reads back exactly."""
     with open(path, "w") as fh:
@@ -143,7 +150,8 @@ def cmd_oracle_irm(resolved: dict) -> list:
     irm = sample_irm(analytic, resolved["dt"])
     out = resolved["out"]
     save_irm(irm, out)
-    _write_manifest("oracle-irm", resolved, {}, [out], f"{out}.manifest.json", time.perf_counter() - started)
+    _write_manifest("oracle-irm", resolved, {}, [out], f"{out}.manifest.json", time.perf_counter() - started,
+                    reciprocity=_reciprocity(irm))
     return [out]
 
 
@@ -178,7 +186,8 @@ def cmd_simulate_irm(resolved: dict) -> list:
                 t, x = np.repeat(hist.t, len(grid.x)), np.tile(grid.x, len(hist.t))  # time-major, as H and Q
                 _write_csv(path, "t,x,H,Q", zip(t, x, hist.H[pid].ravel(), hist.Q[pid].ravel()))
                 outputs.append(path)
-    _write_manifest("simulate-irm", resolved, {}, outputs, f"{out}.manifest.json", time.perf_counter() - started)
+    _write_manifest("simulate-irm", resolved, {}, outputs, f"{out}.manifest.json", time.perf_counter() - started,
+                    reciprocity=_reciprocity(irm))
     return outputs
 
 
@@ -279,11 +288,14 @@ def cmd_plot(resolved: dict) -> list:
         oy = idx * panel_h
         xs = [x] if truth_xy is None else [x, truth_xy[0]]
         ys = [y] if truth_xy is None else [y, truth_xy[1]]
-        x_lo, x_hi = min(v.min() for v in xs), max(v.max() for v in xs)
-        y_lo, y_hi = min(v.min() for v in ys), max(v.max() for v in ys)
+        # as Python floats, an overflowing span turns into inf with no warning, and the check below refuses it
+        x_lo, x_hi = float(min(v.min() for v in xs)), float(max(v.max() for v in xs))
+        y_lo, y_hi = float(min(v.min() for v in ys)), float(max(v.max() for v in ys))
         span_y = (y_hi - y_lo) or 1.0
         y_lo, y_hi = y_lo - 0.1 * span_y, y_hi + 0.1 * span_y
         span_x = (x_hi - x_lo) or 1.0
+        if not all(map(math.isfinite, (span_x, y_lo, y_hi, y_hi - y_lo))):
+            raise ConfigError(f"{pipe_id} {kind}: the values span more than a float can hold")
 
         def sx(v):
             return pad_l + (v - x_lo) / span_x * (width - pad_l - pad_r)
@@ -423,7 +435,7 @@ def run(argv=None) -> int:
     except PipescopeError as exc:
         print(f"pipescope: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:  # an input that cannot be read or an output that cannot be written
+    except (OSError, UnicodeDecodeError) as exc:  # an input that cannot be read or is not text, an unwritable output
         print(f"pipescope: file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for path in outputs:

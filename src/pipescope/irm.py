@@ -2,8 +2,9 @@
 
 Two routes produce the same object. The analytic route tracks delta
 wavefronts through a network of uniform pipes exactly, with times as
-integer ticks of a common rational unit and amplitudes as exact
-rationals: a unit-volume impulse launches a head pulse of amplitude
+integer ticks of a common rational unit and amplitudes as integers of a
+common rational unit, identical fronts merged and counted by
+multiplicity: a unit-volume impulse launches a head pulse of amplitude
 a/(gA) down the source pipe, junctions split it via the scattering
 coefficients, closed leaves reflect it with no sign change, and each
 arrival at an accessible leaf records twice the traveling amplitude.
@@ -97,17 +98,22 @@ def oracle_irm(
 ) -> AnalyticIRM:
     """Exact impulse-response deltas on a network of uniform pipes.
 
-    Event-driven wavefront tracking: fronts are (arrival tick, seq,
-    scattering rule, amplitude) processed in time order. Times are
-    integer ticks of 1/D s, D the least common multiple of the exact
-    travel times' denominators; amplitudes are exact rationals, so
-    equal-time arrivals merge exactly. Each (vertex, arriving pipe) has
-    one rule, built once: the receiver at an accessible leaf and the
-    outgoing fronts (coefficient, ticks, next rule), from
-    ``junction_scatter`` at a junction. Fronts whose amplitude falls to
-    ``prune_eps`` times the initial amplitude are dropped; the geometric
-    decay of the junction coefficients then bounds the event count, with
-    ``max_events`` as a hard guard.
+    Event-driven wavefront tracking in time order. Times are integer
+    ticks of 1/D s, D the least common multiple of the exact travel
+    times' denominators. Each (vertex, arriving pipe) has one scattering
+    rule, built once: the receiver at an accessible leaf and the outgoing
+    fronts (coefficient, ticks, next rule), from ``junction_scatter`` at
+    a junction. Amplitudes, relative to the source's a/(gA), are integers
+    in one common unit den**-depth, den the least common multiple of the
+    coefficients' denominators and depth a bound on how often a front
+    scatters before the horizon, so every scattering is an exact integer
+    multiply and divide. Identical fronts (same tick, rule and amplitude)
+    have identical descendants, so each (tick, rule) is queued once with
+    its amplitudes and the number of fronts carrying each. Fronts whose
+    amplitude falls to ``prune_eps`` times the initial amplitude are
+    dropped; the geometric decay of the junction coefficients then bounds
+    the event count, with ``max_events`` as a hard guard on the number of
+    individual fronts a source processes, merged ones counted one by one.
 
     Unpruned, the reciprocity k_ij = k_ji holds exactly. Pruning drops
     different fronts from each source where pipe areas differ, so the
@@ -145,37 +151,54 @@ def oracle_irm(
         fronts = [(coeff, ticks[pid], rule_of[(ends[(vertex, pid)], pid)]) for coeff, pid in outs]
         rules.append((leaf_index.get(vertex), fronts))
 
+    # A front scatters fewer than depth = horizon_ticks // min(ticks) + 1 times before the horizon,
+    # so an amplitude N in units of den**-depth stays divisible by den, and for integer N the test
+    # |N| > floor(prune_eps * den**depth) is the test |amp| > prune_eps * amp0.
+    den = math.lcm(*(coeff.denominator for _, fronts in rules for coeff, _, _ in fronts))
+    full = den ** (horizon_ticks // min(ticks.values()) + 1)
+    threshold = math.floor(Fraction(prune_eps) * full)
+    rules = [(receiver, [(int(coeff * den), t, r) for coeff, t, r in fronts]) for receiver, fronts in rules]
+
     deltas = {}
     for i, source in enumerate(net.accessible):
         pipe = net.leaf_pipe(source)
         amp0 = a / (g * Fraction(float(net.leaf_area(source))))
-        threshold = Fraction(prune_eps) * amp0
-        arrivals: list[dict[int, Fraction]] = [{} for _ in range(n)]  # per receiver: tick -> weight
-
-        heap: list[tuple[int, int, int, Fraction]] = []
-        seq = 0
+        arrivals: list[dict[int, int]] = [{} for _ in range(n)]  # per receiver: tick -> summed N
+        heap: list[tuple[int, int]] = []  # (tick, rule) keys, each queued once
+        pending: dict[tuple[int, int], dict[int, int]] = {}  # (tick, rule) -> {N: multiplicity}
         if ticks[pipe.id] <= horizon_ticks:
-            heap.append((ticks[pipe.id], seq, rule_of[(ends[(source, pipe.id)], pipe.id)], amp0))
+            key = (ticks[pipe.id], rule_of[(ends[(source, pipe.id)], pipe.id)])
+            heap.append(key)
+            pending[key] = {full: 1}
         events = 0
         while heap:
-            t, _, rule, amp = heapq.heappop(heap)
-            events += 1
+            t, rule = key = heapq.heappop(heap)
+            amps = pending.pop(key)
+            events += sum(amps.values())  # the guard counts individual fronts
             if events > max_events:
                 raise HorizonTooLarge(f"more than {max_events} wavefront events before {horizon}s")
             receiver, fronts = rules[rule]
             if receiver is not None:
                 bucket = arrivals[receiver]
-                bucket[t] = bucket.get(t, 0) + 2 * amp
+                bucket[t] = bucket.get(t, 0) + sum(amp * count for amp, count in amps.items())
             for coeff, pipe_ticks, next_rule in fronts:
                 t_arr = t + pipe_ticks
-                if t_arr <= horizon_ticks:
-                    amplitude = coeff * amp
+                if t_arr > horizon_ticks:
+                    continue
+                next_key = (t_arr, next_rule)
+                queued = pending.get(next_key)
+                for amp, count in amps.items():
+                    amplitude = coeff * amp // den
                     if abs(amplitude) > threshold:
-                        seq += 1
-                        heapq.heappush(heap, (t_arr, seq, next_rule, amplitude))
+                        if queued is None:
+                            queued = pending[next_key] = {}
+                            heapq.heappush(heap, next_key)
+                        queued[amplitude] = queued.get(amplitude, 0) + count
         for j, bucket in enumerate(arrivals):
             deltas[(i, j)] = tuple(
-                (float(Fraction(t, scale)), float(c)) for t, c in sorted(bucket.items()) if c != 0
+                (float(Fraction(t, scale)), float(2 * amp0 * Fraction(c, full)))
+                for t, c in sorted(bucket.items())
+                if c != 0
             )
     for i, j in deltas:
         if i > j:
@@ -308,18 +331,20 @@ def measure_irm(
 # -- persistence --------------------------------------------------------------
 
 
+_ROW_BLOCK = 1024  # IRM file rows parsed at once; bounds the list of field strings a block makes
+
+
 def save_irm(irm: SampledIRM, path) -> None:
     """Write the IRM file: one JSON header line, then CSV rows i,j,t,k."""
-    lines = [
-        json.dumps({"dt": irm.dt, "n": irm.n_samples, "leaves": list(irm.leaves), "horizon": irm.horizon}),
-        "i,j,t,k",
-    ]
-    for i in range(len(irm.leaves)):
-        for j in range(len(irm.leaves)):
-            for s in range(irm.n_samples):
-                lines.append(f"{i},{j},{s * irm.dt!r},{float(irm.k[i, j, s])!r}")
+    n = len(irm.leaves)
+    times = [repr(s * irm.dt) for s in range(irm.n_samples)]
+    k = np.asarray(irm.k, dtype=float).tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps({"dt": irm.dt, "n": irm.n_samples, "leaves": list(irm.leaves), "horizon": irm.horizon}))
+        fh.write("\ni,j,t,k\n")
+        for i in range(n):
+            for j in range(n):
+                fh.write("".join([f"{i},{j},{t},{v!r}\n" for t, v in zip(times, k[i][j])]))
 
 
 def load_irm(path) -> SampledIRM:
@@ -328,37 +353,52 @@ def load_irm(path) -> SampledIRM:
     The header's ``leaves`` must be a list of strings, and every kernel
     sample of its N x N x n grid must appear in exactly one row with a
     finite value; anything else raises OutOfRange. Other header keys, such
-    as the ``direct`` coefficients older files carry, are ignored.
+    as the ``direct`` coefficients older files carry, are ignored. Rows
+    are parsed a block at a time: one split, then one array per column.
     """
     with open(path) as fh:
         try:
-            header = json.loads(fh.readline())
-            leaves = header["leaves"]
-            n_samples = int(header["n"])
-            dt = float(header["dt"])
-            horizon = float(header["horizon"])
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise OutOfRange(f"{path}: unreadable IRM header: {exc}") from exc
-        if not (isinstance(leaves, list) and all(isinstance(leaf, str) for leaf in leaves)):
-            raise OutOfRange(f"{path}: header leaves {leaves!r} is not a list of strings")
-        if not dt > 0:
-            raise OutOfRange(f"{path}: header dt = {dt} is not positive")
-        if fh.readline().strip() != "i,j,t,k":
-            raise OutOfRange(f"{path}: missing i,j,t,k column header")
-        rows = [line.strip() for line in fh if line.strip()]
+            header_line, columns = fh.readline(), fh.readline()
+            rows = [row for row in map(str.strip, fh) if row]
+        except UnicodeDecodeError as exc:
+            raise OutOfRange(f"{path}: not a text file: {exc}") from exc
+    try:
+        header = json.loads(header_line)
+        leaves = header["leaves"]
+        n_samples = int(header["n"])
+        dt = float(header["dt"])
+        horizon = float(header["horizon"])
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise OutOfRange(f"{path}: unreadable IRM header: {exc}") from exc
+    if not (isinstance(leaves, list) and all(isinstance(leaf, str) for leaf in leaves)):
+        raise OutOfRange(f"{path}: header leaves {leaves!r} is not a list of strings")
+    if not (dt > 0 and n_samples >= 0):
+        raise OutOfRange(f"{path}: header dt = {dt} is not positive or n = {n_samples} is negative")
+    if columns.strip() != "i,j,t,k":
+        raise OutOfRange(f"{path}: missing i,j,t,k column header")
     n = len(leaves)
     if len(rows) != n * n * n_samples:  # checked before the header's shape is allocated
         raise OutOfRange(f"{path}: {len(rows)} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
     k = np.full((n, n, n_samples), np.nan)  # NaN marks a sample no row has set
-    for row in rows:
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start : start + _ROW_BLOCK]
+        # a "\n" field between rows, which no stripped row holds, lands every fifth place only if each row has four
+        fields = ",\n,".join(block).split(",")
+        if fields[4::5].count("\n") != len(block) - 1 or len(fields) != 5 * len(block) - 1:
+            row = next(row for row in block if row.count(",") != 3)
+            raise OutOfRange(f"{path}: unreadable kernel row {row!r}: it needs four fields")
         try:
-            i_s, j_s, t_s, k_s = row.split(",")
-            i, j, idx, value = int(i_s), int(j_s), round(float(t_s) / dt), float(k_s)
+            i, j = (np.array(fields[c::5], dtype=np.int64) for c in (0, 1))
+            t, values = (np.array(fields[c::5], dtype=float) for c in (2, 3))
         except (ValueError, OverflowError) as exc:
-            raise OutOfRange(f"{path}: unreadable kernel row {row!r}") from exc
-        if not (0 <= i < n and 0 <= j < n and 0 <= idx < n_samples):
-            raise OutOfRange(f"{path}: row {row!r} lies outside the header's {n}x{n}x{n_samples} grid")
-        k[i, j, idx] = value
+            raise OutOfRange(f"{path}: unreadable kernel row: {exc}") from exc
+        with np.errstate(over="ignore"):
+            idx = np.rint(t / dt)
+        # written as "inside" so that a NaN or infinite time counts as outside too
+        outside = np.flatnonzero(~((0 <= i) & (i < n) & (0 <= j) & (j < n) & (0 <= idx) & (idx < n_samples)))
+        if outside.size:
+            raise OutOfRange(f"{path}: row {block[outside[0]]!r} lies outside the header's {n}x{n}x{n_samples} grid")
+        k[i, j, idx.astype(np.int64)] = values
     bad = np.count_nonzero(~np.isfinite(k))
     if bad:
         raise OutOfRange(f"{path}: {bad} kernel sample(s) not finite, or unset because of duplicate rows")

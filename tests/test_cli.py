@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,22 @@ def test_oracle_irm_exp1_bins(tmp_path, net1_path):
     irm = load_irm(out)
     assert list(np.nonzero(irm.k[0, 0])[0]) == [80, 140, 160]
     assert (tmp_path / "irm.csv.manifest.json").exists()
+
+
+def test_irm_manifests_record_reciprocity(tmp_path, net1_path):
+    # the exact oracle IRM is reciprocal bit for bit; a measured one only nearly
+    irm1, irm2 = tmp_path / "irm1.csv", tmp_path / "irm2.csv"
+    assert run(["oracle-irm", "--preset", "exp1", "--out", str(irm1)]) == 0
+    assert json.loads((tmp_path / "irm1.csv.manifest.json").read_text())["reciprocity"] == 0.0
+    argv = ["simulate-irm", "--network", str(net1_path), "--dx", "20", "--duration", "0.9", "--out", str(irm2)]
+    assert run(argv) == 0
+    k = load_irm(irm2).k
+    recorded = json.loads((tmp_path / "irm2.csv.manifest.json").read_text())["reciprocity"]
+    assert recorded == np.abs(k - k.transpose(1, 0, 2)).max() / np.abs(k).max()
+    assert 0.0 < recorded < 0.05
+    # an all-zero IRM counts as reciprocal
+    assert run(["oracle-irm", "--preset", "exp1", "--horizon", "0", "--out", str(irm1)]) == 0
+    assert json.loads((tmp_path / "irm1.csv.manifest.json").read_text())["reciprocity"] == 0.0
 
 
 def test_oracle_irm_zero_horizon(tmp_path, net1_path):
@@ -721,3 +738,131 @@ def test_fuzz_whole_cli_exits_cleanly(tmp_path_factory, valid_inputs, data):
         assert code in (0, 2, 3, 4), err
         assert "Traceback" not in err
     assert results[0][0] == results[1][0]  # a config file means what the same flags mean
+
+
+# numbers and texts for a profile CSV field: extremes whose spans overflow, and texts float() may or may not read
+PROFILE_FIELDS = (st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308", "-1.7976931348623157e308", "5e-324"])
+                  | st.sampled_from(["-0.0", "nan", "inf", "", "x", "1_0", " 2 ", "DC", "pipe", "x_m", "A_m2"])
+                  | st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+@st.composite
+def damaged_profile_csv(draw):
+    """The bytes of a small area or volume CSV with a line or one or two fields damaged, maybe cut or not UTF-8."""
+    kind = draw(st.sampled_from(["A_m2", "V_m3"]))
+    pipe = draw(st.sampled_from(["DC", "AD", "XX"]))
+    lines = [f"pipe,x_m,{kind}", *(f"{pipe},{x!r},{y!r}" for x, y in ((0.0, 1.0), (10.0, 0.8), (20.0, 1.1)))]
+    k = draw(st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(["fields", "fields", "replace", "drop", "duplicate", "none"]))
+    if action == "fields":
+        for k in draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=2)):
+            fields = lines[k].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(PROFILE_FIELDS)
+            lines[k] = ",".join(fields)
+    elif action == "replace":
+        lines[k] = draw(st.text(max_size=20))
+    elif action == "drop":
+        del lines[k]
+    elif action == "duplicate":
+        lines.insert(k, lines[k])
+    data = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"", b"\xff", b"\xc3", b"\x00"])) + data[cut:]
+    return data
+
+
+JSON_FIELD_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.just(10**400) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_network_json(draw):
+    """The bytes of the exp1 network with one field replaced by any JSON value, or its text cut short or not UTF-8."""
+    spec = copy.deepcopy(EXP1_NETWORK)
+    parent = draw(st.sampled_from([spec, spec["pipes"][0], spec["pipes"][2], spec["pipes"][2]["area"]]))
+    parent[draw(st.sampled_from(sorted(parent)))] = draw(JSON_FIELD_VALUES)
+    data = json.dumps(spec).encode()
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"", b"\xff", b"}"]))
+    return data
+
+
+@pytest.mark.parametrize("target", ["network", "config", "irm-header", "manifest"])
+def test_json_nested_too_deep_to_decode_exit_2(tmp_path, exp1_irm_path, capsys, target):
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    if target == "irm-header":
+        lines = exp1_irm_path.read_text().splitlines()
+        header = {**json.loads(lines[0]), "horizon": "DEEP"}
+        path.write_text("\n".join([json.dumps(header).replace('"DEEP"', deep), *lines[1:]]))
+    else:
+        path.write_text(deep)
+    argv = {
+        "network": ["oracle-irm", "--network", str(path), "--horizon", "1", "--dt", "0.01", "--out", "x.csv"],
+        "config": ["oracle-irm", "--preset", "exp1", "--config", str(path), "--out", str(tmp_path / "x.csv")],
+        "irm-header": ["reconstruct", "--preset", "exp1", "--irm", str(path), "--out", str(tmp_path / "r")],
+        "manifest": ["replay", str(path)],
+    }[target]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rows", [["DC,0.0,1.0", "DC,10.0,1.7976931348623157e308"], ["DC,-1e308,1.0", "DC,1e308,1.0"]],
+    ids=["padded-y-overflows", "x-span-overflows"],
+)
+def test_plot_values_whose_span_overflows_exit_2(tmp_path, capsys, rows):
+    # finite values whose plotted range is not: the SVG would carry nan coordinates
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(["pipe,x_m,A_m2", *rows]) + "\n")
+    assert run(["plot", "--in", str(path), "--out", str(tmp_path / "x.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_input_that_is_not_text_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"pipe,x_m,A_m2\nDC,0.0,\xff\n")
+    assert run(["plot", "--in", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+    argv = ["oracle-irm", "--network", str(bad), "--horizon", "1", "--dt", "0.01", "--out", str(tmp_path / "i.csv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("pipescope: ") for line in err)
+
+
+@given(st.lists(damaged_profile_csv(), min_size=1, max_size=2), st.none() | damaged_network_json())
+@settings(max_examples=200, deadline=None)
+def test_fuzz_plot_exits_cleanly(tmp_path_factory, profiles, truth):
+    work = tmp_path_factory.mktemp("plot")
+    argv = ["plot", "--in"]
+    for n, data in enumerate(profiles):
+        (work / f"p{n}.csv").write_bytes(data)
+        argv.append(str(work / f"p{n}.csv"))
+    if truth is not None:
+        (work / "net.json").write_bytes(truth)
+        argv += ["--truth", str(work / "net.json")]
+    code, err = _exit_and_stderr([*argv, "--out", str(work / "fig.svg")])
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code == 0:  # every coordinate drawn is a finite number
+        points = re.findall(r'points="([^"]*)"', (work / "fig.svg").read_text())
+        assert all(math.isfinite(float(v)) for line in points for xy in line.split() for v in xy.split(","))
+
+
+SHOW_NETWORK_ARGS = (st.sampled_from(["--preset", "exp1", "exp2", "exp3", "--network", "--out", "x", ""])
+                     | st.text(max_size=8))
+
+
+@given(st.lists(SHOW_NETWORK_ARGS, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_fuzz_show_network_exits_cleanly(args):
+    code, err = _exit_and_stderr(["show-network", *args])
+    assert code in (0, 2), err
+    assert "Traceback" not in err

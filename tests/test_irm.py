@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pipescope import (
     AnalyticIRM,
+    SampledIRM,
     SimConfig,
     differentiate,
     irm_row_from_step_response,
@@ -177,6 +178,26 @@ ODD_TREE = {
 }
 
 
+def _six_leaf_tree(areas):
+    """A tree of the benchmark's shape: 6 leaves, 5 junctions, 240 m pipes and one 280 m pipe; areas cycle."""
+    ends = [("J1", "x0"), ("J2", "J1"), ("J3", "J1"), ("J4", "J2"), ("L1", "J2"), ("L2", "J3"),
+            ("J5", "J3"), ("L3", "J4"), ("L4", "J4"), ("L5", "J5"), ("L6", "J5")]
+    pipes = [
+        {"id": f"P{n:02d}", "from": a, "to": b, "length": 280.0 if a == "L6" else 240.0,
+         "area": {"base": areas[n % len(areas)], "blocks": []}}
+        for n, (a, b) in enumerate(ends)
+    ]
+    vertices = sorted({v for e in ends for v in e})
+    return {"wave_speed": 1000.0, "gravity": 9.81, "vertices": vertices, "pipes": pipes, "x0": "x0",
+            "accessible": [f"L{n}" for n in range(1, 7)]}
+
+
+# uniform areas: many fronts meet at the same tick and rule with the same amplitude
+SIX_LEAF_UNIFORM = _six_leaf_tree([1.0])
+# areas that are not binary fractions: the scattering coefficients have long denominators
+SIX_LEAF_MIXED = _six_leaf_tree([1.1, 0.7, 1.3])
+
+
 @pytest.mark.parametrize(
     "spec, horizon, prune_eps",
     [
@@ -186,13 +207,27 @@ ODD_TREE = {
         (_uniform_spec(EXP2_NETWORK), 1.5, 1e-4),
         (ODD_TREE, 2.0, 1e-4),
         (ODD_TREE, 2.0, 1e-6),
+        (SIX_LEAF_UNIFORM, 2.4, 1e-4),
+        (SIX_LEAF_MIXED, 2.4, 1e-6),
+        (SIX_LEAF_MIXED, 1.2, 0.0),
     ],
-    ids=["exp1", "exp1-at-horizon", "exp1-below-horizon", "exp2-uniform", "odd-tree-1e-4", "odd-tree-1e-6"],
+    ids=["exp1", "exp1-at-horizon", "exp1-below-horizon", "exp2-uniform", "odd-tree-1e-4", "odd-tree-1e-6",
+         "six-leaf-uniform", "six-leaf-mixed-1e-6", "six-leaf-mixed-unpruned"],
 )
 def test_oracle_matches_fraction_time_reference(spec, horizon, prune_eps):
     net = validate_network(spec)
     expected, _ = _reference_oracle(net, horizon, prune_eps)
     assert oracle_irm(net, horizon, prune_eps=prune_eps) == expected
+
+
+def test_oracle_pruned_mixed_tree_matches_mirrored_reference():
+    # at 1e-4 pruning drops different fronts from different sources on this tree,
+    # so the oracle's trains for i > j are the reference's trains for (j, i)
+    net = validate_network(SIX_LEAF_MIXED)
+    expected, _ = _reference_oracle(net, 2.4)
+    got = oracle_irm(net, 2.4)
+    assert any(expected.deltas[(i, j)] != expected.deltas[(j, i)] for i, j in expected.deltas)
+    assert got.deltas == {(i, j): expected.deltas[min(i, j), max(i, j)] for i, j in expected.deltas}
 
 
 def test_oracle_event_guard_boundary_matches_reference():
@@ -201,6 +236,15 @@ def test_oracle_event_guard_boundary_matches_reference():
     with pytest.raises(HorizonTooLarge):
         oracle_irm(net, 2.0, max_events=events - 1)
     assert oracle_irm(net, 2.0, max_events=events) == expected
+
+
+def test_oracle_event_guard_counts_merged_fronts_one_by_one():
+    # on the uniform tree many identical fronts merge; the guard still counts each of them
+    net = validate_network(SIX_LEAF_UNIFORM)
+    expected, events = _reference_oracle(net, 2.4)
+    with pytest.raises(HorizonTooLarge):
+        oracle_irm(net, 2.4, max_events=events - 1)
+    assert oracle_irm(net, 2.4, max_events=events) == expected
 
 
 @pytest.mark.parametrize(
@@ -527,3 +571,133 @@ def test_fuzz_load_irm_raises_only_out_of_range(tmp_path_factory, lines):
     except OutOfRange:
         return
     assert loaded.k.shape == SMALL_IRM.k.shape and np.isfinite(loaded.k).all()
+
+
+def _reference_load_irm(path):
+    """The row-by-row loader that ``load_irm`` replaced, as a reference for what it must accept."""
+    with open(path) as fh:
+        try:
+            header = json.loads(fh.readline())
+            leaves = header["leaves"]
+            n_samples = int(header["n"])
+            dt = float(header["dt"])
+            horizon = float(header["horizon"])
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise OutOfRange(f"{path}: unreadable IRM header: {exc}") from exc
+        if not (isinstance(leaves, list) and all(isinstance(leaf, str) for leaf in leaves)):
+            raise OutOfRange(f"{path}: header leaves {leaves!r} is not a list of strings")
+        if not dt > 0:
+            raise OutOfRange(f"{path}: header dt = {dt} is not positive")
+        if fh.readline().strip() != "i,j,t,k":
+            raise OutOfRange(f"{path}: missing i,j,t,k column header")
+        rows = [line.strip() for line in fh if line.strip()]
+    n = len(leaves)
+    if len(rows) != n * n * n_samples:
+        raise OutOfRange(f"{path}: {len(rows)} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
+    k = np.full((n, n, n_samples), np.nan)
+    for row in rows:
+        try:
+            i_s, j_s, t_s, k_s = row.split(",")
+            i, j, idx, value = int(i_s), int(j_s), round(float(t_s) / dt), float(k_s)
+        except (ValueError, OverflowError) as exc:
+            raise OutOfRange(f"{path}: unreadable kernel row {row!r}") from exc
+        if not (0 <= i < n and 0 <= j < n and 0 <= idx < n_samples):
+            raise OutOfRange(f"{path}: row {row!r} lies outside the header's {n}x{n}x{n_samples} grid")
+        k[i, j, idx] = value
+    bad = np.count_nonzero(~np.isfinite(k))
+    if bad:
+        raise OutOfRange(f"{path}: {bad} kernel sample(s) not finite, or unset because of duplicate rows")
+    return SampledIRM(dt, tuple(leaves), k, horizon)
+
+
+# field texts that int() or float() read in ways a column parser might not
+ODD_FIELDS = st.sampled_from(
+    [" 1", "1 ", "+1", "1.0", "1e0", "1_0", "\u0661", "-0", "0.30000000000000004", "0.075", "0.074999", "nan", "inf",
+     "-inf", "1e400", "", "x", "0x1", "99999999999999999999", "1,0", " 0.15\t", "\u2003", "1\x00"]
+)
+
+
+@st.composite
+def edited_irm_lines(draw):
+    """The small IRM file with one or two kernel rows edited, and maybe spaces or an empty line added.
+
+    An edit replaces a field by an odd text or another row's field, spells
+    it another way, pads it with white space, moves a time by a fraction of
+    dt (half of it is a rounding tie), moves a row's last field to the
+    start of the next row, or appends a fifth field and a copy of a row.
+    """
+    lines = list(SMALL_IRM_LINES)
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(2, len(lines) - 2))
+        fields = lines[k].split(",")  # an earlier edit may have left more or fewer than four
+        column = draw(st.integers(0, len(fields) - 1))
+        action = draw(st.sampled_from(["replace", "respell", "pad", "nudge", "move", "append"]))
+        if action == "respell":  # the same number, spelled so that only float() or int() and float() read it
+            fields[column] = draw(st.sampled_from(["+{}", "0{}", "{}.0", "{}e0"])).format(fields[column])
+        elif action == "replace":
+            other = lines[draw(st.integers(2, len(lines) - 1))].split(",")
+            fields[column] = draw(ODD_FIELDS | st.just(other[min(column, len(other) - 1)]))
+        elif action == "pad":
+            space = draw(st.sampled_from([" ", "\t", "\x0c", "\u2003"]))
+            fields[column] = draw(st.sampled_from([space + fields[column], fields[column] + space]))
+        elif action == "nudge" and len(fields) == 4:
+            shift = draw(st.sampled_from([0.5, -0.5, 0.49, -0.51])) * SMALL_IRM.dt
+            fields[2] = repr(float(SMALL_IRM_LINES[k].split(",")[2]) + shift)
+        elif action == "append":  # a fifth field, then a whole row again: nine fields
+            fields.append("0," + lines[draw(st.integers(2, len(lines) - 1))])
+        elif len(fields) > 1:
+            lines[k + 1] = fields.pop() + "," + lines[k + 1]
+        lines[k] = ",".join(fields)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        before, after = draw(st.sampled_from([" ", "\t", "\x0c", "\x1c"])), draw(st.sampled_from(["", " ", "\r"]))
+        lines[k] = before + lines[k] + after
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(2, len(lines))), draw(st.sampled_from(["", "  ", "\r"])))
+    return lines
+
+
+@given(damaged_irm_lines() | edited_irm_lines(), st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(max_examples=400, deadline=None)
+def test_load_irm_accepts_exactly_what_the_row_by_row_loader_accepts(tmp_path_factory, lines, newline):
+    path = tmp_path_factory.mktemp("diff") / "irm.csv"
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    try:
+        expected = _reference_load_irm(path)
+    except OutOfRange:
+        with pytest.raises(OutOfRange):
+            load_irm(path)
+        return
+    loaded = load_irm(path)
+    assert (loaded.dt, loaded.leaves, loaded.horizon) == (expected.dt, expected.leaves, expected.horizon)
+    assert loaded.k.tobytes() == expected.k.tobytes()
+
+
+def test_load_irm_refuses_bytes_that_are_not_text(exp1_net, tmp_path):
+    # the byte lies past the first block a text reader decodes along with the header
+    path, lines = _saved_exp1_irm(exp1_net, tmp_path)
+    path.write_bytes(("\n".join(lines[:-1]) + "\n").encode() + b"1,1,\xff\xfe,1.0\n")
+    assert path.stat().st_size > 9000
+    with pytest.raises(OutOfRange, match="not a text file"):
+        load_irm(path)
+
+
+def test_load_irm_rejects_negative_sample_count_without_rows(tmp_path):
+    # no leaves and no rows match a shape of 0 * 0 * n for any n, so n itself needs the check
+    path = tmp_path / "irm.csv"
+    path.write_text(json.dumps({"dt": 0.01, "n": -1, "leaves": [], "horizon": 1.0}) + "\ni,j,t,k\n")
+    with pytest.raises(OutOfRange, match="negative"):
+        load_irm(path)
+
+
+def test_save_irm_writes_the_row_by_row_bytes(exp1_net, tmp_path):
+    irm = sample_irm(oracle_irm(exp1_net, horizon=3.0), dt=0.007)
+    path = tmp_path / "irm.csv"
+    save_irm(irm, path)
+    lines = [
+        json.dumps({"dt": irm.dt, "n": irm.n_samples, "leaves": list(irm.leaves), "horizon": irm.horizon}),
+        "i,j,t,k",
+        *(f"{i},{j},{s * irm.dt!r},{float(irm.k[i, j, s])!r}"
+          for i in range(2) for j in range(2) for s in range(irm.n_samples)),
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
