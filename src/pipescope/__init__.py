@@ -37,11 +37,9 @@ from .irm import (
 )
 from .inversion import (
     AreaProfile,
-    BCSystem,
     ReconConfig,
     VolumeProfile,
     area_profile,
-    assemble_system,
     solve_boundary_flows,
     volume,
     volume_profile,

@@ -211,6 +211,8 @@ def cmd_reconstruct(resolved: dict) -> list:
             f"IRM leaves {list(irm.leaves)} differ from the network's accessible leaves {list(net.accessible)}"
         )
     pipes = _parse_list(resolved["pipes"], str) if resolved["pipes"] else list(net.pipes)
+    if not pipes:
+        raise ConfigError(f"pipe list {resolved['pipes']!r} names no pipe")
     lams = _parse_list(resolved["lam"], float)
     if len(lams) == 1:
         lams = lams * len(pipes)
@@ -255,7 +257,10 @@ def _read_profile_csv(path):
         raise ConfigError(f"{path}: unreadable number in a data row: {exc}") from exc
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ConfigError(f"{path}: a data row holds a number that is not finite")
-    return rows[0][0], header[2], x, y
+    pipes = sorted({r[0] for r in rows})
+    if len(pipes) > 1:
+        raise ConfigError(f"{path}: rows name pipes {pipes[0]!r} and {pipes[1]!r}; a profile CSV holds one pipe")
+    return pipes[0], header[2], x, y
 
 
 def _svg_polyline(points, style):

@@ -1,8 +1,9 @@
-"""Reconstruction core: boundary-control system assembly, solve, volumes, areas.
+"""Reconstruction core: boundary-control systems, their solve, volumes, areas.
 
 The discrete control equation for one reconstruction point p follows the
 piecewise-constant scheme: with M = floor(tau/dt) samples per leaf at
-times t_l = l*dt (l = 1..M), block (receiver j, source i) holds
+times t_l = l*dt (l = 1..M), block (receiver j, source i) of the control
+matrix H holds
 
     (dt/2) * nu_i * ( k_ij(|l - k|) + k_ij(2M + 1 - l - k) )
 
@@ -11,26 +12,27 @@ kernel argument 2*tau - t - s evaluated midpoint-consistently (each
 sample stands for the half-open cell ending at it, so both arguments
 shift by dt/2 and the reflected term lands one sample up), and the
 diagonal blocks add the direct impulse nu_j * a/(A(x_j) g), which the
-IRM kernels leave out, on the diagonal. None of this depends on p:
-``control_matrix`` builds it once per profile.
+IRM kernels leave out, on the diagonal.
 
 A point enters through its action times f alone: sample l of leaf i is
-active when t_l > tau - f(x_i) + tol. The solve keeps the active rows
-and columns, with the unit target head b = 1, and puts exact zeros on
-the inactive samples. It minimizes ||Hq - b||^2 + lambda*||q||^2 through
-the normal equations (H^T H + lambda I) q = H^T b, or, at lambda = 0, by
+active when t_l > tau - f(x_i) + tol. Only active samples enter its
+system, with the unit target head b = 1; inactive samples get exact zero
+flow. With |nu| = 1, S = diag(nu) H turns ||Hq - b|| into ||Sq - nu||,
+and ``_s_matrix`` gathers S from the kernels on just the samples asked
+for. The per-point solve minimizes ||Sq - nu||^2 + lambda*||q||^2 through
+the normal equations (S^T S + lambda I) q = S^T nu, or, at lambda = 0, by
 a rank-checked least-squares solve that refuses a rank-deficient system.
 
 Volumes come from the flow integral for that unit target,
 V = a^2/g * sum_i nu_i * integral Q_p(t, x_i) dt; areas are the forward
 difference quotient of the volume profile.
 
-A profile needs one factorisation, not one solve per point (layer
-stripping, after Sondhi and Gopinath). Points run from the far end towards
-x0, so each point's active set holds the previous one's. Ordered by the
-point at which they become active, the samples make every point's system
-a leading block of one matrix. With |nu| = 1 and the control matrix H,
-S = diag(nu) H is symmetric up to IRM reciprocity, and the Tikhonov
+A profile needs one S and one factorisation, not one of each per point
+(layer stripping, after Sondhi and Gopinath). Points run from the far end
+towards x0, and no leaf's action time falls on the way, so each point's
+active set holds the previous one's. Ordered by the point at which they
+become active, the samples make every point's S a leading block of the
+largest point's. S is symmetric up to IRM reciprocity, and the Tikhonov
 solution is q = Re[(S - i sqrt(lambda) I)^-1 nu]. One unpivoted
 complex-symmetric LDL^T of the largest block, A = L diag(d) L^T, then
 gives every point's volume as a prefix sum:
@@ -38,15 +40,15 @@ V_k = a^2 dt/g * Re sum_{j < n_k} u_j^2 / d_j with u = L^-1 nu. The pivots
 exist (S_k - i sqrt(lambda) I is never singular), but no theorem makes the
 unpivoted factorisation stable here (Higham 1998 needs definite real and
 imaginary parts), so the largest point is checked at run time.
-``volume_profile`` keeps the per-point solve where lambda = 0, where the
-active sets do not nest, where the reciprocity deviation max|S - S^T| /
-max|S| exceeds ``RECIPROCITY_TOL``, or where the largest point's relative
-residual or its disagreement with a pivoted direct solve of the same
-system exceeds ``STABILITY_TOL``. On the exp1 and exp2 pipes the two paths
-agree within 4e-15 relative (the tests hold 1e-10). Where they differ
-more, on systems of several hundred unknowns from simulated IRMs, the
-per-point normal equations are the ones off: the factorisation stays
-within 6e-14 of a QR least-squares solve of the stacked system.
+``volume_profile`` solves each point on its leading block instead where
+lambda = 0, where the reciprocity deviation max|S - S^T| / max|S| exceeds
+``RECIPROCITY_TOL``, or where the largest point's relative residual or its
+disagreement with a pivoted direct solve of the same system exceeds
+``STABILITY_TOL``. On the exp1 and exp2 pipes the two paths agree within
+4e-15 relative (the tests hold 1e-10). Where they differ more, on systems
+of several hundred unknowns from simulated IRMs, the per-point normal
+equations are the ones off: the factorisation stays within 6e-14 of a QR
+least-squares solve of the stacked system.
 """
 
 from __future__ import annotations
@@ -69,11 +71,8 @@ from .irm import SampledIRM
 
 __all__ = [
     "ReconConfig",
-    "BCSystem",
     "VolumeProfile",
     "AreaProfile",
-    "control_matrix",
-    "assemble_system",
     "solve_boundary_flows",
     "volume",
     "volume_profile",
@@ -116,15 +115,6 @@ class ReconConfig:
         return math.floor(self.tau / self.dt)
 
 
-@dataclass
-class BCSystem:
-    """Control system for one reconstruction point: the shared matrix and this point's mask."""
-
-    matrix: np.ndarray        # (N*M, N*M) unmasked, row blocks by receiver, column blocks by source
-    active: np.ndarray        # (N, M) bool, per (leaf, sample)
-    leaves: tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class VolumeProfile:
     pipe: str
@@ -152,8 +142,13 @@ def _active(f_vec: np.ndarray, cfg: ReconConfig) -> np.ndarray:
     return s_times - (cfg.tau - f_vec[..., None]) > cfg.tol
 
 
-def control_matrix(irm: SampledIRM, cfg: ReconConfig, net: Network) -> np.ndarray:
-    """The unmasked control matrix, the same for every point solved with ``cfg``."""
+def _s_matrix(irm: SampledIRM, cfg: ReconConfig, net: Network, idx: np.ndarray):
+    """S = diag(nu) H on the flat samples ``idx`` (leaf * M + l - 1), in that order, and nu on them.
+
+    Entries are gathered straight from the kernels, ``_BLOCK`` columns at a
+    time, so no temporary outgrows (n, ``_BLOCK``) and no sample outside
+    ``idx`` is touched.
+    """
     if abs(irm.dt - cfg.dt) > cfg.tol:
         raise GridMismatch(f"IRM dt {irm.dt} does not match configured dt {cfg.dt}")
     m = cfg.samples_per_leaf
@@ -161,62 +156,62 @@ def control_matrix(irm: SampledIRM, cfg: ReconConfig, net: Network) -> np.ndarra
         raise HorizonTooShort(
             f"kernels have {irm.n_samples} samples, need {2 * m} to span 2*tau"
         )
-    n = len(irm.leaves)
-    lv = np.arange(1, m + 1)
-    idx_diff = np.abs(lv[:, None] - lv[None, :])
-    idx_rev = 2 * m + 1 - lv[:, None] - lv[None, :]
-    nu = np.array([net.leaf_nu(leaf) for leaf in irm.leaves], dtype=float)
-
-    matrix = np.empty((n * m, n * m))
-    for j in range(n):
-        for i in range(n):
-            kernel = irm.k[i, j]
-            block = 0.5 * cfg.dt * nu[i] * (kernel[idx_diff] + kernel[idx_rev])
-            matrix[j * m : (j + 1) * m, i * m : (i + 1) * m] = block
-    areas = np.array([net.leaf_area(leaf) for leaf in irm.leaves])
-    matrix[np.diag_indices(n * m)] += np.repeat(nu * net.wave_speed / (areas * net.gravity), m)
-    return matrix
-
-
-def assemble_system(
-    irm: SampledIRM, f: ActionTimes, cfg: ReconConfig, net: Network, matrix: np.ndarray | None = None
-) -> BCSystem:
-    """The system for the point with action times ``f`` on ``matrix`` (built when not given)."""
-    if matrix is None:
-        matrix = control_matrix(irm, cfg, net)
-    f_vec = f.as_vector(irm.leaves)
-    if float(f_vec.max(initial=0.0)) - cfg.tau > cfg.tol:
-        raise ActionTimeExceedsTau(
-            f"max action time {f_vec.max():.6g}s exceeds tau = {cfg.tau}s at {f.cut_point}"
-        )
-    return BCSystem(matrix, _active(f_vec, cfg), irm.leaves)
+    leaf, lv = np.divmod(idx, m)
+    lv += 1
+    nus = np.array([net.leaf_nu(x) for x in irm.leaves], dtype=float)
+    areas = np.array([net.leaf_area(x) for x in irm.leaves])
+    nu = nus[leaf]
+    coef = 0.5 * cfg.dt * nu
+    direct = (nus * net.wave_speed / (areas * net.gravity))[leaf]
+    row_leaf, row_l = leaf[:, None], lv[:, None]
+    s = np.empty((idx.size, idx.size))
+    for c0 in range(0, idx.size, _BLOCK):
+        c = slice(c0, min(c0 + _BLOCK, idx.size))
+        # column c is source leaf[c] at sample lv[c], row r receiver leaf[r] at sample lv[r]
+        k_diff = irm.k[leaf[c], row_leaf, np.abs(row_l - lv[c])]
+        k_rev = irm.k[leaf[c], row_leaf, 2 * m + 1 - row_l - lv[c]]
+        block = coef[c] * (k_diff + k_rev)
+        block[np.arange(c.start, c.stop), np.arange(c.stop - c.start)] += direct[c]
+        s[:, c] = block * nu[:, None]
+    return s, nu
 
 
-def solve_boundary_flows(sys: BCSystem, lam: float) -> dict[str, np.ndarray]:
-    """Solve for a unit head on the active samples; inactive samples come back exactly zero.
+def _solve_point(s: np.ndarray, nu: np.ndarray, lam: float) -> np.ndarray:
+    """q minimising ||S q - nu||^2 + lam ||q||^2, by normal equations, or at lam = 0 by rank-checked least squares.
+
+    With |nu| = 1 this is ||H q - 1||^2 for the point's control matrix H.
+    """
+    _check_lambda(lam)
+    if lam > 0:
+        normal = s.T @ s
+        normal[np.diag_indices(nu.size)] += lam
+        try:
+            return np.linalg.solve(normal, s.T @ nu)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"normal equations singular with lambda = {lam}: {exc}") from exc
+    sol, _, rank, _ = np.linalg.lstsq(s, nu, rcond=None)
+    if rank < nu.size:
+        raise SingularSystem(f"restricted matrix rank {rank} < {nu.size} with lambda = 0")
+    return sol
+
+
+def solve_boundary_flows(irm: SampledIRM, f: ActionTimes, cfg: ReconConfig, net: Network) -> dict[str, np.ndarray]:
+    """Solve for a unit head at the point with action times ``f``; inactive samples come back exactly zero.
 
     Returns the boundary flow series Q_p(t, x_i) per leaf on the grid
     t = dt..M*dt.
     """
-    _check_lambda(lam)
-    idx = np.flatnonzero(sys.active)
-    q = np.zeros(sys.matrix.shape[0])
-    if idx.size:
-        restricted = sys.matrix[np.ix_(idx, idx)]
-        b = np.ones(idx.size)
-        if lam > 0:
-            normal = restricted.T @ restricted
-            normal[np.diag_indices(idx.size)] += lam
-            try:
-                q[idx] = np.linalg.solve(normal, restricted.T @ b)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystem(f"normal equations singular with lambda = {lam}: {exc}") from exc
-        else:
-            sol, _, rank, _ = np.linalg.lstsq(restricted, b, rcond=None)
-            if rank < idx.size:
-                raise SingularSystem(f"restricted matrix rank {rank} < {idx.size} with lambda = 0")
-            q[idx] = sol
-    return dict(zip(sys.leaves, q.reshape(sys.active.shape)))
+    f_vec = f.as_vector(irm.leaves)
+    active = _active(f_vec, cfg)
+    idx = np.flatnonzero(active)
+    s, nu = _s_matrix(irm, cfg, net, idx)
+    if float(f_vec.max(initial=0.0)) - cfg.tau > cfg.tol:
+        raise ActionTimeExceedsTau(
+            f"max action time {f_vec.max():.6g}s exceeds tau = {cfg.tau}s at {f.cut_point}"
+        )
+    q = np.zeros(active.size)
+    q[idx] = _solve_point(s, nu, cfg.lam)
+    return dict(zip(irm.leaves, q.reshape(active.shape)))
 
 
 def volume(flows: dict[str, np.ndarray], cfg: ReconConfig, net: Network) -> float:
@@ -304,33 +299,22 @@ def _back_substitute(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _s_columns(matrix: np.ndarray, idx: np.ndarray, nu: np.ndarray):
-    """S = diag(nu) H on the samples ``idx`` (``nu`` already on them), as (column slice, block) pairs.
-
-    Blocks of ``_BLOCK`` columns keep the temporaries small next to the
-    (n, n + 1) complex buffer.
-    """
-    for c0 in range(0, idx.size, _BLOCK):
-        cols = idx[c0 : c0 + _BLOCK]
-        yield slice(c0, c0 + cols.size), matrix[np.ix_(idx, cols)] * nu[:, None]
-
-
-def _asymmetry(matrix: np.ndarray, idx: np.ndarray, nu: np.ndarray) -> float:
-    """max|S - S^T| / max|S| for S = diag(nu) H on the samples ``idx``."""
+def _asymmetry(s: np.ndarray) -> float:
+    """max|S - S^T| / max|S|, ``_BLOCK`` columns at a time."""
     dev = scale = 0.0
-    for cols, block in _s_columns(matrix, idx, nu):
-        rows = matrix[np.ix_(idx[cols], idx)] * nu[cols, None]
-        dev = max(dev, np.abs(block - rows.T).max())
-        scale = max(scale, np.abs(block).max())
+    for c0 in range(0, len(s), _BLOCK):
+        c = slice(c0, c0 + _BLOCK)
+        dev = max(dev, np.abs(s[:, c] - s[c].T).max())
+        scale = max(scale, np.abs(s[:, c]).max())
     return dev / scale if scale else 0.0
 
 
-def _system(matrix: np.ndarray, idx: np.ndarray, nu: np.ndarray, mu: float) -> np.ndarray:
-    """[S - i mu I | nu] for S = diag(nu) H on the samples ``idx``, as one complex (n, n + 1) buffer."""
-    n = idx.size
-    a = np.empty((n, n + 1), dtype=complex)
-    for cols, block in _s_columns(matrix, idx, nu):
-        a[:, cols] = block
+def _system(s: np.ndarray, nu: np.ndarray, mu: float, a: np.ndarray | None = None) -> np.ndarray:
+    """[S - i mu I | nu] as one complex (n, n + 1) buffer, written into ``a`` when given."""
+    n = nu.size
+    if a is None:
+        a = np.empty((n, n + 1), dtype=complex)
+    a[:, :n] = s
     a[np.diag_indices(n)] -= 1j * mu
     a[:, n] = nu
     return a
@@ -370,54 +354,50 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
 
     Points start dx from the pipe end away from x0 and run towards x0,
     stopping at the pipe end or where the action times would exceed tau.
-    Every point's volume is a prefix sum of one LDL^T of the largest
-    point's system (see the module docstring). The per-point solve on the
-    shared control matrix runs instead where lambda = 0 (its rank-checked
-    least squares refuses a singular system), where the active sets do not
-    nest, where the reciprocity deviation exceeds ``RECIPROCITY_TOL``
-    (1e-9), or where, at the largest point, the relative residual of the
-    factored solve or its relative distance to a pivoted direct solve of
-    the same system exceeds ``STABILITY_TOL`` (1e-10). ``solver`` on the
-    result names the path that ran, and ``reciprocity`` holds the
-    deviation.
+    One matrix S serves the whole profile (see the module docstring):
+    every point's volume is a prefix sum of one LDL^T of it. Each point is
+    solved on its leading block of S instead where lambda = 0 (the
+    rank-checked least squares refuses a singular system), where the
+    reciprocity deviation exceeds ``RECIPROCITY_TOL`` (1e-9), or where, at
+    the largest point, the relative residual of the factored solve or its
+    relative distance to a pivoted direct solve of the same system exceeds
+    ``STABILITY_TOL`` (1e-10). ``solver`` on the result names the path
+    that ran, and ``reciprocity`` holds the deviation.
     """
     fs, positions = _profile_points(net, pipe_id, cfg)
-    matrix = control_matrix(irm, cfg, net)
-    if not fs:  # the pipe is shorter than dx
+    if not fs:  # the pipe is shorter than dx; the grid is checked all the same
+        _s_matrix(irm, cfg, net, np.empty(0, dtype=int))
         return VolumeProfile(pipe_id, np.empty(0), np.empty(0))
-    active = _active(np.array([f.as_vector(irm.leaves) for f in fs]), cfg)
-    flat = active.reshape(len(fs), -1)
-    # the samples any point uses, in the order the points take them up
+    # the samples any point uses, in the order the points take them up: no
+    # action time falls towards x0, so point k uses the first counts[k]
+    flat = _active(np.array([f.as_vector(irm.leaves) for f in fs]), cfg).reshape(len(fs), -1)
     idx = np.flatnonzero(flat.any(axis=0))
-    idx = idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")]
-    nu = np.repeat([net.leaf_nu(leaf) for leaf in irm.leaves], cfg.samples_per_leaf)[idx]
-    reciprocity = _asymmetry(matrix, idx, nu)
+    idx, counts = idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")], flat.sum(axis=1)
+    s, nu = _s_matrix(irm, cfg, net, idx)
+    reciprocity = _asymmetry(s)
+    scale = net.wave_speed**2 * cfg.dt / net.gravity
 
     volumes = None
     if cfg.lam == 0:
         solver = "per-point: lambda = 0"
-    elif not (flat[:-1] <= flat[1:]).all():
-        solver = "per-point: active sets do not nest"
     elif reciprocity > RECIPROCITY_TOL:
         solver = f"per-point: reciprocity deviation {reciprocity:.3g} > {RECIPROCITY_TOL:g}"
     else:
-        mu, scale = math.sqrt(cfg.lam), net.wave_speed**2 * cfg.dt / net.gravity
-        a = _system(matrix, idx, nu, mu)
-        volumes, x = _layer_stripped(a, flat.sum(axis=1), scale)
-        del a
-        # the check rebuilds the system; the control matrix goes first to
-        # leave room for the copy the pivoted solve makes
-        a = _system(matrix, idx, nu, mu)
-        del matrix
+        mu = math.sqrt(cfg.lam)
+        a = _system(s, nu, mu)
+        volumes, x = _layer_stripped(a, counts, scale)
+        # the check needs the system the factorisation overwrote; S goes to
+        # leave room for the copy the pivoted solve makes, as a.real holds it
+        _system(s, nu, mu, a)
+        del s
         if _stable(a, x, volumes[-1], scale):
             solver = "layer-stripping"
         else:
             volumes, solver = None, "per-point: stability check failed"
-            matrix = control_matrix(irm, cfg, net)
+            s = a[:, :-1].real.copy()
         del a
     if volumes is None:
-        systems = (assemble_system(irm, f, cfg, net, matrix) for f in fs)
-        volumes = [volume(solve_boundary_flows(sys, cfg.lam), cfg, net) for sys in systems]
+        volumes = [scale * float(nu[:c] @ _solve_point(s[:c, :c], nu[:c], cfg.lam)) for c in counts]
     return VolumeProfile(pipe_id, np.asarray(positions), np.asarray(volumes), solver, reciprocity)
 
 

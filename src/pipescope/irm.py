@@ -350,9 +350,10 @@ def save_irm(irm: SampledIRM, path) -> None:
 def load_irm(path) -> SampledIRM:
     """Read an IRM file written by ``save_irm``.
 
-    The header's ``leaves`` must be a list of strings, and every kernel
-    sample of its N x N x n grid must appear in exactly one row with a
-    finite value; anything else raises OutOfRange. Other header keys, such
+    The header's ``leaves`` must be a list of strings, ``n`` a JSON integer
+    >= 0 and ``horizon`` finite and >= 0, and every kernel sample of its
+    N x N x n grid must appear in exactly one row with a finite value;
+    anything else raises OutOfRange. Other header keys, such
     as the ``direct`` coefficients older files carry, are ignored. Rows
     are parsed a block at a time: one split, then one array per column.
     """
@@ -364,16 +365,17 @@ def load_irm(path) -> SampledIRM:
             raise OutOfRange(f"{path}: not a text file: {exc}") from exc
     try:
         header = json.loads(header_line)
-        leaves = header["leaves"]
-        n_samples = int(header["n"])
+        leaves, n_samples = header["leaves"], header["n"]
         dt = float(header["dt"])
         horizon = float(header["horizon"])
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise OutOfRange(f"{path}: unreadable IRM header: {exc}") from exc
     if not (isinstance(leaves, list) and all(isinstance(leaf, str) for leaf in leaves)):
         raise OutOfRange(f"{path}: header leaves {leaves!r} is not a list of strings")
-    if not (dt > 0 and n_samples >= 0):
-        raise OutOfRange(f"{path}: header dt = {dt} is not positive or n = {n_samples} is negative")
+    if type(n_samples) is not int or n_samples < 0:
+        raise OutOfRange(f"{path}: header n = {n_samples!r} is not an integer, or is negative")
+    if not (dt > 0 and 0 <= horizon < math.inf):
+        raise OutOfRange(f"{path}: header dt = {dt} is not positive or horizon = {horizon} is not finite and >= 0")
     if columns.strip() != "i,j,t,k":
         raise OutOfRange(f"{path}: missing i,j,t,k column header")
     n = len(leaves)

@@ -271,7 +271,8 @@ def test_plot_empty_csv_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row", ["P,abc,1", "P,1", "P,nan,1", "P,1,inf"], ids=["not-a-number", "short-row", "nan-x", "inf-y"]
+    "row", ["P,abc,1", "P,1", "P,nan,1", "P,1,inf", "Q,1.0,1.0"],
+    ids=["not-a-number", "short-row", "nan-x", "inf-y", "second-pipe"],
 )
 def test_plot_bad_csv_row_exit_2(tmp_path, capsys, row):
     bad = tmp_path / "bad.csv"
@@ -490,6 +491,17 @@ def test_reconstruct_unknown_pipe_exit_2(tmp_path, exp1_irm_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "unknown pipe id(s): XX" in err and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("pipes", [",", ",,"])
+def test_reconstruct_empty_pipe_list_exit_2(tmp_path, exp1_irm_path, capsys, pipes):
+    capsys.readouterr()
+    code = run(["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--pipes", pipes, "--lambda", "1e-5",
+                "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "names no pipe" in err and err.count("\n") == 1
     assert not (tmp_path / "r").exists()
 
 

@@ -1,19 +1,18 @@
 """Boundary-control system assembly, solve, volumes, area profiles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pipescope import (
-    BCSystem,
     PointOnPipe,
     ReconConfig,
     SampledIRM,
     SimConfig,
     action_times,
     area_profile,
-    assemble_system,
     measure_irm,
     oracle_irm,
     sample_irm,
@@ -30,7 +29,7 @@ from pipescope.errors import (
     TooFewPoints,
 )
 import pipescope.inversion as inversion
-from pipescope.inversion import VolumeProfile, _profile_points, control_matrix
+from pipescope.inversion import VolumeProfile, _active, _profile_points, _s_matrix, _solve_point
 
 
 @pytest.fixture(scope="module")
@@ -94,17 +93,19 @@ def zero_irm(net, dt, horizon):
 
 
 def per_point_volumes(net, irm, pipe, cfg):
-    """Reference: one assembled system and one solve per point, as the per-point path does."""
+    """Reference: one system built and solved per point, through the single-point API."""
     fs, _ = _profile_points(net, pipe, cfg)
-    matrix = control_matrix(irm, cfg, net)
-    systems = (assemble_system(irm, f, cfg, net, matrix) for f in fs)
-    return np.array([volume(solve_boundary_flows(sys, cfg.lam), cfg, net) for sys in systems])
+    return np.array([volume(solve_boundary_flows(irm, f, cfg, net), cfg, net) for f in fs])
 
 
 def point_volume(net, irm, point, cfg):
-    """V(p) for one point, on a control matrix built just for it."""
-    sys = assemble_system(irm, action_times(net, point, endpoint_ok=True), cfg, net)
-    return volume(solve_boundary_flows(sys, cfg.lam), cfg, net)
+    """V(p) for one point, on a system built just for it."""
+    return volume(solve_boundary_flows(irm, action_times(net, point, endpoint_ok=True), cfg, net), cfg, net)
+
+
+def active_mask(irm, f, cfg):
+    """(N, M) mask of the samples the point with action times ``f`` uses."""
+    return _active(f.as_vector(irm.leaves), cfg)
 
 
 EXP1_CFG = dict(tau=0.8, dt=0.01, dx=10.0)
@@ -113,68 +114,65 @@ EXP1_CFG = dict(tau=0.8, dt=0.01, dx=10.0)
 # -- assembly -----------------------------------------------------------------
 
 
-def test_exp1_system_dimensions(exp1_net, exp1_irm):
-    f = action_times(exp1_net, PointOnPipe("DC", 100.0))
-    cfg = ReconConfig(**EXP1_CFG)
-    sys = assemble_system(exp1_irm, f, cfg, exp1_net)
-    assert cfg.samples_per_leaf == 80
-    assert sys.matrix.shape == (160, 160)
-    assert sys.active.shape == (2, 80)
-
-
 def test_single_active_leaf_zeroes_other_blocks(exp1_net, exp1_irm):
     # p on AD: only f(A) > 0, all B-columns and B-rows drop out
     f = action_times(exp1_net, PointOnPipe("AD", 200.0))
-    sys = assemble_system(exp1_irm, f, ReconConfig(**EXP1_CFG), exp1_net)
-    m = sys.active.shape[1]
-    assert not sys.active[1].any()
-    # the restricted system holds no B row or column, so no B-involved
-    # kernel entry and no right-hand side entry reaches the solve, and the
-    # B flows come back exactly zero
-    assert np.flatnonzero(sys.active).max() < m
+    cfg = ReconConfig(**EXP1_CFG)
+    active = active_mask(exp1_irm, f, cfg)
+    assert not active[1].any()
+    # the system holds no B row or column, so no B-involved kernel entry
+    # and no right-hand side entry reaches the solve, and the B flows come
+    # back exactly zero
     for lam in (0.0, 1e-5):
-        assert np.all(solve_boundary_flows(sys, lam)["B"] == 0.0)
+        assert np.all(solve_boundary_flows(exp1_irm, f, replace(cfg, lam=lam), exp1_net)["B"] == 0.0)
 
 
 @pytest.mark.parametrize(
-    "preset, pipe, offset, tau, dt",
+    "case, pipe, offset, tau, dt",
     [
         ("exp1", "DC", 100.0, 0.8, 0.01),
         ("exp1", "AD", 200.0, 0.8, 0.01),
         ("exp1", "BD", 150.0, 0.8, 0.01),
         ("exp2", "ED", 250.0, 0.9, 0.007),
         ("exp2", "BE", 100.0, 0.9, 0.007),
+        ("tree6", "J1X", 60.0, 0.5, 0.01),
+        ("tree6", "J5J3", 30.0, 0.5, 0.01),
+        ("reversed_exp1", "DA", 200.0, 0.8, 0.01),
+        ("reversed_exp1", "CD", 900.0, 0.8, 0.01),
     ],
 )
-def test_restricted_matrix_matches_masked_build(request, preset, pipe, offset, tau, dt):
-    # the shared matrix differs from the per-point masked one only in the
-    # rows and columns the restriction drops
-    net = request.getfixturevalue(f"{preset}_net")
-    irm = request.getfixturevalue(f"{preset}_irm")
+def test_restricted_matrix_matches_masked_build(request, case, pipe, offset, tau, dt):
+    # S built on the point's samples, in the order its pipe's profile takes
+    # them up, is diag(nu) times the per-point masked build, entry for entry
+    net, irm = _net_irm(request, case)
     cfg = ReconConfig(tau=tau, dt=dt, dx=10.0)
-    f = action_times(net, PointOnPipe(pipe, offset))
-    sys = assemble_system(irm, f, cfg, net)
-    matrix, rhs, active = masked_system(irm, f, cfg, net)
-    idx = np.flatnonzero(active)
-    assert 0 < idx.size < active.size
-    assert np.array_equal(sys.active, active)
-    assert np.array_equal(np.where(sys.active.ravel(), 1.0, 0.0), rhs)
-    assert np.array_equal(sys.matrix[np.ix_(idx, idx)], matrix[np.ix_(idx, idx)])
+    matrix, rhs, active = masked_system(irm, action_times(net, PointOnPipe(pipe, offset)), cfg, net)
+    assert active.shape == (len(irm.leaves), cfg.samples_per_leaf)
+    fs, _ = _profile_points(net, pipe, cfg)
+    profile = _active(np.array([f.as_vector(irm.leaves) for f in fs]), cfg).reshape(len(fs), -1)
+    order = np.argsort(np.where(profile.any(axis=0), profile.argmax(axis=0), len(fs)), kind="stable")
+    idx = order[active.ravel()[order]]
+    assert 0 < idx.size == active.sum() < active.size
+    assert not np.array_equal(idx, np.sort(idx))  # the profile takes samples up out of flat order
+    s, nu = _s_matrix(irm, cfg, net, idx)
+    nu_all = np.repeat([net.leaf_nu(leaf) for leaf in irm.leaves], cfg.samples_per_leaf)
+    assert np.array_equal(nu, nu_all[idx]) and np.array_equal(rhs[idx], np.ones(idx.size))
+    assert np.array_equal(s, nu[:, None] * matrix[np.ix_(idx, idx)])
 
 
 def test_grid_mismatch_and_short_horizon(exp1_net, exp1_irm):
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
     with pytest.raises(GridMismatch):
-        assemble_system(exp1_irm, f, ReconConfig(tau=0.8, dt=0.02, dx=10.0), exp1_net)
+        solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.8, dt=0.02, dx=10.0), exp1_net)
     short = zero_irm(exp1_net, 0.01, 1.0)  # 101 samples < 2M = 160
     with pytest.raises(HorizonTooShort):
-        assemble_system(short, f, ReconConfig(**EXP1_CFG), exp1_net)
+        solve_boundary_flows(short, f, ReconConfig(**EXP1_CFG), exp1_net)
 
 
 def test_action_time_exceeds_tau(exp1_net, exp1_irm):
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))  # max f = 0.5
     with pytest.raises(ActionTimeExceedsTau):
-        assemble_system(exp1_irm, f, ReconConfig(tau=0.3, dt=0.01, dx=10.0), exp1_net)
+        solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.3, dt=0.01, dx=10.0), exp1_net)
 
 
 def test_restricted_system_near_symmetry(exp1_net, exp1_irm):
@@ -184,9 +182,7 @@ def test_restricted_system_near_symmetry(exp1_net, exp1_irm):
     # kernel magnitude (soft check; in practice it is exact here)
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
     cfg = ReconConfig(**EXP1_CFG)
-    sys = assemble_system(exp1_irm, f, cfg, exp1_net)
-    mask = sys.active.ravel()
-    restricted = sys.matrix[np.ix_(mask, mask)]
+    restricted, _ = _s_matrix(exp1_irm, cfg, exp1_net, np.flatnonzero(active_mask(exp1_irm, f, cfg)))
     bound = 2 * cfg.dt * np.abs(exp1_irm.k).max()
     assert np.abs(restricted - restricted.T).max() <= bound
 
@@ -198,10 +194,9 @@ def test_identity_limit_flat_flow(single_pipe_net):
     irm = zero_irm(single_pipe_net, 0.01, 1.61)
     cfg = ReconConfig(tau=0.8, dt=0.01, dx=10.0, lam=0.0)
     f = action_times(single_pipe_net, PointOnPipe("P", 300.0))
-    sys = assemble_system(irm, f, cfg, single_pipe_net)
-    flows = solve_boundary_flows(sys, cfg.lam)
+    flows = solve_boundary_flows(irm, f, cfg, single_pipe_net)
     expected = 1.0 * single_pipe_net.gravity / single_pipe_net.wave_speed
-    active = sys.active[0]
+    active = active_mask(irm, f, cfg)[0]
     assert np.abs(flows["L"][active] - expected).max() < 1e-10
     assert np.all(flows["L"][~active] == 0.0)
 
@@ -219,38 +214,34 @@ def test_identity_limit_uniform_area(single_pipe_net):
 def test_inactive_samples_exactly_zero(exp1_net, exp1_irm):
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
     f = action_times(exp1_net, PointOnPipe("DC", 150.0))
-    sys = assemble_system(exp1_irm, f, cfg, exp1_net)
-    flows = solve_boundary_flows(sys, cfg.lam)
-    for i, leaf in enumerate(sys.leaves):
-        assert np.all(flows[leaf][~sys.active[i]] == 0.0)
-        assert np.all(flows[leaf][sys.active[i]] != 0.0)
+    flows = solve_boundary_flows(exp1_irm, f, cfg, exp1_net)
+    active = active_mask(exp1_irm, f, cfg)
+    for i, leaf in enumerate(exp1_irm.leaves):
+        assert np.all(flows[leaf][~active[i]] == 0.0)
+        assert np.all(flows[leaf][active[i]] != 0.0)
 
 
 def test_tikhonov_large_lambda_kills_flow(exp1_net, exp1_irm):
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
-    sys = assemble_system(exp1_irm, f, ReconConfig(**EXP1_CFG), exp1_net)
-    small = solve_boundary_flows(sys, 1e-5)
-    huge = solve_boundary_flows(sys, 1e12)
+    small = solve_boundary_flows(exp1_irm, f, ReconConfig(**EXP1_CFG, lam=1e-5), exp1_net)
+    huge = solve_boundary_flows(exp1_irm, f, ReconConfig(**EXP1_CFG, lam=1e12), exp1_net)
     scale = max(np.abs(v).max() for v in small.values())
     assert max(np.abs(v).max() for v in huge.values()) < 1e-6 * scale
 
 
 def test_singular_system_raises():
-    matrix = np.array([[1.0, 1.0], [1.0, 1.0]])
-    sys = BCSystem(matrix=matrix, active=np.array([[True, True]]), leaves=("A",))
+    s = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularSystem):
-        solve_boundary_flows(sys, 0.0)
+        _solve_point(s, np.ones(2), 0.0)
     # with regularization the same system solves fine
-    flows = solve_boundary_flows(sys, 1e-3)
-    assert np.isfinite(flows["A"]).all()
+    assert np.isfinite(_solve_point(s, np.ones(2), 1e-3)).all()
 
 
 def test_singular_normal_equations_raise():
-    # lambda = 1e-5 is lost against H^T H entries of 2e20, which leaves the
+    # lambda = 1e-5 is lost against S^T S entries of 2e20, which leaves the
     # normal equations exactly singular
-    sys = BCSystem(matrix=1e10 * np.ones((2, 2)), active=np.array([[True, True]]), leaves=("A",))
     with pytest.raises(SingularSystem, match="normal equations"):
-        solve_boundary_flows(sys, 1e-5)
+        _solve_point(1e10 * np.ones((2, 2)), np.ones(2), 1e-5)
 
 
 # -- volumes ------------------------------------------------------------------
@@ -333,11 +324,10 @@ def test_marginal_point_singular_without_regularization(exp1_net, exp1_irm):
     # unregularized solve refuses while any positive weight proceeds
     cfg = ReconConfig(tau=0.41, dt=0.01, dx=10.0)
     f = action_times(exp1_net, PointOnPipe("DC", 10.0))
-    sys = assemble_system(exp1_irm, f, cfg, exp1_net)
     with pytest.raises(SingularSystem):
-        solve_boundary_flows(sys, 0.0)
-    flows = solve_boundary_flows(sys, 1e-5)
-    v = volume({k: v for k, v in flows.items()}, cfg, exp1_net)
+        solve_boundary_flows(exp1_irm, f, cfg, exp1_net)
+    flows = solve_boundary_flows(exp1_irm, f, replace(cfg, lam=1e-5), exp1_net)
+    v = volume(flows, cfg, exp1_net)
     assert v == pytest.approx(710.0, rel=1e-3)
 
 
@@ -380,13 +370,12 @@ def test_identity_limit_random_trees():
         tau = f.max_f + 0.1
         irm = zero_irm(net, dt, 2 * tau + 2 * dt)
         cfg = ReconConfig(tau=tau, dt=dt, dx=10.0, lam=0.0)
-        sys = assemble_system(irm, f, cfg, net)
-        flows = solve_boundary_flows(sys, 0.0)
+        flows = solve_boundary_flows(irm, f, cfg, net)
         v = volume(flows, cfg, net)
         expected_v = 0.0
         for i, leaf in enumerate(net.accessible):
             flat = net.leaf_nu(leaf) * net.leaf_area(leaf) * net.gravity / net.wave_speed
-            active = sys.active[i]
+            active = active_mask(irm, f, cfg)[i]
             assert np.abs(flows[leaf][active] - flat).max(initial=0.0) < 1e-10
             assert np.all(flows[leaf][~active] == 0.0)
             expected_v += net.wave_speed * net.leaf_area(leaf) * active.sum() * dt
@@ -395,26 +384,33 @@ def test_identity_limit_random_trees():
     run()
 
 
-def test_reversed_pipe_orientation(exp1_irm):
-    # same network with two pipes flipped: accessible leaf A now sits at
-    # x = length (nu = -1); kernels, volumes, and areas must not change
+# exp1 with two pipes flipped: accessible leaf A sits at x = length (nu = -1)
+REVERSED_EXP1 = {
+    "wave_speed": 1000.0,
+    "gravity": 9.81,
+    "vertices": ["A", "B", "C", "D"],
+    "pipes": [
+        {"id": "DA", "from": "D", "to": "A", "length": 400.0, "area": {"base": 1.0, "blocks": []}},
+        {"id": "BD", "from": "B", "to": "D", "length": 300.0, "area": {"base": 1.0, "blocks": []}},
+        {"id": "CD", "from": "C", "to": "D", "length": 1000.0, "area": {"base": 1.0, "blocks": []}},
+    ],
+    "x0": "C",
+    "accessible": ["A", "B"],
+}
+
+
+@pytest.fixture(scope="module")
+def reversed_exp1():
     from pipescope import validate_network
 
-    spec = {
-        "wave_speed": 1000.0,
-        "gravity": 9.81,
-        "vertices": ["A", "B", "C", "D"],
-        "pipes": [
-            {"id": "DA", "from": "D", "to": "A", "length": 400.0, "area": {"base": 1.0, "blocks": []}},
-            {"id": "BD", "from": "B", "to": "D", "length": 300.0, "area": {"base": 1.0, "blocks": []}},
-            {"id": "CD", "from": "C", "to": "D", "length": 1000.0, "area": {"base": 1.0, "blocks": []}},
-        ],
-        "x0": "C",
-        "accessible": ["A", "B"],
-    }
-    net = validate_network(spec)
+    net = validate_network(REVERSED_EXP1)
+    return net, sample_irm(oracle_irm(net, horizon=1.61), dt=0.01)
+
+
+def test_reversed_pipe_orientation(exp1_irm, reversed_exp1):
+    # kernels, volumes, and areas must not change with the orientation
+    net, irm = reversed_exp1
     assert net.leaf_nu("A") == -1
-    irm = sample_irm(oracle_irm(net, horizon=1.61), dt=0.01)
     assert np.array_equal(irm.k, exp1_irm.k)
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
     for pid in ("DA", "BD", "CD"):
@@ -460,13 +456,18 @@ def tree6():
     return net, sample_irm(oracle_irm(net, horizon=1.01, prune_eps=0.0), dt=0.01)
 
 
+def _net_irm(request, case):
+    """Network and IRM of a test case: exp1, exp2, tree6 or reversed_exp1."""
+    if case in ("tree6", "reversed_exp1"):
+        return request.getfixturevalue(case)
+    return request.getfixturevalue(f"{case}_net"), request.getfixturevalue(f"{case}_irm")
+
+
 def _profile_case(request, case, lam):
     """Network, IRM and config of one of the three test networks."""
+    net, irm = _net_irm(request, case)
     if case == "tree6":
-        net, irm = request.getfixturevalue("tree6")
         return net, irm, ReconConfig(**TREE6_CFG, lam=lam)
-    net = request.getfixturevalue(f"{case}_net")
-    irm = request.getfixturevalue(f"{case}_irm")
     tau, dx = (0.8, 10.0) if case == "exp1" else (0.9, 7.0)
     return net, irm, ReconConfig(tau=tau, dt=irm.dt, dx=dx, lam=lam)
 
@@ -494,7 +495,7 @@ def test_tree6_profiles_reach_many_unknowns(tree6):
     net, irm = tree6
     cfg = ReconConfig(**TREE6_CFG, lam=1e-5)
     fs, _ = _profile_points(net, "J1X", cfg)
-    active = assemble_system(irm, fs[-1], cfg, net).active
+    active = active_mask(irm, fs[-1], cfg)
     assert active.any(axis=1).all() and active.sum() > 2 * inversion._BLOCK
 
 
@@ -564,16 +565,6 @@ def test_fallback_on_nonreciprocal_irm(exp1_net, exp1_irm):
     _assert_matches_reference(exp1_net, irm, "DC", cfg, vp)
 
 
-def test_fallback_when_active_sets_do_not_nest(exp1_net, exp1_irm, monkeypatch):
-    # the same points from x0 outwards: each active set holds the next one's
-    cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
-    fs, positions = _profile_points(exp1_net, "DC", cfg)
-    monkeypatch.setattr(inversion, "_profile_points", lambda *args: (fs[::-1], positions[::-1]))
-    vp = volume_profile(exp1_net, exp1_irm, "DC", cfg)
-    assert vp.solver == "per-point: active sets do not nest"
-    _assert_matches_reference(exp1_net, exp1_irm, "DC", cfg, vp, [f.cut_point for f in fs[::-1]])
-
-
 def test_fallback_when_factorisation_is_inaccurate(exp1_net, exp1_irm, monkeypatch):
     # pivots off by 1e-8 relative leave a residual far above STABILITY_TOL
     ldlt = inversion._ldlt
@@ -598,11 +589,12 @@ def test_recon_config_out_of_range(field, value):
 
 @pytest.mark.parametrize("lam", [math.nan, -1.0, math.inf])
 def test_solve_refuses_bad_lambda(lam):
-    sys = BCSystem(matrix=np.eye(2), active=np.array([[True, True]]), leaves=("A",))
     with pytest.raises(OutOfRange):
-        solve_boundary_flows(sys, lam)
+        _solve_point(np.eye(2), np.ones(2), lam)
 
 
 def test_pipe_shorter_than_dx_gives_empty_profile(exp1_net, exp1_irm):
     vp = volume_profile(exp1_net, exp1_irm, "BD", ReconConfig(tau=0.8, dt=0.01, dx=500.0, lam=1e-5))
     assert vp.positions.size == vp.volumes.size == 0
+    with pytest.raises(GridMismatch):  # no point fits, but the grid is still checked
+        volume_profile(exp1_net, exp1_irm, "BD", ReconConfig(tau=0.8, dt=0.02, dx=500.0, lam=1e-5))

@@ -522,6 +522,22 @@ def test_load_irm_rejects_infinite_header_count(exp1_net, tmp_path):
         load_irm(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", 162.5), ("n", 162.0), ("n", "162"), ("n", True), ("horizon", math.nan), ("horizon", math.inf),
+     ("horizon", -5.0)],
+)
+def test_load_irm_rejects_malformed_header_count_or_horizon(exp1_net, tmp_path, key, value):
+    # n = 162.5 used to be cut to the file's 162 samples, and a NaN or negative horizon went through
+    path, lines = _saved_exp1_irm(exp1_net, tmp_path)
+    header = json.loads(lines[0])
+    assert header["n"] == 162
+    header[key] = value
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(OutOfRange, match=f"header {key}|horizon"):
+        load_irm(path)
+
+
 def _small_irm_lines():
     """The lines of a small valid IRM file: exp1, 2 x 2 kernels of 6 samples."""
     irm = sample_irm(oracle_irm(validate_network(EXP1_NETWORK), horizon=0.75), dt=0.15)
@@ -579,15 +595,18 @@ def _reference_load_irm(path):
         try:
             header = json.loads(fh.readline())
             leaves = header["leaves"]
-            n_samples = int(header["n"])
+            n_samples = header["n"]
             dt = float(header["dt"])
             horizon = float(header["horizon"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise OutOfRange(f"{path}: unreadable IRM header: {exc}") from exc
         if not (isinstance(leaves, list) and all(isinstance(leaf, str) for leaf in leaves)):
             raise OutOfRange(f"{path}: header leaves {leaves!r} is not a list of strings")
-        if not dt > 0:
-            raise OutOfRange(f"{path}: header dt = {dt} is not positive")
+        # the header rule of load_irm: n a JSON integer >= 0, horizon finite and >= 0
+        if not (isinstance(n_samples, int) and not isinstance(n_samples, bool) and n_samples >= 0):
+            raise OutOfRange(f"{path}: header n = {n_samples!r} is not an integer, or is negative")
+        if not (dt > 0 and math.isfinite(horizon) and horizon >= 0):
+            raise OutOfRange(f"{path}: header dt = {dt} is not positive or horizon = {horizon} is not finite")
         if fh.readline().strip() != "i,j,t,k":
             raise OutOfRange(f"{path}: missing i,j,t,k column header")
         rows = [line.strip() for line in fh if line.strip()]
