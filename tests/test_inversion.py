@@ -127,6 +127,18 @@ def test_single_active_leaf_zeroes_other_blocks(exp1_net, exp1_irm):
         assert np.all(solve_boundary_flows(exp1_irm, f, replace(cfg, lam=lam), exp1_net)["B"] == 0.0)
 
 
+def test_exp1_system_dimensions(exp1_net, exp1_irm):
+    f = action_times(exp1_net, PointOnPipe("DC", 100.0))
+    cfg = ReconConfig(**EXP1_CFG)
+    matrix, rhs, active = masked_system(exp1_irm, f, cfg, exp1_net)
+    assert cfg.samples_per_leaf == 80
+    assert matrix.shape == (160, 160) and rhs.shape == (160,)
+    assert active.shape == (2, 80)
+    idx = np.flatnonzero(active.ravel())
+    s, nu = _s_matrix(exp1_irm, cfg, exp1_net, idx)
+    assert s.shape == (idx.size, idx.size) and nu.shape == (idx.size,)
+
+
 @pytest.mark.parametrize(
     "case, pipe, offset, tau, dt",
     [
