@@ -313,14 +313,13 @@ def measure_irm(
         t_hist = hist.t
         rows[source] = irm_row_from_step_response(hist.t, hist.boundary, smooth_window_s)
 
-    if resample_dt is None:
-        t_out = t_hist
-        dt_out = float(t_hist[1] - t_hist[0])
-    else:
-        dt_out = resample_dt
-        t_out = np.arange(grid_size(float(t_hist[-1]), dt_out)) * dt_out
+    dt_out = float(t_hist[1] - t_hist[0]) if resample_dt is None else resample_dt
+    try:
+        t_out = t_hist if resample_dt is None else np.arange(grid_size(float(t_hist[-1]), dt_out)) * dt_out
+        k = np.zeros((n, n, len(t_out)))
+    except (MemoryError, ValueError, OverflowError) as exc:  # a sample count numpy cannot allocate or represent
+        raise OutOfRange(f"resampling dt {dt_out} gives more kernel samples than fit in memory: {exc}") from exc
 
-    k = np.zeros((n, n, len(t_out)))
     for i, source in enumerate(net.accessible):
         for j, receiver in enumerate(net.accessible):
             series = rows[source][receiver]
@@ -350,10 +349,10 @@ def save_irm(irm: SampledIRM, path) -> None:
 def load_irm(path) -> SampledIRM:
     """Read an IRM file written by ``save_irm``.
 
-    The header's ``leaves`` must be a list of strings, ``n`` a JSON integer
-    >= 0 and ``horizon`` finite and >= 0, and every kernel sample of its
-    N x N x n grid must appear in exactly one row with a finite value;
-    anything else raises OutOfRange. Other header keys, such
+    The header's ``leaves`` must be a non-empty list of strings, ``n`` a
+    JSON integer >= 0 and ``horizon`` finite and >= 0, and every kernel
+    sample of its N x N x n grid must appear in exactly one row with a
+    finite value; anything else raises OutOfRange. Other header keys, such
     as the ``direct`` coefficients older files carry, are ignored. Rows
     are parsed a block at a time: one split, then one array per column.
     """
@@ -374,6 +373,8 @@ def load_irm(path) -> SampledIRM:
         raise OutOfRange(f"{path}: header leaves {leaves!r} is not a list of strings")
     if type(n_samples) is not int or n_samples < 0:
         raise OutOfRange(f"{path}: header n = {n_samples!r} is not an integer, or is negative")
+    if not leaves:  # with a leaf, the row count below bounds n before the N x N x n grid is allocated
+        raise OutOfRange(f"{path}: header lists no leaves, so no kernel row bounds its n = {n_samples}")
     if not (dt > 0 and 0 <= horizon < math.inf):
         raise OutOfRange(f"{path}: header dt = {dt} is not positive or horizon = {horizon} is not finite and >= 0")
     if columns.strip() != "i,j,t,k":

@@ -27,16 +27,27 @@ s_v is the prescribed inflow at driven accessible leaves and zero
 elsewhere: x0 and undriven leaves are closed ends (Q = 0), the simplest
 member of the class of inactive boundary conditions the model allows, and
 flow balances at junctions to round-off by construction.
+
+The step needs no gather over cells. Every gap between consecutive nodes
+of the node array is a cell: a pipe's own cell, or between two pipes a
+dummy cell with Courant ratio 0 and B = 1. So C+ and C- of all cells
+come from shifted slices of the node vectors, and the interior rule
+updates every node but the first and last by slices. A dummy cell's
+values reach only the pipe-end nodes beside it, and the vertex rule
+overwrites those in the same step, from C values taken out of one
+[C+; C-] buffer. Each step writes into buffers made once per run; only
+the vertex rule's per-vertex sums are a new array.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedSeriesLength, UnstableConfig
+from .errors import MismatchedSeriesLength, OutOfRange, UnstableConfig
 from .graph import Network
 
 __all__ = [
@@ -92,30 +103,44 @@ class Histories:
 
 def step_inflow(net: Network, cfg: SimConfig, leaf: str) -> dict[str, np.ndarray]:
     """Ideal unit step: value 1 from t = 0 on, at one leaf."""
-    n_steps = _step_count(cfg.duration, _time_step(net, cfg))
-    return {leaf: np.ones(n_steps + 1)}
+    cells, _, n_steps = _run_size(net, cfg)
+    with _allocating(cells, n_steps):
+        return {leaf: np.ones(n_steps + 1)}
 
 
-def _pipe_grids(net: Network, cfg: SimConfig) -> dict[str, _PipeGrid]:
+def _run_size(net: Network, cfg: SimConfig) -> tuple[list[int], float, int]:
+    """Cells per pipe (in pipe order), time step and step count of a run.
+
+    The smallest cell sets the time step. A dx or Courant number so small
+    that a count is not finite, or the time step is 0, raises OutOfRange.
+    """
+    try:
+        cells = [max(1, round(p.length / cfg.dx)) for p in net.pipes.values()]
+        min_dx = min(p.length / n for p, n in zip(net.pipes.values(), cells))
+        dt = cfg.courant * min_dx / net.wave_speed
+        return cells, dt, int(cfg.duration / dt + 1e-6)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise OutOfRange(f"dx {cfg.dx} and courant {cfg.courant} give no finite cell or step count: {exc}") from exc
+
+
+@contextmanager
+def _allocating(cells: list[int], n_steps: int):
+    """Turn an array allocation that fails for the run's size into OutOfRange naming that size."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:  # ValueError: a shape numpy cannot represent at all
+        raise OutOfRange(f"a run of {sum(cells)} cells and {n_steps} time steps does not fit in memory: {exc}") from exc
+
+
+def _pipe_grids(net: Network, cells: list[int]) -> dict[str, _PipeGrid]:
     grids = {}
-    for pid, pipe in net.pipes.items():
-        n = max(1, round(pipe.length / cfg.dx))
-        dx = pipe.length / n
+    for (pid, pipe), n in zip(net.pipes.items(), cells):
         x = np.linspace(0.0, pipe.length, n + 1)
         centers = (x[:-1] + x[1:]) / 2
         areas = np.asarray(pipe.area(centers), dtype=float)
         impedance = net.wave_speed / (net.gravity * areas)
-        grids[pid] = _PipeGrid(x, dx, areas, impedance)
+        grids[pid] = _PipeGrid(x, pipe.length / n, areas, impedance)
     return grids
-
-
-def _time_step(net: Network, cfg: SimConfig) -> float:
-    min_dx = min(p.length / max(1, round(p.length / cfg.dx)) for p in net.pipes.values())
-    return cfg.courant * min_dx / net.wave_speed
-
-
-def _step_count(duration: float, dt: float) -> int:
-    return int(duration / dt + 1e-6)
 
 
 def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig, fields: bool = True) -> Histories:
@@ -125,15 +150,21 @@ def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig, fields:
     sample per time step from t = 0; leaves without a series are closed.
     Every vertex then takes its head from the single vertex rule of the
     module docstring, already at t = 0 on the quiescent network. With
-    ``fields`` the H and Q history of every node is kept as well; without
-    it each step lives only as long as the next one needs it.
+    ``fields`` the H and Q history of every node is kept, and the rows of
+    that history are the solver's state; without it one pair of node
+    vectors is updated in place. An array the run's size cannot allocate
+    raises OutOfRange.
     """
-    dt = _time_step(net, cfg)
-    n_steps = _step_count(cfg.duration, dt)
-    grids = _pipe_grids(net, cfg)
+    cells, dt, n_steps = _run_size(net, cfg)
     vertex = {v: i for i, v in enumerate(net.vertices)}
+    n_nodes = sum(cells) + len(cells)
+    with _allocating(cells, n_steps):
+        grids = _pipe_grids(net, cells)
+        inflow = np.zeros((n_steps + 1, len(vertex)))
+        traces = np.empty((n_steps + 1, len(net.accessible)))
+        if fields:  # every node of every row is written in its step
+            H, Q = np.empty((n_steps + 1, n_nodes)), np.empty((n_steps + 1, n_nodes))
 
-    inflow = np.zeros((n_steps + 1, len(vertex)))
     for leaf, series in flows.items():
         if leaf not in net.accessible:
             raise MismatchedSeriesLength(f"{leaf!r} is not an accessible leaf")
@@ -143,56 +174,62 @@ def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig, fields:
             )
         inflow[:, vertex[leaf]] = series
 
-    # cells of all pipes in one array: left node, impedance, Courant ratio
-    sizes = np.array([len(g.impedance) for g in grids.values()])
-    first_node = np.concatenate([[0], np.cumsum(sizes + 1)])
-    lo = np.concatenate([s + np.arange(n) for s, n in zip(first_node, sizes)])
-    hi = lo + 1
-    B = np.concatenate([g.impedance for g in grids.values()])
-    theta = np.repeat([net.wave_speed * dt / g.dx for g in grids.values()], sizes)
+    # per cell, a pipe's own or the dummy between two pipes (module docstring): Courant ratio and B
+    theta = np.concatenate([np.append(np.full(n, net.wave_speed * dt / g.dx), 0.0)
+                            for n, g in zip(cells, grids.values())])[:-1]
     rest = 1 - theta
-    # interior nodes: the right node of every cell that has a right neighbour
-    inner = np.flatnonzero(lo[1:] == hi[:-1])
-    mid, B_inner, B_sum = hi[inner], B[inner], B[inner] + B[inner + 1]
+    B = np.concatenate([np.append(g.impedance, 1.0) for g in grids.values()])[:-1]
+    B_left, B_sum = B[:-1], B[:-1] + B[1:]  # per node 1..n-2: its left cell's B, and both cells' B
 
-    # pipe ends in pipe order, the x = 0 end first: node, vertex, end cell, nu
-    first_cell = first_node[:-1] - np.arange(len(sizes))
+    # pipe ends in pipe order, the x = 0 end first: node, vertex, index into the [C+; C-] buffer, nu
+    n_cells = n_nodes - 1
+    first_node = np.cumsum([0, *(n + 1 for n in cells)])
     end_node = np.column_stack([first_node[:-1], first_node[1:] - 1]).ravel()
-    end_cell = np.column_stack([first_cell, first_cell + sizes - 1]).ravel()
+    end_c = np.column_stack([n_cells + first_node[:-1], first_node[1:] - 2]).ravel()  # C- of first cell, C+ of last
     end_vertex = np.array([vertex[v] for p in net.pipes.values() for v in (p.from_vertex, p.to_vertex)])
-    nu = np.tile([1.0, -1.0], len(sizes))
-    B_end = B[end_cell]
+    nu = np.tile([1.0, -1.0], len(cells))
+    B_end = np.concatenate([g.impedance[[0, -1]] for g in grids.values()])
     inv_B_vertex = np.bincount(end_vertex, 1.0 / B_end, len(vertex))  # sum_e 1/B_e
 
     # a leaf is the vertex of exactly one pipe end
     end_at = dict(zip(end_vertex.tolist(), end_node.tolist()))
     leaf_node = np.array([end_at[vertex[leaf]] for leaf in net.accessible])
 
-    n_nodes = first_node[-1]
-    if fields:
-        H = np.zeros((n_steps + 1, n_nodes))
-        Q = np.zeros_like(H)
-    traces = np.empty((n_steps + 1, len(leaf_node)))
-    h = q = np.zeros(n_nodes)  # quiescent state before t = 0
+    C = np.empty(2 * n_cells)
+    cp, cm = C[:n_cells], C[n_cells:]
+    cp_left, cm_right = cp[:-1], cm[1:]  # per node 1..n-2: C+ of its left cell, C- of its right cell
+    a, b = np.empty(n_cells), np.empty(n_cells)
+    c_end, h_end, w = np.empty(len(end_node)), np.empty(len(end_node)), np.empty(len(end_node))
+
+    def carry(op, h_near, h_far, q_near, q_far, out):
+        """out = theta*h_near + rest*h_far (op) B*(theta*q_near + rest*q_far), the foot value of one family."""
+        np.add(np.multiply(theta, h_near, out=out), np.multiply(rest, h_far, out=a), out=out)
+        np.add(np.multiply(theta, q_near, out=a), np.multiply(rest, q_far, out=b), out=a)
+        op(out, np.multiply(B, a, out=a), out=out)
+
+    h, q = np.zeros(n_nodes), np.zeros(n_nodes)  # quiescent state before t = 0
     for step in range(n_steps + 1):
-        cp = theta * h[lo] + rest * h[hi] + B * (theta * q[lo] + rest * q[hi])
-        cm = theta * h[hi] + rest * h[lo] - B * (theta * q[hi] + rest * q[lo])
-        h, q = (H[step], Q[step]) if fields else (np.empty(n_nodes), np.empty(n_nodes))
-        q_inner = (cp[inner] - cm[inner + 1]) / B_sum
-        q[mid] = q_inner
-        h[mid] = cp[inner] - B_inner * q_inner
-        c_end = np.where(nu > 0, cm[end_cell], cp[end_cell])
-        h_v = (np.bincount(end_vertex, c_end / B_end, len(vertex)) + inflow[step]) / inv_B_vertex
-        h_end = h_v[end_vertex]
-        h[end_node] = h_end
-        q[end_node] = nu * (h_end - c_end) / B_end
-        traces[step] = h[leaf_node]
+        carry(np.add, h[:-1], h[1:], q[:-1], q[1:], cp)
+        carry(np.subtract, h[1:], h[:-1], q[1:], q[:-1], cm)
+        if fields:
+            h, q = H[step], Q[step]
+        q_in, h_in = q[1:-1], h[1:-1]
+        np.divide(np.subtract(cp_left, cm_right, out=q_in), B_sum, out=q_in)
+        np.subtract(cp_left, np.multiply(B_left, q_in, out=h_in), out=h_in)
+        C.take(end_c, out=c_end)
+        h_v = np.bincount(end_vertex, np.divide(c_end, B_end, out=w), len(vertex))
+        h_v += inflow[step]
+        h_v /= inv_B_vertex
+        h_v.take(end_vertex, out=h_end)
+        h.put(end_node, h_end)
+        q.put(end_node, np.divide(np.multiply(nu, np.subtract(h_end, c_end, out=w), out=w), B_end, out=w))
+        h.take(leaf_node, out=traces[step])
 
     t = np.arange(n_steps + 1) * dt
     boundary = {leaf: traces[:, k] for k, leaf in enumerate(net.accessible)}
     if not fields:
         return Histories(t, grids, {}, {}, boundary)
-    pipe_nodes = {pid: slice(s, s + n + 1) for pid, s, n in zip(grids, first_node, sizes)}
+    pipe_nodes = {pid: slice(s, s + n + 1) for pid, s, n in zip(grids, first_node, cells)}
     H_pipe = {pid: H[:, nodes] for pid, nodes in pipe_nodes.items()}
     Q_pipe = {pid: Q[:, nodes] for pid, nodes in pipe_nodes.items()}
     return Histories(t, grids, H_pipe, Q_pipe, boundary)

@@ -16,6 +16,7 @@ from pipescope import SimConfig, simulate, step_inflow, validate_network
 from pipescope.cli import OPTIONS, run
 from pipescope.irm import load_irm
 from pipescope.presets import EXP1_NETWORK
+from test_irm import damaged_irm_lines, edited_irm_lines
 
 
 @pytest.fixture
@@ -413,8 +414,9 @@ def _reconstruct_exit(irm_path, out_dir, capsys):
         lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0] + ",nan"] + lines[6:],  # NaN sample
         lambda lines: lines[:-1] + ["0,0,99.0,1.0"],  # row beyond the header's n
         lambda lines: [lines[0].replace('["A", "B"]', '"AB"'), *lines[1:]],  # leaves not a list
+        lambda lines: [json.dumps({"dt": 0.01, "n": 10**30, "leaves": [], "horizon": 1.0}), lines[1]],  # no leaves
     ],
-    ids=["truncated", "nan-sample", "time-out-of-range", "leaves-string"],
+    ids=["truncated", "nan-sample", "time-out-of-range", "leaves-string", "no-leaves-huge-n"],
 )
 def test_reconstruct_bad_irm_file_exit_2(tmp_path, exp1_irm_path, capsys, edit):
     lines = exp1_irm_path.read_text().splitlines()
@@ -460,6 +462,22 @@ def test_simulate_irm_out_of_range_flag_exit_2(tmp_path, capsys, flag, value):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    # each run needs an array larger than any address space, a shape numpy cannot hold, or a count that overflows
+    [("--courant", "1e-12"), ("--dx", "1e-12"), ("--duration", "1e12"), ("--courant", "1e-300"), ("--dx", "1e-300"),
+     ("--duration", "1e300"), ("--courant", "5e-324"), ("--dx", "5e-324"), ("--resample-dt", "1e-15"),
+     ("--resample-dt", "5e-324")],
+)
+def test_simulate_irm_run_too_large_for_memory_exit_2(tmp_path, capsys, flag, value):
+    code = run(["simulate-irm", "--preset", "exp2", flag, value, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert re.search(r"cells and \d+ time steps|cell or step count|kernel samples", err)
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -629,10 +647,12 @@ def wrong_option(draw):
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """A directory holding the exp1 network and its oracle IRM."""
+    """A directory holding the exp1 network, its oracle IRM and a simulated IRM of it."""
     work = tmp_path_factory.mktemp("inputs")
     (work / "net.json").write_text(json.dumps(EXP1_NETWORK))
     assert run(["oracle-irm", "--preset", "exp1", "--out", str(work / "exp1_irm.csv")]) == 0
+    simulated = ["--dx", "20", "--duration", "1.0", "--resample-dt", "0.01", "--out", str(work / "exp1_sim_irm.csv")]
+    assert run(["simulate-irm", "--network", str(work / "net.json"), *simulated]) == 0
     return work
 
 
@@ -698,12 +718,19 @@ VALID_VALUES = {
 
 @st.composite
 def fuzzed_options(draw, work, inputs):
-    """A command and its options, each left out, valid or bad; every path lies under ``work`` or ``inputs``."""
+    """A command and its options, each left out, valid or bad; every path lies under ``work`` or ``inputs``.
+
+    ``--irm`` names the exp1 oracle or simulated IRM, or a damaged or
+    edited copy of a small IRM file that this draw writes into ``work``.
+    """
     command = draw(st.sampled_from(sorted(OPTIONS)))
+    irm = draw(st.sampled_from(["exp1_irm.csv", "exp1_sim_irm.csv", "edited"])) if "irm" in OPTIONS[command][3] else ""
+    if irm == "edited":
+        (work / "edited_irm.csv").write_text("\n".join(draw(damaged_irm_lines() | edited_irm_lines())) + "\n")
     valid = {
         **VALID_VALUES,
         "out": st.just(str(work / ("r" if command == "reconstruct" else "irm.csv"))),
-        "irm": st.just(str(inputs / "exp1_irm.csv")),
+        "irm": st.just(str(work / "edited_irm.csv" if irm == "edited" else inputs / irm)),
         "dump_traces": st.sampled_from(["", str(work / "traces")]),
         "dump_fields": st.sampled_from(["", str(work / "fields")]),
     }

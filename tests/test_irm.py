@@ -560,11 +560,17 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def damaged_irm_lines(draw):
-    """The small IRM file with one line replaced, dropped or duplicated, or one header field replaced."""
+    """The small IRM file with one line replaced, dropped or duplicated, or one header field replaced.
+
+    Or a header with no leaves and no rows, which leaves only ``n`` to set the kernel grid's shape.
+    """
     lines = list(SMALL_IRM_LINES)
     k = draw(st.integers(0, len(lines) - 1))
-    action = draw(st.sampled_from(["replace", "drop", "duplicate", "header"]))
-    if action == "replace":
+    action = draw(st.sampled_from(["replace", "drop", "duplicate", "header", "no leaves"]))
+    if action == "no leaves":
+        n = draw(st.sampled_from([0, 6, 10**30]) | st.integers(0))
+        lines = [json.dumps({"dt": 0.01, "n": n, "leaves": [], "horizon": 1.0}), "i,j,t,k"]
+    elif action == "replace":
         lines[k] = draw(TEXT)
     elif action == "drop":
         del lines[k]
@@ -605,6 +611,8 @@ def _reference_load_irm(path):
         # the header rule of load_irm: n a JSON integer >= 0, horizon finite and >= 0
         if not (isinstance(n_samples, int) and not isinstance(n_samples, bool) and n_samples >= 0):
             raise OutOfRange(f"{path}: header n = {n_samples!r} is not an integer, or is negative")
+        if not leaves:  # the shape rule of load_irm: no row could bound n
+            raise OutOfRange(f"{path}: header lists no leaves")
         if not (dt > 0 and math.isfinite(horizon) and horizon >= 0):
             raise OutOfRange(f"{path}: header dt = {dt} is not positive or horizon = {horizon} is not finite")
         if fh.readline().strip() != "i,j,t,k":
@@ -707,6 +715,17 @@ def test_load_irm_rejects_negative_sample_count_without_rows(tmp_path):
     path.write_text(json.dumps({"dt": 0.01, "n": -1, "leaves": [], "horizon": 1.0}) + "\ni,j,t,k\n")
     with pytest.raises(OutOfRange, match="negative"):
         load_irm(path)
+
+
+@pytest.mark.parametrize("n", [0, 162, 10**30])
+def test_load_irm_rejects_header_without_leaves(tmp_path, n):
+    # no leaves, no rows: 0 * 0 * n rows match any n, so a huge n reached the allocation of the kernel grid
+    path = tmp_path / "irm.csv"
+    path.write_text(json.dumps({"dt": 0.01, "n": n, "leaves": [], "horizon": 1.0}) + "\ni,j,t,k\n")
+    with pytest.raises(OutOfRange, match="no leaves"):
+        load_irm(path)
+    with pytest.raises(OutOfRange, match="no leaves"):
+        _reference_load_irm(path)
 
 
 def test_save_irm_writes_the_row_by_row_bytes(exp1_net, tmp_path):

@@ -1,7 +1,9 @@
 """Transient solver: wave physics, junction algebra, conservation."""
 
 import copy
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from pipescope import (
     step_inflow,
     validate_network,
 )
-from pipescope.errors import MismatchedSeriesLength, UnstableConfig
+from pipescope.errors import MismatchedSeriesLength, OutOfRange, UnstableConfig
 
 B_UNIT = 1000.0 / 9.81  # a/(gA) for a = 1000 m/s, g = 9.81, A = 1 m^2
 
@@ -96,6 +98,21 @@ def test_series_length_mismatch(single_pipe_net):
         simulate(single_pipe_net, {"L": np.ones(7)}, cfg)
     with pytest.raises(MismatchedSeriesLength):
         simulate(single_pipe_net, {"R": np.ones(101)}, cfg)
+
+
+@pytest.mark.parametrize(
+    "dx, courant, duration, message",
+    # arrays larger than any address space, a shape numpy cannot hold, and counts that are not finite
+    [(5.0, 1e-12, 1.0, "320 cells and 2"), (1e-12, 1.0, 1.0, "1600000000000000 cells and 9"),
+     (5.0, 1.0, 1e300, "320 cells and 2"), (5e-324, 1.0, 1.0, "cell or step count"),
+     (5.0, 5e-324, 1.0, "cell or step count")],
+)
+def test_run_too_large_for_memory_raises_out_of_range(exp2_net, dx, courant, duration, message):
+    cfg = SimConfig(dx=dx, duration=duration, courant=courant)
+    with pytest.raises(OutOfRange, match=message):
+        step_inflow(exp2_net, cfg, "A")
+    with pytest.raises(OutOfRange, match=message):
+        simulate(exp2_net, {}, cfg)
 
 
 # -- wave propagation ---------------------------------------------------------
@@ -282,3 +299,126 @@ def test_conservation_residual_needs_fields(exp2_net):
     hist = simulate(exp2_net, step_inflow(exp2_net, cfg, "A"), cfg, fields=False)
     with pytest.raises(ValueError, match="fields=True"):
         conservation_residual(hist, exp2_net, 0.5)
+
+
+# -- the step against the gather-based step it replaced -----------------------
+
+
+def _reference_simulate(net, flows, cfg, fields=True):
+    """The gather-based solver the slice step replaced: per-cell index arrays, fresh arrays every step.
+
+    Returns the time grid, the leaf traces, and per pipe H and Q if ``fields``.
+    """
+    cells = {pid: max(1, round(p.length / cfg.dx)) for pid, p in net.pipes.items()}
+    dt = cfg.courant * min(p.length / cells[pid] for pid, p in net.pipes.items()) / net.wave_speed
+    n_steps = int(cfg.duration / dt + 1e-6)
+    grids = {}
+    for pid, pipe in net.pipes.items():
+        x = np.linspace(0.0, pipe.length, cells[pid] + 1)
+        areas = np.asarray(pipe.area((x[:-1] + x[1:]) / 2), dtype=float)
+        grids[pid] = (pipe.length / cells[pid], net.wave_speed / (net.gravity * areas))
+    vertex = {v: i for i, v in enumerate(net.vertices)}
+
+    inflow = np.zeros((n_steps + 1, len(vertex)))
+    for leaf, series in flows.items():
+        inflow[:, vertex[leaf]] = series
+
+    # cells of all pipes in one array: left node, impedance, Courant ratio
+    sizes = np.array([len(impedance) for _, impedance in grids.values()])
+    first_node = np.concatenate([[0], np.cumsum(sizes + 1)])
+    lo = np.concatenate([s + np.arange(n) for s, n in zip(first_node, sizes)])
+    hi = lo + 1
+    B = np.concatenate([impedance for _, impedance in grids.values()])
+    theta = np.repeat([net.wave_speed * dt / dx for dx, _ in grids.values()], sizes)
+    rest = 1 - theta
+    # interior nodes: the right node of every cell that has a right neighbour
+    inner = np.flatnonzero(lo[1:] == hi[:-1])
+    mid, B_inner, B_sum = hi[inner], B[inner], B[inner] + B[inner + 1]
+
+    # pipe ends in pipe order, the x = 0 end first: node, vertex, end cell, nu
+    first_cell = first_node[:-1] - np.arange(len(sizes))
+    end_node = np.column_stack([first_node[:-1], first_node[1:] - 1]).ravel()
+    end_cell = np.column_stack([first_cell, first_cell + sizes - 1]).ravel()
+    end_vertex = np.array([vertex[v] for p in net.pipes.values() for v in (p.from_vertex, p.to_vertex)])
+    nu = np.tile([1.0, -1.0], len(sizes))
+    B_end = B[end_cell]
+    inv_B_vertex = np.bincount(end_vertex, 1.0 / B_end, len(vertex))
+
+    end_at = dict(zip(end_vertex.tolist(), end_node.tolist()))
+    leaf_node = np.array([end_at[vertex[leaf]] for leaf in net.accessible])
+
+    n_nodes = first_node[-1]
+    if fields:
+        H = np.zeros((n_steps + 1, n_nodes))
+        Q = np.zeros_like(H)
+    traces = np.empty((n_steps + 1, len(leaf_node)))
+    h = q = np.zeros(n_nodes)
+    for step in range(n_steps + 1):
+        cp = theta * h[lo] + rest * h[hi] + B * (theta * q[lo] + rest * q[hi])
+        cm = theta * h[hi] + rest * h[lo] - B * (theta * q[hi] + rest * q[lo])
+        h, q = (H[step], Q[step]) if fields else (np.empty(n_nodes), np.empty(n_nodes))
+        q_inner = (cp[inner] - cm[inner + 1]) / B_sum
+        q[mid] = q_inner
+        h[mid] = cp[inner] - B_inner * q_inner
+        c_end = np.where(nu > 0, cm[end_cell], cp[end_cell])
+        h_v = (np.bincount(end_vertex, c_end / B_end, len(vertex)) + inflow[step]) / inv_B_vertex
+        h_end = h_v[end_vertex]
+        h[end_node] = h_end
+        q[end_node] = nu * (h_end - c_end) / B_end
+        traces[step] = h[leaf_node]
+
+    t = np.arange(n_steps + 1) * dt
+    boundary = {leaf: traces[:, k] for k, leaf in enumerate(net.accessible)}
+    if not fields:
+        return t, boundary, {}, {}
+    nodes = {pid: slice(s, s + n + 1) for pid, s, n in zip(grids, first_node, sizes)}
+    return t, boundary, {p: H[:, s] for p, s in nodes.items()}, {p: Q[:, s] for p, s in nodes.items()}
+
+
+def _treegen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "treegen.py"
+    spec = importlib.util.spec_from_file_location("treegen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tree_measured_net():
+    return validate_network(_treegen().generate(1, "measured"))
+
+
+@pytest.mark.parametrize("fields", [True, False])
+@pytest.mark.parametrize(
+    "preset_net, dx, courant, duration, driven",
+    [
+        ("exp1_net", 5.0, 1.0, 1.2, "step"),
+        ("exp2_net", 5.0, 0.95, 1.0, "step"),
+        ("exp1_net", 350.0, 1.0, 3.0, "step"),  # AD and BD one cell each, DC three
+        ("exp1_net", 5000.0, 0.8, 8.0, "noise"),  # every pipe a single cell
+        ("tree_measured_net", 5.0, 0.95, 0.8, "step"),
+        ("tree_measured_net", 6.0, 0.6, 0.5, "noise"),  # several driven leaves, non-step series
+        ("exp2_net", 7.0, 0.75, 0.6, "noise"),
+    ],
+)
+def test_step_matches_gather_reference_bit_for_bit(preset_net, dx, courant, duration, driven, fields, request):
+    net = request.getfixturevalue(preset_net)
+    cfg = SimConfig(dx=dx, duration=duration, courant=courant)
+    flows = step_inflow(net, cfg, net.accessible[-1])
+    if driven == "noise":
+        rng = np.random.default_rng(11)
+        n = len(flows[net.accessible[-1]])
+        driven_leaves = net.accessible[: max(2, len(net.accessible) - 1)]  # all but one leaf, or both of exp1's
+        flows = {leaf: rng.normal(size=n) * 10.0 ** rng.integers(-3, 3) for leaf in driven_leaves}
+    hist = simulate(net, flows, cfg, fields=fields)
+    t, boundary, H, Q = _reference_simulate(net, flows, cfg, fields=fields)
+    assert hist.t.tobytes() == t.tobytes()
+    assert list(hist.boundary) == list(boundary)
+    for leaf in boundary:
+        assert hist.boundary[leaf].tobytes() == boundary[leaf].tobytes()
+    assert list(hist.H) == list(H) and list(hist.Q) == list(Q)
+    for pid in H:
+        assert hist.H[pid].tobytes() == H[pid].tobytes()
+        assert hist.Q[pid].tobytes() == Q[pid].tobytes()
+    if fields:
+        assert [len(g.x) for g in hist.grids.values()] == [h.shape[1] for h in H.values()]
