@@ -4,14 +4,10 @@ __version__ = "0.1.0"
 
 from .graph import (
     ActionTimes,
-    AdmissibleSet,
     Network,
     Pipe,
     PointOnPipe,
     action_times,
-    admissible_set,
-    network_distance,
-    travel_time,
     validate_network,
 )
 from .simulate import (

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import ActionTimeExceedsTau, ConfigError, NumericError, PipescopeError
 from .graph import Network, validate_network
-from .inversion import ReconConfig, area_profile, volume_profile
+from .inversion import ReconConfig, _check_leaves, area_profile, volume_profile
 from .irm import load_irm, measure_irm, oracle_irm, sample_irm, save_irm
 from .presets import preset
 from .simulate import SimConfig
@@ -206,10 +206,7 @@ def cmd_reconstruct(resolved: dict) -> list:
     net = _require_network(resolved)
     started = time.perf_counter()
     irm = load_irm(resolved["irm"])
-    if irm.leaves != net.accessible:
-        raise ConfigError(
-            f"IRM leaves {list(irm.leaves)} differ from the network's accessible leaves {list(net.accessible)}"
-        )
+    _check_leaves(irm, net)
     pipes = _parse_list(resolved["pipes"], str) if resolved["pipes"] else list(net.pipes)
     if not pipes:
         raise ConfigError(f"pipe list {resolved['pipes']!r} names no pipe")

@@ -1,4 +1,4 @@
-"""Tree-network data model: topology, travel times, action times, admissible sets.
+"""Tree-network data model: topology, validation, action times.
 
 A network is a finite tree of pipes. Each pipe carries its own coordinate
 ``x`` running from ``from_vertex`` (x = 0) to ``to_vertex`` (x = length),
@@ -8,8 +8,12 @@ a positive cross-sectional area profile ``A(x)``, and the internal normal
 list drives all response-matrix indexing downstream.
 
 Geometry here is exact and immutable: once ``validate_network`` accepts a
-description, every derived quantity (distances, action times, admissible
-sets) is a pure function of it.
+description, every derived quantity (vertex distances, the orientation
+towards x0, action times) is a pure function of it. A cut point on a pipe
+separates from x0 exactly the accessible leaves whose path to x0 runs
+through that pipe; each such leaf's action time is its distance to the
+pipe's far vertex plus the point's, over the wave speed, and every other
+leaf's is 0.
 """
 
 from __future__ import annotations
@@ -39,12 +43,9 @@ __all__ = [
     "Network",
     "PointOnPipe",
     "ActionTimes",
-    "AdmissibleSet",
     "validate_network",
-    "travel_time",
-    "network_distance",
     "action_times",
-    "admissible_set",
+    "action_times_along",
 ]
 
 
@@ -148,7 +149,7 @@ class ActionTimes:
     """Per-accessible-leaf activation durations for one cut point.
 
     ``f[leaf]`` is the travel time from the leaf to the cut point when the
-    leaf lies on the boundary of the admissible set, and 0 otherwise.
+    cut point separates the leaf from x0, and 0 otherwise.
     """
 
     f: dict[str, float]
@@ -160,15 +161,6 @@ class ActionTimes:
     @property
     def max_f(self) -> float:
         return max(self.f.values()) if self.f else 0.0
-
-
-@dataclass(frozen=True)
-class AdmissibleSet:
-    """The component of the network cut off by a point, away from x0."""
-
-    covered: tuple[tuple[str, tuple[float, float]], ...]
-    boundary_leaves: tuple[str, ...]
-    cut_point: PointOnPipe
 
 
 class Network:
@@ -186,7 +178,7 @@ class Network:
             self._adjacency.setdefault(p.to_vertex, []).append(p)
         self.vertices: tuple[str, ...] = tuple(self._adjacency)
         self._vertex_dist = self._all_pairs_distances()
-        self._x0_side = self._orient_towards_x0()
+        self._x0_side, self._cut_off = self._orient_towards_x0()
 
     # -- structure ---------------------------------------------------------
 
@@ -241,7 +233,8 @@ class Network:
             dist[start] = d
         return dist
 
-    def _orient_towards_x0(self) -> dict[str, str]:
+    def _orient_towards_x0(self) -> tuple[dict[str, str], dict[str, list[int]]]:
+        """Each pipe's x0-side end, and the indices into ``accessible`` of the leaves it cuts off from x0."""
         parent_edge: dict[str, str | None] = {self.x0: None}
         order = [self.x0]
         while order:
@@ -255,7 +248,13 @@ class Network:
         for pid, p in self.pipes.items():
             # the endpoint whose parent edge is this pipe is the far one
             side[pid] = p.to_vertex if parent_edge[p.from_vertex] == pid else p.from_vertex
-        return side
+        cut_off: dict[str, list[int]] = {pid: [] for pid in self.pipes}
+        for i, leaf in enumerate(self.accessible):
+            v = leaf
+            while parent_edge[v] is not None:  # up the leaf's path to x0
+                cut_off[parent_edge[v]].append(i)
+                v = side[parent_edge[v]]
+        return side, cut_off
 
 
 def _number(value) -> float:
@@ -377,50 +376,13 @@ def validate_network(spec: dict) -> Network:
     return Network(wave_speed, gravity, pipes, x0, accessible)
 
 
-# -- travel times ------------------------------------------------------------
+# -- action times ------------------------------------------------------------
 
 
-def _point_candidates(net: Network, point) -> tuple[str | None, list[tuple[str, float]]]:
-    """Return (pipe id or None, [(endpoint vertex, distance to it), ...])."""
-    if isinstance(point, PointOnPipe):
-        pipe = net.pipes.get(point.pipe)
-        if pipe is None:
-            raise InvalidPoint(f"unknown pipe {point.pipe!r}")
-        if not 0.0 <= point.offset <= pipe.length:
-            raise InvalidPoint(f"offset {point.offset} outside pipe {point.pipe!r} of length {pipe.length}")
-        return pipe.id, [(pipe.from_vertex, point.offset), (pipe.to_vertex, pipe.length - point.offset)]
-    if point in net._adjacency:
-        return None, [(point, 0.0)]
-    raise InvalidPoint(f"unknown vertex {point!r}")
+def _check_cut(net: Network, p: PointOnPipe, endpoint_ok: bool) -> None:
+    """Refuse a cut point that is not on a pipe of ``net`` or not strictly inside it.
 
-
-def network_distance(net: Network, u, v) -> float:
-    """Length in meters of the unique tree path between two points.
-
-    Points are vertex ids or ``PointOnPipe`` instances.
-    """
-    pu, cand_u = _point_candidates(net, u)
-    pv, cand_v = _point_candidates(net, v)
-    if pu is not None and pu == pv:
-        return abs(cand_u[0][1] - cand_v[0][1])
-    return min(
-        du + net._vertex_dist[eu][ev] + dv for eu, du in cand_u for ev, dv in cand_v
-    )
-
-
-def travel_time(net: Network, u, v) -> float:
-    """Wave travel time between two points: path length over wave speed."""
-    return network_distance(net, u, v) / net.wave_speed
-
-
-# -- admissible sets and action times ----------------------------------------
-
-
-def _resolve_cut(net: Network, p: PointOnPipe, endpoint_ok: bool) -> tuple[Pipe, float, str, str]:
-    """Check a cut point and return (pipe, offset, far_vertex, x0_vertex).
-
-    ``far_vertex`` is the pipe end away from x0; the admissible component
-    hangs off it. Offsets at the pipe's x0-side end are accepted only with
+    Offsets at the pipe's x0-side end are accepted only with
     ``endpoint_ok`` and stand for the limit taken from inside the pipe.
     """
     pipe = net.pipes.get(p.pipe)
@@ -428,66 +390,39 @@ def _resolve_cut(net: Network, p: PointOnPipe, endpoint_ok: bool) -> tuple[Pipe,
         raise InvalidPoint(f"unknown pipe {p.pipe!r}")
     if not 0.0 <= p.offset <= pipe.length:
         raise InvalidPoint(f"offset {p.offset} outside pipe {p.pipe!r}")
-    x0_vertex = net.x0_side_vertex(p.pipe)
-    far_vertex = net.far_side_vertex(p.pipe)
-    boundary_hit = p.offset in (0.0, pipe.length)
-    if boundary_hit:
+    if p.offset in (0.0, pipe.length):
         at_vertex = pipe.from_vertex if p.offset == 0.0 else pipe.to_vertex
-        if at_vertex != x0_vertex or not endpoint_ok:
+        if at_vertex != net.x0_side_vertex(p.pipe) or not endpoint_ok:
             if net.degree(at_vertex) >= 3:
                 raise PointIsJunction(f"point at {at_vertex!r} is a junction")
             raise InvalidPoint(f"cut point must be strictly inside pipe {p.pipe!r}")
-    return pipe, p.offset, far_vertex, x0_vertex
 
 
-def _component_pipes(net: Network, start_vertex: str, excluded_pipe: str) -> list[str]:
-    """Pipe ids of the component containing start_vertex in G minus one pipe."""
-    seen_v = {start_vertex}
-    out: list[str] = []
-    stack = [start_vertex]
-    while stack:
-        v = stack.pop()
-        for p in net._adjacency[v]:
-            if p.id == excluded_pipe:
-                continue
-            w = p.to_vertex if v == p.from_vertex else p.from_vertex
-            if w not in seen_v:
-                seen_v.add(w)
-                out.append(p.id)
-                stack.append(w)
-    return out
+def action_times_along(net: Network, pipe_id: str, offsets) -> np.ndarray:
+    """Action times (points, accessible leaves) of cut points at ``offsets`` along one pipe.
 
-
-def admissible_set(net: Network, p: PointOnPipe, *, endpoint_ok: bool = False) -> AdmissibleSet:
-    """The component of the network cut off by ``p``, away from x0.
-
-    Raises ``PointIsJunction`` for cut points at a junction vertex.
+    A leaf the pipe cuts off from x0 gets (dist(leaf, v) + dv) / a, with v
+    the pipe's far vertex and dv the point's distance from it; every other
+    leaf gets 0. Columns follow ``net.accessible``. The offsets are not
+    checked; ``action_times`` checks a single point.
     """
-    pipe, offset, far_vertex, _ = _resolve_cut(net, p, endpoint_ok)
-    if far_vertex == pipe.from_vertex:
-        own_interval = (0.0, offset)
-    else:
-        own_interval = (offset, pipe.length)
-    covered = [(pipe.id, own_interval)]
-    sub_pipe_ids = _component_pipes(net, far_vertex, pipe.id)
-    covered.extend((pid, (0.0, net.pipes[pid].length)) for pid in sub_pipe_ids)
-
-    sub_vertices = {far_vertex}
-    for pid in sub_pipe_ids:
-        sub_vertices.add(net.pipes[pid].from_vertex)
-        sub_vertices.add(net.pipes[pid].to_vertex)
-    boundary = tuple(leaf for leaf in net.accessible if leaf in sub_vertices)
-    return AdmissibleSet(tuple(covered), boundary, p)
+    pipe = net.pipes[pipe_id]
+    far = net.far_side_vertex(pipe_id)
+    offsets = np.asarray(offsets, dtype=float)
+    dv = offsets if far == pipe.from_vertex else pipe.length - offsets
+    f = np.zeros((offsets.size, len(net.accessible)))
+    for i in net._cut_off[pipe_id]:
+        f[:, i] = (net._vertex_dist[net.accessible[i]][far] + dv) / net.wave_speed
+    return f
 
 
 def action_times(net: Network, p: PointOnPipe, *, endpoint_ok: bool = False) -> ActionTimes:
     """Activation durations f per accessible leaf for the cut point ``p``.
 
-    f(leaf) is travel_time(leaf, p) for leaves separated from x0 by p,
-    and 0 for every other accessible leaf.
+    f(leaf) is the travel time from the leaf to p for leaves separated
+    from x0 by p, and 0 for every other accessible leaf. Raises
+    ``InvalidPoint``, or ``PointIsJunction`` for a cut point at a junction.
     """
-    region = admissible_set(net, p, endpoint_ok=endpoint_ok)
-    f = {}
-    for leaf in net.accessible:
-        f[leaf] = travel_time(net, leaf, p) if leaf in region.boundary_leaves else 0.0
-    return ActionTimes(f, p)
+    _check_cut(net, p, endpoint_ok)
+    row = action_times_along(net, p.pipe, [p.offset])[0]
+    return ActionTimes(dict(zip(net.accessible, row.tolist())), p)

@@ -60,13 +60,14 @@ import numpy as np
 
 from .errors import (
     ActionTimeExceedsTau,
+    ConfigError,
     GridMismatch,
     HorizonTooShort,
     OutOfRange,
     SingularSystem,
     TooFewPoints,
 )
-from .graph import ActionTimes, Network, PointOnPipe, action_times
+from .graph import ActionTimes, Network, PointOnPipe, action_times_along
 from .irm import SampledIRM
 
 __all__ = [
@@ -136,6 +137,14 @@ def _check_lambda(lam: float) -> None:
         raise OutOfRange(f"Tikhonov weight lambda must be finite and >= 0, not {lam}")
 
 
+def _check_leaves(irm: SampledIRM, net: Network) -> None:
+    """Refuse an IRM whose leaves are not the network's accessible leaves, in the same order."""
+    if tuple(irm.leaves) != net.accessible:
+        raise ConfigError(
+            f"IRM leaves {list(irm.leaves)} differ from the network's accessible leaves {list(net.accessible)}"
+        )
+
+
 def _active(f_vec: np.ndarray, cfg: ReconConfig) -> np.ndarray:
     """Masks (..., N, M) from action times (..., N): sample l of leaf i is active when t_l > tau - f_i + tol."""
     s_times = np.arange(1, cfg.samples_per_leaf + 1) * cfg.dt
@@ -201,6 +210,7 @@ def solve_boundary_flows(irm: SampledIRM, f: ActionTimes, cfg: ReconConfig, net:
     Returns the boundary flow series Q_p(t, x_i) per leaf on the grid
     t = dt..M*dt.
     """
+    _check_leaves(irm, net)
     f_vec = f.as_vector(irm.leaves)
     active = _active(f_vec, cfg)
     idx = np.flatnonzero(active)
@@ -227,30 +237,29 @@ def volume(flows: dict[str, np.ndarray], cfg: ReconConfig, net: Network) -> floa
 
 
 def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig):
-    """Action times and positions of cut points spaced dx apart, from the far end towards x0."""
+    """Action times (points, leaves), offsets and positions of cut points dx apart, from the far end towards x0.
+
+    The points stop at the pipe end, or before the first one whose action
+    times exceed tau; ``ActionTimeExceedsTau`` if that is the first point.
+    """
     pipe = net.pipes[pipe_id]
-    from_far = net.far_side_vertex(pipe_id) == pipe.from_vertex
-    fs = []
-    positions = []
-    k = 1
-    while True:
-        d = k * cfg.dx
-        if d > pipe.length + cfg.dx * 1e-9:
-            break
-        d = min(d, pipe.length)
-        offset = d if from_far else pipe.length - d
-        p = PointOnPipe(pipe_id, offset)
-        f = action_times(net, p, endpoint_ok=True)
-        if f.max_f - cfg.tau > cfg.tol:
-            if k == 1:
-                raise ActionTimeExceedsTau(
-                    f"first point {p} needs action time {f.max_f:.6g}s > tau = {cfg.tau}s"
-                )
-            break
-        fs.append(f)
-        positions.append(d)
-        k += 1
-    return fs, positions
+    # a kept point is within a*(tau + tol) of the far end, so no candidate lies over a dx past that
+    reach = min(pipe.length, net.wave_speed * (cfg.tau + cfg.tol))
+    try:
+        d = np.arange(1, int(reach / cfg.dx) + 2) * cfg.dx
+    except (OverflowError, MemoryError, ValueError) as exc:  # a point count numpy cannot allocate or represent
+        raise OutOfRange(f"dx {cfg.dx} gives more profile points than fit in memory: {exc}") from exc
+    d = np.minimum(d[d <= pipe.length + cfg.dx * 1e-9], pipe.length)
+    offsets = d if net.far_side_vertex(pipe_id) == pipe.from_vertex else pipe.length - d
+    f = action_times_along(net, pipe_id, offsets)
+    over = f.max(axis=1, initial=0.0) - cfg.tau > cfg.tol
+    if len(over) and over[0]:
+        raise ActionTimeExceedsTau(
+            f"first point {PointOnPipe(pipe_id, float(offsets[0]))} needs action time {f[0].max():.6g}s"
+            f" > tau = {cfg.tau}s"
+        )
+    n = int(over.argmax()) if over.any() else len(d)
+    return f[:n], offsets[:n], d[:n]
 
 
 def _ldlt(a: np.ndarray) -> None:
@@ -364,13 +373,14 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     ``STABILITY_TOL`` (1e-10). ``solver`` on the result names the path
     that ran, and ``reciprocity`` holds the deviation.
     """
-    fs, positions = _profile_points(net, pipe_id, cfg)
-    if not fs:  # the pipe is shorter than dx; the grid is checked all the same
+    _check_leaves(irm, net)
+    f, _, positions = _profile_points(net, pipe_id, cfg)
+    if not positions.size:  # the pipe is shorter than dx; the grid is checked all the same
         _s_matrix(irm, cfg, net, np.empty(0, dtype=int))
         return VolumeProfile(pipe_id, np.empty(0), np.empty(0))
     # the samples any point uses, in the order the points take them up: no
     # action time falls towards x0, so point k uses the first counts[k]
-    flat = _active(np.array([f.as_vector(irm.leaves) for f in fs]), cfg).reshape(len(fs), -1)
+    flat = _active(f, cfg).reshape(len(f), -1)
     idx = np.flatnonzero(flat.any(axis=0))
     idx, counts = idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")], flat.sum(axis=1)
     s, nu = _s_matrix(irm, cfg, net, idx)
@@ -398,7 +408,7 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
         del a
     if volumes is None:
         volumes = [scale * float(nu[:c] @ _solve_point(s[:c, :c], nu[:c], cfg.lam)) for c in counts]
-    return VolumeProfile(pipe_id, np.asarray(positions), np.asarray(volumes), solver, reciprocity)
+    return VolumeProfile(pipe_id, positions, np.asarray(volumes), solver, reciprocity)
 
 
 def area_profile(vp: VolumeProfile, dx: float) -> AreaProfile:

@@ -36,7 +36,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .graph import Network
-from .simulate import Histories, SimConfig, junction_scatter, simulate, step_inflow
+from .simulate import Histories, SimConfig, _run_size, junction_scatter, simulate, step_inflow
 
 __all__ = [
     "AnalyticIRM",
@@ -304,26 +304,24 @@ def measure_irm(
     if resample_dt is not None and not 0 < resample_dt < math.inf:
         raise OutOfRange(f"resampling dt must be positive and finite, not {resample_dt}")
     n = len(net.accessible)
-    rows = {}
-    runs = []
-    t_hist = None
-    for source in net.accessible:
-        hist = simulate(net, step_inflow(net, cfg, source), cfg, fields=fields)
-        runs.append(hist)
-        t_hist = hist.t
-        rows[source] = irm_row_from_step_response(hist.t, hist.boundary, smooth_window_s)
-
-    dt_out = float(t_hist[1] - t_hist[0]) if resample_dt is None else resample_dt
+    # every run samples t = 0, dt, ..., n_steps*dt: the kernel grid is sized, and refused if too large, before any run
+    _, dt, n_steps = _run_size(net, cfg)
+    dt_out = dt if resample_dt is None else resample_dt
     try:
-        t_out = t_hist if resample_dt is None else np.arange(grid_size(float(t_hist[-1]), dt_out)) * dt_out
+        t_out = np.arange(n_steps + 1 if resample_dt is None else grid_size(n_steps * dt, dt_out)) * dt_out
         k = np.zeros((n, n, len(t_out)))
     except (MemoryError, ValueError, OverflowError) as exc:  # a sample count numpy cannot allocate or represent
-        raise OutOfRange(f"resampling dt {dt_out} gives more kernel samples than fit in memory: {exc}") from exc
+        raise OutOfRange(
+            f"a kernel grid of step {dt_out} over {n_steps * dt:g} s gives more kernel samples than fit in memory: {exc}"
+        ) from exc
 
+    runs = []
     for i, source in enumerate(net.accessible):
+        hist = simulate(net, step_inflow(net, cfg, source), cfg, fields=fields)
+        runs.append(hist)
+        row = irm_row_from_step_response(hist.t, hist.boundary, smooth_window_s)
         for j, receiver in enumerate(net.accessible):
-            series = rows[source][receiver]
-            k[i, j] = series if resample_dt is None else resample(series, t_hist, t_out)
+            k[i, j] = row[receiver] if resample_dt is None else resample(row[receiver], hist.t, t_out)
     return SampledIRM(dt_out, net.accessible, k, float(t_out[-1])), runs
 
 

@@ -1,7 +1,14 @@
-"""Topology validation, travel times, action times, admissible sets."""
+"""Topology validation, action times, and the graph-search geometry they are checked against.
+
+``network_distance``, ``travel_time`` and ``admissible_set`` find the
+points and leaves a cut separates from x0 by searching the graph, with a
+minimum over each point's two pipe ends. They are the reference that the
+closed-form action times of ``pipescope.graph`` must match bit for bit.
+"""
 
 import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,12 +17,12 @@ from hypothesis import strategies as st
 
 from pipescope import (
     PointOnPipe,
+    ReconConfig,
     action_times,
-    admissible_set,
-    network_distance,
-    travel_time,
     validate_network,
 )
+from pipescope.graph import _check_cut, action_times_along
+from pipescope.inversion import _profile_points
 from pipescope.errors import (
     CycleDetected,
     DegreeTwoVertex,
@@ -28,7 +35,88 @@ from pipescope.errors import (
     PipescopeError,
     PointIsJunction,
 )
-from pipescope.presets import EXP1_NETWORK
+from pipescope.presets import EXP1_NETWORK, PRESETS
+
+
+@dataclass(frozen=True)
+class AdmissibleSet:
+    """The component of the network cut off by a point, away from x0."""
+
+    covered: tuple[tuple[str, tuple[float, float]], ...]
+    boundary_leaves: tuple[str, ...]
+    cut_point: PointOnPipe
+
+
+def _point_candidates(net, point):
+    """Return (pipe id or None, [(endpoint vertex, distance to it), ...])."""
+    if isinstance(point, PointOnPipe):
+        pipe = net.pipes.get(point.pipe)
+        if pipe is None:
+            raise InvalidPoint(f"unknown pipe {point.pipe!r}")
+        if not 0.0 <= point.offset <= pipe.length:
+            raise InvalidPoint(f"offset {point.offset} outside pipe {point.pipe!r} of length {pipe.length}")
+        return pipe.id, [(pipe.from_vertex, point.offset), (pipe.to_vertex, pipe.length - point.offset)]
+    if point in net._adjacency:
+        return None, [(point, 0.0)]
+    raise InvalidPoint(f"unknown vertex {point!r}")
+
+
+def network_distance(net, u, v):
+    """Length in meters of the unique tree path between two points, vertex ids or ``PointOnPipe``s."""
+    pu, cand_u = _point_candidates(net, u)
+    pv, cand_v = _point_candidates(net, v)
+    if pu is not None and pu == pv:
+        return abs(cand_u[0][1] - cand_v[0][1])
+    return min(du + net._vertex_dist[eu][ev] + dv for eu, du in cand_u for ev, dv in cand_v)
+
+
+def travel_time(net, u, v):
+    """Wave travel time between two points: path length over wave speed."""
+    return network_distance(net, u, v) / net.wave_speed
+
+
+def _component_pipes(net, start_vertex, excluded_pipe):
+    """Pipe ids of the component containing start_vertex in G minus one pipe."""
+    seen_v = {start_vertex}
+    out = []
+    stack = [start_vertex]
+    while stack:
+        v = stack.pop()
+        for p in net._adjacency[v]:
+            if p.id == excluded_pipe:
+                continue
+            w = p.to_vertex if v == p.from_vertex else p.from_vertex
+            if w not in seen_v:
+                seen_v.add(w)
+                out.append(p.id)
+                stack.append(w)
+    return out
+
+
+def admissible_set(net, p, *, endpoint_ok=False):
+    """The component of the network cut off by ``p``, away from x0.
+
+    Raises ``PointIsJunction`` for cut points at a junction vertex.
+    """
+    _check_cut(net, p, endpoint_ok)
+    pipe, far_vertex = net.pipes[p.pipe], net.far_side_vertex(p.pipe)
+    own_interval = (0.0, p.offset) if far_vertex == pipe.from_vertex else (p.offset, pipe.length)
+    covered = [(pipe.id, own_interval)]
+    sub_pipe_ids = _component_pipes(net, far_vertex, pipe.id)
+    covered.extend((pid, (0.0, net.pipes[pid].length)) for pid in sub_pipe_ids)
+
+    sub_vertices = {far_vertex}
+    for pid in sub_pipe_ids:
+        sub_vertices.add(net.pipes[pid].from_vertex)
+        sub_vertices.add(net.pipes[pid].to_vertex)
+    boundary = tuple(leaf for leaf in net.accessible if leaf in sub_vertices)
+    return AdmissibleSet(tuple(covered), boundary, p)
+
+
+def reference_action_times(net, p, *, endpoint_ok=False):
+    """Action times over ``net.accessible`` by graph search: travel time to p on the cut-off side, 0 elsewhere."""
+    region = admissible_set(net, p, endpoint_ok=endpoint_ok)
+    return np.array([travel_time(net, leaf, p) if leaf in region.boundary_leaves else 0.0 for leaf in net.accessible])
 
 
 def region_contains(net, region, point):
@@ -481,3 +569,102 @@ def test_random_tree_invariants(spec, data):
         region_area_integral(net, region),
         sum(net.pipes[q].area.integral(lo, hi) for q, (lo, hi) in region.covered),
     )
+
+
+# -- closed-form action times against the graph search ------------------------
+
+
+def _uniform_pipe(pid, a, b, length):
+    return {"id": pid, "from": a, "to": b, "length": length, "area": {"base": 1.0, "blocks": []}}
+
+
+def reference_profile_points(net, pipe_id, cfg):
+    """The point-by-point profile loop: action times by graph search, offsets and positions."""
+    pipe = net.pipes[pipe_id]
+    from_far = net.far_side_vertex(pipe_id) == pipe.from_vertex
+    rows, offsets, positions = [], [], []
+    k = 1
+    while True:
+        d = k * cfg.dx
+        if d > pipe.length + cfg.dx * 1e-9:
+            break
+        d = min(d, pipe.length)
+        offset = d if from_far else pipe.length - d
+        f = reference_action_times(net, PointOnPipe(pipe_id, offset), endpoint_ok=True)
+        if f.max() - cfg.tau > cfg.tol:
+            break
+        rows.append(f)
+        offsets.append(offset)
+        positions.append(d)
+        k += 1
+    return np.reshape(rows, (-1, len(net.accessible))), np.array(offsets), np.array(positions)
+
+
+def _profile_cases():
+    """(name, network, tau, dt, dx) of the stock presets, of the benchmark's seeded trees, and of one pipe.
+
+    On the 500 m pipe, tau and not the pipe's end stops the profile: at
+    dx 60.5 the fifth point lies exactly a*(tau + tol) from the far end.
+    """
+    from test_simulate import _treegen
+
+    treegen = _treegen()
+    cases = [(name, validate_network(PRESETS[name]["network"]), PRESETS[name]["reconstruct"]["tau"], dt,
+              PRESETS[name]["reconstruct"]["dx"]) for name, dt in (("exp1", 0.01), ("exp2", 0.007))]
+    single = validate_network({"wave_speed": 1000.0, "gravity": 9.81, "vertices": ["L", "R"], "x0": "R",
+                               "accessible": ["L"], "pipes": [_uniform_pipe("P", "L", "R", 500.0)]})
+    cases += [("single-pipe", single, 0.3, 0.01, dx) for dx in (10.0, 60.5)]
+    for seed in (1, 2, 3):
+        cases.append((f"tree-measured-{seed}", validate_network(treegen.generate(seed, "measured")), 1.2, 0.007, 7.0))
+        cases.append((f"tree-exact-{seed}", validate_network(treegen.generate(seed, "exact")), 1.195, 0.01, 10.0))
+    return cases
+
+
+def test_profile_action_times_match_graph_search_bit_for_bit():
+    # every profile point of every pipe, at the settings each network is reconstructed with
+    for name, net, tau, dt, dx in _profile_cases():
+        for pid in net.pipes:
+            cfg = ReconConfig(tau=tau, dt=dt, dx=dx)
+            times, offsets, positions = _profile_points(net, pid, cfg)
+            expected = reference_profile_points(net, pid, cfg)
+            assert len(positions) > 0, (name, pid)
+            for got, want in zip((times, offsets, positions), expected):
+                assert got.tobytes() == want.tobytes(), (name, pid)
+            for offset, row in zip(offsets.tolist(), times):
+                f = action_times(net, PointOnPipe(pid, offset), endpoint_ok=True)
+                assert f.as_vector(net.accessible).tobytes() == row.tobytes(), (name, pid, offset)
+
+
+@given(tree_specs(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_action_times_match_graph_search_on_random_trees(spec, data):
+    net = validate_network(spec)
+    pid = data.draw(st.sampled_from(sorted(net.pipes)))
+    pipe = net.pipes[pid]
+    inside = st.floats(min_value=0.0, max_value=pipe.length, exclude_min=True, exclude_max=True)
+    # the pipe's x0-side end stands for the limit from inside, as a profile's last point may
+    offsets = data.draw(st.lists(inside, min_size=1, max_size=5)) + [pipe.end_coord(net.x0_side_vertex(pid))]
+    expected = np.array([reference_action_times(net, PointOnPipe(pid, o), endpoint_ok=True) for o in offsets])
+    assert action_times_along(net, pid, offsets).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("ends", [("J1", "J2"), ("J2", "J1")], ids=["far-end-first", "x0-end-first"])
+def test_action_times_on_a_pipe_shorter_than_round_off(ends):
+    # at 1e-14 m, E's distances to J1 and J2 are the same float, so only the
+    # tree's orientation, not a distance comparison, can tell E is not cut off
+    net = validate_network({
+        "wave_speed": 1000.0, "gravity": 9.81, "vertices": ["A", "B", "C", "E", "J1", "J2"], "x0": "C",
+        "accessible": ["A", "B", "E"],
+        "pipes": [_uniform_pipe("AJ", "A", "J1", 400.0), _uniform_pipe("BJ", "B", "J1", 300.0),
+                  _uniform_pipe("JJ", *ends, 1e-14), _uniform_pipe("JC", "J2", "C", 500.0),
+                  _uniform_pipe("JE", "J2", "E", 200.0)],
+    })
+    assert net._vertex_dist["E"]["J1"] == net._vertex_dist["E"]["J2"]
+    offsets = [2.5e-15, 5e-15, 9.9e-15, net.pipes["JJ"].end_coord("J2")]
+    f = action_times_along(net, "JJ", offsets)
+    expected = np.array([reference_action_times(net, PointOnPipe("JJ", o), endpoint_ok=True) for o in offsets])
+    assert f.tobytes() == expected.tobytes()
+    assert (f[:, :2] > 0).all() and (f[:, 2] == 0).all()
+    cfg = ReconConfig(tau=1.0, dt=0.01, dx=1e-15)
+    for got, want in zip(_profile_points(net, "JJ", cfg), reference_profile_points(net, "JJ", cfg)):
+        assert got.size and got.tobytes() == want.tobytes()

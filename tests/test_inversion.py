@@ -22,6 +22,7 @@ from pipescope import (
 )
 from pipescope.errors import (
     ActionTimeExceedsTau,
+    ConfigError,
     GridMismatch,
     HorizonTooShort,
     OutOfRange,
@@ -92,10 +93,15 @@ def zero_irm(net, dt, horizon):
     return SampledIRM(dt, net.accessible, np.zeros((n, n, samples)), horizon)
 
 
+def profile_cut_points(net, pipe, cfg):
+    """The cut points of one pipe's profile."""
+    _, offsets, _ = _profile_points(net, pipe, cfg)
+    return [PointOnPipe(pipe, offset) for offset in offsets.tolist()]
+
+
 def per_point_volumes(net, irm, pipe, cfg):
     """Reference: one system built and solved per point, through the single-point API."""
-    fs, _ = _profile_points(net, pipe, cfg)
-    return np.array([volume(solve_boundary_flows(irm, f, cfg, net), cfg, net) for f in fs])
+    return np.array([point_volume(net, irm, p, cfg) for p in profile_cut_points(net, pipe, cfg)])
 
 
 def point_volume(net, irm, point, cfg):
@@ -160,9 +166,9 @@ def test_restricted_matrix_matches_masked_build(request, case, pipe, offset, tau
     cfg = ReconConfig(tau=tau, dt=dt, dx=10.0)
     matrix, rhs, active = masked_system(irm, action_times(net, PointOnPipe(pipe, offset)), cfg, net)
     assert active.shape == (len(irm.leaves), cfg.samples_per_leaf)
-    fs, _ = _profile_points(net, pipe, cfg)
-    profile = _active(np.array([f.as_vector(irm.leaves) for f in fs]), cfg).reshape(len(fs), -1)
-    order = np.argsort(np.where(profile.any(axis=0), profile.argmax(axis=0), len(fs)), kind="stable")
+    times, _, _ = _profile_points(net, pipe, cfg)
+    profile = _active(times, cfg).reshape(len(times), -1)
+    order = np.argsort(np.where(profile.any(axis=0), profile.argmax(axis=0), len(times)), kind="stable")
     idx = order[active.ravel()[order]]
     assert 0 < idx.size == active.sum() < active.size
     assert not np.array_equal(idx, np.sort(idx))  # the profile takes samples up out of flat order
@@ -179,6 +185,24 @@ def test_grid_mismatch_and_short_horizon(exp1_net, exp1_irm):
     short = zero_irm(exp1_net, 0.01, 1.0)  # 101 samples < 2M = 160
     with pytest.raises(HorizonTooShort):
         solve_boundary_flows(short, f, ReconConfig(**EXP1_CFG), exp1_net)
+
+
+@pytest.mark.parametrize("leaves", [("A", "D"), ("B", "A"), ("A",)], ids=["non-leaf", "reversed", "missing"])
+def test_irm_leaves_must_be_the_accessible_leaves(exp1_net, exp1_irm, leaves):
+    # kernels are indexed in the network's accessible order; another list crashed or read the wrong kernels
+    irm = SampledIRM(exp1_irm.dt, leaves, exp1_irm.k[: len(leaves), : len(leaves)], exp1_irm.horizon)
+    cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
+    with pytest.raises(ConfigError, match="accessible leaves"):
+        volume_profile(exp1_net, irm, "DC", cfg)
+    with pytest.raises(ConfigError, match="accessible leaves"):
+        solve_boundary_flows(irm, action_times(exp1_net, PointOnPipe("DC", 100.0)), cfg, exp1_net)
+
+
+def test_profile_dx_too_small_for_memory(exp1_net, exp1_irm):
+    # point counts numpy cannot represent, not merely large ones
+    for dx in (1e-300, 5e-324):
+        with pytest.raises(OutOfRange, match="profile points"):
+            volume_profile(exp1_net, exp1_irm, "DC", ReconConfig(tau=0.8, dt=0.01, dx=dx, lam=1e-5))
 
 
 def test_action_time_exceeds_tau(exp1_net, exp1_irm):
@@ -317,8 +341,7 @@ def test_profile_matches_stacked_lstsq(request, preset, pipe, lam):
     tau, dx = (0.8, 10.0) if preset == "exp1" else (0.9, 7.0)
     cfg = ReconConfig(tau=tau, dt=irm.dt, dx=dx, lam=lam)
     vp = volume_profile(net, irm, pipe, cfg)
-    fs, _ = _profile_points(net, pipe, cfg)
-    expected = np.array([reference_volume(irm, f.cut_point, cfg, net) for f in fs])
+    expected = np.array([reference_volume(irm, p, cfg, net) for p in profile_cut_points(net, pipe, cfg)])
     assert len(vp.volumes) == len(expected) > 10
     assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))
 
@@ -506,8 +529,8 @@ def test_tree6_profiles_reach_many_unknowns(tree6):
     # the in-test tree exercises several LDL^T blocks and every leaf
     net, irm = tree6
     cfg = ReconConfig(**TREE6_CFG, lam=1e-5)
-    fs, _ = _profile_points(net, "J1X", cfg)
-    active = active_mask(irm, fs[-1], cfg)
+    times, _, _ = _profile_points(net, "J1X", cfg)
+    active = _active(times[-1], cfg)
     assert active.any(axis=1).all() and active.sum() > 2 * inversion._BLOCK
 
 
@@ -543,16 +566,14 @@ def test_profile_action_times_nest():
         net = validate_network(spec)
         pid = data.draw(st.sampled_from(sorted(net.pipes)))
         cfg = ReconConfig(tau=10.0, dt=0.01, dx=data.draw(st.floats(min_value=5.0, max_value=50.0)), lam=1e-5)
-        fs, _ = _profile_points(net, pid, cfg)
-        times = np.array([f.as_vector(net.accessible) for f in fs])
-        assert len(fs) >= 1 and (times[:-1] <= times[1:]).all()  # every pipe is at least dx long
+        times, _, _ = _profile_points(net, pid, cfg)
+        assert len(times) >= 1 and (times[:-1] <= times[1:]).all()  # every pipe is at least dx long
 
     run()
 
 
 def _assert_matches_reference(net, irm, pipe, cfg, vp, points=None):
-    fs, _ = _profile_points(net, pipe, cfg)
-    points = points if points is not None else [f.cut_point for f in fs]
+    points = points if points is not None else profile_cut_points(net, pipe, cfg)
     expected = np.array([reference_volume(irm, p, cfg, net) for p in points])
     assert len(vp.volumes) == len(expected) > 10
     assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipescope import (
+    PointOnPipe,
     SimConfig,
     conservation_residual,
     junction_scatter,
@@ -19,6 +20,7 @@ from pipescope import (
     validate_network,
 )
 from pipescope.errors import MismatchedSeriesLength, OutOfRange, UnstableConfig
+from test_graph import network_distance
 
 B_UNIT = 1000.0 / 9.81  # a/(gA) for a = 1000 m/s, g = 9.81, A = 1 m^2
 
@@ -146,8 +148,6 @@ def test_causality_finite_speed(exp2_net):
     for pid, g in hist.grids.items():
         pipe = exp2_net.pipes[pid]
         for node, x in enumerate(g.x):
-            from pipescope import PointOnPipe, network_distance
-
             d = network_distance(exp2_net, "A", PointOnPipe(pid, float(x)))
             if d > 1000.0 * t + g.dx:
                 assert hist.H[pid][k, node] == 0.0
