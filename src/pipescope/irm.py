@@ -36,7 +36,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .graph import Network
-from .simulate import Histories, SimConfig, _run_size, junction_scatter, simulate, step_inflow
+from .simulate import Histories, SimConfig, _run_size, junction_scatter, simulate_runs, step_inflow
 
 __all__ = [
     "AnalyticIRM",
@@ -267,6 +267,11 @@ def resample(series, t_old, t_new):
     return np.interp(t_new, t_old, np.asarray(series, dtype=float))
 
 
+def _require_two_samples(n: int):
+    if n < 2:
+        raise OutOfRange(f"a step response needs two or more time samples, not {n}: the run is shorter than one time step")
+
+
 def irm_row_from_step_response(
     t, traces: dict[str, np.ndarray], smooth_window_s: float = 0.02
 ) -> dict[str, np.ndarray]:
@@ -278,10 +283,7 @@ def irm_row_from_step_response(
     """
     if not 0 <= smooth_window_s < math.inf:
         raise OutOfRange(f"smoothing window must be finite and >= 0, not {smooth_window_s}")
-    if len(t) < 2:
-        raise OutOfRange(
-            f"a step response needs two or more time samples, not {len(t)}: the run is shorter than one time step"
-        )
+    _require_two_samples(len(t))
     window = max(1, int(smooth_window_s / float(t[1] - t[0])))
     kernels = differentiate(median_smooth(np.array(list(traces.values()), dtype=float), window), t)
     return dict(zip(traces, kernels))
@@ -297,15 +299,16 @@ def measure_irm(
     """Simulate step responses for every source leaf and assemble the IRM.
 
     One forward run per accessible leaf (unit step there, all other ends
-    closed), the processing pipeline per source row, then an optional
-    resampling to a coarser grid. Returns the IRM and the raw histories,
-    which hold node fields only if ``fields`` asks for them.
+    closed), all stepped together, the processing pipeline per source row,
+    then an optional resampling to a coarser grid. Returns the IRM and the
+    raw histories, which hold node fields only if ``fields`` asks for them.
     """
     if resample_dt is not None and not 0 < resample_dt < math.inf:
         raise OutOfRange(f"resampling dt must be positive and finite, not {resample_dt}")
     n = len(net.accessible)
-    # every run samples t = 0, dt, ..., n_steps*dt: the kernel grid is sized, and refused if too large, before any run
+    # every run samples t = 0, dt, ..., n_steps*dt: under one step, or too large a kernel grid, is refused before any run
     _, dt, n_steps = _run_size(net, cfg)
+    _require_two_samples(n_steps + 1)
     dt_out = dt if resample_dt is None else resample_dt
     try:
         t_out = np.arange(n_steps + 1 if resample_dt is None else grid_size(n_steps * dt, dt_out)) * dt_out
@@ -315,10 +318,8 @@ def measure_irm(
             f"a kernel grid of step {dt_out} over {n_steps * dt:g} s gives more kernel samples than fit in memory: {exc}"
         ) from exc
 
-    runs = []
-    for i, source in enumerate(net.accessible):
-        hist = simulate(net, step_inflow(net, cfg, source), cfg, fields=fields)
-        runs.append(hist)
+    runs = simulate_runs(net, [step_inflow(net, cfg, source) for source in net.accessible], cfg, fields=fields)
+    for i, hist in enumerate(runs):
         row = irm_row_from_step_response(hist.t, hist.boundary, smooth_window_s)
         for j, receiver in enumerate(net.accessible):
             k[i, j] = row[receiver] if resample_dt is None else resample(row[receiver], hist.t, t_out)

@@ -35,8 +35,15 @@ come from shifted slices of the node vectors, and the interior rule
 updates every node but the first and last by slices. A dummy cell's
 values reach only the pipe-end nodes beside it, and the vertex rule
 overwrites those in the same step, from C values taken out of one
-[C+; C-] buffer. Each step writes into buffers made once per run; only
-the vertex rule's per-vertex sums are a new array.
+[C+; C-] buffer.
+
+Runs on one network (one per source leaf, say) step together on a runs
+axis of one (H/Q, run, node) state. Strided views of it give one pass
+the foot H and Q of every cell, run and family, then C = foot H +
+[B; -B] * foot Q, the same floats as a run alone since x + (-y) == x - y.
+The vertex rule takes, sums and puts over all runs at once, on flat
+indices offset per run. Each step writes into buffers made once per
+batch; only the vertex rule's per-vertex sums are a new array.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import MismatchedSeriesLength, OutOfRange, UnstableConfig
 from .graph import Network
@@ -54,6 +62,7 @@ __all__ = [
     "SimConfig",
     "Histories",
     "simulate",
+    "simulate_runs",
     "step_inflow",
     "junction_scatter",
     "conservation_residual",
@@ -91,14 +100,11 @@ class Histories:
     """
 
     t: np.ndarray
+    dt: float  # the run's time step, kept also where t has a single sample
     grids: dict[str, _PipeGrid]
     H: dict[str, np.ndarray]   # shape (n_times, n_nodes)
     Q: dict[str, np.ndarray]
     boundary: dict[str, np.ndarray]  # accessible leaf -> H(t, leaf)
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
 
 
 def step_inflow(net: Network, cfg: SimConfig, leaf: str) -> dict[str, np.ndarray]:
@@ -150,38 +156,47 @@ def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig, fields:
     sample per time step from t = 0; leaves without a series are closed.
     Every vertex then takes its head from the single vertex rule of the
     module docstring, already at t = 0 on the quiescent network. With
-    ``fields`` the H and Q history of every node is kept, and the rows of
-    that history are the solver's state; without it one pair of node
-    vectors is updated in place. An array the run's size cannot allocate
-    raises OutOfRange.
+    ``fields`` the H and Q history of every node is kept. A one-run call
+    of ``simulate_runs``.
+    """
+    return simulate_runs(net, [flows], cfg, fields)[0]
+
+
+def simulate_runs(net: Network, runs: list[dict[str, np.ndarray]], cfg: SimConfig,
+                  fields: bool = True) -> list[Histories]:
+    """Run ``simulate`` on every flow dict of ``runs`` at once; one Histories per run.
+
+    Each is bit for bit that run alone's. An array the batch cannot allocate raises OutOfRange.
     """
     cells, dt, n_steps = _run_size(net, cfg)
+    if not runs:
+        return []
     vertex = {v: i for i, v in enumerate(net.vertices)}
-    n_nodes = sum(cells) + len(cells)
+    n_runs, n_vertices, n_nodes = len(runs), len(vertex), sum(cells) + len(cells)
     with _allocating(cells, n_steps):
         grids = _pipe_grids(net, cells)
-        inflow = np.zeros((n_steps + 1, len(vertex)))
-        traces = np.empty((n_steps + 1, len(net.accessible)))
-        if fields:  # every node of every row is written in its step
-            H, Q = np.empty((n_steps + 1, n_nodes)), np.empty((n_steps + 1, n_nodes))
+        inflow = np.zeros((n_steps + 1, n_runs, n_vertices))
+        traces = np.empty((n_steps + 1, n_runs, len(net.accessible)))
+        if fields:  # per step, the state: H then Q, each per run and node
+            HQ = np.empty((n_steps + 1, 2, n_runs, n_nodes))
 
-    for leaf, series in flows.items():
-        if leaf not in net.accessible:
-            raise MismatchedSeriesLength(f"{leaf!r} is not an accessible leaf")
-        if len(series) != n_steps + 1:
-            raise MismatchedSeriesLength(
-                f"series for {leaf!r} has {len(series)} samples, run needs {n_steps + 1}"
-            )
-        inflow[:, vertex[leaf]] = series
+    for r, flows in enumerate(runs):
+        for leaf, series in flows.items():
+            if leaf not in net.accessible:
+                raise MismatchedSeriesLength(f"{leaf!r} is not an accessible leaf")
+            if len(series) != n_steps + 1:
+                raise MismatchedSeriesLength(f"series for {leaf!r} has {len(series)} samples, run needs {n_steps + 1}")
+            inflow[:, r, vertex[leaf]] = series
 
     # per cell, a pipe's own or the dummy between two pipes (module docstring): Courant ratio and B
     theta = np.concatenate([np.append(np.full(n, net.wave_speed * dt / g.dx), 0.0)
                             for n, g in zip(cells, grids.values())])[:-1]
     rest = 1 - theta
     B = np.concatenate([np.append(g.impedance, 1.0) for g in grids.values()])[:-1]
+    B_signed = np.stack([B, -B])  # C+ adds B times the foot's Q, C- subtracts it
     B_left, B_sum = B[:-1], B[:-1] + B[1:]  # per node 1..n-2: its left cell's B, and both cells' B
 
-    # pipe ends in pipe order, the x = 0 end first: node, vertex, index into the [C+; C-] buffer, nu
+    # pipe ends in pipe order, the x = 0 end first: node, vertex, index into one run's [C+; C-], nu
     n_cells = n_nodes - 1
     first_node = np.cumsum([0, *(n + 1 for n in cells)])
     end_node = np.column_stack([first_node[:-1], first_node[1:] - 1]).ravel()
@@ -189,50 +204,58 @@ def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig, fields:
     end_vertex = np.array([vertex[v] for p in net.pipes.values() for v in (p.from_vertex, p.to_vertex)])
     nu = np.tile([1.0, -1.0], len(cells))
     B_end = np.concatenate([g.impedance[[0, -1]] for g in grids.values()])
-    inv_B_vertex = np.bincount(end_vertex, 1.0 / B_end, len(vertex))  # sum_e 1/B_e
+    inv_B_vertex = np.bincount(end_vertex, 1.0 / B_end, n_vertices)  # sum_e 1/B_e
 
     # a leaf is the vertex of exactly one pipe end
     end_at = dict(zip(end_vertex.tolist(), end_node.tolist()))
     leaf_node = np.array([end_at[vertex[leaf]] for leaf in net.accessible])
 
-    C = np.empty(2 * n_cells)
-    cp, cm = C[:n_cells], C[n_cells:]
-    cp_left, cm_right = cp[:-1], cm[1:]  # per node 1..n-2: C+ of its left cell, C- of its right cell
-    a, b = np.empty(n_cells), np.empty(n_cells)
-    c_end, h_end, w = np.empty(len(end_node)), np.empty(len(end_node)), np.empty(len(end_node))
+    def flat(index, size):  # the index in every run's block of a flat array, run after run
+        return (np.arange(n_runs)[:, None] * size + index).ravel()
 
-    def carry(op, h_near, h_far, q_near, q_far, out):
-        """out = theta*h_near + rest*h_far (op) B*(theta*q_near + rest*q_far), the foot value of one family."""
-        np.add(np.multiply(theta, h_near, out=out), np.multiply(rest, h_far, out=a), out=out)
-        np.add(np.multiply(theta, q_near, out=a), np.multiply(rest, q_far, out=b), out=a)
-        op(out, np.multiply(B, a, out=a), out=out)
+    end_node, leaf_node = flat(end_node, n_nodes), flat(leaf_node, n_nodes)
+    end_hq = np.concatenate([end_node, n_runs * n_nodes + end_node])  # the end nodes' H, then their Q
+    end_c, end_vertex = flat(end_c, 2 * n_cells), flat(end_vertex, n_vertices)
+    nu, B_end, inv_B_vertex = np.tile(nu, n_runs), np.tile(B_end, n_runs), np.tile(inv_B_vertex, n_runs)
 
-    h, q = np.zeros(n_nodes), np.zeros(n_nodes)  # quiescent state before t = 0
+    hq = np.zeros((2, n_runs, n_nodes))  # quiescent state before t = 0
+    foot, buf = np.empty((2, n_runs, 2, n_cells)), np.empty((2, n_runs, 2, n_cells))
+    C, foot_q = foot  # after each carry, C[run] holds that run's [C+; C-]
+    h_in, q_in = hq[:, :, 1:-1]
+    cp_left, cm_right = C[:, 0, :-1], C[:, 1, 1:]  # per node 1..n-2: C+ of its left cell, C- of its right cell
+    c_end, hq_end = np.empty(len(end_node)), np.empty(2 * len(end_node))
+    h_end, q_end = hq_end[:len(end_node)], hq_end[len(end_node):]
+    # per H/Q, run and family (C+, C-), the node of each cell weighted theta (x[:-1], x[1:]), then its other node
+    var, run, node = hq.strides
+    near = as_strided(hq, foot.shape, (var, run, node, node), writeable=False)
+    far = as_strided(hq[:, :, 1:], foot.shape, (var, run, -node, node), writeable=False)
+
+    C_flat, hq_flat = C.reshape(-1), hq.reshape(-1)
+    inflow, traces_flat = inflow.reshape(n_steps + 1, -1), traces.reshape(n_steps + 1, -1)
     for step in range(n_steps + 1):
-        carry(np.add, h[:-1], h[1:], q[:-1], q[1:], cp)
-        carry(np.subtract, h[1:], h[:-1], q[1:], q[:-1], cm)
-        if fields:
-            h, q = H[step], Q[step]
-        q_in, h_in = q[1:-1], h[1:-1]
+        # the foot H and Q of every cell, run and family, then C = foot H + [B; -B] * foot Q
+        np.add(np.multiply(theta, near, out=foot), np.multiply(rest, far, out=buf), out=foot)
+        np.add(C, np.multiply(B_signed, foot_q, out=foot_q), out=C)
         np.divide(np.subtract(cp_left, cm_right, out=q_in), B_sum, out=q_in)
         np.subtract(cp_left, np.multiply(B_left, q_in, out=h_in), out=h_in)
-        C.take(end_c, out=c_end)
-        h_v = np.bincount(end_vertex, np.divide(c_end, B_end, out=w), len(vertex))
+        C_flat.take(end_c, out=c_end)
+        h_v = np.bincount(end_vertex, np.divide(c_end, B_end, out=q_end), n_runs * n_vertices)
         h_v += inflow[step]
         h_v /= inv_B_vertex
         h_v.take(end_vertex, out=h_end)
-        h.put(end_node, h_end)
-        q.put(end_node, np.divide(np.multiply(nu, np.subtract(h_end, c_end, out=w), out=w), B_end, out=w))
-        h.take(leaf_node, out=traces[step])
+        np.divide(np.multiply(nu, np.subtract(h_end, c_end, out=q_end), out=q_end), B_end, out=q_end)
+        hq_flat.put(end_hq, hq_end)
+        hq_flat.take(leaf_node, out=traces_flat[step])
+        if fields:
+            HQ[step] = hq
 
     t = np.arange(n_steps + 1) * dt
-    boundary = {leaf: traces[:, k] for k, leaf in enumerate(net.accessible)}
-    if not fields:
-        return Histories(t, grids, {}, {}, boundary)
     pipe_nodes = {pid: slice(s, s + n + 1) for pid, s, n in zip(grids, first_node, cells)}
-    H_pipe = {pid: H[:, nodes] for pid, nodes in pipe_nodes.items()}
-    Q_pipe = {pid: Q[:, nodes] for pid, nodes in pipe_nodes.items()}
-    return Histories(t, grids, H_pipe, Q_pipe, boundary)
+    hists = []
+    for r in range(n_runs):
+        H, Q = ({pid: HQ[:, v, r, nodes] for pid, nodes in pipe_nodes.items()} if fields else {} for v in (0, 1))
+        hists.append(Histories(t, dt, grids, H, Q, {leaf: traces[:, r, k] for k, leaf in enumerate(net.accessible)}))
+    return hists
 
 
 def junction_scatter(incident_head, incident: int, admittances):

@@ -484,16 +484,18 @@ def test_simulate_irm_run_too_large_for_memory_exit_2(tmp_path, capsys, flag, va
 @pytest.mark.parametrize("value", ["1e-15", "5e-324"])
 def test_simulate_irm_kernel_grid_refused_before_any_run(tmp_path, capsys, monkeypatch, value):
     calls = []
-    monkeypatch.setattr("pipescope.irm.simulate", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr("pipescope.irm.simulate_runs", lambda *args, **kwargs: calls.append(args))
     code = run(["simulate-irm", "--preset", "exp2", "--resample-dt", value, "--out", str(tmp_path / "x.csv")])
     assert code == 2 and calls == []
     assert "kernel samples" in capsys.readouterr().err
 
 
-def test_simulate_irm_shorter_than_one_step_exit_2(tmp_path, net1_path, capsys):
+def test_simulate_irm_shorter_than_one_step_exit_2(tmp_path, net1_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("pipescope.irm.simulate_runs", lambda *args, **kwargs: calls.append(args))
     code = run(["simulate-irm", "--network", str(net1_path), "--dx", "5", "--duration", "0", "--out",
                 str(tmp_path / "x.csv")])
-    assert code == 2
+    assert code == 2 and calls == []
     err = capsys.readouterr().err
     assert "two or more time samples" in err and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()

@@ -24,6 +24,8 @@ from pipescope import (
     resample,
     sample_irm,
     save_irm,
+    simulate,
+    step_inflow,
     validate_network,
 )
 from pipescope.errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, WindowTooLarge
@@ -433,6 +435,46 @@ def test_measured_kernels_match_direct_step_subtraction_to_round_off(exp2_net):
             kernel = np.gradient(_median_smooth_loop(h, window), hist.t[1] - hist.t[0])
             reference[i, j] = np.interp(t_out, hist.t, kernel)
     assert np.abs(irm.k - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def _measure_irm_source_by_source(net, cfg, resample_dt, smooth_window_s=0.02, fields=False):
+    """``measure_irm`` as one ``simulate`` call per source leaf, in turn: kernels and runs."""
+    runs = [simulate(net, step_inflow(net, cfg, source), cfg, fields=fields) for source in net.accessible]
+    t = runs[0].t
+    t_out = t if resample_dt is None else np.arange(grid_size(t[-1], resample_dt)) * resample_dt
+    k = np.zeros((len(runs), len(runs), len(t_out)))
+    for i, hist in enumerate(runs):
+        row = irm_row_from_step_response(hist.t, hist.boundary, smooth_window_s)
+        for j, receiver in enumerate(net.accessible):
+            k[i, j] = row[receiver] if resample_dt is None else resample(row[receiver], hist.t, t_out)
+    return k, runs
+
+
+@pytest.mark.parametrize(
+    "network, dx, courant, duration, resample_dt, fields",
+    [
+        ("exp2", 5.0, 0.95, 1.9, 0.007, False),  # the preset's simulate-irm settings
+        ("exp2", 10.0, 0.95, 0.6, None, True),
+        ("tree", 5.0, 0.95, 2.6, 0.007, False),  # the benchmark's tree-measured settings
+        ("tree", 6.0, 0.8, 0.4, 0.01, True),
+    ],
+)
+def test_measured_irm_matches_source_by_source_runs_bit_for_bit(network, dx, courant, duration, resample_dt, fields):
+    from test_simulate import _treegen
+
+    net = validate_network(EXP2_NETWORK if network == "exp2" else _treegen().generate(1, "measured"))
+    cfg = SimConfig(dx=dx, duration=duration, courant=courant)
+    irm, runs = measure_irm(net, cfg, resample_dt=resample_dt, fields=fields)
+    k, reference = _measure_irm_source_by_source(net, cfg, resample_dt, fields=fields)
+    assert irm.k.tobytes() == k.tobytes()
+    assert len(runs) == len(reference) == len(net.accessible)
+    for hist, ref in zip(runs, reference):
+        assert hist.t.tobytes() == ref.t.tobytes() and hist.dt == ref.dt
+        assert list(hist.boundary) == list(ref.boundary)
+        assert all(hist.boundary[leaf].tobytes() == ref.boundary[leaf].tobytes() for leaf in ref.boundary)
+        assert list(hist.H) == list(ref.H) and list(hist.Q) == list(ref.Q) and bool(hist.H) == fields
+        assert all(hist.H[pid].tobytes() == ref.H[pid].tobytes() for pid in ref.H)
+        assert all(hist.Q[pid].tobytes() == ref.Q[pid].tobytes() for pid in ref.Q)
 
 
 def test_measured_irm_matches_oracle_bins(exp1_net):

@@ -20,6 +20,7 @@ from pipescope import (
     validate_network,
 )
 from pipescope.errors import MismatchedSeriesLength, OutOfRange, UnstableConfig
+from pipescope.simulate import simulate_runs
 from test_graph import network_distance
 
 B_UNIT = 1000.0 / 9.81  # a/(gA) for a = 1000 m/s, g = 9.81, A = 1 m^2
@@ -115,6 +116,17 @@ def test_run_too_large_for_memory_raises_out_of_range(exp2_net, dx, courant, dur
         step_inflow(exp2_net, cfg, "A")
     with pytest.raises(OutOfRange, match=message):
         simulate(exp2_net, {}, cfg)
+    with pytest.raises(OutOfRange, match=message):  # a batch: its inflow and fields carry a runs axis
+        simulate_runs(exp2_net, [{}, {}, {}], cfg, fields=True)
+
+
+def test_batch_refuses_a_bad_later_run_naming_its_leaf(exp2_net):
+    cfg = SimConfig(dx=5.0, duration=0.5, courant=0.95)
+    step = step_inflow(exp2_net, cfg, "A")
+    with pytest.raises(MismatchedSeriesLength, match="'Z' is not an accessible leaf"):
+        simulate_runs(exp2_net, [step, {"Z": step["A"]}], cfg)
+    with pytest.raises(MismatchedSeriesLength, match="series for 'C' has 7 samples"):
+        simulate_runs(exp2_net, [step, {}, {"B": step["A"], "C": np.ones(7)}], cfg, fields=False)
 
 
 # -- wave propagation ---------------------------------------------------------
@@ -294,6 +306,16 @@ def test_leaf_traces_without_fields_are_bit_identical(preset_net, request):
         assert full.boundary[leaf].tobytes() == full.H[pipe.id][:, node].tobytes()
 
 
+def test_zero_step_run_keeps_its_time_step(exp1_net):
+    cfg = SimConfig(dx=5.0, duration=0.0, courant=0.95)
+    hist = simulate(exp1_net, step_inflow(exp1_net, cfg, "A"), cfg)
+    assert len(hist.t) == 1
+    longer = simulate(exp1_net, {}, SimConfig(dx=5.0, duration=0.1, courant=0.95), fields=False)
+    assert hist.dt == longer.dt == longer.t[1] - longer.t[0]
+    with pytest.raises(ValueError, match="outside the recorded time span"):
+        conservation_residual(hist, exp1_net, hist.dt)
+
+
 def test_conservation_residual_needs_fields(exp2_net):
     cfg = SimConfig(dx=10.0, duration=0.6, courant=1.0)
     hist = simulate(exp2_net, step_inflow(exp2_net, cfg, "A"), cfg, fields=False)
@@ -422,3 +444,46 @@ def test_step_matches_gather_reference_bit_for_bit(preset_net, dx, courant, dura
         assert hist.Q[pid].tobytes() == Q[pid].tobytes()
     if fields:
         assert [len(g.x) for g in hist.grids.values()] == [h.shape[1] for h in H.values()]
+
+
+def _assert_matches_reference(hist, net, flows, cfg, fields):
+    t, boundary, H, Q = _reference_simulate(net, flows, cfg, fields=fields)
+    assert hist.t.tobytes() == t.tobytes() and hist.dt == t[1] - t[0]
+    assert list(hist.boundary) == list(boundary)
+    for leaf in boundary:
+        assert hist.boundary[leaf].tobytes() == boundary[leaf].tobytes()
+    assert list(hist.H) == list(H) and list(hist.Q) == list(Q)
+    for pid in H:
+        assert hist.H[pid].tobytes() == H[pid].tobytes()
+        assert hist.Q[pid].tobytes() == Q[pid].tobytes()
+
+
+@pytest.mark.parametrize("fields", [True, False])
+@pytest.mark.parametrize("batch", ["one", "every source", "mixed"])
+@pytest.mark.parametrize(
+    "preset_net, dx, courant, duration",
+    [
+        ("exp1_net", 5.0, 1.0, 1.2),
+        ("exp2_net", 7.0, 0.75, 0.6),
+        ("exp1_net", 350.0, 1.0, 3.0),  # AD and BD one cell each, DC three
+        ("exp1_net", 5000.0, 0.8, 8.0),  # every pipe a single cell
+        ("tree_measured_net", 6.0, 0.6, 0.5),
+    ],
+)
+def test_batch_runs_match_gather_reference_bit_for_bit(preset_net, dx, courant, duration, batch, fields, request):
+    # every run of one batch is held to the gather-based solver run on its flows alone
+    net = request.getfixturevalue(preset_net)
+    cfg = SimConfig(dx=dx, duration=duration, courant=courant)
+    steps = [step_inflow(net, cfg, leaf) for leaf in net.accessible]
+    rng = np.random.default_rng(3)
+    n = len(steps[0][net.accessible[0]])
+    noise = {leaf: rng.normal(size=n) * 10.0 ** rng.integers(-3, 3) for leaf in net.accessible}
+    runs = {
+        "one": [steps[-1]],
+        "every source": steps,
+        "mixed": [noise, {}, steps[0], {net.accessible[-1]: noise[net.accessible[0]]}, steps[-1], {}],
+    }[batch]
+    hists = simulate_runs(net, runs, cfg, fields=fields)
+    assert len(hists) == len(runs)
+    for flows, hist in zip(runs, hists):
+        _assert_matches_reference(hist, net, flows, cfg, fields)
