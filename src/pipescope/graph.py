@@ -8,12 +8,14 @@ a positive cross-sectional area profile ``A(x)``, and the internal normal
 list drives all response-matrix indexing downstream.
 
 Geometry here is exact and immutable: once ``validate_network`` accepts a
-description, every derived quantity (vertex distances, the orientation
-towards x0, action times) is a pure function of it. A cut point on a pipe
-separates from x0 exactly the accessible leaves whose path to x0 runs
-through that pipe; each such leaf's action time is its distance to the
-pipe's far vertex plus the point's, over the wave speed, and every other
-leaf's is 0.
+description, every derived quantity (the orientation towards x0, each
+pipe's cut-off leaves with their distances to it, action times) is a pure
+function of it. A cut point on a pipe separates from x0 exactly the
+accessible leaves whose path to x0 runs through that pipe; each such
+leaf's action time is its distance to the pipe's far vertex plus the
+point's, over the wave speed, and every other leaf's is 0. One walk from
+each leaf up to x0 gives those distances; no table over pairs of vertices
+is kept.
 """
 
 from __future__ import annotations
@@ -73,15 +75,6 @@ class BlockAreaProfile:
         mids = [(a + b) / 2 for a, b in zip(edges, edges[1:])]
         return float(min(self(m) for m in mids)) if mids else self.base
 
-    def integral(self, lo: float, hi: float) -> float:
-        """Exact integral of A over [lo, hi]."""
-        total = self.base * (hi - lo)
-        for b_lo, b_hi, delta in self.blocks:
-            overlap = min(hi, b_hi) - max(lo, b_lo)
-            if overlap > 0:
-                total += delta * overlap
-        return total
-
     @property
     def is_constant(self) -> bool:
         return all(delta == 0.0 for _, _, delta in self.blocks)
@@ -100,11 +93,6 @@ class TableAreaProfile:
 
     def min_area(self, length: float) -> float:
         return float(min(self.values))
-
-    def integral(self, lo: float, hi: float) -> float:
-        xs = [lo] + [x for x in self.x if lo < x < hi] + [hi]
-        ys = self(np.asarray(xs))
-        return float(np.trapezoid(ys, xs))
 
     @property
     def is_constant(self) -> bool:
@@ -177,7 +165,6 @@ class Network:
             self._adjacency.setdefault(p.from_vertex, []).append(p)
             self._adjacency.setdefault(p.to_vertex, []).append(p)
         self.vertices: tuple[str, ...] = tuple(self._adjacency)
-        self._vertex_dist = self._all_pairs_distances()
         self._x0_side, self._cut_off = self._orient_towards_x0()
 
     # -- structure ---------------------------------------------------------
@@ -218,23 +205,13 @@ class Network:
 
     # -- internals ---------------------------------------------------------
 
-    def _all_pairs_distances(self) -> dict[str, dict[str, float]]:
-        dist: dict[str, dict[str, float]] = {}
-        for start in self._adjacency:
-            d = {start: 0.0}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for p in self._adjacency[v]:
-                    w = p.to_vertex if v == p.from_vertex else p.from_vertex
-                    if w not in d:
-                        d[w] = d[v] + p.length
-                        stack.append(w)
-            dist[start] = d
-        return dist
+    def _orient_towards_x0(self) -> tuple[dict[str, str], dict[str, list[tuple[int, float]]]]:
+        """Each pipe's x0-side end, and the leaves it cuts off from x0.
 
-    def _orient_towards_x0(self) -> tuple[dict[str, str], dict[str, list[int]]]:
-        """Each pipe's x0-side end, and the indices into ``accessible`` of the leaves it cuts off from x0."""
+        A cut-off leaf is an (index into ``accessible``, distance from the
+        leaf to the pipe's far vertex) pair. The distance is the sum of the
+        pipe lengths on the leaf's walk up to x0, added from the leaf on.
+        """
         parent_edge: dict[str, str | None] = {self.x0: None}
         order = [self.x0]
         while order:
@@ -248,12 +225,13 @@ class Network:
         for pid, p in self.pipes.items():
             # the endpoint whose parent edge is this pipe is the far one
             side[pid] = p.to_vertex if parent_edge[p.from_vertex] == pid else p.from_vertex
-        cut_off: dict[str, list[int]] = {pid: [] for pid in self.pipes}
+        cut_off: dict[str, list[tuple[int, float]]] = {pid: [] for pid in self.pipes}
         for i, leaf in enumerate(self.accessible):
-            v = leaf
-            while parent_edge[v] is not None:  # up the leaf's path to x0
-                cut_off[parent_edge[v]].append(i)
-                v = side[parent_edge[v]]
+            v, dist = leaf, 0.0
+            while (pid := parent_edge[v]) is not None:  # up the leaf's path to x0
+                cut_off[pid].append((i, dist))
+                dist += self.pipes[pid].length
+                v = side[pid]
         return side, cut_off
 
 
@@ -314,7 +292,8 @@ def validate_network(spec: dict) -> Network:
 
     if not (0 < wave_speed < math.inf and 0 < gravity < math.inf):
         raise InvalidNetworkSpec("wave_speed and gravity must be positive and finite")
-    if len(set(vertices)) != len(vertices):
+    vertex_set = set(vertices)
+    if len(vertex_set) != len(vertices):
         raise InvalidNetworkSpec("duplicate vertex ids")
 
     pipes = []
@@ -331,7 +310,7 @@ def validate_network(spec: dict) -> Network:
         if pid in seen_ids:
             raise InvalidNetworkSpec(f"duplicate pipe id {pid!r}")
         seen_ids.add(pid)
-        if v_from not in vertices or v_to not in vertices:
+        if v_from not in vertex_set or v_to not in vertex_set:
             raise InvalidNetworkSpec(f"pipe {pid!r} references unknown vertices")
         if v_from == v_to:
             raise CycleDetected(f"pipe {pid!r} is a self-loop")
@@ -411,8 +390,8 @@ def action_times_along(net: Network, pipe_id: str, offsets) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=float)
     dv = offsets if far == pipe.from_vertex else pipe.length - offsets
     f = np.zeros((offsets.size, len(net.accessible)))
-    for i in net._cut_off[pipe_id]:
-        f[:, i] = (net._vertex_dist[net.accessible[i]][far] + dv) / net.wave_speed
+    for i, dist in net._cut_off[pipe_id]:
+        f[:, i] = (dist + dv) / net.wave_speed
     return f
 
 

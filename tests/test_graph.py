@@ -4,10 +4,12 @@
 points and leaves a cut separates from x0 by searching the graph, with a
 minimum over each point's two pipe ends. They are the reference that the
 closed-form action times of ``pipescope.graph`` must match bit for bit.
+``area_integral`` integrates an area profile exactly over an interval.
 """
 
 import copy
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ from pipescope import (
     action_times,
     validate_network,
 )
-from pipescope.graph import _check_cut, action_times_along
+from pipescope.graph import TableAreaProfile, _check_cut, action_times_along
 from pipescope.inversion import _profile_points
 from pipescope.errors import (
     CycleDetected,
@@ -61,13 +63,28 @@ def _point_candidates(net, point):
     raise InvalidPoint(f"unknown vertex {point!r}")
 
 
+def vertex_distances(net, start):
+    """Path length from vertex ``start`` to every vertex, by graph search, each summed from ``start`` outwards."""
+    dist = {start: 0.0}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for p in net._adjacency[v]:
+            w = p.to_vertex if v == p.from_vertex else p.from_vertex
+            if w not in dist:
+                dist[w] = dist[v] + p.length
+                stack.append(w)
+    return dist
+
+
 def network_distance(net, u, v):
     """Length in meters of the unique tree path between two points, vertex ids or ``PointOnPipe``s."""
     pu, cand_u = _point_candidates(net, u)
     pv, cand_v = _point_candidates(net, v)
     if pu is not None and pu == pv:
         return abs(cand_u[0][1] - cand_v[0][1])
-    return min(du + net._vertex_dist[eu][ev] + dv for eu, du in cand_u for ev, dv in cand_v)
+    dist = {eu: vertex_distances(net, eu) for eu, _ in cand_u}
+    return min(du + dist[eu][ev] + dv for eu, du in cand_u for ev, dv in cand_v)
 
 
 def travel_time(net, u, v):
@@ -126,9 +143,22 @@ def region_contains(net, region, point):
     return False
 
 
+def area_integral(area, lo, hi):
+    """Exact integral of an area profile over [lo, hi]: the blocks' overlaps, or trapezoids between table samples."""
+    if isinstance(area, TableAreaProfile):
+        xs = [lo] + [x for x in area.x if lo < x < hi] + [hi]
+        return float(np.trapezoid(area(np.asarray(xs)), xs))
+    total = area.base * (hi - lo)
+    for b_lo, b_hi, delta in area.blocks:
+        overlap = min(hi, b_hi) - max(lo, b_lo)
+        if overlap > 0:
+            total += delta * overlap
+    return total
+
+
 def region_area_integral(net, region):
     """Integral of the area profile over a covered region: its volume in m^3."""
-    return sum(net.pipes[pid].area.integral(lo, hi) for pid, (lo, hi) in region.covered)
+    return sum(area_integral(net.pipes[pid].area, lo, hi) for pid, (lo, hi) in region.covered)
 
 
 def test_exp1_network_validates(exp1_net):
@@ -350,7 +380,7 @@ def test_table_area_profile(exp1_spec):
     net = validate_network(exp1_spec)
     area = net.pipes["AD"].area
     assert area(150.0) == pytest.approx(0.85)
-    assert area.integral(0.0, 400.0) == pytest.approx(400.0 - 0.3 * 100.0)
+    assert area_integral(area, 0.0, 400.0) == pytest.approx(400.0 - 0.3 * 100.0)
 
 
 # -- travel times -------------------------------------------------------------
@@ -567,7 +597,7 @@ def test_random_tree_invariants(spec, data):
             assert f.f[leaf] == 0.0
     assert math.isclose(
         region_area_integral(net, region),
-        sum(net.pipes[q].area.integral(lo, hi) for q, (lo, hi) in region.covered),
+        sum(area_integral(net.pipes[q].area, lo, hi) for q, (lo, hi) in region.covered),
     )
 
 
@@ -659,7 +689,7 @@ def test_action_times_on_a_pipe_shorter_than_round_off(ends):
                   _uniform_pipe("JJ", *ends, 1e-14), _uniform_pipe("JC", "J2", "C", 500.0),
                   _uniform_pipe("JE", "J2", "E", 200.0)],
     })
-    assert net._vertex_dist["E"]["J1"] == net._vertex_dist["E"]["J2"]
+    assert vertex_distances(net, "E")["J1"] == vertex_distances(net, "E")["J2"]
     offsets = [2.5e-15, 5e-15, 9.9e-15, net.pipes["JJ"].end_coord("J2")]
     f = action_times_along(net, "JJ", offsets)
     expected = np.array([reference_action_times(net, PointOnPipe("JJ", o), endpoint_ok=True) for o in offsets])
@@ -668,3 +698,60 @@ def test_action_times_on_a_pipe_shorter_than_round_off(ends):
     cfg = ReconConfig(tau=1.0, dt=0.01, dx=1e-15)
     for got, want in zip(_profile_points(net, "JJ", cfg), reference_profile_points(net, "JJ", cfg)):
         assert got.size and got.tobytes() == want.tobytes()
+
+
+def _large_tree():
+    """A seeded tree of 2,002 vertices, x0 a leaf of the root junction; every junction joins 3 or 4 pipes.
+
+    It grows by giving a random accessible leaf two or three new leaves,
+    on pipes of random orientation and length. Returns the network spec
+    and, per pipe, the number of accessible leaves it cuts off from x0.
+    """
+    rng = np.random.default_rng(1909)
+    parent, pipes, leaves = {}, [], []
+
+    def attach(center, n):
+        for _ in range(n):
+            child = f"v{len(parent) + 1}"
+            parent[child] = center
+            ends = (center, child) if rng.random() < 0.5 else (child, center)
+            pipes.append(_uniform_pipe(f"p{child}", *ends, float(rng.uniform(50.0, 500.0))))
+            leaves.append(child)
+
+    attach("v0", 3)
+    x0 = leaves.pop(0)
+    while len(parent) < 2000:
+        attach(leaves.pop(int(rng.integers(len(leaves)))), int(rng.integers(2, 4)))
+    cut_off = {f"p{v}": 0 for v in parent}
+    for leaf in leaves:
+        v = leaf
+        while v in parent:
+            cut_off[f"p{v}"] += 1
+            v = parent[v]
+    cut_off[f"p{x0}"] = len(leaves)
+    spec = {"wave_speed": 1000.0, "gravity": 9.81, "vertices": ["v0", *parent], "pipes": pipes, "x0": x0,
+            "accessible": leaves}
+    return spec, cut_off
+
+
+def test_validation_memory_on_a_large_tree():
+    # a table of distances between every pair of vertices would trace about 200 MB here
+    spec, cut_off = _large_tree()
+    tracemalloc.start()
+    try:
+        net = validate_network(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, peak
+
+    # the smallest pipe cutting off 50 or more leaves, one cutting off a few, and a leaf pipe
+    by_count = sorted(cut_off, key=lambda pid: (cut_off[pid], pid))
+    big = next(pid for pid in by_count if cut_off[pid] >= 50)
+    few = next(pid for pid in by_count if cut_off[pid] >= 5)
+    for pid in (big, few, by_count[0]):
+        pipe = net.pipes[pid]
+        offsets = [0.25 * pipe.length, 0.5 * pipe.length, pipe.end_coord(net.x0_side_vertex(pid))]
+        expected = np.array([reference_action_times(net, PointOnPipe(pid, o), endpoint_ok=True) for o in offsets])
+        assert ((expected > 0).sum(axis=1) == cut_off[pid]).all(), pid
+        assert action_times_along(net, pid, offsets).tobytes() == expected.tobytes(), pid
