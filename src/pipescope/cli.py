@@ -223,10 +223,11 @@ def cmd_reconstruct(resolved: dict) -> list:
     out_dir = resolved["out"]
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
-    profiles = {}  # per pipe: the volume solver that ran and the IRM reciprocity deviation it saw
+    profiles = {}  # per pipe: the solver that ran, the reciprocity it saw and, if it factored, its trust numbers
     for pid, cfg in zip(pipes, cfgs):
         vp = volume_profile(net, irm, pid, cfg)
-        profiles[pid] = {"solver": vp.solver, "reciprocity": vp.reciprocity}
+        profiles[pid] = {"solver": vp.solver, "reciprocity": vp.reciprocity,
+                         "residual": vp.residual, "volume_bound": vp.volume_bound}
         ap = area_profile(vp, cfg.dx)
         vol_path = os.path.join(out_dir, f"{pid}_volume.csv")
         _write_csv(vol_path, "pipe,x_m,V_m3", ((pid, x, v) for x, v in zip(vp.positions, vp.volumes)))

@@ -39,16 +39,22 @@ gives every point's volume as a prefix sum:
 V_k = a^2 dt/g * Re sum_{j < n_k} u_j^2 / d_j with u = L^-1 nu. The pivots
 exist (S_k - i sqrt(lambda) I is never singular), but no theorem makes the
 unpivoted factorisation stable here (Higham 1998 needs definite real and
-imaginary parts), so the largest point is checked at run time.
-``volume_profile`` solves each point on its leading block instead where
-lambda = 0, where the reciprocity deviation max|S - S^T| / max|S| exceeds
-``RECIPROCITY_TOL``, or where the largest point's relative residual or its
-disagreement with a pivoted direct solve of the same system exceeds
-``STABILITY_TOL``. On the exp1 and exp2 pipes the two paths agree within
-4e-15 relative (the tests hold 1e-10). Where they differ more, on systems
-of several hundred unknowns from simulated IRMs, the per-point normal
-equations are the ones off: the factorisation stays within 6e-14 of a QR
-least-squares solve of the stacked system.
+imaginary parts), so the largest point is checked at run time, in O(n^2):
+with x the back-substituted solve and r = S x - i sqrt(lambda) x - nu its
+residual, nu^T A^-1 nu = nu^T x - x^T r + r^T A^-1 r for a symmetric A
+(Golub and Meurant 2010, ch. 7), and ||A^-1|| <= 1/sqrt(lambda), so the
+residual certifies the volume (``_certificate`` derives the bound, with the
+term a skew part of S adds). ``volume_profile`` solves each point on its
+leading block instead where lambda = 0, where the reciprocity deviation
+max|S - S^T| / max|S| exceeds ``RECIPROCITY_TOL``, or where the largest
+point's relative residual or its certified bound on the volume's relative
+error exceeds ``STABILITY_TOL``. The bound reads at most 7e-15 on every
+exp1, exp2 and benchmark-tree (seeds 1-10) pipe. On the exp1 and exp2
+pipes the two paths agree within 4e-15 relative (the tests hold 1e-10).
+Where they differ more, on systems of several hundred unknowns from
+simulated IRMs, the per-point normal equations are the ones off: the
+factorisation stays within 6e-14 of a QR least-squares solve of the
+stacked system.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ __all__ = [
 ]
 
 RECIPROCITY_TOL = 1e-9  # max|S - S^T| / max|S| above which a profile is solved point by point
-STABILITY_TOL = 1e-10  # largest point: relative residual, and relative distance to a pivoted direct solve
+STABILITY_TOL = 1e-10  # largest point: relative residual, and the certified bound on the volume's relative error
 _BLOCK = 48  # LDL^T block width: columns factored one by one inside it, matrix products across
 
 
@@ -123,6 +129,9 @@ class VolumeProfile:
     volumes: np.ndarray    # m^3
     solver: str = "per-point"  # "layer-stripping", or "per-point: <why not>"
     reciprocity: float = 0.0   # max|S - S^T| / max|S| over the samples the points use
+    # largest point, on the layer-stripping path only (None on the per-point paths):
+    residual: float | None = None      # max|A x - nu|, relative as |nu| = 1
+    volume_bound: float | None = None  # bound on the volume's relative error
 
 
 @dataclass(frozen=True)
@@ -262,29 +271,33 @@ def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig):
     return f[:n], offsets[:n], d[:n]
 
 
-def _ldlt(a: np.ndarray) -> None:
+def _ldlt(a: np.ndarray) -> list[np.ndarray]:
     """Factor ``a`` = [A | v], (n, n + 1), in place: A = L diag(d) L^T without pivoting, v -> L^-1 v.
 
     Reads only A's lower triangle. The unit lower triangle L is left below
     the diagonal and d on it. Columns are eliminated one by one only inside
     each diagonal block; the panel below it, the vector and the trailing
-    lower triangle take the block's step as matrix products.
+    lower triangle take the block's step as matrix products. Returns the
+    inverses of L's diagonal blocks, in block order.
     """
     n = a.shape[0]
+    invs = []
     for j0 in range(0, n, _BLOCK):
         j1 = min(j0 + _BLOCK, n)
         b = j1 - j0
         # [A11 | I] with A11 made whole from its lower triangle: each row
-        # operation is one update, and it turns I into L11^-1
+        # operation is one update, and it turns I into L11^-1. Row k of that
+        # right half is zero past column b + k, so the update stops there.
         low = np.tril(a[j0:j1, j0:j1], -1)
         work = np.hstack([low + low.T + np.diag(a.diagonal()[j0:j1]), np.eye(b)])
         for k in range(b - 1):
             col = work[k + 1 :, k]
             col /= work[k, k]
-            work[k + 1 :, k + 1 :] -= np.outer(col, work[k, k + 1 :])
+            work[k + 1 :, k + 1 : b + k + 1] -= col[:, None] * work[k, k + 1 : b + k + 1]
         a[j0:j1, j0:j1] = work[:, :b]
         d = work.diagonal().copy()
         inv = work[:, b:]
+        invs.append(inv)
         a[j0:j1, n] = inv @ a[j0:j1, n]
         if j1 == n:
             break
@@ -294,68 +307,94 @@ def _ldlt(a: np.ndarray) -> None:
         for c0 in range(j1, n, _BLOCK):
             c1 = min(c0 + _BLOCK, n)
             a[c0:, c0:c1] -= l21[c0 - j1 :] @ (l21[c0 - j1 : c1 - j1] * d).T
+    return invs
 
 
-def _back_substitute(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x = L^-T y for the unit lower triangle L that ``_ldlt`` left in ``a``."""
+def _back_substitute(a: np.ndarray, invs: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+    """x = L^-T y for the unit lower triangle L that ``_ldlt`` left in ``a``, one product per block.
+
+    ``invs`` are the inverses of L's diagonal blocks that ``_ldlt`` returned.
+    """
     n = y.size
     x = y.copy()
-    for j0 in reversed(range(0, n, _BLOCK)):
-        j1 = min(j0 + _BLOCK, n)
-        x[j0:j1] -= a[j1:n, j0:j1].T @ x[j1:]
-        for k in range(j1 - 1, j0 - 1, -1):
-            x[k] -= a[k + 1 : j1, k] @ x[k + 1 : j1]
+    for j0, inv in zip(reversed(range(0, n, _BLOCK)), reversed(invs)):
+        j1 = j0 + len(inv)
+        x[j0:j1] = inv.T @ (x[j0:j1] - a[j1:n, j0:j1].T @ x[j1:])
     return x
 
 
-def _asymmetry(s: np.ndarray) -> float:
-    """max|S - S^T| / max|S|, ``_BLOCK`` columns at a time."""
+def _asymmetry(s: np.ndarray) -> tuple[float, float]:
+    """max|S - S^T| / max|S|, and a bound on ||K||_2 for S's skew part K = (S - S^T)/2.
+
+    The bound is n/2 max|S - S^T|, as ||K||_2 <= sqrt(||K||_1 ||K||_inf)
+    <= n max|K_ij|. Both are taken ``_BLOCK`` columns at a time.
+    """
     dev = scale = 0.0
     for c0 in range(0, len(s), _BLOCK):
         c = slice(c0, c0 + _BLOCK)
         dev = max(dev, np.abs(s[:, c] - s[c].T).max())
         scale = max(scale, np.abs(s[:, c]).max())
-    return dev / scale if scale else 0.0
+    return (dev / scale if scale else 0.0), 0.5 * len(s) * dev
 
 
-def _system(s: np.ndarray, nu: np.ndarray, mu: float, a: np.ndarray | None = None) -> np.ndarray:
-    """[S - i mu I | nu] as one complex (n, n + 1) buffer, written into ``a`` when given."""
+def _layer_stripped(s: np.ndarray, nu: np.ndarray, mu: float, counts: np.ndarray, scale: float):
+    """Volumes of the points whose systems are the leading ``counts`` blocks of A = S - i mu I.
+
+    Factors one complex buffer [A | nu]. Returns the volumes,
+    scale * Re nu_k^T A_k^-1 nu_k for each leading block A_k, and the largest
+    point's x = A^-1 nu.
+    """
     n = nu.size
-    if a is None:
-        a = np.empty((n, n + 1), dtype=complex)
+    a = np.empty((n, n + 1), dtype=complex)
     a[:, :n] = s
     a[np.diag_indices(n)] -= 1j * mu
     a[:, n] = nu
-    return a
-
-
-def _layer_stripped(a: np.ndarray, counts: np.ndarray, scale: float):
-    """Volumes of the points whose systems are the leading ``counts`` blocks of ``a`` = [A | nu].
-
-    Factors ``a`` in place. Returns the volumes, scale * Re nu_k^T A_k^-1 nu_k
-    for each leading block A_k, and the largest point's x = A^-1 nu.
-    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _ldlt(a)
+        invs = _ldlt(a)
         d = a.diagonal().copy()
         u = a[:, -1].copy()
         prefix = np.concatenate(([0.0], np.cumsum(u * u / d).real))
-        return scale * prefix[counts], _back_substitute(a, u / d)
+        return scale * prefix[counts], _back_substitute(a, invs, u / d)
 
 
-def _stable(a: np.ndarray, x: np.ndarray, v: float, scale: float) -> bool:
-    """Whether ``x`` solves ``a`` = [A | nu] and ``v`` matches a pivoted direct solve, both to ``STABILITY_TOL``.
+def _certificate(s: np.ndarray, nu: np.ndarray, mu: float, skew: float, x: np.ndarray, v: float, scale: float):
+    """Relative residual of ``x`` and a bound on the relative error of the volume ``v``, in O(n^2).
 
-    |nu| = 1, so the largest residual entry is the relative residual.
+    A = S - i mu I with S real; ``x`` approximates A^-1 nu, ``v`` the
+    volume scale * Re nu^T A^-1 nu, and ``skew`` bounds ||K||_2 for the
+    skew part K = (S - S^T)/2. With r = A x - nu, A^-1 nu = x - A^-1 r =: w,
+    and A^-T - A^-1 = A^-T (A - A^T) A^-1 = 2 A^-T K A^-1, so
+
+        nu^T A^-1 r = (A^-T nu)^T r = (w + 2 A^-T K w)^T r
+                    = x^T r - r^T A^-1 r + 2 w^T K^T A^-1 r,
+        nu^T A^-1 nu = nu^T x - x^T r + r^T A^-1 r - 2 w^T K^T A^-1 r.
+
+    For any complex z, z^H S z = z^H (S + S^T)/2 z + z^H K z with the first
+    term real and the second imaginary, so |z^H A z| >= |Im z^H A z| >=
+    (mu - ||K||_2) ||z||^2: ||A^-1||_2 <= 1/sigma with sigma = mu - ``skew``.
+    Then ||w|| <= ||x|| + ||r||/sigma and
+
+        |v - scale Re nu^T A^-1 nu| <= |v - scale Re nu^T x|
+            + scale (|x^T r| + ||r||^2/sigma + 2 skew ||r|| (||x|| + ||r||/sigma)/sigma).
+
+    The first term catches a volume that does not match ``x``, such as a
+    corrupted prefix sum; for a reciprocal S the skew term is zero. The
+    bound is divided by |v|, and is infinite where sigma <= 0. It holds up to
+    the rounding of r itself, about n eps max|S| ||x||. |nu| = 1, so the
+    largest residual entry is the relative residual.
     """
-    system, nu = a[:, :-1], a[:, -1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        residual = np.abs(system @ x - nu).max(initial=0.0)
-        try:
-            direct = scale * float(np.real(nu @ np.linalg.solve(system, nu)))
-        except np.linalg.LinAlgError:
-            return False
-        return bool(residual <= STABILITY_TOL and abs(v - direct) <= STABILITY_TOL * abs(direct))
+        sx = s @ np.stack([x.real, x.imag], axis=1)  # S x without a complex copy of S
+        r = sx[:, 0] + 1j * (sx[:, 1] - mu * x.real) + mu * x.imag - nu
+        residual = float(np.abs(r).max(initial=0.0))
+        sigma = mu - skew
+        if not sigma > 0:
+            return residual, math.inf
+        r_norm, x_norm = np.linalg.norm(r), np.linalg.norm(x)
+        err = abs(v - scale * (nu @ x).real) + scale * (
+            abs(x @ r) + r_norm**2 / sigma + 2 * skew * r_norm * (x_norm + r_norm / sigma) / sigma
+        )
+        return residual, float(err / abs(v)) if err else 0.0
 
 
 def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig) -> VolumeProfile:
@@ -368,10 +407,11 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     solved on its leading block of S instead where lambda = 0 (the
     rank-checked least squares refuses a singular system), where the
     reciprocity deviation exceeds ``RECIPROCITY_TOL`` (1e-9), or where, at
-    the largest point, the relative residual of the factored solve or its
-    relative distance to a pivoted direct solve of the same system exceeds
+    the largest point, the relative residual of the factored solve or the
+    bound ``_certificate`` puts on its volume's relative error exceeds
     ``STABILITY_TOL`` (1e-10). ``solver`` on the result names the path
-    that ran, and ``reciprocity`` holds the deviation.
+    that ran, ``reciprocity`` holds the deviation, and on the factored
+    path ``residual`` and ``volume_bound`` hold the two checked numbers.
     """
     _check_leaves(irm, net)
     f, _, positions = _profile_points(net, pipe_id, cfg)
@@ -384,31 +424,26 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     idx = np.flatnonzero(flat.any(axis=0))
     idx, counts = idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")], flat.sum(axis=1)
     s, nu = _s_matrix(irm, cfg, net, idx)
-    reciprocity = _asymmetry(s)
+    reciprocity, skew = _asymmetry(s)
     scale = net.wave_speed**2 * cfg.dt / net.gravity
 
-    volumes = None
+    volumes = residual = volume_bound = None
     if cfg.lam == 0:
         solver = "per-point: lambda = 0"
     elif reciprocity > RECIPROCITY_TOL:
         solver = f"per-point: reciprocity deviation {reciprocity:.3g} > {RECIPROCITY_TOL:g}"
     else:
         mu = math.sqrt(cfg.lam)
-        a = _system(s, nu, mu)
-        volumes, x = _layer_stripped(a, counts, scale)
-        # the check needs the system the factorisation overwrote; S goes to
-        # leave room for the copy the pivoted solve makes, as a.real holds it
-        _system(s, nu, mu, a)
-        del s
-        if _stable(a, x, volumes[-1], scale):
+        volumes, x = _layer_stripped(s, nu, mu, counts, scale)
+        residual, volume_bound = _certificate(s, nu, mu, skew, x, volumes[-1], scale)
+        if residual <= STABILITY_TOL and volume_bound <= STABILITY_TOL:
             solver = "layer-stripping"
         else:
-            volumes, solver = None, "per-point: stability check failed"
-            s = a[:, :-1].real.copy()
-        del a
+            volumes = residual = volume_bound = None
+            solver = "per-point: stability check failed"
     if volumes is None:
         volumes = [scale * float(nu[:c] @ _solve_point(s[:c, :c], nu[:c], cfg.lam)) for c in counts]
-    return VolumeProfile(pipe_id, positions, np.asarray(volumes), solver, reciprocity)
+    return VolumeProfile(pipe_id, positions, np.asarray(volumes), solver, reciprocity, residual, volume_bound)
 
 
 def area_profile(vp: VolumeProfile, dx: float) -> AreaProfile:

@@ -430,12 +430,16 @@ def test_reconstruct_manifest_records_solver(tmp_path, exp1_irm_path):
     out = tmp_path / "r"
     assert run(["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--out", str(out)]) == 0
     profiles = json.loads((out / "manifest.json").read_text())["profiles"]
+    # the factored path records the largest point's residual and volume bound
+    trust = {pid: (profiles[pid].pop("residual"), profiles[pid].pop("volume_bound")) for pid in profiles}
     assert profiles == {pid: {"solver": "layer-stripping", "reciprocity": 0.0} for pid in ("AD", "BD", "DC")}
+    assert all(0 <= value <= 1e-10 for pair in trust.values() for value in pair)
     out = tmp_path / "r0"
     argv = ["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--pipes", "AD", "--lambda", "0"]
     assert run([*argv, "--out", str(out)]) == 0
     profiles = json.loads((out / "manifest.json").read_text())["profiles"]
-    assert profiles == {"AD": {"solver": "per-point: lambda = 0", "reciprocity": 0.0}}
+    assert profiles == {"AD": {"solver": "per-point: lambda = 0", "reciprocity": 0.0, "residual": None,
+                               "volume_bound": None}}
 
 
 @pytest.mark.parametrize(

@@ -603,14 +603,136 @@ def test_fallback_when_factorisation_is_inaccurate(exp1_net, exp1_irm, monkeypat
     ldlt = inversion._ldlt
 
     def perturbed(a):
-        ldlt(a)
+        invs = ldlt(a)
         a[np.diag_indices(a.shape[0])] *= 1 + 1e-8
+        return invs
 
     monkeypatch.setattr(inversion, "_ldlt", perturbed)
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
     vp = volume_profile(exp1_net, exp1_irm, "DC", cfg)
     assert vp.solver == "per-point: stability check failed"
     _assert_matches_reference(exp1_net, exp1_irm, "DC", cfg, vp)
+
+
+def test_fallback_when_volume_disagrees_with_solve(exp1_net, exp1_irm, monkeypatch):
+    # x and its residual stay exact, but the prefix-sum volume moves by 1e-8
+    # relative: only the certificate's |V - scale Re nu^T x| term can see it
+    layer_stripped = inversion._layer_stripped
+
+    def shifted(*args):
+        volumes, x = layer_stripped(*args)
+        return volumes * (1 + 1e-8), x
+
+    monkeypatch.setattr(inversion, "_layer_stripped", shifted)
+    cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
+    vp = volume_profile(exp1_net, exp1_irm, "DC", cfg)
+    assert vp.solver == "per-point: stability check failed"
+    assert vp.residual is None and vp.volume_bound is None
+    _assert_matches_reference(exp1_net, exp1_irm, "DC", cfg, vp)
+
+
+@pytest.mark.parametrize("case, pipe, lam", LAYER_CASES)
+def test_certificate_bounds_volume_error(request, case, pipe, lam):
+    # the reported bound covers the last point's distance to a least-squares
+    # solve of the stacked system, up to that solve's own rounding
+    net, irm, cfg = _profile_case(request, case, lam)
+    vp = volume_profile(net, irm, pipe, cfg)
+    v = vp.volumes[-1]
+    expected = reference_volume(irm, profile_cut_points(net, pipe, cfg)[-1], cfg, net)
+    assert vp.solver == "layer-stripping"
+    assert vp.residual <= inversion.STABILITY_TOL
+    assert vp.volume_bound < inversion.STABILITY_TOL
+    assert abs(v - expected) <= vp.volume_bound * abs(v) + 1e-15 * abs(v)
+
+
+def test_certificate_bounds_skew_systems():
+    # S with a skew part K inside what the certificate allows (sigma > 0),
+    # and x = A^-1 (nu + r) with r chosen so that x^T r has no first-order
+    # part: the error is then the skew term 2 w^T K^T A^-1 r, which the bound
+    # covers and the bound without it (skew taken as 0) does not
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        n = 6
+        sym = rng.standard_normal((n, n))
+        skew = rng.standard_normal((n, n))
+        mu = rng.uniform(0.05, 1.0)
+        s = sym + sym.T + (skew - skew.T) * rng.uniform(0.5, 1.0) * mu / (n * np.abs(skew - skew.T).max())
+        nu = rng.choice([-1.0, 1.0], n)
+        a = s - 1j * mu * np.eye(n)
+        exact = np.linalg.solve(a, nu)
+        r = 1e-6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        r -= (exact @ r) / np.vdot(exact, exact) * exact.conj()
+        x = exact + np.linalg.solve(a, r)
+        v = (nu @ x).real
+        reciprocity, skew_norm = inversion._asymmetry(s)
+        assert reciprocity > 0 and skew_norm < mu
+        residual, bound = inversion._certificate(s, nu, mu, skew_norm, x, v, 1.0)
+        assert residual == pytest.approx(np.abs(r).max(), rel=1e-6)
+        error = abs(v - (nu @ exact).real) / abs(v)
+        assert error <= bound
+        assert error > inversion._certificate(s, nu, mu, 0.0, x, v, 1.0)[1]
+    # no bound where the skew part can cancel the regularisation
+    assert inversion._certificate(s, nu, mu, mu, x, v, 1.0)[1] == math.inf
+    assert inversion._certificate(s, nu, mu, 2 * mu, x, v, 1.0)[1] == math.inf
+
+
+def _ldlt_outer(a):
+    """Reference: the blocked LDL^T with one np.outer update of the whole [A11 | I] row per column."""
+    n = a.shape[0]
+    block = inversion._BLOCK
+    for j0 in range(0, n, block):
+        j1 = min(j0 + block, n)
+        b = j1 - j0
+        low = np.tril(a[j0:j1, j0:j1], -1)
+        work = np.hstack([low + low.T + np.diag(a.diagonal()[j0:j1]), np.eye(b)])
+        for k in range(b - 1):
+            col = work[k + 1 :, k]
+            col /= work[k, k]
+            work[k + 1 :, k + 1 :] -= np.outer(col, work[k, k + 1 :])
+        a[j0:j1, j0:j1] = work[:, :b]
+        d = work.diagonal().copy()
+        inv = work[:, b:]
+        a[j0:j1, n] = inv @ a[j0:j1, n]
+        if j1 == n:
+            break
+        l21 = a[j1:, j0:j1]
+        l21[...] = l21 @ (inv.T / d)
+        a[j1:, n] -= l21 @ a[j0:j1, n]
+        for c0 in range(j1, n, block):
+            c1 = min(c0 + block, n)
+            a[c0:, c0:c1] -= l21[c0 - j1 :] @ (l21[c0 - j1 : c1 - j1] * d).T
+
+
+def _back_substitute_by_column(a, y):
+    """Reference: x = L^-T y, one Python step per column inside each block."""
+    n = y.size
+    x = y.copy()
+    for j0 in reversed(range(0, n, inversion._BLOCK)):
+        j1 = min(j0 + inversion._BLOCK, n)
+        x[j0:j1] -= a[j1:n, j0:j1].T @ x[j1:]
+        for k in range(j1 - 1, j0 - 1, -1):
+            x[k] -= a[k + 1 : j1, k] @ x[k + 1 : j1]
+    return x
+
+
+@pytest.mark.parametrize("case, pipe, lam", LAYER_CASES)
+def test_ldlt_kernel_matches_reference(request, case, pipe, lam):
+    # the factor is the reference's bit for bit; the block-inverse back
+    # substitution sums in another order, so x agrees to rounding
+    net, irm, cfg = _profile_case(request, case, lam)
+    times, _, _ = _profile_points(net, pipe, cfg)
+    flat = _active(times, cfg).reshape(len(times), -1)
+    idx = np.flatnonzero(flat.any(axis=0))
+    s, nu = _s_matrix(irm, cfg, net, idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")])
+    n = nu.size
+    a = np.hstack([s - 1j * math.sqrt(lam) * np.eye(n), nu[:, None]])
+    expected = a.copy()
+    _ldlt_outer(expected)
+    invs = inversion._ldlt(a)
+    assert a.tobytes() == expected.tobytes()
+    y = a[:, -1] / a.diagonal()
+    x, x_ref = inversion._back_substitute(a, invs, y), _back_substitute_by_column(expected, y)
+    assert np.all(np.abs(x - x_ref) <= 1e-13 * np.abs(x_ref))
 
 
 @pytest.mark.parametrize("field, value", [("lam", math.nan), ("lam", -1.0), ("lam", math.inf),
