@@ -32,29 +32,31 @@ A profile needs one S and one factorisation, not one of each per point
 towards x0, and no leaf's action time falls on the way, so each point's
 active set holds the previous one's. Ordered by the point at which they
 become active, the samples make every point's S a leading block of the
-largest point's. S is symmetric up to IRM reciprocity, and the Tikhonov
-solution is q = Re[(S - i sqrt(lambda) I)^-1 nu]. One unpivoted
-complex-symmetric LDL^T of the largest block, A = L diag(d) L^T, then
+largest point's. For a symmetric S the Tikhonov solution is
+q = Re[(S - i sqrt(lambda) I)^-1 nu]. S is symmetric up to IRM
+reciprocity, and its skew part K = (S - S^T)/2 moves the volume only to
+second order (w^T K w = 0), so one unpivoted complex-symmetric LDL^T of
+the largest block of A_s = (S + S^T)/2 - i sqrt(lambda) I = L diag(d) L^T
 gives every point's volume as a prefix sum:
 V_k = a^2 dt/g * Re sum_{j < n_k} u_j^2 / d_j with u = L^-1 nu. The pivots
-exist (S_k - i sqrt(lambda) I is never singular), but no theorem makes the
+exist (no leading block of A_s is singular), but no theorem makes the
 unpivoted factorisation stable here (Higham 1998 needs definite real and
 imaginary parts), so the largest point is checked at run time, in O(n^2):
-with x the back-substituted solve and r = S x - i sqrt(lambda) x - nu its
-residual, nu^T A^-1 nu = nu^T x - x^T r + r^T A^-1 r for a symmetric A
-(Golub and Meurant 2010, ch. 7), and ||A^-1|| <= 1/sqrt(lambda), so the
-residual certifies the volume (``_certificate`` derives the bound, with the
-term a skew part of S adds). ``volume_profile`` solves each point on its
-leading block instead where lambda = 0, where the reciprocity deviation
-max|S - S^T| / max|S| exceeds ``RECIPROCITY_TOL``, or where the largest
-point's relative residual or its certified bound on the volume's relative
-error exceeds ``STABILITY_TOL``. The bound reads at most 7e-15 on every
-exp1, exp2 and benchmark-tree (seeds 1-10) pipe. On the exp1 and exp2
-pipes the two paths agree within 4e-15 relative (the tests hold 1e-10).
-Where they differ more, on systems of several hundred unknowns from
-simulated IRMs, the per-point normal equations are the ones off: the
-factorisation stays within 6e-14 of a QR least-squares solve of the
-stacked system.
+the residual of the back-substituted x against A_s checks the
+factorisation, and r = A x - nu against the whole A = S - i sqrt(lambda) I
+bounds the volume's error, through nu^T A^-1 nu = nu^T x - x^T r +
+r^T A^-1 r for a symmetric A (Golub and Meurant 2010, ch. 7) and
+||A^-1|| <= 1/sigma, sigma = sqrt(lambda) minus a bound kappa on ||K||_2
+(``_certificate`` derives the bound, with the term K adds). Where
+sigma <= 0, lambda = 0 included, no bound exists, and ``volume_profile``
+solves each point on its leading block of S instead, as it does where the
+residual or the bound exceeds ``STABILITY_TOL``. The bound reads at most
+7e-15 on every exp1, exp2 and benchmark-tree (seeds 1-10) pipe, and on
+the exp1 and exp2 pipes the two paths agree within 4e-15 relative (the
+tests hold 1e-10). Where they differ more, on systems of several hundred
+unknowns from simulated IRMs, the per-point normal equations are the ones
+off: the factorisation stays within 6e-14 of a QR least-squares solve of
+the stacked system.
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ __all__ = [
     "area_profile",
 ]
 
-RECIPROCITY_TOL = 1e-9  # max|S - S^T| / max|S| above which a profile is solved point by point
 STABILITY_TOL = 1e-10  # largest point: relative residual, and the certified bound on the volume's relative error
 _BLOCK = 48  # LDL^T block width: columns factored one by one inside it, matrix products across
 
@@ -130,7 +131,7 @@ class VolumeProfile:
     solver: str = "per-point"  # "layer-stripping", or "per-point: <why not>"
     reciprocity: float = 0.0   # max|S - S^T| / max|S| over the samples the points use
     # largest point, on the layer-stripping path only (None on the per-point paths):
-    residual: float | None = None      # max|A x - nu|, relative as |nu| = 1
+    residual: float | None = None      # max|A_s x - nu| for S's symmetric part, relative as |nu| = 1
     volume_bound: float | None = None  # bound on the volume's relative error
 
 
@@ -338,18 +339,20 @@ def _asymmetry(s: np.ndarray) -> tuple[float, float]:
 
 
 def _layer_stripped(s: np.ndarray, nu: np.ndarray, mu: float, counts: np.ndarray, scale: float):
-    """Volumes of the points whose systems are the leading ``counts`` blocks of A = S - i mu I.
+    """Volumes of the points whose systems are the leading ``counts`` blocks of S - i mu I.
 
-    Factors one complex buffer [A | nu]. Returns the volumes,
-    scale * Re nu_k^T A_k^-1 nu_k for each leading block A_k, and the largest
-    point's x = A^-1 nu.
+    Factors one complex buffer [A_s | nu], A_s = (S + S^T)/2 - i mu I, filled
+    ``_BLOCK`` columns at a time. Returns the volumes, scale * Re nu_k^T
+    A_k^-1 nu_k for each leading block A_k of A_s, and x = A_s^-1 nu.
     """
     n = nu.size
     a = np.empty((n, n + 1), dtype=complex)
-    a[:, :n] = s
-    a[np.diag_indices(n)] -= 1j * mu
-    a[:, n] = nu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c0 in range(0, n, _BLOCK):
+            c = slice(c0, min(c0 + _BLOCK, n))
+            a[:, c] = 0.5 * (s[:, c] + s[c].T)
+        a[np.diag_indices(n)] -= 1j * mu
+        a[:, n] = nu
         invs = _ldlt(a)
         d = a.diagonal().copy()
         u = a[:, -1].copy()
@@ -358,11 +361,13 @@ def _layer_stripped(s: np.ndarray, nu: np.ndarray, mu: float, counts: np.ndarray
 
 
 def _certificate(s: np.ndarray, nu: np.ndarray, mu: float, skew: float, x: np.ndarray, v: float, scale: float):
-    """Relative residual of ``x`` and a bound on the relative error of the volume ``v``, in O(n^2).
+    """Relative residual of ``x`` on S's symmetric part, and a bound on the relative error of ``v``, in O(n^2).
 
-    A = S - i mu I with S real; ``x`` approximates A^-1 nu, ``v`` the
-    volume scale * Re nu^T A^-1 nu, and ``skew`` bounds ||K||_2 for the
-    skew part K = (S - S^T)/2. With r = A x - nu, A^-1 nu = x - A^-1 r =: w,
+    A = S - i mu I with S real, and ``skew`` bounds ||K||_2 for its skew
+    part K = (S - S^T)/2. ``x`` approximates A_s^-1 nu for A_s = A - K,
+    which ``_layer_stripped`` factors, and the residual A_s x - nu checks
+    that. The bound on ``v``, the volume scale * Re nu^T A^-1 nu, checks the
+    answer against the whole A: with r = A x - nu, A^-1 nu = x - A^-1 r =: w,
     and A^-T - A^-1 = A^-T (A - A^T) A^-1 = 2 A^-T K A^-1, so
 
         nu^T A^-1 r = (A^-T nu)^T r = (w + 2 A^-T K w)^T r
@@ -384,9 +389,10 @@ def _certificate(s: np.ndarray, nu: np.ndarray, mu: float, skew: float, x: np.nd
     largest residual entry is the relative residual.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sx = s @ np.stack([x.real, x.imag], axis=1)  # S x without a complex copy of S
-        r = sx[:, 0] + 1j * (sx[:, 1] - mu * x.real) + mu * x.imag - nu
-        residual = float(np.abs(r).max(initial=0.0))
+        xs = np.stack([x.real, x.imag], axis=1)  # S x and S^T x without a complex copy of S
+        sx = s @ xs
+        r, r_sym = (p[:, 0] + 1j * (p[:, 1] - mu * x.real) + mu * x.imag - nu for p in (sx, 0.5 * (sx + s.T @ xs)))
+        residual = float(np.abs(r_sym).max(initial=0.0))
         sigma = mu - skew
         if not sigma > 0:
             return residual, math.inf
@@ -398,20 +404,20 @@ def _certificate(s: np.ndarray, nu: np.ndarray, mu: float, skew: float, x: np.nd
 
 
 def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig) -> VolumeProfile:
-    """Volumes V(p) at dx-spaced points along one pipe, from one factorisation where it is safe.
+    """Volumes V(p) at dx-spaced points along one pipe, from one factorisation where it is certified.
 
     Points start dx from the pipe end away from x0 and run towards x0,
     stopping at the pipe end or where the action times would exceed tau.
     One matrix S serves the whole profile (see the module docstring):
-    every point's volume is a prefix sum of one LDL^T of it. Each point is
-    solved on its leading block of S instead where lambda = 0 (the
-    rank-checked least squares refuses a singular system), where the
-    reciprocity deviation exceeds ``RECIPROCITY_TOL`` (1e-9), or where, at
-    the largest point, the relative residual of the factored solve or the
-    bound ``_certificate`` puts on its volume's relative error exceeds
-    ``STABILITY_TOL`` (1e-10). ``solver`` on the result names the path
-    that ran, ``reciprocity`` holds the deviation, and on the factored
-    path ``residual`` and ``volume_bound`` hold the two checked numbers.
+    every point's volume is a prefix sum of one LDL^T of its symmetric
+    part. Each point is solved on its leading block of S instead where
+    sqrt(lambda) <= kappa, the bound ``_asymmetry`` puts on the norm of S's
+    skew part, as no certificate exists there (at lambda = 0 the
+    rank-checked least squares refuses a singular system), or where the
+    largest point's residual or certified bound (``_certificate``) exceeds
+    ``STABILITY_TOL`` (1e-10). ``solver`` on the result names the path that
+    ran, ``reciprocity`` holds the deviation, and on the factored path
+    ``residual`` and ``volume_bound`` hold the two checked numbers.
     """
     _check_leaves(irm, net)
     f, _, positions = _profile_points(net, pipe_id, cfg)
@@ -427,23 +433,16 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     reciprocity, skew = _asymmetry(s)
     scale = net.wave_speed**2 * cfg.dt / net.gravity
 
-    volumes = residual = volume_bound = None
-    if cfg.lam == 0:
-        solver = "per-point: lambda = 0"
-    elif reciprocity > RECIPROCITY_TOL:
-        solver = f"per-point: reciprocity deviation {reciprocity:.3g} > {RECIPROCITY_TOL:g}"
-    else:
-        mu = math.sqrt(cfg.lam)
+    mu = math.sqrt(cfg.lam)
+    solver = f"per-point: sqrt(lambda) {mu:.3g} <= skew bound {skew:.3g}"  # sigma <= 0: no certificate
+    if mu > skew:
         volumes, x = _layer_stripped(s, nu, mu, counts, scale)
         residual, volume_bound = _certificate(s, nu, mu, skew, x, volumes[-1], scale)
         if residual <= STABILITY_TOL and volume_bound <= STABILITY_TOL:
-            solver = "layer-stripping"
-        else:
-            volumes = residual = volume_bound = None
-            solver = "per-point: stability check failed"
-    if volumes is None:
-        volumes = [scale * float(nu[:c] @ _solve_point(s[:c, :c], nu[:c], cfg.lam)) for c in counts]
-    return VolumeProfile(pipe_id, positions, np.asarray(volumes), solver, reciprocity, residual, volume_bound)
+            return VolumeProfile(pipe_id, positions, volumes, "layer-stripping", reciprocity, residual, volume_bound)
+        solver = "per-point: stability check failed"
+    volumes = [scale * float(nu[:c] @ _solve_point(s[:c, :c], nu[:c], cfg.lam)) for c in counts]
+    return VolumeProfile(pipe_id, positions, np.asarray(volumes), solver, reciprocity)
 
 
 def area_profile(vp: VolumeProfile, dx: float) -> AreaProfile:

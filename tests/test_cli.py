@@ -438,8 +438,8 @@ def test_reconstruct_manifest_records_solver(tmp_path, exp1_irm_path):
     argv = ["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--pipes", "AD", "--lambda", "0"]
     assert run([*argv, "--out", str(out)]) == 0
     profiles = json.loads((out / "manifest.json").read_text())["profiles"]
-    assert profiles == {"AD": {"solver": "per-point: lambda = 0", "reciprocity": 0.0, "residual": None,
-                               "volume_bound": None}}
+    assert profiles == {"AD": {"solver": "per-point: sqrt(lambda) 0 <= skew bound 0", "reciprocity": 0.0,
+                               "residual": None, "volume_bound": None}}
 
 
 @pytest.mark.parametrize(

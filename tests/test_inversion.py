@@ -577,25 +577,70 @@ def _assert_matches_reference(net, irm, pipe, cfg, vp, points=None):
     expected = np.array([reference_volume(irm, p, cfg, net) for p in points])
     assert len(vp.volumes) == len(expected) > 10
     assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))
+    return expected
+
+
+def _assert_within_bound(vp, expected):
+    # the last point's distance to the stacked least-squares volume is
+    # within the certified bound, up to that solve's own rounding
+    v = vp.volumes[-1]
+    assert abs(v - expected) <= vp.volume_bound * abs(v) + 1e-15 * abs(v)
 
 
 def test_fallback_without_regularization(exp1_net, exp1_irm):
     cfg = ReconConfig(**EXP1_CFG, lam=0.0)
     vp = volume_profile(exp1_net, exp1_irm, "AD", cfg)
-    assert vp.solver == "per-point: lambda = 0"
+    assert vp.solver == "per-point: sqrt(lambda) 0 <= skew bound 0"
     _assert_matches_reference(exp1_net, exp1_irm, "AD", cfg, vp)
 
 
+def _skew_noise(irm, eps):
+    """The IRM with seeded noise of eps max|k| added to each k_ij, i < j: S gets a skew part."""
+    rng = np.random.default_rng(0)
+    k = irm.k.copy()
+    for i, j in zip(*np.triu_indices(len(irm.leaves), 1)):
+        k[i, j] += eps * np.abs(irm.k).max() * rng.standard_normal(k.shape[2])
+    return SampledIRM(irm.dt, irm.leaves, k, irm.horizon)
+
+
+@pytest.mark.parametrize("case, pipe, lam, eps", [
+    ("exp1", "DC", 1e-5, 1e-11), ("exp1", "DC", 1e-5, 1e-10), ("exp1", "DC", 1e-5, 1e-9),
+    ("exp2", "ED", 1.0, 1e-10), ("exp2", "ED", 1.0, 1e-9), ("exp2", "ED", 1.0, 1e-8),
+])
+def test_layer_stripping_under_skew_noise(request, case, pipe, lam, eps):
+    # reciprocity deviations of 3e-11 to 3e-9 (DC) and 9e-11 to 9e-9 (ED):
+    # the factor of S's symmetric part is off only to second order in the
+    # skew part, so the factored profile holds against the whole S
+    net, irm, cfg = _profile_case(request, case, lam)
+    irm = _skew_noise(irm, eps)
+    vp = volume_profile(net, irm, pipe, cfg)
+    assert eps / 2 < vp.reciprocity < 10 * eps
+    assert vp.solver == "layer-stripping"
+    expected = _assert_matches_reference(net, irm, pipe, cfg, vp)
+    _assert_within_bound(vp, expected[-1])
+
+
 def test_fallback_on_nonreciprocal_irm(exp1_net, exp1_irm):
-    # k_AB no longer equals k_BA: S is not symmetric, and DC uses both leaves
+    # k_AB no longer equals k_BA: S is not symmetric, and DC uses both leaves;
+    # the skew bound exceeds sqrt(lambda), so no certificate exists
     k = exp1_irm.k.copy()
     k[0, 1] += 1e-6 * np.abs(k).max()
     irm = SampledIRM(exp1_irm.dt, exp1_irm.leaves, k, exp1_irm.horizon)
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
     vp = volume_profile(exp1_net, irm, "DC", cfg)
-    assert vp.reciprocity > inversion.RECIPROCITY_TOL
-    assert vp.solver.startswith("per-point: reciprocity deviation")
+    assert vp.solver.startswith(f"per-point: sqrt(lambda) {math.sqrt(cfg.lam):.3g} <= skew bound ")
+    assert vp.residual is None and vp.volume_bound is None
     _assert_matches_reference(exp1_net, irm, "DC", cfg, vp)
+
+
+def test_transposed_irm_gives_the_same_volumes(exp2_net, exp2_irm):
+    # swapping the leaf axes of the kernels builds S^T exactly; S^T and S
+    # have the same symmetric part, so the factored volumes agree bit for bit
+    cfg = ReconConfig(tau=0.9, dt=exp2_irm.dt, dx=7.0, lam=1.0)
+    swapped = SampledIRM(exp2_irm.dt, exp2_irm.leaves, exp2_irm.k.transpose(1, 0, 2), exp2_irm.horizon)
+    vp, vp_t = (volume_profile(exp2_net, irm, "ED", cfg) for irm in (exp2_irm, swapped))
+    assert vp.solver == vp_t.solver == "layer-stripping" and vp.reciprocity > 0
+    assert vp_t.volumes.tobytes() == vp.volumes.tobytes()
 
 
 def test_fallback_when_factorisation_is_inaccurate(exp1_net, exp1_irm, monkeypatch):
@@ -637,19 +682,19 @@ def test_certificate_bounds_volume_error(request, case, pipe, lam):
     # solve of the stacked system, up to that solve's own rounding
     net, irm, cfg = _profile_case(request, case, lam)
     vp = volume_profile(net, irm, pipe, cfg)
-    v = vp.volumes[-1]
     expected = reference_volume(irm, profile_cut_points(net, pipe, cfg)[-1], cfg, net)
     assert vp.solver == "layer-stripping"
     assert vp.residual <= inversion.STABILITY_TOL
     assert vp.volume_bound < inversion.STABILITY_TOL
-    assert abs(v - expected) <= vp.volume_bound * abs(v) + 1e-15 * abs(v)
+    _assert_within_bound(vp, expected)
 
 
 def test_certificate_bounds_skew_systems():
     # S with a skew part K inside what the certificate allows (sigma > 0),
     # and x = A^-1 (nu + r) with r chosen so that x^T r has no first-order
     # part: the error is then the skew term 2 w^T K^T A^-1 r, which the bound
-    # covers and the bound without it (skew taken as 0) does not
+    # covers and the bound without it (skew taken as 0) does not. The
+    # residual is x's against the symmetric part (S + S^T)/2, r - K x
     rng = np.random.default_rng(1)
     for _ in range(200):
         n = 6
@@ -667,7 +712,7 @@ def test_certificate_bounds_skew_systems():
         reciprocity, skew_norm = inversion._asymmetry(s)
         assert reciprocity > 0 and skew_norm < mu
         residual, bound = inversion._certificate(s, nu, mu, skew_norm, x, v, 1.0)
-        assert residual == pytest.approx(np.abs(r).max(), rel=1e-6)
+        assert residual == pytest.approx(np.abs(r - 0.5 * (s - s.T) @ x).max(), rel=1e-6)
         error = abs(v - (nu @ exact).real) / abs(v)
         assert error <= bound
         assert error > inversion._certificate(s, nu, mu, 0.0, x, v, 1.0)[1]
