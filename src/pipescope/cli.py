@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration or file error, 3 numeric error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from .errors import ActionTimeExceedsTau, ConfigError, NumericError, PipescopeEr
 from .graph import Network, validate_network
 from .inversion import ReconConfig, _check_leaves, area_profile, volume_profile
 from .irm import load_irm, measure_irm, oracle_irm, sample_irm, save_irm
-from .presets import preset
+from .presets import PRESETS, preset
 from .simulate import SimConfig
 
 EXIT_CONFIG = 2
@@ -388,6 +389,7 @@ def cmd_replay(manifest_path: str) -> list:
 # -- argument parsing ---------------------------------------------------------
 
 
+@functools.cache  # built on the first run, then shared: parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pipescope", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"pipescope {__version__}")
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text, _, options) in OPTIONS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--network", help="network JSON file")
-        p.add_argument("--preset", choices=["exp1", "exp2"], help="built-in experiment defaults")
+        p.add_argument("--preset", choices=list(PRESETS), help="built-in experiment defaults")
         p.add_argument("--config", help="JSON file with option defaults")
         for key, option in options.items():
             p.add_argument(option.flag, dest=key, type=float if option.type is float else str, help=option.help)
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("show-network", help="print a preset network as JSON")
-    p.add_argument("--preset", choices=["exp1", "exp2"], required=True)
+    p.add_argument("--preset", choices=list(PRESETS), required=True)
 
     p = sub.add_parser("replay", help="re-run a recorded manifest")
     p.add_argument("manifest")

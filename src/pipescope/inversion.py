@@ -222,13 +222,13 @@ def solve_boundary_flows(irm: SampledIRM, f: ActionTimes, cfg: ReconConfig, net:
     """
     _check_leaves(irm, net)
     f_vec = f.as_vector(irm.leaves)
-    active = _active(f_vec, cfg)
-    idx = np.flatnonzero(active)
-    s, nu = _s_matrix(irm, cfg, net, idx)
     if float(f_vec.max(initial=0.0)) - cfg.tau > cfg.tol:
         raise ActionTimeExceedsTau(
             f"max action time {f_vec.max():.6g}s exceeds tau = {cfg.tau}s at {f.cut_point}"
         )
+    active = _active(f_vec, cfg)
+    idx = np.flatnonzero(active)
+    s, nu = _s_matrix(irm, cfg, net, idx)
     q = np.zeros(active.size)
     q[idx] = _solve_point(s, nu, cfg.lam)
     return dict(zip(irm.leaves, q.reshape(active.shape)))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipescope import SimConfig, simulate, step_inflow, validate_network
-from pipescope.cli import OPTIONS, run
+from pipescope.cli import OPTIONS, build_parser, run
 from pipescope.irm import load_irm
 from pipescope.presets import EXP1_NETWORK
 from test_irm import damaged_irm_lines, edited_irm_lines
@@ -231,6 +231,52 @@ def test_determinism_and_replay(tmp_path):
     for name in before:
         if name != "manifest.json":
             assert before[name] == after[name]
+
+
+def _outputs(paths):
+    """Each file's bytes, less a manifest's wall-time line, the one line that differs from run to run."""
+    return {path: re.sub(rb'\n "wall_time_s": [^\n]*', b"", path.read_bytes()) for path in paths}
+
+
+def test_reused_parser_keeps_calls_apart(tmp_path):
+    build_parser.cache_clear()
+    irm, recon, sim = tmp_path / "irm.csv", tmp_path / "recon", tmp_path / "sim.csv"
+    oracle = ["oracle-irm", "--preset", "exp1", "--out", str(irm)]
+    reconstruct = ["reconstruct", "--preset", "exp1", "--irm", str(irm), "--out", str(recon)]
+    irm_manifest = tmp_path / "irm.csv.manifest.json"
+    assert run(oracle) == 0  # the first command of this parser
+    first_oracle = _outputs([irm, irm_manifest])
+    assert run(reconstruct) == 0
+    first_reconstruct = _outputs(sorted(recon.iterdir()))
+    assert build_parser() is build_parser()
+
+    assert run([*oracle, "--prune-eps", "1e-3"]) == 0
+    assert json.loads(irm_manifest.read_text())["config"]["prune_eps"] == 1e-3
+    assert run(oracle) == 0
+    assert json.loads(irm_manifest.read_text())["config"]["prune_eps"] == 1e-4
+    assert _outputs([irm, irm_manifest]) == first_oracle
+
+    # reconstruct takes --dx from its preset, not from the simulate-irm run before it
+    assert run(["simulate-irm", "--preset", "exp1", "--dx", "20", "--duration", "0.9", "--out", str(sim)]) == 0
+    assert run(reconstruct) == 0
+    assert json.loads((recon / "manifest.json").read_text())["config"]["dx"] == 10.0
+    assert _outputs(sorted(recon.iterdir())) == first_reconstruct
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["reconstruct", "--help"], 0),
+                                        (["oracle-irm", "--preset", "exp1", "--no-such-flag"], 2)],
+                         ids=["version", "help", "unknown-flag"])
+def test_parser_exit_does_not_spoil_later_calls(tmp_path, capsys, argv, code):
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        seen.append((exc.value.code, *capsys.readouterr()))
+        assert run(["oracle-irm", "--preset", "exp1", "--out", str(tmp_path / "irm.csv")]) == 0
+        capsys.readouterr()
+    assert seen[0] == seen[1]
+    exit_code, out, err = seen[0]
+    assert exit_code == code and (err if code else out)  # help and version print to stdout, a usage error to stderr
 
 
 def test_plot_svg(tmp_path, net1_path):

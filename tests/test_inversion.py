@@ -211,6 +211,15 @@ def test_action_time_exceeds_tau(exp1_net, exp1_irm):
         solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.3, dt=0.01, dx=10.0), exp1_net)
 
 
+def test_action_time_exceeds_tau_refused_before_assembly(exp1_net, exp1_irm, monkeypatch):
+    calls = []
+    monkeypatch.setattr(inversion, "_s_matrix", lambda *args: calls.append(args))
+    f = action_times(exp1_net, PointOnPipe("DC", 100.0))
+    with pytest.raises(ActionTimeExceedsTau):
+        solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.3, dt=0.01, dx=10.0), exp1_net)
+    assert calls == []
+
+
 def test_restricted_system_near_symmetry(exp1_net, exp1_irm):
     # discretization of the self-adjoint control operator: with nu = +1 the
     # kernel part is symmetric under (j,l) <-> (i,k), so the restricted
