@@ -417,7 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its --help, --version or usage error
+        return exc.code
     try:
         if args.command in OPTIONS:
             outputs = OPTIONS[args.command][0](_resolve(args, args.command))

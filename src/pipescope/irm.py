@@ -329,20 +329,50 @@ def measure_irm(
 # -- persistence --------------------------------------------------------------
 
 
-_ROW_BLOCK = 1024  # IRM file rows parsed at once; bounds the list of field strings a block makes
+_ROW_BLOCK = 1024  # IRM file rows parsed at once; bounds a block's field strings and its expected i, j, t fields
 
 
 def save_irm(irm: SampledIRM, path) -> None:
-    """Write the IRM file: one JSON header line, then CSV rows i,j,t,k."""
-    n = len(irm.leaves)
-    times = [repr(s * irm.dt) for s in range(irm.n_samples)]
+    """Write the IRM file: one JSON header line, then CSV rows i,j,t,k.
+
+    Rows go in i, then j, then sample order, each value as its float repr.
+    A kernel is one join over a token list whose t and newline slots are
+    filled once, its i,j slots once a kernel, and its value slots from the
+    repr of the kernel's ``tolist()`` row, which formats each float as
+    ``repr`` does: no Python code runs per row.
+    """
+    n, n_samples = len(irm.leaves), irm.n_samples
+    tokens = [None, None, None, "\n"] * n_samples  # per row: "i,j,", "t,", value, newline
+    tokens[1::4] = [f"{s * irm.dt!r}," for s in range(n_samples)]
     k = np.asarray(irm.k, dtype=float).tolist()
     with open(path, "w") as fh:
-        fh.write(json.dumps({"dt": irm.dt, "n": irm.n_samples, "leaves": list(irm.leaves), "horizon": irm.horizon}))
+        fh.write(json.dumps({"dt": irm.dt, "n": n_samples, "leaves": list(irm.leaves), "horizon": irm.horizon}))
         fh.write("\ni,j,t,k\n")
+        if not n_samples:  # the repr of an empty row would split into one empty value
+            return
         for i in range(n):
             for j in range(n):
-                fh.write("".join([f"{i},{j},{t},{v!r}\n" for t, v in zip(times, k[i][j])]))
+                tokens[0::4] = [f"{i},{j},"] * n_samples
+                tokens[2::4] = repr(k[i][j])[1:-1].split(", ")
+                fh.write("".join(tokens))
+
+
+def _saved_fields(start, count, labels, times):
+    """The i, j and t fields ``save_irm`` writes on rows start .. start + count - 1.
+
+    ``labels`` holds ``str(i)`` for each leaf index and ``times`` the
+    repr of each sample time. Row r is sample r % n_samples of kernel
+    q = r // n_samples, which is (i, j) = (q // N, q % N).
+    """
+    n_samples, n = len(times), len(labels)
+    i_fields, j_fields, t_fields = [], [], []
+    for kernel in range(start // n_samples, (start + count - 1) // n_samples + 1):
+        first = max(start - kernel * n_samples, 0)
+        last = min(start + count - kernel * n_samples, n_samples)
+        i_fields += [labels[kernel // n]] * (last - first)
+        j_fields += [labels[kernel % n]] * (last - first)
+        t_fields += times[first:last]
+    return i_fields, j_fields, t_fields
 
 
 def load_irm(path) -> SampledIRM:
@@ -352,8 +382,13 @@ def load_irm(path) -> SampledIRM:
     JSON integer >= 0 and ``horizon`` finite and >= 0, and every kernel
     sample of its N x N x n grid must appear in exactly one row with a
     finite value; anything else raises OutOfRange. Other header keys, such
-    as the ``direct`` coefficients older files carry, are ignored. Rows
-    are parsed a block at a time: one split, then one array per column.
+    as the ``direct`` coefficients older files carry, are ignored.
+
+    Rows are read a block at a time with one split. A block whose i, j and
+    t fields are the strings ``save_irm`` writes on its rows parses only
+    its k column and lands by slice; any other block, with rows in another
+    order or spelled another way, parses all four columns and scatters
+    its rows, under the same rules.
     """
     with open(path) as fh:
         try:
@@ -382,6 +417,8 @@ def load_irm(path) -> SampledIRM:
     if len(rows) != n * n * n_samples:  # checked before the header's shape is allocated
         raise OutOfRange(f"{path}: {len(rows)} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
     k = np.full((n, n, n_samples), np.nan)  # NaN marks a sample no row has set
+    flat = k.reshape(-1)  # a view: row r of a file in save_irm's order holds flat sample r
+    labels, times = [str(i) for i in range(n)], [repr(s * dt) for s in range(n_samples)]
     for start in range(0, len(rows), _ROW_BLOCK):
         block = rows[start : start + _ROW_BLOCK]
         # a "\n" field between rows, which no stripped row holds, lands every fifth place only if each row has four
@@ -389,9 +426,14 @@ def load_irm(path) -> SampledIRM:
         if fields[4::5].count("\n") != len(block) - 1 or len(fields) != 5 * len(block) - 1:
             row = next(row for row in block if row.count(",") != 3)
             raise OutOfRange(f"{path}: unreadable kernel row {row!r}: it needs four fields")
+        ijt = fields[0::5], fields[1::5], fields[2::5]
         try:
-            i, j = (np.array(fields[c::5], dtype=np.int64) for c in (0, 1))
-            t, values = (np.array(fields[c::5], dtype=float) for c in (2, 3))
+            values = np.array(fields[3::5], dtype=float)
+            if ijt == _saved_fields(start, len(block), labels, times):
+                flat[start : start + len(block)] = values  # where the scatter below would put each row
+                continue
+            i, j = (np.array(column, dtype=np.int64) for column in ijt[:2])
+            t = np.array(ijt[2], dtype=float)
         except (ValueError, OverflowError) as exc:
             raise OutOfRange(f"{path}: unreadable kernel row: {exc}") from exc
         with np.errstate(over="ignore"):

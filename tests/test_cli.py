@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipescope import SimConfig, simulate, step_inflow, validate_network
-from pipescope.cli import OPTIONS, build_parser, run
+from pipescope.cli import OPTIONS, build_parser, main, run
 from pipescope.irm import load_irm
 from pipescope.presets import EXP1_NETWORK
 from test_irm import damaged_irm_lines, edited_irm_lines
@@ -264,19 +265,25 @@ def test_reused_parser_keeps_calls_apart(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["reconstruct", "--help"], 0),
-                                        (["oracle-irm", "--preset", "exp1", "--no-such-flag"], 2)],
-                         ids=["version", "help", "unknown-flag"])
+                                        (["oracle-irm", "--preset", "exp1", "--no-such-flag"], 2),
+                                        (["oracle-irm", "--bogus"], 2)],
+                         ids=["version", "help", "unknown-flag", "bogus"])
 def test_parser_exit_does_not_spoil_later_calls(tmp_path, capsys, argv, code):
     seen = []
     for _ in range(2):
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        seen.append((exc.value.code, *capsys.readouterr()))
+        seen.append((run(argv), *capsys.readouterr()))
         assert run(["oracle-irm", "--preset", "exp1", "--out", str(tmp_path / "irm.csv")]) == 0
         capsys.readouterr()
     assert seen[0] == seen[1]
     exit_code, out, err = seen[0]
     assert exit_code == code and (err if code else out)  # help and version print to stdout, a usage error to stderr
+
+
+def test_main_exits_with_argparse_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["pipescope", "oracle-irm", "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2 and "--bogus" in capsys.readouterr().err
 
 
 def test_plot_svg(tmp_path, net1_path):
@@ -811,10 +818,7 @@ def fuzzed_options(draw, work, inputs):
 def _exit_and_stderr(argv):
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        try:
-            code = run(argv)
-        except SystemExit as exc:  # argparse refuses a flag value
-            code = exc.code
+        code = run(argv)
     return code, stderr.getvalue()
 
 

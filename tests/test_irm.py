@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pipescope import (
     AnalyticIRM,
@@ -29,7 +30,7 @@ from pipescope import (
     validate_network,
 )
 from pipescope.errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, WindowTooLarge
-from pipescope.irm import grid_size
+from pipescope.irm import _ROW_BLOCK, _saved_fields, grid_size
 from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
 from pipescope.simulate import junction_scatter
 
@@ -781,3 +782,100 @@ def test_save_irm_writes_the_row_by_row_bytes(exp1_net, tmp_path):
           for i in range(2) for j in range(2) for s in range(irm.n_samples)),
     ]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _row_by_row_bytes(irm):
+    """The IRM file as the one-f-string-per-row writer made it."""
+    n = len(irm.leaves)
+    lines = [
+        json.dumps({"dt": irm.dt, "n": irm.n_samples, "leaves": list(irm.leaves), "horizon": irm.horizon}),
+        "i,j,t,k",
+        *(f"{i},{j},{s * irm.dt!r},{float(irm.k[i, j, s])!r}"
+          for i in range(n) for j in range(n) for s in range(irm.n_samples)),
+    ]
+    return ("\n".join(lines) + "\n").encode()
+
+
+# values whose repr is easy to get wrong: signed zero, subnormals, the float range's ends, 17 significant digits
+ODD_FLOATS = [-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+              0.30000000000000004, 1 / 3, -2.0000000000000004, 1.2345678901234567e-05, 1e16, 123456789012345.67]
+
+
+@st.composite
+def any_sampled_irm(draw):
+    """A SampledIRM with 1 to 3 leaves, 0 to 12 samples and arbitrary float64 kernels, one of four not finite."""
+    n = draw(st.integers(1, 3))
+    n_samples = draw(st.sampled_from([0, 1]) | st.integers(0, 12))
+    k = draw(arrays(np.float64, (n, n, n_samples), elements=st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from(ODD_FLOATS)))
+    if k.size and draw(st.integers(0, 3)) == 0:
+        k.flat[draw(st.integers(0, k.size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    dt = draw(st.floats(1e-9, 1e3) | st.sampled_from([0.007, 0.01, 0.1]))
+    leaves = tuple(draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True)))
+    return SampledIRM(dt, leaves, k, max(n_samples - 1, 0) * dt)
+
+
+@given(any_sampled_irm())
+@settings(max_examples=300, deadline=None)
+def test_save_irm_writes_the_row_by_row_bytes_for_any_kernel(tmp_path_factory, irm):
+    work = tmp_path_factory.mktemp("save")
+    save_irm(irm, work / "a.csv")
+    assert (work / "a.csv").read_bytes() == _row_by_row_bytes(irm)
+    if not np.isfinite(irm.k).all():
+        with pytest.raises(OutOfRange, match="not finite"):
+            load_irm(work / "a.csv")
+        return
+    loaded = load_irm(work / "a.csv")
+    assert loaded.k.tobytes() == irm.k.tobytes()  # -0.0 stays -0.0
+    save_irm(loaded, work / "b.csv")
+    assert (work / "b.csv").read_bytes() == (work / "a.csv").read_bytes()
+
+
+def _swap(lines, a, b):
+    lines[a], lines[b] = lines[b], lines[a]
+
+
+def _respell(lines, row, column, spelling):
+    fields = lines[row].split(",")
+    fields[column] = spelling.format(fields[column])
+    lines[row] = ",".join(fields)
+
+
+# rows are lines[2:]: row 1500 is (i, j, s) = (2, 0, 0), in the second block; row 300 is (0, 1, 50), in the first
+MULTI_BLOCK_EDITS = {
+    "i respelled +2": lambda lines: _respell(lines, 2 + 1500, 0, "+{}"),
+    "j respelled +0": lambda lines: _respell(lines, 2 + 1500, 1, "+{}"),
+    "t respelled 0.0e0": lambda lines: _respell(lines, 2 + 1500, 2, "{}e0"),
+    "i respelled 2.0e0": lambda lines: _respell(lines, 2 + 1500, 0, "{}.0e0"),
+    "rows swapped across a block boundary": lambda lines: _swap(lines, 2 + _ROW_BLOCK - 1, 2 + _ROW_BLOCK),
+    "rows swapped across two blocks": lambda lines: _swap(lines, 2 + 300, 2 + 2 * _ROW_BLOCK + 5),
+    "row duplicated over another block's": lambda lines: lines.__setitem__(2 + 1500, lines[2 + 300]),
+    "k respelled in a block in save order": lambda lines: _respell(lines, 2 + 1500, 3, "{}0"),
+    "k respelled with 17 digits": lambda lines: _respell(
+        lines, 2 + 300, 3, format(float(lines[2 + 300].split(",")[3]), ".16e")),
+}
+
+
+@pytest.mark.parametrize("edit", MULTI_BLOCK_EDITS.values(), ids=MULTI_BLOCK_EDITS)
+def test_load_irm_matches_row_by_row_loader_over_several_blocks(tmp_path, edit):
+    # 3 x 3 kernels of 250 samples: 2,250 rows in three blocks, whose boundaries fall inside kernels
+    k = np.random.default_rng(18).standard_normal((3, 3, 250)) * np.logspace(-300, 300, 250)
+    irm = SampledIRM(0.007, ("A", "B", "C"), k, 249 * 0.007)
+    path = tmp_path / "irm.csv"
+    save_irm(irm, path)
+    assert load_irm(path).k.tobytes() == k.tobytes()
+    lines = path.read_text().splitlines()
+    assert len(lines) - 2 > 2 * _ROW_BLOCK and lines[2 + 1500].startswith("2,0,0.0,")
+    labels, times = ["0", "1", "2"], [repr(s * 0.007) for s in range(250)]
+    for start in range(0, len(lines) - 2, _ROW_BLOCK):  # every block of the saved file takes the layout path
+        fields = [row.split(",") for row in lines[2 + start : 2 + start + _ROW_BLOCK]]
+        assert tuple([f[c] for f in fields] for c in range(3)) == _saved_fields(start, len(fields), labels, times)
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        expected = _reference_load_irm(path)
+    except OutOfRange:
+        with pytest.raises(OutOfRange):
+            load_irm(path)
+        return
+    assert load_irm(path).k.tobytes() == expected.k.tobytes()
