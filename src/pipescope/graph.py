@@ -7,21 +7,24 @@ a positive cross-sectional area profile ``A(x)``, and the internal normal
 ``x0``; every other leaf is accessible and the order of the ``accessible``
 list drives all response-matrix indexing downstream.
 
-Geometry here is exact and immutable: once ``validate_network`` accepts a
-description, every derived quantity (the orientation towards x0, each
-pipe's cut-off leaves with their distances to it, action times) is a pure
-function of it. A cut point on a pipe separates from x0 exactly the
-accessible leaves whose path to x0 runs through that pipe; each such
-leaf's action time is its distance to the pipe's far vertex plus the
-point's, over the wave speed, and every other leaf's is 0. One walk from
-each leaf up to x0 gives those distances; no table over pairs of vertices
-is kept.
+``validate_network`` parses the JSON description and checks each pipe;
+``Network`` checks that the pipes form a tree with x0 a leaf, so every
+``Network`` is a valid tree. Geometry here is exact and immutable: every
+derived quantity (the orientation towards x0, each pipe's cut-off leaves
+with their distances to it, action times) is a pure function of the
+network, and one walk from x0 gives the orientation. A cut point on a pipe
+separates from x0 exactly the accessible leaves whose path to x0 runs
+through that pipe; each such leaf's action time is its distance to the
+pipe's far vertex plus the point's, over the wave speed, and every other
+leaf's is 0. One walk from each leaf up to x0 gives those distances, held
+per pipe in two flat arrays; no table over pairs of vertices is kept.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,20 +155,66 @@ class ActionTimes:
 
 
 class Network:
-    """Validated immutable tree network. Build through ``validate_network``."""
+    """Immutable tree of ``pipes`` on ``vertices``, checked and oriented towards x0 by one walk from x0.
 
-    def __init__(self, wave_speed, gravity, pipes, x0, accessible):
+    Raises, in this order of checking: ``Disconnected`` (too few pipes, or
+    a vertex the walk does not reach), ``CycleDetected`` (too many pipes),
+    ``DegreeTwoVertex``, ``NonLeafX0``, and ``InvalidNetworkSpec`` unless
+    ``accessible`` lists every leaf but x0 once.
+    """
+
+    def __init__(self, wave_speed, gravity, vertices, pipes, x0, accessible):
         self.wave_speed = float(wave_speed)
         self.gravity = float(gravity)
+        self.vertices: tuple[str, ...] = tuple(vertices)
         self.pipes: dict[str, Pipe] = {p.id: p for p in pipes}
         self.x0 = x0
         self.accessible: tuple[str, ...] = tuple(accessible)
-        self._adjacency: dict[str, list[Pipe]] = {}
-        for p in pipes:
-            self._adjacency.setdefault(p.from_vertex, []).append(p)
-            self._adjacency.setdefault(p.to_vertex, []).append(p)
-        self.vertices: tuple[str, ...] = tuple(self._adjacency)
-        self._x0_side, self._cut_off = self._orient_towards_x0()
+        n_pipes, n_vertices = len(self.pipes), len(self.vertices)
+        if n_pipes < n_vertices - 1:
+            raise Disconnected(f"{n_pipes} pipes cannot connect {n_vertices} vertices")
+        self._adjacency: dict[str, list[Pipe]] = {v: [] for v in self.vertices}
+        for p in self.pipes.values():
+            self._adjacency[p.from_vertex].append(p)
+            self._adjacency[p.to_vertex].append(p)
+
+        # per vertex, the pipe the walk reached it by: on a tree, its pipe towards x0 (when x0 is a vertex)
+        start = x0 if x0 in self._adjacency else self.vertices[0]
+        parent: dict[str, str | None] = {start: None}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for p in self._adjacency[v]:
+                w = p.to_vertex if v == p.from_vertex else p.from_vertex
+                if w not in parent:
+                    parent[w] = p.id
+                    stack.append(w)
+        if len(parent) != n_vertices:
+            raise Disconnected("network is not connected")
+        if n_pipes != n_vertices - 1:
+            raise CycleDetected(f"{n_pipes} pipes on {n_vertices} vertices form a cycle")
+        for v in self.vertices:
+            if self.degree(v) == 2:
+                raise DegreeTwoVertex(f"vertex {v!r} joins exactly two pipes")
+        if x0 not in self._adjacency or self.degree(x0) != 1:
+            raise NonLeafX0(f"x0 = {x0!r} is not a leaf")
+        if sorted(self.accessible) != sorted(set(self.leaves) - {x0}):
+            raise InvalidNetworkSpec("accessible list must be exactly all leaves except x0")
+
+        # the endpoint whose parent pipe is this pipe is the far one
+        self._x0_side = {pid: p.to_vertex if parent[p.from_vertex] == pid else p.from_vertex
+                         for pid, p in self.pipes.items()}
+        # per pipe, the leaves it cuts off: index into accessible, distance to the far vertex summed from the leaf
+        index = {pid: array("q") for pid in self.pipes}
+        dist = {pid: array("d") for pid in self.pipes}
+        for i, leaf in enumerate(self.accessible):
+            v, d = leaf, 0.0
+            while (pid := parent[v]) is not None:  # up the leaf's path to x0
+                index[pid].append(i)
+                dist[pid].append(d)
+                d += self.pipes[pid].length
+                v = self._x0_side[pid]
+        self._cut_off = {pid: (np.frombuffer(index[pid], np.int64), np.frombuffer(dist[pid])) for pid in self.pipes}
 
     # -- structure ---------------------------------------------------------
 
@@ -202,37 +251,6 @@ class Network:
         p = self.pipes[pipe_id]
         x0_end = self._x0_side[pipe_id]
         return p.to_vertex if x0_end == p.from_vertex else p.from_vertex
-
-    # -- internals ---------------------------------------------------------
-
-    def _orient_towards_x0(self) -> tuple[dict[str, str], dict[str, list[tuple[int, float]]]]:
-        """Each pipe's x0-side end, and the leaves it cuts off from x0.
-
-        A cut-off leaf is an (index into ``accessible``, distance from the
-        leaf to the pipe's far vertex) pair. The distance is the sum of the
-        pipe lengths on the leaf's walk up to x0, added from the leaf on.
-        """
-        parent_edge: dict[str, str | None] = {self.x0: None}
-        order = [self.x0]
-        while order:
-            v = order.pop()
-            for p in self._adjacency[v]:
-                w = p.to_vertex if v == p.from_vertex else p.from_vertex
-                if w not in parent_edge:
-                    parent_edge[w] = p.id
-                    order.append(w)
-        side = {}
-        for pid, p in self.pipes.items():
-            # the endpoint whose parent edge is this pipe is the far one
-            side[pid] = p.to_vertex if parent_edge[p.from_vertex] == pid else p.from_vertex
-        cut_off: dict[str, list[tuple[int, float]]] = {pid: [] for pid in self.pipes}
-        for i, leaf in enumerate(self.accessible):
-            v, dist = leaf, 0.0
-            while (pid := parent_edge[v]) is not None:  # up the leaf's path to x0
-                cut_off[pid].append((i, dist))
-                dist += self.pipes[pid].length
-                v = side[pid]
-        return side, cut_off
 
 
 def _number(value) -> float:
@@ -271,14 +289,17 @@ def _build_area_profile(spec) -> BlockAreaProfile | TableAreaProfile:
 
 
 def validate_network(spec: dict) -> Network:
-    """Validate a raw network description (the JSON schema) into a Network.
+    """Parse a raw network description (the JSON schema) into a Network.
 
     Vertex and pipe ids are strings; ``vertices``, ``pipes``,
     ``accessible``, area ``blocks`` and sample tables are lists; lengths,
     areas, wave speed and gravity are numbers, never booleans or strings.
 
-    Raises: CycleDetected, Disconnected, DegreeTwoVertex, NonLeafX0,
-    NonpositiveLength, NonpositiveArea, InvalidNetworkSpec.
+    Raises InvalidNetworkSpec for a malformed field, a duplicate id or a
+    pipe to an unknown vertex, CycleDetected for a self-loop, and
+    NonpositiveLength or NonpositiveArea per pipe; the structure is then
+    checked by ``Network``, which raises Disconnected, CycleDetected,
+    DegreeTwoVertex, NonLeafX0 or InvalidNetworkSpec.
     """
     try:
         wave_speed = _number(spec["wave_speed"])
@@ -320,39 +341,7 @@ def validate_network(spec: dict) -> Network:
             raise NonpositiveArea(f"pipe {pid!r} area profile is not positive and finite everywhere")
         pipes.append(Pipe(pid, v_from, v_to, length, area))
 
-    if len(pipes) < len(vertices) - 1:
-        raise Disconnected(f"{len(pipes)} pipes cannot connect {len(vertices)} vertices")
-
-    adjacency: dict[str, list] = {v: [] for v in vertices}
-    for p in pipes:
-        adjacency[p.from_vertex].append(p)
-        adjacency[p.to_vertex].append(p)
-
-    reached = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        v = stack.pop()
-        for p in adjacency[v]:
-            w = p.to_vertex if v == p.from_vertex else p.from_vertex
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) != len(vertices):
-        raise Disconnected("network is not connected")
-    if len(pipes) != len(vertices) - 1:
-        raise CycleDetected(f"{len(pipes)} pipes on {len(vertices)} vertices form a cycle")
-
-    for v in vertices:
-        if len(adjacency[v]) == 2:
-            raise DegreeTwoVertex(f"vertex {v!r} joins exactly two pipes")
-
-    leaves = {v for v in vertices if len(adjacency[v]) == 1}
-    if x0 not in leaves:
-        raise NonLeafX0(f"x0 = {x0!r} is not a leaf")
-    if set(accessible) != leaves - {x0} or len(set(accessible)) != len(accessible):
-        raise InvalidNetworkSpec("accessible list must be exactly all leaves except x0")
-
-    return Network(wave_speed, gravity, pipes, x0, accessible)
+    return Network(wave_speed, gravity, vertices, pipes, x0, accessible)
 
 
 # -- action times ------------------------------------------------------------
@@ -390,8 +379,8 @@ def action_times_along(net: Network, pipe_id: str, offsets) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=float)
     dv = offsets if far == pipe.from_vertex else pipe.length - offsets
     f = np.zeros((offsets.size, len(net.accessible)))
-    for i, dist in net._cut_off[pipe_id]:
-        f[:, i] = (dist + dv) / net.wave_speed
+    index, dist = net._cut_off[pipe_id]
+    f[:, index] = (dist + dv.reshape(-1, 1)) / net.wave_speed
     return f
 
 

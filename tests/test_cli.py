@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import random
 import re
 import sys
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from pipescope import SimConfig, simulate, step_inflow, validate_network
 from pipescope.cli import OPTIONS, build_parser, main, run
 from pipescope.irm import load_irm
-from pipescope.presets import EXP1_NETWORK
+from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
 from test_irm import damaged_irm_lines, edited_irm_lines
 
 
@@ -970,3 +971,35 @@ def test_fuzz_show_network_exits_cleanly(args):
     code, err = _exit_and_stderr(["show-network", *args])
     assert code in (0, 2), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_vertex_order_does_not_change_outputs(tmp_path, order):
+    # Network.vertices follows the spec's list, and the simulator numbers its vertex rule by it
+    def reorder(stock):
+        spec = copy.deepcopy(stock)
+        vertices = spec["vertices"]
+        if order == "reversed":
+            vertices.reverse()
+        else:
+            random.Random(19).shuffle(vertices)
+        assert vertices != stock["vertices"] and validate_network(spec).vertices == tuple(vertices)
+        path = tmp_path / f"{order}_{len(vertices)}.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+
+    exp1 = reorder(EXP1_NETWORK)
+    for name, network in (("stock", []), ("reordered", ["--network", exp1])):
+        irm, recon = tmp_path / f"{name}.csv", tmp_path / f"{name}_recon"
+        assert run(["oracle-irm", "--preset", "exp1", *network, "--out", str(irm)]) == 0
+        assert run(["reconstruct", "--preset", "exp1", *network, "--irm", str(irm), "--out", str(recon)]) == 0
+    assert (tmp_path / "stock.csv").read_bytes() == (tmp_path / "reordered.csv").read_bytes()
+    stock, reordered = read_dir_bytes(tmp_path / "stock_recon"), read_dir_bytes(tmp_path / "reordered_recon")
+    del stock["manifest.json"], reordered["manifest.json"]  # wall time and the network's source
+    assert stock == reordered
+
+    exp2 = reorder(EXP2_NETWORK)
+    for name, network in (("stock2", []), ("reordered2", ["--network", exp2])):
+        argv = ["simulate-irm", "--preset", "exp2", *network, "--dx", "20", "--duration", "0.9"]
+        assert run([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert (tmp_path / "stock2.csv").read_bytes() == (tmp_path / "reordered2.csv").read_bytes()

@@ -23,7 +23,7 @@ from pipescope import (
     action_times,
     validate_network,
 )
-from pipescope.graph import TableAreaProfile, _check_cut, action_times_along
+from pipescope.graph import BlockAreaProfile, Network, Pipe, TableAreaProfile, _check_cut, action_times_along
 from pipescope.inversion import _profile_points
 from pipescope.errors import (
     CycleDetected,
@@ -37,7 +37,7 @@ from pipescope.errors import (
     PipescopeError,
     PointIsJunction,
 )
-from pipescope.presets import EXP1_NETWORK, PRESETS
+from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK, PRESETS
 
 
 @dataclass(frozen=True)
@@ -755,3 +755,204 @@ def test_validation_memory_on_a_large_tree():
         expected = np.array([reference_action_times(net, PointOnPipe(pid, o), endpoint_ok=True) for o in offsets])
         assert ((expected > 0).sum(axis=1) == cut_off[pid]).all(), pid
         assert action_times_along(net, pid, offsets).tobytes() == expected.tobytes(), pid
+
+
+def _caterpillar():
+    """A spine of 1,000 junctions with one leaf each, x0 at one end: 2,002 vertices, the last junction with two leaves."""
+    n = 1000
+    pipes = [_uniform_pipe("px0", "x0", "j0", 100.0)]
+    for k in range(n):
+        pipes.append(_uniform_pipe(f"l{k}", f"j{k}", f"L{k}", 50.0 + k % 7))
+        if k + 1 < n:
+            pipes.append(_uniform_pipe(f"s{k}", f"j{k}", f"j{k + 1}", 100.0 + k % 3))
+    pipes.append(_uniform_pipe("lend", f"j{n - 1}", "Lend", 60.0))
+    accessible = [f"L{k}" for k in range(n)] + ["Lend"]
+    return {"wave_speed": 1000.0, "gravity": 9.81, "vertices": ["x0", *(f"j{k}" for k in range(n)), *accessible],
+            "pipes": pipes, "x0": "x0", "accessible": accessible}
+
+
+def test_validation_memory_on_a_caterpillar():
+    # one (leaf, distance) tuple per pipe on each leaf's path to x0 would trace about 46 MB here
+    spec = _caterpillar()
+    tracemalloc.start()
+    try:
+        net = validate_network(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(net.vertices) == 2002
+    assert peak < 15e6, peak
+
+    # the x0 pipe cuts off every leaf, a mid-spine pipe half of them, a leaf pipe one; the graph
+    # search walks the whole tree once per cut-off leaf and point, so the big pipes get one point each
+    for pid, n_cut, fractions in (("px0", 1001, [0.5]), ("s500", 500, [1.0]), ("l10", 1, [0.25, 0.5, 1.0])):
+        pipe, x0_end = net.pipes[pid], net.pipes[pid].end_coord(net.x0_side_vertex(pid))
+        offsets = [abs(x0_end - (1.0 - t) * pipe.length) for t in fractions]
+        expected = np.array([reference_action_times(net, PointOnPipe(pid, o), endpoint_ok=True) for o in offsets])
+        assert ((expected > 0).sum(axis=1) == n_cut).all(), pid
+        assert action_times_along(net, pid, offsets).tobytes() == expected.tobytes(), pid
+
+
+# -- structure checks against the two-walk validation they replaced ----------
+
+
+def reference_structure(vertices, pipes, x0, accessible):
+    """The structural checks of the validation that walked each network twice, and its orientation.
+
+    ``pipes`` are ``Pipe``s between known vertices. Raises what that
+    validation raised, in its order; returns each pipe's x0-side vertex
+    and, per pipe, its cut-off leaves as (index into ``accessible``,
+    distance to the pipe's far vertex) pairs.
+    """
+    for p in pipes:
+        if p.from_vertex == p.to_vertex:
+            raise CycleDetected(f"pipe {p.id!r} is a self-loop")
+    if len(pipes) < len(vertices) - 1:
+        raise Disconnected(f"{len(pipes)} pipes cannot connect {len(vertices)} vertices")
+    adjacency = {v: [] for v in vertices}
+    for p in pipes:
+        adjacency[p.from_vertex].append(p)
+        adjacency[p.to_vertex].append(p)
+    reached = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        v = stack.pop()
+        for p in adjacency[v]:
+            w = p.to_vertex if v == p.from_vertex else p.from_vertex
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) != len(vertices):
+        raise Disconnected("network is not connected")
+    if len(pipes) != len(vertices) - 1:
+        raise CycleDetected(f"{len(pipes)} pipes on {len(vertices)} vertices form a cycle")
+    for v in vertices:
+        if len(adjacency[v]) == 2:
+            raise DegreeTwoVertex(f"vertex {v!r} joins exactly two pipes")
+    leaves = {v for v in vertices if len(adjacency[v]) == 1}
+    if x0 not in leaves:
+        raise NonLeafX0(f"x0 = {x0!r} is not a leaf")
+    if set(accessible) != leaves - {x0} or len(set(accessible)) != len(accessible):
+        raise InvalidNetworkSpec("accessible list must be exactly all leaves except x0")
+
+    parent_edge = {x0: None}
+    order = [x0]
+    while order:
+        v = order.pop()
+        for p in adjacency[v]:
+            w = p.to_vertex if v == p.from_vertex else p.from_vertex
+            if w not in parent_edge:
+                parent_edge[w] = p.id
+                order.append(w)
+    by_id = {p.id: p for p in pipes}
+    side = {pid: p.to_vertex if parent_edge[p.from_vertex] == pid else p.from_vertex for pid, p in by_id.items()}
+    cut_off = {pid: [] for pid in by_id}
+    for i, leaf in enumerate(accessible):
+        v, dist = leaf, 0.0
+        while (pid := parent_edge[v]) is not None:
+            cut_off[pid].append((i, dist))
+            dist += by_id[pid].length
+            v = side[pid]
+    return side, cut_off
+
+
+def reference_action_times_along(spec, side, cut_off, pipe_id, offsets):
+    """The per-leaf loop that filled the action times from the (leaf, distance) pairs."""
+    pipe = next(p for p in spec["pipes"] if p["id"] == pipe_id)
+    far = pipe["to"] if side[pipe_id] == pipe["from"] else pipe["from"]
+    offsets = np.asarray(offsets, dtype=float)
+    dv = offsets if far == pipe["from"] else pipe["length"] - offsets
+    f = np.zeros((offsets.size, len(spec["accessible"])))
+    for i, dist in cut_off[pipe_id]:
+        f[:, i] = (dist + dv) / spec["wave_speed"]
+    return f
+
+
+def _spec_pipes(spec):
+    return [Pipe(p["id"], p["from"], p["to"], float(p["length"]), BlockAreaProfile(p["area"]["base"]))
+            for p in spec["pipes"]]
+
+
+@st.composite
+def edited_specs(draw):
+    """A preset or random tree network with one to three structural edits.
+
+    Added pipes and accessible ids lean towards the newest vertex. Two
+    edits are made of the others, so that some edited specs are trees
+    again: a new vertex joined by a pipe and listed as accessible, and an
+    accessible id dropped and added back at the end.
+    """
+    spec = copy.deepcopy(draw(st.sampled_from([EXP1_NETWORK, EXP2_NETWORK]) | tree_specs()))
+    vertices, pipes, accessible = spec["vertices"], spec["pipes"], spec["accessible"]
+    newest_first = st.builds(lambda i: vertices[-1 - i], st.integers(min_value=0, max_value=len(vertices) - 1))
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        edit = draw(st.sampled_from(["new-leaf", "move-accessible", "isolated-vertex", "add-pipe", "add-accessible",
+                                     "drop-accessible", "duplicate-accessible", "x0", "degree-two", "drop-pipe"]))
+        new = f"w{k}"
+        if edit == "new-leaf":
+            vertices.append(new)
+            pipes.append(_uniform_pipe(new, draw(st.sampled_from(vertices)), new, 100.0))
+            accessible.append(new)
+        elif edit == "move-accessible" and accessible:
+            accessible.append(accessible.pop(draw(st.integers(min_value=0, max_value=len(accessible) - 1))))
+        elif edit == "isolated-vertex":
+            vertices.append(new)
+        elif edit == "add-pipe":  # self-loops included
+            a, b = draw(st.sampled_from(vertices)), draw(newest_first)
+            pipes.append(_uniform_pipe(new, a, b, float(draw(st.integers(min_value=50, max_value=500)))))
+        elif edit == "add-accessible":
+            accessible.append(draw(newest_first | st.just("nowhere")))
+        elif edit == "drop-accessible" and accessible:
+            accessible.pop(draw(st.integers(min_value=0, max_value=len(accessible) - 1)))
+        elif edit == "duplicate-accessible" and accessible:
+            accessible.append(draw(st.sampled_from(accessible)))
+        elif edit == "x0":
+            degree = {v: sum(v in (p["from"], p["to"]) for p in pipes) for v in vertices}
+            spec["x0"] = draw(st.sampled_from([v for v in vertices if degree[v] >= 3] + ["nowhere"]))
+        elif edit == "degree-two" and pipes:
+            p = pipes.pop(draw(st.integers(min_value=0, max_value=len(pipes) - 1)))
+            vertices.append(new)
+            pipes += [_uniform_pipe(f"{new}a", p["from"], new, p["length"] / 2),
+                      _uniform_pipe(f"{new}b", new, p["to"], p["length"] / 2)]
+        elif edit == "drop-pipe" and pipes:
+            pipes.pop(draw(st.integers(min_value=0, max_value=len(pipes) - 1)))
+    return spec
+
+
+@given(edited_specs())
+@settings(max_examples=300, deadline=None)
+def test_structure_checks_match_the_two_walk_validation(spec):
+    args = (spec["vertices"], _spec_pipes(spec), spec["x0"], spec["accessible"])
+    try:
+        expected = reference_structure(*args)
+    except InvalidNetworkSpec as exc:
+        expected = exc
+    builds = [lambda: validate_network(spec)]
+    if not any(p["from"] == p["to"] for p in spec["pipes"]):  # a self-loop is refused while parsing
+        builds.append(lambda: Network(spec["wave_speed"], spec["gravity"], *args))
+    for build in builds:
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as raised:
+                build()
+            assert type(raised.value) is type(expected) and str(raised.value) == str(expected)
+            continue
+        net = build()
+        side, cut_off = expected
+        assert net.accessible == tuple(spec["accessible"])
+        assert net.vertices == tuple(spec["vertices"])
+        assert {pid: net.x0_side_vertex(pid) for pid in net.pipes} == side
+        for pid, pipe in net.pipes.items():
+            offsets = [0.3 * pipe.length, pipe.end_coord(side[pid])]
+            want = reference_action_times_along(spec, side, cut_off, pid, offsets)
+            assert action_times_along(net, pid, offsets).tobytes() == want.tobytes(), pid
+
+
+def test_network_built_directly_checks_its_structure():
+    # a triangle and an isolated x0: the walk from x0 reaches one vertex of four
+    triangle = [Pipe(a + b, a, b, 100.0, BlockAreaProfile(1.0)) for a, b in ("AB", "BC", "CA")]
+    with pytest.raises(Disconnected, match="not connected"):
+        Network(1000.0, 9.81, ["A", "B", "C", "X"], triangle, "X", [])
+    # the preset tree plus a pipe between two leaves: connected, one pipe too many
+    pipes = _spec_pipes(EXP1_NETWORK) + [Pipe("AB", "A", "B", 100.0, BlockAreaProfile(1.0))]
+    with pytest.raises(CycleDetected, match="form a cycle"):
+        Network(1000.0, 9.81, EXP1_NETWORK["vertices"], pipes, "C", ["A", "B"])
