@@ -157,7 +157,8 @@ class ActionTimes:
 class Network:
     """Immutable tree of ``pipes`` on ``vertices``, checked and oriented towards x0 by one walk from x0.
 
-    Raises, in this order of checking: ``Disconnected`` (too few pipes, or
+    Raises, in this order of checking: ``InvalidNetworkSpec`` (no vertex,
+    or a pipe to a vertex not listed), ``Disconnected`` (too few pipes, or
     a vertex the walk does not reach), ``CycleDetected`` (too many pipes),
     ``DegreeTwoVertex``, ``NonLeafX0``, and ``InvalidNetworkSpec`` unless
     ``accessible`` lists every leaf but x0 once.
@@ -171,12 +172,16 @@ class Network:
         self.x0 = x0
         self.accessible: tuple[str, ...] = tuple(accessible)
         n_pipes, n_vertices = len(self.pipes), len(self.vertices)
-        if n_pipes < n_vertices - 1:
-            raise Disconnected(f"{n_pipes} pipes cannot connect {n_vertices} vertices")
+        if not n_vertices:
+            raise InvalidNetworkSpec("vertices, x0 and accessible must be string vertex ids, at least one vertex")
         self._adjacency: dict[str, list[Pipe]] = {v: [] for v in self.vertices}
         for p in self.pipes.values():
+            if p.from_vertex not in self._adjacency or p.to_vertex not in self._adjacency:
+                raise InvalidNetworkSpec(f"pipe {p.id!r} references unknown vertices")
             self._adjacency[p.from_vertex].append(p)
             self._adjacency[p.to_vertex].append(p)
+        if n_pipes < n_vertices - 1:
+            raise Disconnected(f"{n_pipes} pipes cannot connect {n_vertices} vertices")
 
         # per vertex, the pipe the walk reached it by: on a tree, its pipe towards x0 (when x0 is a vertex)
         start = x0 if x0 in self._adjacency else self.vertices[0]
@@ -295,11 +300,11 @@ def validate_network(spec: dict) -> Network:
     ``accessible``, area ``blocks`` and sample tables are lists; lengths,
     areas, wave speed and gravity are numbers, never booleans or strings.
 
-    Raises InvalidNetworkSpec for a malformed field, a duplicate id or a
-    pipe to an unknown vertex, CycleDetected for a self-loop, and
-    NonpositiveLength or NonpositiveArea per pipe; the structure is then
-    checked by ``Network``, which raises Disconnected, CycleDetected,
-    DegreeTwoVertex, NonLeafX0 or InvalidNetworkSpec.
+    Raises InvalidNetworkSpec for a malformed field or a duplicate id,
+    CycleDetected for a self-loop, and NonpositiveLength or NonpositiveArea
+    per pipe; the structure is then checked by ``Network``, which raises
+    InvalidNetworkSpec (for a pipe to an unknown vertex, say), Disconnected,
+    CycleDetected, DegreeTwoVertex or NonLeafX0.
     """
     try:
         wave_speed = _number(spec["wave_speed"])
@@ -313,8 +318,7 @@ def validate_network(spec: dict) -> Network:
 
     if not (0 < wave_speed < math.inf and 0 < gravity < math.inf):
         raise InvalidNetworkSpec("wave_speed and gravity must be positive and finite")
-    vertex_set = set(vertices)
-    if len(vertex_set) != len(vertices):
+    if len(set(vertices)) != len(vertices):
         raise InvalidNetworkSpec("duplicate vertex ids")
 
     pipes = []
@@ -331,8 +335,6 @@ def validate_network(spec: dict) -> Network:
         if pid in seen_ids:
             raise InvalidNetworkSpec(f"duplicate pipe id {pid!r}")
         seen_ids.add(pid)
-        if v_from not in vertex_set or v_to not in vertex_set:
-            raise InvalidNetworkSpec(f"pipe {pid!r} references unknown vertices")
         if v_from == v_to:
             raise CycleDetected(f"pipe {pid!r} is a self-loop")
         if not 0 < length < math.inf:

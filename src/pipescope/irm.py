@@ -36,7 +36,8 @@ from .errors import (
     WindowTooLarge,
 )
 from .graph import Network
-from .simulate import Histories, SimConfig, _run_size, junction_scatter, simulate_runs, step_inflow
+from .simulate import (Histories, SimConfig, _batch_bytes, _require_memory, _run_size, junction_scatter, simulate_runs,
+                       step_inflow)
 
 __all__ = [
     "AnalyticIRM",
@@ -307,12 +308,16 @@ def measure_irm(
         raise OutOfRange(f"resampling dt must be positive and finite, not {resample_dt}")
     n = len(net.accessible)
     # every run samples t = 0, dt, ..., n_steps*dt: under one step, or too large a kernel grid, is refused before any run
-    _, dt, n_steps = _run_size(net, cfg)
+    cells, dt, n_steps = _run_size(net, cfg)
     _require_two_samples(n_steps + 1)
     dt_out = dt if resample_dt is None else resample_dt
     try:
-        t_out = np.arange(n_steps + 1 if resample_dt is None else grid_size(n_steps * dt, dt_out)) * dt_out
-        k = np.zeros((n, n, len(t_out)))
+        n_out = n_steps + 1 if resample_dt is None else grid_size(n_steps * dt, dt_out)
+        # the step series, the batch's arrays and the kernel grid, refused past physical memory before any is made
+        size = f"{n} runs of {sum(cells)} cells and {n_steps} time steps, and {n * n * n_out} kernel samples,"
+        _require_memory(size, 8 * n * (n_steps + 1 + n * n_out) + _batch_bytes(net, cells, n_steps, n, fields))
+        t_out = np.arange(n_out) * dt_out
+        k = np.zeros((n, n, n_out))
     except (MemoryError, ValueError, OverflowError) as exc:  # a sample count numpy cannot allocate or represent
         raise OutOfRange(
             f"a kernel grid of step {dt_out} over {n_steps * dt:g} s gives more kernel samples than fit in memory: {exc}"

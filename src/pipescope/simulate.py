@@ -28,32 +28,30 @@ elsewhere: x0 and undriven leaves are closed ends (Q = 0), the simplest
 member of the class of inactive boundary conditions the model allows, and
 flow balances at junctions to round-off by construction.
 
-The step needs no gather over cells. Every gap between consecutive nodes
-of the node array is a cell: a pipe's own cell, or between two pipes a
-dummy cell with Courant ratio 0 and B = 1. So C+ and C- of all cells
-come from shifted slices of the node vectors, and the interior rule
-updates every node but the first and last by slices. A dummy cell's
-values reach only the pipe-end nodes beside it, and the vertex rule
-overwrites those in the same step, from C values taken out of one
-[C+; C-] buffer.
-
-Runs on one network (one per source leaf, say) step together on a runs
-axis of one (H/Q, run, node) state. Strided views of it give one pass
-the foot H and Q of every cell, run and family, then C = foot H +
-[B; -B] * foot Q, the same floats as a run alone since x + (-y) == x - y.
-The vertex rule takes, sums and puts over all runs at once, on flat
-indices offset per run. Each step writes into buffers made once per
-batch; only the vertex rule's per-vertex sums are a new array.
+The step needs no gather over cells. A batch's runs (one per source
+leaf, say) lie end to end on one node axis, and every gap between
+consecutive nodes is a cell: a pipe's own, or between two pipes or two
+runs a dummy cell with B = 1. Each node carries its pipe's Courant ratio
+theta. One product weighs every node's H and Q by theta and by 1 - theta,
+and one sum of two shifted views of that gives each cell's foot values:
+theta at its left node plus 1 - theta at its right for C+, the other way
+round for C-. A real cell's nodes share a pipe, so these are the floats
+of a run alone. The interior rule then updates every node but the first
+and last by slices. A dummy cell's values reach only the pipe-end nodes
+beside it, which the vertex rule overwrites in the same step by 1-D take,
+bincount and put over all runs. That rule leaves the vertex heads in the
+step's inflow row, where the leaf traces are read after the last step.
+Buffers are made once per batch; only the per-vertex sums are new.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import MismatchedSeriesLength, OutOfRange, UnstableConfig
 from .graph import Network
@@ -110,7 +108,7 @@ class Histories:
 def step_inflow(net: Network, cfg: SimConfig, leaf: str) -> dict[str, np.ndarray]:
     """Ideal unit step: value 1 from t = 0 on, at one leaf."""
     cells, _, n_steps = _run_size(net, cfg)
-    with _allocating(cells, n_steps):
+    with _allocating(cells, n_steps, 8 * (n_steps + 1)):
         return {leaf: np.ones(n_steps + 1)}
 
 
@@ -129,13 +127,35 @@ def _run_size(net: Network, cfg: SimConfig) -> tuple[list[int], float, int]:
         raise OutOfRange(f"dx {cfg.dx} and courant {cfg.courant} give no finite cell or step count: {exc}") from exc
 
 
+def _batch_bytes(net: Network, cells: list[int], n_steps: int, n_runs: int, fields: bool) -> int:
+    """Bytes of a batch's per-step arrays: vertex inflow, leaf traces and, with ``fields``, H and Q of every node."""
+    per_run = len(net.vertices) + len(net.accessible) + (2 * (sum(cells) + len(cells)) if fields else 0)
+    return 8 * (n_steps + 1) * n_runs * per_run
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 where the system does not say."""
+    try:
+        return max(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), 0)
+    except (AttributeError, OSError, ValueError):
+        return 0
+
+
+def _require_memory(what: str, n_bytes: int) -> None:
+    """Refuse arrays of more bytes than physical memory before they are allocated, let alone filled."""
+    if 0 < (memory := _physical_memory()) < n_bytes:
+        raise OutOfRange(f"{what} needs {n_bytes} bytes, more than the {memory} bytes of physical memory")
+
+
 @contextmanager
-def _allocating(cells: list[int], n_steps: int):
-    """Turn an array allocation that fails for the run's size into OutOfRange naming that size."""
+def _allocating(cells: list[int], n_steps: int, n_bytes: int):
+    """Refuse a run of ``n_bytes`` past physical memory; turn a failed allocation into OutOfRange naming its size."""
+    size = f"a run of {sum(cells)} cells and {n_steps} time steps"
+    _require_memory(size, n_bytes)
     try:
         yield
     except (MemoryError, ValueError) as exc:  # ValueError: a shape numpy cannot represent at all
-        raise OutOfRange(f"a run of {sum(cells)} cells and {n_steps} time steps does not fit in memory: {exc}") from exc
+        raise OutOfRange(f"{size} does not fit in memory: {exc}") from exc
 
 
 def _pipe_grids(net: Network, cells: list[int]) -> dict[str, _PipeGrid]:
@@ -164,21 +184,20 @@ def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig, fields:
 
 def simulate_runs(net: Network, runs: list[dict[str, np.ndarray]], cfg: SimConfig,
                   fields: bool = True) -> list[Histories]:
-    """Run ``simulate`` on every flow dict of ``runs`` at once; one Histories per run.
+    """Run ``simulate`` on every flow dict of ``runs`` at once, laid end to end; one Histories per run.
 
-    Each is bit for bit that run alone's. An array the batch cannot allocate raises OutOfRange.
+    Each is bit for bit that run alone's. A batch past physical memory, or one it cannot allocate, raises OutOfRange.
     """
     cells, dt, n_steps = _run_size(net, cfg)
     if not runs:
         return []
     vertex = {v: i for i, v in enumerate(net.vertices)}
     n_runs, n_vertices, n_nodes = len(runs), len(vertex), sum(cells) + len(cells)
-    with _allocating(cells, n_steps):
+    with _allocating(cells, n_steps, _batch_bytes(net, cells, n_steps, n_runs, fields)):
         grids = _pipe_grids(net, cells)
-        inflow = np.zeros((n_steps + 1, n_runs, n_vertices))
-        traces = np.empty((n_steps + 1, n_runs, len(net.accessible)))
-        if fields:  # per step, the state: H then Q, each per run and node
-            HQ = np.empty((n_steps + 1, 2, n_runs, n_nodes))
+        inflow = np.zeros((n_steps + 1, n_runs, n_vertices))  # per step, vertex inflow; the step leaves heads there
+        if fields:  # per step, the state: H then Q, each per node of every run
+            HQ = np.empty((n_steps + 1, 2, n_runs * n_nodes))
 
     for r, flows in enumerate(runs):
         for leaf, series in flows.items():
@@ -188,72 +207,60 @@ def simulate_runs(net: Network, runs: list[dict[str, np.ndarray]], cfg: SimConfi
                 raise MismatchedSeriesLength(f"series for {leaf!r} has {len(series)} samples, run needs {n_steps + 1}")
             inflow[:, r, vertex[leaf]] = series
 
-    # per cell, a pipe's own or the dummy between two pipes (module docstring): Courant ratio and B
-    theta = np.concatenate([np.append(np.full(n, net.wave_speed * dt / g.dx), 0.0)
-                            for n, g in zip(cells, grids.values())])[:-1]
-    rest = 1 - theta
-    B = np.concatenate([np.append(g.impedance, 1.0) for g in grids.values()])[:-1]
+    # per node, its pipe's Courant ratio and 1 minus it; per cell, a pipe's own or a dummy (module docstring), B
+    batch = list(grids.values()) * n_runs  # the pipes of every run, end to end
+    theta = np.repeat([net.wave_speed * dt / g.dx for g in batch], [len(g.x) for g in batch])
+    weights = np.stack([theta, 1 - theta])
+    B = np.concatenate([np.append(g.impedance, 1.0) for g in batch])[:-1]
     B_signed = np.stack([B, -B])  # C+ adds B times the foot's Q, C- subtracts it
-    B_left, B_sum = B[:-1], B[:-1] + B[1:]  # per node 1..n-2: its left cell's B, and both cells' B
+    B_left, B_sum = B[:-1], B[:-1] + B[1:]  # per node but the first and last: its left cell's B, and both cells' B
 
-    # pipe ends in pipe order, the x = 0 end first: node, vertex, index into one run's [C+; C-], nu
-    n_cells = n_nodes - 1
-    first_node = np.cumsum([0, *(n + 1 for n in cells)])
+    # pipe ends in batch order, the x = 0 end first: node, index into [C+; C-], vertex in its run's block, nu * B
+    n_cells = n_runs * n_nodes - 1
+    first_node = np.cumsum([0, *(len(g.x) for g in batch)])
     end_node = np.column_stack([first_node[:-1], first_node[1:] - 1]).ravel()
     end_c = np.column_stack([n_cells + first_node[:-1], first_node[1:] - 2]).ravel()  # C- of first cell, C+ of last
-    end_vertex = np.array([vertex[v] for p in net.pipes.values() for v in (p.from_vertex, p.to_vertex)])
-    nu = np.tile([1.0, -1.0], len(cells))
-    B_end = np.concatenate([g.impedance[[0, -1]] for g in grids.values()])
-    inv_B_vertex = np.bincount(end_vertex, 1.0 / B_end, n_vertices)  # sum_e 1/B_e
-
-    # a leaf is the vertex of exactly one pipe end
-    end_at = dict(zip(end_vertex.tolist(), end_node.tolist()))
-    leaf_node = np.array([end_at[vertex[leaf]] for leaf in net.accessible])
-
-    def flat(index, size):  # the index in every run's block of a flat array, run after run
-        return (np.arange(n_runs)[:, None] * size + index).ravel()
-
-    end_node, leaf_node = flat(end_node, n_nodes), flat(leaf_node, n_nodes)
     end_hq = np.concatenate([end_node, n_runs * n_nodes + end_node])  # the end nodes' H, then their Q
-    end_c, end_vertex = flat(end_c, 2 * n_cells), flat(end_vertex, n_vertices)
-    nu, B_end, inv_B_vertex = np.tile(nu, n_runs), np.tile(B_end, n_runs), np.tile(inv_B_vertex, n_runs)
+    end_vertex = np.array([r * n_vertices + vertex[v] for r in range(n_runs)
+                           for p in net.pipes.values() for v in (p.from_vertex, p.to_vertex)])
+    B_end = np.concatenate([g.impedance[[0, -1]] for g in batch])
+    nu_B = np.tile([1.0, -1.0], len(batch)) * B_end  # exact: (h - c) / (nu * B) == nu * (h - c) / B for nu = +-1
+    inv_B_vertex = np.bincount(end_vertex, 1.0 / B_end, n_runs * n_vertices)  # sum_e 1/B_e
 
-    hq = np.zeros((2, n_runs, n_nodes))  # quiescent state before t = 0
-    foot, buf = np.empty((2, n_runs, 2, n_cells)), np.empty((2, n_runs, 2, n_cells))
-    C, foot_q = foot  # after each carry, C[run] holds that run's [C+; C-]
-    h_in, q_in = hq[:, :, 1:-1]
-    cp_left, cm_right = C[:, 0, :-1], C[:, 1, 1:]  # per node 1..n-2: C+ of its left cell, C- of its right cell
+    hq = np.zeros((2, n_runs * n_nodes))  # quiescent state before t = 0
+    weighted = np.empty((2, 2, n_runs * n_nodes))  # per H/Q, theta times the state, then 1 - theta times it
+    foot = np.empty((2, 2, n_cells))  # per H/Q, family (C+, C-) and cell, the value at the foot
+    C, foot_q = foot  # after each carry, C holds [C+; C-]
+    h_in, q_in = hq[:, 1:-1]
+    cp_left, cm_right = C[0, :-1], C[1, 1:]  # per node but the first and last: C+ of its left cell, C- of its right
     c_end, hq_end = np.empty(len(end_node)), np.empty(2 * len(end_node))
     h_end, q_end = hq_end[:len(end_node)], hq_end[len(end_node):]
-    # per H/Q, run and family (C+, C-), the node of each cell weighted theta (x[:-1], x[1:]), then its other node
-    var, run, node = hq.strides
-    near = as_strided(hq, foot.shape, (var, run, node, node), writeable=False)
-    far = as_strided(hq[:, :, 1:], foot.shape, (var, run, -node, node), writeable=False)
+    # a cell's C+ foot weighs its left node theta and its right node 1 - theta, its C- foot the other way round
+    state, left, right = hq[:, None], weighted[:, :, :-1], weighted[:, ::-1, 1:]
 
     C_flat, hq_flat = C.reshape(-1), hq.reshape(-1)
-    inflow, traces_flat = inflow.reshape(n_steps + 1, -1), traces.reshape(n_steps + 1, -1)
-    for step in range(n_steps + 1):
-        # the foot H and Q of every cell, run and family, then C = foot H + [B; -B] * foot Q
-        np.add(np.multiply(theta, near, out=foot), np.multiply(rest, far, out=buf), out=foot)
+    for step, h_v in enumerate(inflow.reshape(n_steps + 1, -1)):
+        # the foot H and Q of every cell and family, then C = foot H + [B; -B] * foot Q
+        np.multiply(weights, state, out=weighted)
+        np.add(left, right, out=foot)
         np.add(C, np.multiply(B_signed, foot_q, out=foot_q), out=C)
         np.divide(np.subtract(cp_left, cm_right, out=q_in), B_sum, out=q_in)
         np.subtract(cp_left, np.multiply(B_left, q_in, out=h_in), out=h_in)
         C_flat.take(end_c, out=c_end)
-        h_v = np.bincount(end_vertex, np.divide(c_end, B_end, out=q_end), n_runs * n_vertices)
-        h_v += inflow[step]
+        np.add(np.bincount(end_vertex, np.divide(c_end, B_end, out=q_end), len(h_v)), h_v, out=h_v)
         h_v /= inv_B_vertex
         h_v.take(end_vertex, out=h_end)
-        np.divide(np.multiply(nu, np.subtract(h_end, c_end, out=q_end), out=q_end), B_end, out=q_end)
+        np.divide(np.subtract(h_end, c_end, out=q_end), nu_B, out=q_end)
         hq_flat.put(end_hq, hq_end)
-        hq_flat.take(leaf_node, out=traces_flat[step])
         if fields:
             HQ[step] = hq
 
     t = np.arange(n_steps + 1) * dt
-    pipe_nodes = {pid: slice(s, s + n + 1) for pid, s, n in zip(grids, first_node, cells)}
+    traces = inflow.take([vertex[leaf] for leaf in net.accessible], axis=2)  # a leaf's head is its vertex's
     hists = []
     for r in range(n_runs):
-        H, Q = ({pid: HQ[:, v, r, nodes] for pid, nodes in pipe_nodes.items()} if fields else {} for v in (0, 1))
+        nodes = {pid: slice(r * n_nodes + s, r * n_nodes + s + n + 1) for pid, s, n in zip(grids, first_node, cells)}
+        H, Q = ({pid: HQ[:, v, s] for pid, s in nodes.items()} if fields else {} for v in (0, 1))
         hists.append(Histories(t, dt, grids, H, Q, {leaf: traces[:, r, k] for k, leaf in enumerate(net.accessible)}))
     return hists
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -546,6 +547,19 @@ def test_simulate_irm_kernel_grid_refused_before_any_run(tmp_path, capsys, monke
     code = run(["simulate-irm", "--preset", "exp2", "--resample-dt", value, "--out", str(tmp_path / "x.csv")])
     assert code == 2 and calls == []
     assert "kernel samples" in capsys.readouterr().err
+
+
+def test_simulate_irm_past_physical_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # the exp2 defaults, about 0.1 MB of arrays, with 64 kB of physical memory: refused, bytes named, before any run
+    calls = []
+    monkeypatch.setattr(importlib.import_module("pipescope.simulate"), "_physical_memory", lambda: 1 << 16)
+    monkeypatch.setattr("pipescope.irm.simulate_runs", lambda *args, **kwargs: calls.append(args))
+    code = run(["simulate-irm", "--preset", "exp2", "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert re.search(r"kernel samples, needs \d+ bytes, more than the 65536 bytes of physical memory", err)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_irm_shorter_than_one_step_exit_2(tmp_path, net1_path, capsys, monkeypatch):

@@ -956,3 +956,18 @@ def test_network_built_directly_checks_its_structure():
     pipes = _spec_pipes(EXP1_NETWORK) + [Pipe("AB", "A", "B", 100.0, BlockAreaProfile(1.0))]
     with pytest.raises(CycleDetected, match="form a cycle"):
         Network(1000.0, 9.81, EXP1_NETWORK["vertices"], pipes, "C", ["A", "B"])
+
+
+def test_network_built_directly_refuses_unknown_or_no_vertices():
+    # the messages validate_network gives for the same faults, not a KeyError or an IndexError
+    pipe = Pipe("P", "A", "Z", 1.0, BlockAreaProfile(1.0))
+    with pytest.raises(InvalidNetworkSpec, match="pipe 'P' references unknown vertices"):
+        Network(1000, 9.81, ["A", "B"], [pipe], "A", ["B"])
+    with pytest.raises(InvalidNetworkSpec, match="at least one vertex"):
+        Network(1000, 9.81, [], [], "A", [])
+    spec = {"wave_speed": 1000, "gravity": 9.81, "vertices": ["A", "B"], "x0": "A", "accessible": ["B"],
+            "pipes": [{"id": "P", "from": "A", "to": "Z", "length": 1.0, "area": {"base": 1.0}}]}
+    with pytest.raises(InvalidNetworkSpec, match="pipe 'P' references unknown vertices"):
+        validate_network(spec)
+    with pytest.raises(InvalidNetworkSpec, match="at least one vertex"):
+        validate_network(dict(spec, vertices=[], pipes=[]))

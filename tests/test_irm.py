@@ -2,6 +2,7 @@
 
 import copy
 import heapq
+import importlib
 import json
 import math
 from fractions import Fraction
@@ -32,7 +33,7 @@ from pipescope import (
 from pipescope.errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, WindowTooLarge
 from pipescope.irm import _ROW_BLOCK, _saved_fields, grid_size
 from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
-from pipescope.simulate import junction_scatter
+from pipescope.simulate import _run_size, junction_scatter
 
 C = 1000.0 / 9.81  # a/(gA) for unit area
 
@@ -403,6 +404,30 @@ def test_measured_kernels_vanish_near_zero(exp1_net):
     # cross kernel silent until the A-to-B arrival at 0.7 s
     quiet = t < 0.7 - 0.05
     assert np.abs(irm.k[0, 1][quiet]).max() < 1e-9
+
+
+@pytest.mark.parametrize("resample_dt, fields", [(None, False), (0.007, True)])
+def test_measurement_past_physical_memory_refused_before_any_run(exp2_net, monkeypatch, resample_dt, fields):
+    # step series, inflow per vertex, a trace per leaf, H and Q per node with fields, and the kernel grid,
+    # against a physical memory set a byte either side of that sum: no step series or run is made when refused
+    irm_module = importlib.import_module("pipescope.irm")
+    simulate_module = importlib.import_module("pipescope.simulate")
+    cfg = SimConfig(dx=10.0, duration=0.6, courant=0.95)
+    cells, dt, n_steps = _run_size(exp2_net, cfg)
+    n, n_nodes, n_vertices = len(exp2_net.accessible), sum(cells) + len(cells), len(exp2_net.vertices)
+    n_out = n_steps + 1 if resample_dt is None else grid_size(n_steps * dt, resample_dt)
+    need = 8 * n * ((n_steps + 1) * (1 + n_vertices + n + (2 * n_nodes if fields else 0)) + n * n_out)
+    calls = []
+    monkeypatch.setattr(irm_module, "step_inflow", lambda *args: calls.append(args))
+    monkeypatch.setattr(simulate_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(OutOfRange, match=f"{n} runs of {sum(cells)} cells and {n_steps} time steps, and "
+                                         f"{n * n * n_out} kernel samples, needs {need} bytes"):
+        measure_irm(exp2_net, cfg, resample_dt=resample_dt, fields=fields)
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(simulate_module, "_physical_memory", lambda: need)
+    irm, runs = measure_irm(exp2_net, cfg, resample_dt=resample_dt, fields=fields)
+    assert irm.k.shape == (n, n, n_out) and len(runs) == n
 
 
 def test_measured_kernels_match_per_trace_reference(exp2_net):

@@ -1,6 +1,7 @@
 """Transient solver: wave physics, junction algebra, conservation."""
 
 import copy
+import importlib
 import importlib.util
 import math
 from pathlib import Path
@@ -20,8 +21,10 @@ from pipescope import (
     validate_network,
 )
 from pipescope.errors import MismatchedSeriesLength, OutOfRange, UnstableConfig
-from pipescope.simulate import simulate_runs
-from test_graph import network_distance
+from pipescope.simulate import _physical_memory, _run_size, simulate_runs
+from test_graph import network_distance, tree_specs
+
+SIMULATE = importlib.import_module("pipescope.simulate")  # the module; the package's ``simulate`` is the function
 
 B_UNIT = 1000.0 / 9.81  # a/(gA) for a = 1000 m/s, g = 9.81, A = 1 m^2
 
@@ -118,6 +121,52 @@ def test_run_too_large_for_memory_raises_out_of_range(exp2_net, dx, courant, dur
         simulate(exp2_net, {}, cfg)
     with pytest.raises(OutOfRange, match=message):  # a batch: its inflow and fields carry a runs axis
         simulate_runs(exp2_net, [{}, {}, {}], cfg, fields=True)
+
+
+def _batch_bytes_by_hand(net, cfg, n_runs, fields):
+    """The bytes a batch's per-step arrays take: inflow per vertex, a trace per leaf, H and Q per node with fields."""
+    cells, _, n_steps = _run_size(net, cfg)
+    n_nodes = sum(cells) + len(cells)
+    return 8 * (n_steps + 1) * n_runs * (len(net.vertices) + len(net.accessible) + (2 * n_nodes if fields else 0))
+
+
+@pytest.mark.parametrize("fields", [True, False])
+def test_batch_past_physical_memory_refused_before_allocating(exp2_net, monkeypatch, fields):
+    # the guard reads physical memory, set here to a few bytes either side of the batch's own estimate
+    cfg = SimConfig(dx=10.0, duration=0.3, courant=0.95)
+    runs = [step_inflow(exp2_net, cfg, leaf) for leaf in exp2_net.accessible]
+    need = _batch_bytes_by_hand(exp2_net, cfg, len(runs), fields)
+    monkeypatch.setattr(SIMULATE, "_physical_memory", lambda: need - 1)
+    with pytest.raises(OutOfRange, match=f"cells and {len(runs[0]['A']) - 1} time steps needs {need} bytes, more "
+                                         f"than the {need - 1} bytes of physical memory"):
+        simulate_runs(exp2_net, runs, cfg, fields=fields)
+    monkeypatch.setattr(SIMULATE, "_physical_memory", lambda: need)
+    hists = simulate_runs(exp2_net, runs, cfg, fields=fields)
+    assert len(hists) == len(runs)
+
+
+def test_run_past_a_few_megabytes_of_memory_refused(exp2_net, monkeypatch):
+    # a run of 5e6 steps would need 40 MB for its step series alone: refused before np.ones is called
+    monkeypatch.setattr(SIMULATE, "_physical_memory", lambda: 4 << 20)
+    monkeypatch.setattr(SIMULATE.np, "ones", lambda *args: pytest.fail("allocated"))
+    monkeypatch.setattr(SIMULATE.np, "zeros", lambda *args: pytest.fail("allocated"))
+    cfg = SimConfig(dx=5.0, duration=25000.0, courant=1.0)
+    with pytest.raises(OutOfRange, match=r"needs \d+ bytes, more than the 4194304 bytes of physical memory"):
+        step_inflow(exp2_net, cfg, "A")
+    with pytest.raises(OutOfRange, match="4194304 bytes of physical memory"):
+        simulate(exp2_net, {}, cfg, fields=False)
+
+
+def test_no_memory_guard_where_the_system_does_not_say(monkeypatch):
+    def unsupported(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    assert _physical_memory() > 0
+    with pytest.raises(OutOfRange, match="physical memory"):
+        SIMULATE._require_memory("a batch", 1 << 80)
+    monkeypatch.setattr(SIMULATE.os, "sysconf", unsupported)
+    assert _physical_memory() == 0
+    SIMULATE._require_memory("a batch", 1 << 80)  # no reading, no guard: allocation failures remain the only check
 
 
 def test_batch_refuses_a_bad_later_run_naming_its_leaf(exp2_net):
@@ -483,6 +532,46 @@ def test_batch_runs_match_gather_reference_bit_for_bit(preset_net, dx, courant, 
         "every source": steps,
         "mixed": [noise, {}, steps[0], {net.accessible[-1]: noise[net.accessible[0]]}, steps[-1], {}],
     }[batch]
+    hists = simulate_runs(net, runs, cfg, fields=fields)
+    assert len(hists) == len(runs)
+    for flows, hist in zip(runs, hists):
+        _assert_matches_reference(hist, net, flows, cfg, fields)
+
+
+def _area_edits(draw, length):
+    """Nothing, a block or a sampled table for a pipe of ``length``: the area per cell then varies along the pipe."""
+    kind = draw(st.sampled_from(["uniform", "block", "table"]))
+    if kind == "block":
+        lo = draw(st.floats(min_value=0.0, max_value=0.8)) * length
+        delta = draw(st.sampled_from([-0.4, 0.6]))
+        return {"base": 1.0, "blocks": [{"x0": lo, "x1": lo + 0.15 * length, "delta": delta}]}
+    if kind == "table":
+        areas = draw(st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.7]), min_size=3, max_size=3))
+        return {"samples": {"x": [0.0, 0.2 * length, 0.5 * length, 0.8 * length, length],
+                            "A": [areas[0], areas[0], areas[1], areas[2], areas[2]]}}
+    return None
+
+
+@given(tree_specs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_tree_batches_match_gather_reference_bit_for_bit(spec, data):
+    # every pipe a length of 50-500 m: at these dx its cells differ in size, so the Courant ratio differs per pipe
+    for pipe in spec["pipes"]:
+        pipe["area"] = _area_edits(data.draw, pipe["length"]) or pipe["area"]
+    net = validate_network(spec)
+    dx = data.draw(st.sampled_from([7.0, 13.0, 30.0, 45.0]))
+    courant = data.draw(st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)))
+    _, dt, _ = _run_size(net, SimConfig(dx=dx, duration=0.0, courant=courant))
+    cfg = SimConfig(dx=dx, duration=data.draw(st.integers(min_value=1, max_value=150)) * dt, courant=courant)
+    steps = [step_inflow(net, cfg, leaf) for leaf in net.accessible]
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = len(steps[0][net.accessible[0]])
+    noise = {leaf: rng.normal(size=n) * 10.0 ** rng.integers(-3, 3) for leaf in net.accessible}
+    runs = data.draw(st.sampled_from([
+        steps,
+        [noise, {}, steps[0], {net.accessible[-1]: noise[net.accessible[0]]}, steps[-1], {}],
+    ]))
+    fields = data.draw(st.booleans())
     hists = simulate_runs(net, runs, cfg, fields=fields)
     assert len(hists) == len(runs)
     for flows, hist in zip(runs, hists):
