@@ -219,7 +219,7 @@ def cmd_reconstruct(resolved: dict) -> list:
     unknown = [p for p in pipes if p not in net.pipes]
     if unknown:
         raise ConfigError(f"unknown pipe id(s): {', '.join(unknown)}")
-    cfgs = [ReconConfig(tau=resolved["tau"], dt=irm.dt, dx=resolved["dx"], lam=lam) for lam in lams]
+    cfgs = [ReconConfig(tau=resolved["tau"], dx=resolved["dx"], lam=lam) for lam in lams]
 
     out_dir = resolved["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -229,7 +229,7 @@ def cmd_reconstruct(resolved: dict) -> list:
         vp = volume_profile(net, irm, pid, cfg)
         profiles[pid] = {"solver": vp.solver, "reciprocity": vp.reciprocity,
                          "residual": vp.residual, "volume_bound": vp.volume_bound}
-        ap = area_profile(vp, cfg.dx)
+        ap = area_profile(vp)
         vol_path = os.path.join(out_dir, f"{pid}_volume.csv")
         _write_csv(vol_path, "pipe,x_m,V_m3", ((pid, x, v) for x, v in zip(vp.positions, vp.volumes)))
         area_path = os.path.join(out_dir, f"{pid}_area.csv")

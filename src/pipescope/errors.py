@@ -88,10 +88,6 @@ class HorizonTooShort(ConfigError):
     pass
 
 
-class GridMismatch(ConfigError):
-    pass
-
-
 class ActionTimeExceedsTau(PipescopeError):
     """A reconstruction point needs action times longer than tau."""
 

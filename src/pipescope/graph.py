@@ -8,16 +8,16 @@ a positive cross-sectional area profile ``A(x)``, and the internal normal
 list drives all response-matrix indexing downstream.
 
 ``validate_network`` parses the JSON description and checks each pipe;
-``Network`` checks that the pipes form a tree with x0 a leaf, so every
-``Network`` is a valid tree. Geometry here is exact and immutable: every
-derived quantity (the orientation towards x0, each pipe's cut-off leaves
-with their distances to it, action times) is a pure function of the
-network, and one walk from x0 gives the orientation. A cut point on a pipe
-separates from x0 exactly the accessible leaves whose path to x0 runs
-through that pipe; each such leaf's action time is its distance to the
-pipe's far vertex plus the point's, over the wave speed, and every other
-leaf's is 0. One walk from each leaf up to x0 gives those distances, held
-per pipe in two flat arrays; no table over pairs of vertices is kept.
+``Network`` checks its ids are unique and its pipes form a tree with x0 a
+leaf, so every ``Network`` is a valid tree. Geometry here is exact and
+immutable: every derived quantity (the orientation towards x0, each pipe's
+cut-off leaves with their distances to it, action times) is a pure
+function of the network, and one walk from x0 gives the orientation. A cut
+point on a pipe separates from x0 exactly the accessible leaves whose path
+to x0 runs through that pipe; each such leaf's action time is its distance
+to the pipe's far vertex plus the point's, over the wave speed, and every
+other leaf's is 0. One walk from each leaf up to x0 gives those distances,
+held per pipe in two flat arrays; no table over pairs of vertices is kept.
 """
 
 from __future__ import annotations
@@ -157,18 +157,24 @@ class ActionTimes:
 class Network:
     """Immutable tree of ``pipes`` on ``vertices``, checked and oriented towards x0 by one walk from x0.
 
-    Raises, in this order of checking: ``InvalidNetworkSpec`` (no vertex,
-    or a pipe to a vertex not listed), ``Disconnected`` (too few pipes, or
-    a vertex the walk does not reach), ``CycleDetected`` (too many pipes),
-    ``DegreeTwoVertex``, ``NonLeafX0``, and ``InvalidNetworkSpec`` unless
-    ``accessible`` lists every leaf but x0 once.
+    Raises, in this order of checking: ``InvalidNetworkSpec`` (a duplicate
+    id, no vertex, or a pipe to a vertex not listed), ``Disconnected`` (too
+    few pipes, or a vertex the walk does not reach), ``CycleDetected`` (too
+    many pipes), ``DegreeTwoVertex``, ``NonLeafX0``, and
+    ``InvalidNetworkSpec`` unless ``accessible`` lists every leaf but x0 once.
     """
 
     def __init__(self, wave_speed, gravity, vertices, pipes, x0, accessible):
         self.wave_speed = float(wave_speed)
         self.gravity = float(gravity)
         self.vertices: tuple[str, ...] = tuple(vertices)
-        self.pipes: dict[str, Pipe] = {p.id: p for p in pipes}
+        if len(set(self.vertices)) != len(self.vertices):
+            raise InvalidNetworkSpec("duplicate vertex ids")
+        self.pipes: dict[str, Pipe] = {}
+        for p in pipes:
+            if p.id in self.pipes:
+                raise InvalidNetworkSpec(f"duplicate pipe id {p.id!r}")
+            self.pipes[p.id] = p
         self.x0 = x0
         self.accessible: tuple[str, ...] = tuple(accessible)
         n_pipes, n_vertices = len(self.pipes), len(self.vertices)
@@ -300,11 +306,11 @@ def validate_network(spec: dict) -> Network:
     ``accessible``, area ``blocks`` and sample tables are lists; lengths,
     areas, wave speed and gravity are numbers, never booleans or strings.
 
-    Raises InvalidNetworkSpec for a malformed field or a duplicate id,
-    CycleDetected for a self-loop, and NonpositiveLength or NonpositiveArea
-    per pipe; the structure is then checked by ``Network``, which raises
-    InvalidNetworkSpec (for a pipe to an unknown vertex, say), Disconnected,
-    CycleDetected, DegreeTwoVertex or NonLeafX0.
+    Raises InvalidNetworkSpec for a malformed field, CycleDetected for a
+    self-loop, and NonpositiveLength or NonpositiveArea per pipe; the
+    structure is then checked by ``Network``, which raises
+    InvalidNetworkSpec (for a duplicate id or a pipe to an unknown vertex,
+    say), Disconnected, CycleDetected, DegreeTwoVertex or NonLeafX0.
     """
     try:
         wave_speed = _number(spec["wave_speed"])
@@ -318,11 +324,8 @@ def validate_network(spec: dict) -> Network:
 
     if not (0 < wave_speed < math.inf and 0 < gravity < math.inf):
         raise InvalidNetworkSpec("wave_speed and gravity must be positive and finite")
-    if len(set(vertices)) != len(vertices):
-        raise InvalidNetworkSpec("duplicate vertex ids")
 
     pipes = []
-    seen_ids = set()
     for rp in raw_pipes:
         try:
             pid, v_from, v_to = rp["id"], rp["from"], rp["to"]
@@ -332,9 +335,6 @@ def validate_network(spec: dict) -> Network:
             raise InvalidNetworkSpec(f"pipe entry {rp!r}: missing or malformed field: {exc}") from exc
         if not all(isinstance(v, str) for v in (pid, v_from, v_to)):
             raise InvalidNetworkSpec(f"pipe entry {rp!r}: id, from and to must be strings")
-        if pid in seen_ids:
-            raise InvalidNetworkSpec(f"duplicate pipe id {pid!r}")
-        seen_ids.add(pid)
         if v_from == v_to:
             raise CycleDetected(f"pipe {pid!r} is a self-loop")
         if not 0 < length < math.inf:

@@ -2,8 +2,8 @@
 
 The discrete control equation for one reconstruction point p follows the
 piecewise-constant scheme: with M = floor(tau/dt) samples per leaf at
-times t_l = l*dt (l = 1..M), block (receiver j, source i) of the control
-matrix H holds
+times t_l = l*dt (l = 1..M), dt the IRM's own step, block (receiver j,
+source i) of the control matrix H holds
 
     (dt/2) * nu_i * ( k_ij(|l - k|) + k_ij(2M + 1 - l - k) )
 
@@ -15,7 +15,7 @@ diagonal blocks add the direct impulse nu_j * a/(A(x_j) g), which the
 IRM kernels leave out, on the diagonal.
 
 A point enters through its action times f alone: sample l of leaf i is
-active when t_l > tau - f(x_i) + tol. Only active samples enter its
+active when t_l > tau - f(x_i) + dt/4. Only active samples enter its
 system, with the unit target head b = 1; inactive samples get exact zero
 flow. With |nu| = 1, S = diag(nu) H turns ||Hq - b|| into ||Sq - nu||,
 and ``_s_matrix`` gathers S from the kernels on just the samples asked
@@ -25,7 +25,7 @@ a rank-checked least-squares solve that refuses a rank-deficient system.
 
 Volumes come from the flow integral for that unit target,
 V = a^2/g * sum_i nu_i * integral Q_p(t, x_i) dt; areas are the forward
-difference quotient of the volume profile.
+difference quotient of the volume profile over its own dx.
 
 A profile needs one S and one factorisation, not one of each per point
 (layer stripping, after Sondhi and Gopinath). Points run from the far end
@@ -69,7 +69,6 @@ import numpy as np
 from .errors import (
     ActionTimeExceedsTau,
     ConfigError,
-    GridMismatch,
     HorizonTooShort,
     OutOfRange,
     SingularSystem,
@@ -92,35 +91,25 @@ STABILITY_TOL = 1e-10  # largest point: relative residual, and the certified bou
 _BLOCK = 48  # LDL^T block width: columns factored one by one inside it, matrix products across
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReconConfig:
-    """Inversion parameters for one pipe's reconstruction.
+    """Inversion parameters for one pipe's reconstruction, by keyword only; the sample step dt is the IRM's.
 
-    tau: control horizon (needs 2*tau within the IRM horizon);
-    dt: sample step, must match the IRM grid;
+    tau: control horizon, M = floor(tau/dt) samples per leaf (needs 2*tau within the IRM horizon);
     dx: reconstruction step along the pipe;
     lam: Tikhonov weight.
     """
 
     tau: float
-    dt: float
     dx: float
     lam: float = 0.0
 
     def __post_init__(self):
-        for name in ("tau", "dt", "dx"):
+        for name in ("tau", "dx"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise OutOfRange(f"{name} must be positive and finite, not {value}")
         _check_lambda(self.lam)
-
-    @property
-    def tol(self) -> float:
-        return self.dt / 4.0
-
-    @property
-    def samples_per_leaf(self) -> int:
-        return math.floor(self.tau / self.dt)
 
 
 @dataclass(frozen=True)
@@ -128,6 +117,7 @@ class VolumeProfile:
     pipe: str
     positions: np.ndarray  # m from the reconstruction start
     volumes: np.ndarray    # m^3
+    dx: float              # m between points, the step of its areas' difference quotient
     solver: str = "per-point"  # "layer-stripping", or "per-point: <why not>"
     reciprocity: float = 0.0   # max|S - S^T| / max|S| over the samples the points use
     # largest point, on the layer-stripping path only (None on the per-point paths):
@@ -155,32 +145,33 @@ def _check_leaves(irm: SampledIRM, net: Network) -> None:
         )
 
 
-def _active(f_vec: np.ndarray, cfg: ReconConfig) -> np.ndarray:
-    """Masks (..., N, M) from action times (..., N): sample l of leaf i is active when t_l > tau - f_i + tol."""
-    s_times = np.arange(1, cfg.samples_per_leaf + 1) * cfg.dt
-    return s_times - (cfg.tau - f_vec[..., None]) > cfg.tol
-
-
-def _s_matrix(irm: SampledIRM, cfg: ReconConfig, net: Network, idx: np.ndarray):
-    """S = diag(nu) H on the flat samples ``idx`` (leaf * M + l - 1), in that order, and nu on them.
-
-    Entries are gathered straight from the kernels, ``_BLOCK`` columns at a
-    time, so no temporary outgrows (n, ``_BLOCK``) and no sample outside
-    ``idx`` is touched.
-    """
-    if abs(irm.dt - cfg.dt) > cfg.tol:
-        raise GridMismatch(f"IRM dt {irm.dt} does not match configured dt {cfg.dt}")
-    m = cfg.samples_per_leaf
+def _samples_per_leaf(irm: SampledIRM, cfg: ReconConfig) -> int:
+    """M = floor(tau/dt) on the IRM's grid; ``HorizonTooShort`` unless its kernels span 2*tau."""
+    m = math.floor(cfg.tau / irm.dt)
     if irm.n_samples < 2 * m:
-        raise HorizonTooShort(
-            f"kernels have {irm.n_samples} samples, need {2 * m} to span 2*tau"
-        )
+        raise HorizonTooShort(f"kernels have {irm.n_samples} samples, need {2 * m} to span 2*tau")
+    return m
+
+
+def _active(f_vec: np.ndarray, cfg: ReconConfig, dt: float) -> np.ndarray:
+    """Masks (..., N, M) from action times (..., N): sample l of leaf i is active when t_l > tau - f_i + dt/4."""
+    s_times = np.arange(1, math.floor(cfg.tau / dt) + 1) * dt
+    return s_times - (cfg.tau - f_vec[..., None]) > dt / 4
+
+
+def _s_matrix(irm: SampledIRM, m: int, net: Network, idx: np.ndarray):
+    """S = diag(nu) H on the flat samples ``idx`` (leaf * m + l - 1), in that order, and nu on them.
+
+    ``m`` is M, checked by ``_samples_per_leaf``. Entries are gathered
+    straight from the kernels, ``_BLOCK`` columns at a time, so no
+    temporary outgrows (n, ``_BLOCK``) and no sample outside ``idx`` is touched.
+    """
     leaf, lv = np.divmod(idx, m)
     lv += 1
     nus = np.array([net.leaf_nu(x) for x in irm.leaves], dtype=float)
     areas = np.array([net.leaf_area(x) for x in irm.leaves])
     nu = nus[leaf]
-    coef = 0.5 * cfg.dt * nu
+    coef = 0.5 * irm.dt * nu
     direct = (nus * net.wave_speed / (areas * net.gravity))[leaf]
     row_leaf, row_l = leaf[:, None], lv[:, None]
     s = np.empty((idx.size, idx.size))
@@ -217,44 +208,45 @@ def _solve_point(s: np.ndarray, nu: np.ndarray, lam: float) -> np.ndarray:
 def solve_boundary_flows(irm: SampledIRM, f: ActionTimes, cfg: ReconConfig, net: Network) -> dict[str, np.ndarray]:
     """Solve for a unit head at the point with action times ``f``; inactive samples come back exactly zero.
 
-    Returns the boundary flow series Q_p(t, x_i) per leaf on the grid
+    Returns the boundary flow series Q_p(t, x_i) per leaf on the IRM's grid
     t = dt..M*dt.
     """
     _check_leaves(irm, net)
     f_vec = f.as_vector(irm.leaves)
-    if float(f_vec.max(initial=0.0)) - cfg.tau > cfg.tol:
+    if float(f_vec.max(initial=0.0)) - cfg.tau > irm.dt / 4:
         raise ActionTimeExceedsTau(
             f"max action time {f_vec.max():.6g}s exceeds tau = {cfg.tau}s at {f.cut_point}"
         )
-    active = _active(f_vec, cfg)
+    m = _samples_per_leaf(irm, cfg)
+    active = _active(f_vec, cfg, irm.dt)
     idx = np.flatnonzero(active)
-    s, nu = _s_matrix(irm, cfg, net, idx)
+    s, nu = _s_matrix(irm, m, net, idx)
     q = np.zeros(active.size)
     q[idx] = _solve_point(s, nu, cfg.lam)
     return dict(zip(irm.leaves, q.reshape(active.shape)))
 
 
-def volume(flows: dict[str, np.ndarray], cfg: ReconConfig, net: Network) -> float:
-    """Internal volume cut off by the point the flows were solved for.
+def volume(flows: dict[str, np.ndarray], irm: SampledIRM, net: Network) -> float:
+    """Internal volume cut off by the point the flows were solved for, on the grid of ``irm``.
 
     V = a^2/g * sum_i nu_i * integral Q_p(t, x_i) dt. The solver emits
     plain Q per leaf, so nu folds in exactly once here.
     """
     total = 0.0
     for leaf, series in flows.items():
-        total += net.leaf_nu(leaf) * float(np.sum(series)) * cfg.dt
+        total += net.leaf_nu(leaf) * float(np.sum(series)) * irm.dt
     return net.wave_speed**2 / net.gravity * total
 
 
-def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig):
+def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig, dt: float):
     """Action times (points, leaves), offsets and positions of cut points dx apart, from the far end towards x0.
 
     The points stop at the pipe end, or before the first one whose action
     times exceed tau; ``ActionTimeExceedsTau`` if that is the first point.
     """
     pipe = net.pipes[pipe_id]
-    # a kept point is within a*(tau + tol) of the far end, so no candidate lies over a dx past that
-    reach = min(pipe.length, net.wave_speed * (cfg.tau + cfg.tol))
+    # a kept point is within a*(tau + dt/4) of the far end, so no candidate lies over a dx past that
+    reach = min(pipe.length, net.wave_speed * (cfg.tau + dt / 4))
     try:
         d = np.arange(1, int(reach / cfg.dx) + 2) * cfg.dx
     except (OverflowError, MemoryError, ValueError) as exc:  # a point count numpy cannot allocate or represent
@@ -262,7 +254,7 @@ def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig):
     d = np.minimum(d[d <= pipe.length + cfg.dx * 1e-9], pipe.length)
     offsets = d if net.far_side_vertex(pipe_id) == pipe.from_vertex else pipe.length - d
     f = action_times_along(net, pipe_id, offsets)
-    over = f.max(axis=1, initial=0.0) - cfg.tau > cfg.tol
+    over = f.max(axis=1, initial=0.0) - cfg.tau > dt / 4
     if len(over) and over[0]:
         raise ActionTimeExceedsTau(
             f"first point {PointOnPipe(pipe_id, float(offsets[0]))} needs action time {f[0].max():.6g}s"
@@ -407,31 +399,32 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     """Volumes V(p) at dx-spaced points along one pipe, from one factorisation where it is certified.
 
     Points start dx from the pipe end away from x0 and run towards x0,
-    stopping at the pipe end or where the action times would exceed tau.
-    One matrix S serves the whole profile (see the module docstring):
-    every point's volume is a prefix sum of one LDL^T of its symmetric
-    part. Each point is solved on its leading block of S instead where
-    sqrt(lambda) <= kappa, the bound ``_asymmetry`` puts on the norm of S's
-    skew part, as no certificate exists there (at lambda = 0 the
-    rank-checked least squares refuses a singular system), or where the
-    largest point's residual or certified bound (``_certificate``) exceeds
-    ``STABILITY_TOL`` (1e-10). ``solver`` on the result names the path that
-    ran, ``reciprocity`` holds the deviation, and on the factored path
-    ``residual`` and ``volume_bound`` hold the two checked numbers.
+    stopping at the pipe end or where the action times would exceed tau; the
+    result records dx. Samples lie on the IRM's grid, whose kernels must
+    span 2*tau even where no point fits. One matrix S serves the whole
+    profile (see the module docstring): every point's volume is a prefix sum
+    of one LDL^T of its symmetric part. Each point is solved on its leading
+    block of S instead where sqrt(lambda) <= kappa, the bound ``_asymmetry``
+    puts on the norm of S's skew part, as no certificate exists there (at
+    lambda = 0 the rank-checked least squares refuses a singular system), or
+    where the largest point's residual or certified bound (``_certificate``)
+    exceeds ``STABILITY_TOL`` (1e-10). ``solver`` on the result names the
+    path that ran, ``reciprocity`` holds the deviation, and on the factored
+    path ``residual`` and ``volume_bound`` hold the two checked numbers.
     """
     _check_leaves(irm, net)
-    f, _, positions = _profile_points(net, pipe_id, cfg)
-    if not positions.size:  # the pipe is shorter than dx; the grid is checked all the same
-        _s_matrix(irm, cfg, net, np.empty(0, dtype=int))
-        return VolumeProfile(pipe_id, np.empty(0), np.empty(0))
+    f, _, positions = _profile_points(net, pipe_id, cfg, irm.dt)
+    m = _samples_per_leaf(irm, cfg)
+    if not positions.size:
+        return VolumeProfile(pipe_id, np.empty(0), np.empty(0), cfg.dx)
     # the samples any point uses, in the order the points take them up: no
     # action time falls towards x0, so point k uses the first counts[k]
-    flat = _active(f, cfg).reshape(len(f), -1)
+    flat = _active(f, cfg, irm.dt).reshape(len(f), -1)
     idx = np.flatnonzero(flat.any(axis=0))
     idx, counts = idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")], flat.sum(axis=1)
-    s, nu = _s_matrix(irm, cfg, net, idx)
+    s, nu = _s_matrix(irm, m, net, idx)
     reciprocity, skew = _asymmetry(s)
-    scale = net.wave_speed**2 * cfg.dt / net.gravity
+    scale = net.wave_speed**2 * irm.dt / net.gravity
 
     mu = math.sqrt(cfg.lam)
     solver = f"per-point: sqrt(lambda) {mu:.3g} <= skew bound {skew:.3g}"  # sigma <= 0: no certificate
@@ -439,17 +432,18 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
         volumes, x = _layer_stripped(s, nu, mu, counts, scale)
         residual, volume_bound = _certificate(s, nu, mu, skew, x, volumes[-1], scale)
         if residual <= STABILITY_TOL and volume_bound <= STABILITY_TOL:
-            return VolumeProfile(pipe_id, positions, volumes, "layer-stripping", reciprocity, residual, volume_bound)
+            return VolumeProfile(pipe_id, positions, volumes, cfg.dx, "layer-stripping", reciprocity, residual,
+                                 volume_bound)
         solver = "per-point: stability check failed"
     volumes = [scale * float(nu[:c] @ _solve_point(s[:c, :c], nu[:c], cfg.lam)) for c in counts]
-    return VolumeProfile(pipe_id, positions, np.asarray(volumes), solver, reciprocity)
+    return VolumeProfile(pipe_id, positions, np.asarray(volumes), cfg.dx, solver, reciprocity)
 
 
-def area_profile(vp: VolumeProfile, dx: float) -> AreaProfile:
-    """Forward difference quotient of volumes: one area per dx interval."""
+def area_profile(vp: VolumeProfile) -> AreaProfile:
+    """Forward difference quotient of volumes over the profile's own dx: one area per interval."""
     if len(vp.volumes) < 2:
         raise TooFewPoints(
             f"profile for pipe {vp.pipe!r} has {len(vp.volumes)} points, need at least 2"
         )
-    areas = np.diff(vp.volumes) / dx
+    areas = np.diff(vp.volumes) / vp.dx
     return AreaProfile(vp.pipe, vp.positions[:-1].copy(), areas)

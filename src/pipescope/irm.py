@@ -273,6 +273,13 @@ def _require_two_samples(n: int):
         raise OutOfRange(f"a step response needs two or more time samples, not {n}: the run is shorter than one time step")
 
 
+def _window(smooth_window_s: float, dt: float) -> int:
+    """Samples of a smoothing window of ``smooth_window_s`` seconds at step dt, floored, at least 1."""
+    if not 0 <= smooth_window_s < math.inf:
+        raise OutOfRange(f"smoothing window must be finite and >= 0, not {smooth_window_s}")
+    return max(1, int(smooth_window_s / dt))
+
+
 def irm_row_from_step_response(
     t, traces: dict[str, np.ndarray], smooth_window_s: float = 0.02
 ) -> dict[str, np.ndarray]:
@@ -282,10 +289,8 @@ def irm_row_from_step_response(
     floored to samples) and differentiated in time. Output stays on the
     simulation grid t.
     """
-    if not 0 <= smooth_window_s < math.inf:
-        raise OutOfRange(f"smoothing window must be finite and >= 0, not {smooth_window_s}")
     _require_two_samples(len(t))
-    window = max(1, int(smooth_window_s / float(t[1] - t[0])))
+    window = _window(smooth_window_s, float(t[1] - t[0]))
     kernels = differentiate(median_smooth(np.array(list(traces.values()), dtype=float), window), t)
     return dict(zip(traces, kernels))
 
@@ -310,12 +315,15 @@ def measure_irm(
     # every run samples t = 0, dt, ..., n_steps*dt: under one step, or too large a kernel grid, is refused before any run
     cells, dt, n_steps = _run_size(net, cfg)
     _require_two_samples(n_steps + 1)
+    window = _window(smooth_window_s, dt)
     dt_out = dt if resample_dt is None else resample_dt
     try:
         n_out = n_steps + 1 if resample_dt is None else grid_size(n_steps * dt, dt_out)
-        # the step series, the batch's arrays and the kernel grid, refused past physical memory before any is made
+        # refused past physical memory before any is made: the batch's arrays, and N times a step series, a kernel
+        # row, and per leaf one source's smoothing: the median's window copy, (n_steps + 2 - w) x w, and 4 series
+        samples = 5 * (n_steps + 1) + n * n_out + max(n_steps + 2 - window, 0) * window
         size = f"{n} runs of {sum(cells)} cells and {n_steps} time steps, and {n * n * n_out} kernel samples,"
-        _require_memory(size, 8 * n * (n_steps + 1 + n * n_out) + _batch_bytes(net, cells, n_steps, n, fields))
+        _require_memory(size, 8 * n * samples + _batch_bytes(net, cells, n_steps, n, fields))
         t_out = np.arange(n_out) * dt_out
         k = np.zeros((n, n, n_out))
     except (MemoryError, ValueError, OverflowError) as exc:  # a sample count numpy cannot allocate or represent
@@ -414,8 +422,8 @@ def load_irm(path) -> SampledIRM:
         raise OutOfRange(f"{path}: header n = {n_samples!r} is not an integer, or is negative")
     if not leaves:  # with a leaf, the row count below bounds n before the N x N x n grid is allocated
         raise OutOfRange(f"{path}: header lists no leaves, so no kernel row bounds its n = {n_samples}")
-    if not (dt > 0 and 0 <= horizon < math.inf):
-        raise OutOfRange(f"{path}: header dt = {dt} is not positive or horizon = {horizon} is not finite and >= 0")
+    if not (0 < dt < math.inf and 0 <= horizon < math.inf):  # the reconstruction takes its step from dt
+        raise OutOfRange(f"{path}: header dt = {dt} must be positive and horizon = {horizon} >= 0, both finite")
     if columns.strip() != "i,j,t,k":
         raise OutOfRange(f"{path}: missing i,j,t,k column header")
     n = len(leaves)

@@ -7,6 +7,7 @@ smoothing window and the regularization smear the staircase; that margin
 also frames the dip-locality windows.
 """
 
+import math
 import time
 
 import numpy as np
@@ -49,10 +50,13 @@ def exp2_truth(pid, s):
     return a
 
 
-def active_samples(f, leaves, cfg):
-    """(leaf, sample) mask of the control samples t_l = l*dt (l = 1..M) with t_l > tau - f(leaf) + dt/4."""
-    t = np.arange(1, cfg.samples_per_leaf + 1) * cfg.dt
-    return t - (cfg.tau - f.as_vector(leaves)[:, None]) > cfg.dt / 4
+def active_samples(f, irm, cfg):
+    """(leaf, sample) mask of the control samples t_l = l*dt (l = 1..M) with t_l > tau - f(leaf) + dt/4.
+
+    dt is the IRM's own step.
+    """
+    t = np.arange(1, math.floor(cfg.tau / irm.dt) + 1) * irm.dt
+    return t - (cfg.tau - f.as_vector(irm.leaves)[:, None]) > irm.dt / 4
 
 
 def report(num, text):
@@ -83,8 +87,8 @@ def exp2_profiles(exp2_net, exp2_irm):
     lam = {"AE": 1e-5, "BE": 1e-5, "CE": 1e-5, "ED": 1.0}
     profiles = {}
     for pid in ("AE", "BE", "CE", "ED"):
-        cfg = ReconConfig(tau=0.9, dt=0.007, dx=DX2, lam=lam[pid])
-        profiles[pid] = area_profile(volume_profile(exp2_net, irm, pid, cfg), cfg.dx)
+        cfg = ReconConfig(tau=0.9, dx=DX2, lam=lam[pid])
+        profiles[pid] = area_profile(volume_profile(exp2_net, irm, pid, cfg))
     return profiles, irm_seconds + (time.time() - started)
 
 
@@ -93,8 +97,8 @@ def test_criterion_1_experiment1_quantitative(exp1_net, exp1_irm):
     worst = 0.0
     extents = {}
     for pid in ("AD", "BD", "DC"):
-        cfg = ReconConfig(tau=0.8, dt=0.01, dx=10.0, lam=1e-5)
-        ap = area_profile(volume_profile(exp1_net, exp1_irm, pid, cfg), cfg.dx)
+        cfg = ReconConfig(tau=0.8, dx=10.0, lam=1e-5)
+        ap = area_profile(volume_profile(exp1_net, exp1_irm, pid, cfg))
         extents[pid] = ap.positions[-1] + cfg.dx
         worst = max(worst, float(np.abs(ap.areas - 1.0).max()))
     elapsed = time.time() - started
@@ -213,21 +217,21 @@ def test_criterion_6_junction_algebra():
 def test_criterion_7_masking_and_identity_limits(single_pipe_net, exp1_net, exp1_irm):
     n_samples = int(1.61 / 0.01 + 1e-6) + 1
     irm0 = SampledIRM(0.01, ("L",), np.zeros((1, 1, n_samples)), 1.61)
-    cfg = ReconConfig(tau=0.8, dt=0.01, dx=10.0, lam=0.0)
+    cfg = ReconConfig(tau=0.8, dx=10.0, lam=0.0)
     f = action_times(single_pipe_net, PointOnPipe("P", 300.0))
     flows = solve_boundary_flows(irm0, f, cfg, single_pipe_net)
     flat = 1.0 * single_pipe_net.gravity / single_pipe_net.wave_speed
-    active = active_samples(f, irm0.leaves, cfg)
+    active = active_samples(f, irm0, cfg)
     err = np.abs(flows["L"][active[0]] - flat).max()
     assert err < 1e-10
     assert np.all(flows["L"][~active[0]] == 0.0)
 
     # every solve returns exact zeros on inactive samples
     for pid, offset in [("AD", 100.0), ("BD", 150.0), ("DC", 250.0)]:
-        rcfg = ReconConfig(tau=0.8, dt=0.01, dx=10.0, lam=1e-5)
+        rcfg = ReconConfig(tau=0.8, dx=10.0, lam=1e-5)
         fa = action_times(exp1_net, PointOnPipe(pid, offset))
         fl = solve_boundary_flows(exp1_irm, fa, rcfg, exp1_net)
-        active = active_samples(fa, exp1_irm.leaves, rcfg)
+        active = active_samples(fa, exp1_irm, rcfg)
         assert active.any()
         for i, leaf in enumerate(exp1_irm.leaves):
             assert np.all(fl[leaf][~active[i]] == 0.0)
@@ -240,9 +244,9 @@ def test_criterion_8_no_regularization_artifact(exp2_net, exp2_irm, exp2_profile
     regular = profiles["ED"]
     dev_reg = float(np.abs(regular.areas - exp2_truth("ED", regular.positions)).max())
 
-    cfg = ReconConfig(tau=0.9, dt=0.007, dx=DX2, lam=0.0)
+    cfg = ReconConfig(tau=0.9, dx=DX2, lam=0.0)
     try:
-        raw = area_profile(volume_profile(exp2_net, irm, "ED", cfg), cfg.dx)
+        raw = area_profile(volume_profile(exp2_net, irm, "ED", cfg))
     except SingularSystem:  # pragma: no cover - would itself prove instability
         pytest.fail("lambda = 0 solve unexpectedly singular rather than wildly unstable")
     dev_raw = float(np.abs(raw.areas - exp2_truth("ED", raw.positions)).max())

@@ -433,6 +433,41 @@ def test_numeric_error_exit_3(tmp_path, net1_path, monkeypatch):
     assert code == 3
 
 
+def test_other_pipescope_error_exit_2(tmp_path, net1_path, capsys, monkeypatch):
+    # an error of no family: exit 2 with a one-line message, not a traceback
+    from pipescope import cli
+    from pipescope.errors import PipescopeError
+
+    class Unclassified(PipescopeError):
+        pass
+
+    def boom(*args, **kwargs):
+        raise Unclassified("neither configuration nor numeric")
+
+    monkeypatch.setattr(cli, "oracle_irm", boom)
+    capsys.readouterr()
+    code = run(
+        ["oracle-irm", "--network", str(net1_path), "--horizon", "1.0", "--dt", "0.01", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "pipescope: error: neither configuration nor numeric\n"
+
+
+@pytest.mark.parametrize("pipe, code, start", [
+    ("DC", 4, "pipescope: point out of reach: first point PointOnPipe(pipe='DC', offset=10.0)"),
+    ("AD", 2, "pipescope: configuration error: kernels have 51 samples, need 70 to span 2*tau"),
+])
+def test_reconstruct_on_too_short_an_irm_reports_reach_first(tmp_path, capsys, pipe, code, start):
+    # 51 samples cannot span 2*tau = 0.7 s: an unreachable first point is reported before the short horizon
+    irm = tmp_path / "short.csv"
+    assert run(["oracle-irm", "--preset", "exp1", "--horizon", "0.5", "--out", str(irm)]) == 0
+    capsys.readouterr()
+    argv = ["reconstruct", "--preset", "exp1", "--irm", str(irm), "--tau", "0.35", "--lambda", "1e-5", "--pipes", pipe]
+    assert run([*argv, "--out", str(tmp_path / "r")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1
+
+
 def test_config_file_precedence(tmp_path, net1_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"horizon": 1.61, "dt": 0.01}))
@@ -470,8 +505,9 @@ def _reconstruct_exit(irm_path, out_dir, capsys):
         lambda lines: lines[:-1] + ["0,0,99.0,1.0"],  # row beyond the header's n
         lambda lines: [lines[0].replace('["A", "B"]', '"AB"'), *lines[1:]],  # leaves not a list
         lambda lines: [json.dumps({"dt": 0.01, "n": 10**30, "leaves": [], "horizon": 1.0}), lines[1]],  # no leaves
+        lambda lines: [lines[0].replace('"dt": 0.01', '"dt": Infinity'), *lines[1:]],  # the step reconstruct takes
     ],
-    ids=["truncated", "nan-sample", "time-out-of-range", "leaves-string", "no-leaves-huge-n"],
+    ids=["truncated", "nan-sample", "time-out-of-range", "leaves-string", "no-leaves-huge-n", "infinite-dt"],
 )
 def test_reconstruct_bad_irm_file_exit_2(tmp_path, exp1_irm_path, capsys, edit):
     lines = exp1_irm_path.read_text().splitlines()

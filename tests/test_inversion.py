@@ -23,7 +23,6 @@ from pipescope import (
 from pipescope.errors import (
     ActionTimeExceedsTau,
     ConfigError,
-    GridMismatch,
     HorizonTooShort,
     OutOfRange,
     SingularSystem,
@@ -48,20 +47,20 @@ def exp2_irm(exp2_net):
 
 def masked_system(irm, f, cfg, net):
     """Reference: the full (N*M)^2 matrix built per point, inactive rows and columns zeroed."""
-    m = cfg.samples_per_leaf
+    m = math.floor(cfg.tau / irm.dt)
     n = len(irm.leaves)
     lv = np.arange(1, m + 1)
     idx_diff = np.abs(lv[:, None] - lv[None, :])
     idx_rev = 2 * m + 1 - lv[:, None] - lv[None, :]
     nu = np.array([net.leaf_nu(leaf) for leaf in irm.leaves], dtype=float)
-    active = lv[None, :] * cfg.dt - (cfg.tau - f.as_vector(irm.leaves)[:, None]) > cfg.tol
+    active = lv[None, :] * irm.dt - (cfg.tau - f.as_vector(irm.leaves)[:, None]) > irm.dt / 4
     matrix = np.zeros((n * m, n * m))
     rhs = np.zeros(n * m)
     for j in range(n):
         rhs[j * m : (j + 1) * m] = np.where(active[j], 1.0, 0.0)
         for i in range(n):
             kernel = irm.k[i, j]
-            block = 0.5 * cfg.dt * nu[i] * (kernel[idx_diff] + kernel[idx_rev])
+            block = 0.5 * irm.dt * nu[i] * (kernel[idx_diff] + kernel[idx_rev])
             block[:, ~active[i]] = 0.0
             block[~active[j], :] = 0.0
             if i == j:
@@ -83,8 +82,8 @@ def reference_volume(irm, point, cfg, net):
     sol, *_ = np.linalg.lstsq(stacked, target, rcond=None)
     q = np.zeros(matrix.shape[0])
     q[mask] = sol
-    m = cfg.samples_per_leaf
-    return volume({leaf: q[i * m : (i + 1) * m] for i, leaf in enumerate(irm.leaves)}, cfg, net)
+    m = math.floor(cfg.tau / irm.dt)
+    return volume({leaf: q[i * m : (i + 1) * m] for i, leaf in enumerate(irm.leaves)}, irm, net)
 
 
 def zero_irm(net, dt, horizon):
@@ -93,28 +92,28 @@ def zero_irm(net, dt, horizon):
     return SampledIRM(dt, net.accessible, np.zeros((n, n, samples)), horizon)
 
 
-def profile_cut_points(net, pipe, cfg):
-    """The cut points of one pipe's profile."""
-    _, offsets, _ = _profile_points(net, pipe, cfg)
+def profile_cut_points(net, pipe, cfg, dt):
+    """The cut points of one pipe's profile on an IRM of step ``dt``."""
+    _, offsets, _ = _profile_points(net, pipe, cfg, dt)
     return [PointOnPipe(pipe, offset) for offset in offsets.tolist()]
 
 
 def per_point_volumes(net, irm, pipe, cfg):
     """Reference: one system built and solved per point, through the single-point API."""
-    return np.array([point_volume(net, irm, p, cfg) for p in profile_cut_points(net, pipe, cfg)])
+    return np.array([point_volume(net, irm, p, cfg) for p in profile_cut_points(net, pipe, cfg, irm.dt)])
 
 
 def point_volume(net, irm, point, cfg):
     """V(p) for one point, on a system built just for it."""
-    return volume(solve_boundary_flows(irm, action_times(net, point, endpoint_ok=True), cfg, net), cfg, net)
+    return volume(solve_boundary_flows(irm, action_times(net, point, endpoint_ok=True), cfg, net), irm, net)
 
 
 def active_mask(irm, f, cfg):
     """(N, M) mask of the samples the point with action times ``f`` uses."""
-    return _active(f.as_vector(irm.leaves), cfg)
+    return _active(f.as_vector(irm.leaves), cfg, irm.dt)
 
 
-EXP1_CFG = dict(tau=0.8, dt=0.01, dx=10.0)
+EXP1_CFG = dict(tau=0.8, dx=10.0)
 
 
 # -- assembly -----------------------------------------------------------------
@@ -137,11 +136,12 @@ def test_exp1_system_dimensions(exp1_net, exp1_irm):
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
     cfg = ReconConfig(**EXP1_CFG)
     matrix, rhs, active = masked_system(exp1_irm, f, cfg, exp1_net)
-    assert cfg.samples_per_leaf == 80
+    m = math.floor(cfg.tau / exp1_irm.dt)
+    assert m == 80
     assert matrix.shape == (160, 160) and rhs.shape == (160,)
     assert active.shape == (2, 80)
     idx = np.flatnonzero(active.ravel())
-    s, nu = _s_matrix(exp1_irm, cfg, exp1_net, idx)
+    s, nu = _s_matrix(exp1_irm, m, exp1_net, idx)
     assert s.shape == (idx.size, idx.size) and nu.shape == (idx.size,)
 
 
@@ -163,28 +163,31 @@ def test_restricted_matrix_matches_masked_build(request, case, pipe, offset, tau
     # S built on the point's samples, in the order its pipe's profile takes
     # them up, is diag(nu) times the per-point masked build, entry for entry
     net, irm = _net_irm(request, case)
-    cfg = ReconConfig(tau=tau, dt=dt, dx=10.0)
+    assert irm.dt == dt
+    cfg = ReconConfig(tau=tau, dx=10.0)
+    m = math.floor(cfg.tau / irm.dt)
     matrix, rhs, active = masked_system(irm, action_times(net, PointOnPipe(pipe, offset)), cfg, net)
-    assert active.shape == (len(irm.leaves), cfg.samples_per_leaf)
-    times, _, _ = _profile_points(net, pipe, cfg)
-    profile = _active(times, cfg).reshape(len(times), -1)
+    assert active.shape == (len(irm.leaves), m)
+    times, _, _ = _profile_points(net, pipe, cfg, irm.dt)
+    profile = _active(times, cfg, irm.dt).reshape(len(times), -1)
     order = np.argsort(np.where(profile.any(axis=0), profile.argmax(axis=0), len(times)), kind="stable")
     idx = order[active.ravel()[order]]
     assert 0 < idx.size == active.sum() < active.size
     assert not np.array_equal(idx, np.sort(idx))  # the profile takes samples up out of flat order
-    s, nu = _s_matrix(irm, cfg, net, idx)
-    nu_all = np.repeat([net.leaf_nu(leaf) for leaf in irm.leaves], cfg.samples_per_leaf)
+    s, nu = _s_matrix(irm, m, net, idx)
+    nu_all = np.repeat([net.leaf_nu(leaf) for leaf in irm.leaves], m)
     assert np.array_equal(nu, nu_all[idx]) and np.array_equal(rhs[idx], np.ones(idx.size))
     assert np.array_equal(s, nu[:, None] * matrix[np.ix_(idx, idx)])
 
 
-def test_grid_mismatch_and_short_horizon(exp1_net, exp1_irm):
-    f = action_times(exp1_net, PointOnPipe("DC", 100.0))
-    with pytest.raises(GridMismatch):
-        solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.8, dt=0.02, dx=10.0), exp1_net)
+def test_short_horizon(exp1_net):
+    f = action_times(exp1_net, PointOnPipe("DC", 100.0))  # max f = 0.5
     short = zero_irm(exp1_net, 0.01, 1.0)  # 101 samples < 2M = 160
     with pytest.raises(HorizonTooShort):
         solve_boundary_flows(short, f, ReconConfig(**EXP1_CFG), exp1_net)
+    # the point's action times are checked first: out of reach, it says so on any horizon
+    with pytest.raises(ActionTimeExceedsTau):
+        solve_boundary_flows(short, f, ReconConfig(tau=0.3, dx=10.0), exp1_net)
 
 
 @pytest.mark.parametrize("leaves", [("A", "D"), ("B", "A"), ("A",)], ids=["non-leaf", "reversed", "missing"])
@@ -202,13 +205,13 @@ def test_profile_dx_too_small_for_memory(exp1_net, exp1_irm):
     # point counts numpy cannot represent, not merely large ones
     for dx in (1e-300, 5e-324):
         with pytest.raises(OutOfRange, match="profile points"):
-            volume_profile(exp1_net, exp1_irm, "DC", ReconConfig(tau=0.8, dt=0.01, dx=dx, lam=1e-5))
+            volume_profile(exp1_net, exp1_irm, "DC", ReconConfig(tau=0.8, dx=dx, lam=1e-5))
 
 
 def test_action_time_exceeds_tau(exp1_net, exp1_irm):
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))  # max f = 0.5
     with pytest.raises(ActionTimeExceedsTau):
-        solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.3, dt=0.01, dx=10.0), exp1_net)
+        solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.3, dx=10.0), exp1_net)
 
 
 def test_action_time_exceeds_tau_refused_before_assembly(exp1_net, exp1_irm, monkeypatch):
@@ -216,7 +219,7 @@ def test_action_time_exceeds_tau_refused_before_assembly(exp1_net, exp1_irm, mon
     monkeypatch.setattr(inversion, "_s_matrix", lambda *args: calls.append(args))
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
     with pytest.raises(ActionTimeExceedsTau):
-        solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.3, dt=0.01, dx=10.0), exp1_net)
+        solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.3, dx=10.0), exp1_net)
     assert calls == []
 
 
@@ -227,8 +230,9 @@ def test_restricted_system_near_symmetry(exp1_net, exp1_irm):
     # kernel magnitude (soft check; in practice it is exact here)
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
     cfg = ReconConfig(**EXP1_CFG)
-    restricted, _ = _s_matrix(exp1_irm, cfg, exp1_net, np.flatnonzero(active_mask(exp1_irm, f, cfg)))
-    bound = 2 * cfg.dt * np.abs(exp1_irm.k).max()
+    m = math.floor(cfg.tau / exp1_irm.dt)
+    restricted, _ = _s_matrix(exp1_irm, m, exp1_net, np.flatnonzero(active_mask(exp1_irm, f, cfg)))
+    bound = 2 * exp1_irm.dt * np.abs(exp1_irm.k).max()
     assert np.abs(restricted - restricted.T).max() <= bound
 
 
@@ -237,7 +241,7 @@ def test_restricted_system_near_symmetry(exp1_net, exp1_irm):
 
 def test_identity_limit_flat_flow(single_pipe_net):
     irm = zero_irm(single_pipe_net, 0.01, 1.61)
-    cfg = ReconConfig(tau=0.8, dt=0.01, dx=10.0, lam=0.0)
+    cfg = ReconConfig(tau=0.8, dx=10.0, lam=0.0)
     f = action_times(single_pipe_net, PointOnPipe("P", 300.0))
     flows = solve_boundary_flows(irm, f, cfg, single_pipe_net)
     expected = 1.0 * single_pipe_net.gravity / single_pipe_net.wave_speed
@@ -249,9 +253,9 @@ def test_identity_limit_flat_flow(single_pipe_net):
 def test_identity_limit_uniform_area(single_pipe_net):
     # k = 0 end to end: the closed-form solve reproduces A = 1 exactly
     irm = zero_irm(single_pipe_net, 0.01, 1.61)
-    cfg = ReconConfig(tau=0.8, dt=0.01, dx=10.0, lam=0.0)
+    cfg = ReconConfig(tau=0.8, dx=10.0, lam=0.0)
     vp = volume_profile(single_pipe_net, irm, "P", cfg)
-    ap = area_profile(vp, cfg.dx)
+    ap = area_profile(vp)
     assert np.abs(ap.areas - 1.0).max() < 1e-10
     assert np.abs(vp.volumes - vp.positions).max() < 1e-8
 
@@ -305,9 +309,8 @@ def test_exp1_volume_near_leaf(exp1_net, exp1_irm):
 
 
 def test_zero_flows_zero_volume(exp1_net):
-    cfg = ReconConfig(**EXP1_CFG)
     flows = {"A": np.zeros(80), "B": np.zeros(80)}
-    assert volume(flows, cfg, exp1_net) == 0.0
+    assert volume(flows, zero_irm(exp1_net, 0.01, 1.61), exp1_net) == 0.0
 
 
 def test_exp1_profile_extents(exp1_net, exp1_irm):
@@ -348,16 +351,16 @@ def test_profile_matches_stacked_lstsq(request, preset, pipe, lam):
     net = request.getfixturevalue(f"{preset}_net")
     irm = request.getfixturevalue(f"{preset}_irm")
     tau, dx = (0.8, 10.0) if preset == "exp1" else (0.9, 7.0)
-    cfg = ReconConfig(tau=tau, dt=irm.dt, dx=dx, lam=lam)
+    cfg = ReconConfig(tau=tau, dx=dx, lam=lam)
     vp = volume_profile(net, irm, pipe, cfg)
-    expected = np.array([reference_volume(irm, p, cfg, net) for p in profile_cut_points(net, pipe, cfg)])
+    expected = np.array([reference_volume(irm, p, cfg, net) for p in profile_cut_points(net, pipe, cfg, irm.dt)])
     assert len(vp.volumes) == len(expected) > 10
     assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))
 
 
 def test_profile_unreachable_first_point(exp1_net, exp1_irm):
     # the first DC point needs f(A) = 0.41 s, out of reach for tau = 0.35
-    cfg = ReconConfig(tau=0.35, dt=0.01, dx=10.0)
+    cfg = ReconConfig(tau=0.35, dx=10.0)
     with pytest.raises(ActionTimeExceedsTau):
         volume_profile(exp1_net, exp1_irm, "DC", cfg)
 
@@ -366,28 +369,28 @@ def test_marginal_point_singular_without_regularization(exp1_net, exp1_irm):
     # at tau = max f exactly, waves from the two leaves can cancel at the
     # junction: the restricted operator has a null direction, so the
     # unregularized solve refuses while any positive weight proceeds
-    cfg = ReconConfig(tau=0.41, dt=0.01, dx=10.0)
+    cfg = ReconConfig(tau=0.41, dx=10.0)
     f = action_times(exp1_net, PointOnPipe("DC", 10.0))
     with pytest.raises(SingularSystem):
         solve_boundary_flows(exp1_irm, f, cfg, exp1_net)
     flows = solve_boundary_flows(exp1_irm, f, replace(cfg, lam=1e-5), exp1_net)
-    v = volume(flows, cfg, exp1_net)
+    v = volume(flows, exp1_irm, exp1_net)
     assert v == pytest.approx(710.0, rel=1e-3)
 
 
 def test_area_profile_basics():
-    vp = VolumeProfile("P", np.array([10.0, 20.0, 30.0]), np.array([10.0, 20.0, 30.0]))
-    ap = area_profile(vp, 10.0)
+    vp = VolumeProfile("P", np.array([10.0, 20.0, 30.0]), np.array([10.0, 20.0, 30.0]), 10.0)
+    ap = area_profile(vp)
     assert ap.positions == pytest.approx([10.0, 20.0])
     assert ap.areas == pytest.approx([1.0, 1.0])
     with pytest.raises(TooFewPoints):
-        area_profile(VolumeProfile("P", np.array([10.0]), np.array([5.0])), 10.0)
+        area_profile(VolumeProfile("P", np.array([10.0]), np.array([5.0]), 10.0))
 
 
 def test_exp1_full_reconstruction(exp1_net, exp1_irm):
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
     for pid, extent in [("AD", 390.0), ("BD", 290.0), ("DC", 390.0)]:
-        ap = area_profile(volume_profile(exp1_net, exp1_irm, pid, cfg), cfg.dx)
+        ap = area_profile(volume_profile(exp1_net, exp1_irm, pid, cfg))
         assert ap.positions[-1] == pytest.approx(extent)
         assert np.abs(ap.areas - 1.0).max() < 0.01
 
@@ -413,9 +416,9 @@ def test_identity_limit_random_trees():
         dt = 0.01
         tau = f.max_f + 0.1
         irm = zero_irm(net, dt, 2 * tau + 2 * dt)
-        cfg = ReconConfig(tau=tau, dt=dt, dx=10.0, lam=0.0)
+        cfg = ReconConfig(tau=tau, dx=10.0, lam=0.0)
         flows = solve_boundary_flows(irm, f, cfg, net)
-        v = volume(flows, cfg, net)
+        v = volume(flows, irm, net)
         expected_v = 0.0
         for i, leaf in enumerate(net.accessible):
             flat = net.leaf_nu(leaf) * net.leaf_area(leaf) * net.gravity / net.wave_speed
@@ -458,7 +461,7 @@ def test_reversed_pipe_orientation(exp1_irm, reversed_exp1):
     assert np.array_equal(irm.k, exp1_irm.k)
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
     for pid in ("DA", "BD", "CD"):
-        ap = area_profile(volume_profile(net, irm, pid, cfg), cfg.dx)
+        ap = area_profile(volume_profile(net, irm, pid, cfg))
         assert np.abs(ap.areas - 1.0).max() < 1e-8
 
 
@@ -488,7 +491,7 @@ TREE6 = {
     "x0": "X",
     "accessible": ["L1", "L2", "L3", "L4", "L5", "L6"],
 }
-TREE6_CFG = dict(tau=0.5, dt=0.01, dx=10.0)
+TREE6_CFG = dict(tau=0.5, dx=10.0)
 
 
 @pytest.fixture(scope="module")
@@ -513,7 +516,7 @@ def _profile_case(request, case, lam):
     if case == "tree6":
         return net, irm, ReconConfig(**TREE6_CFG, lam=lam)
     tau, dx = (0.8, 10.0) if case == "exp1" else (0.9, 7.0)
-    return net, irm, ReconConfig(tau=tau, dt=irm.dt, dx=dx, lam=lam)
+    return net, irm, ReconConfig(tau=tau, dx=dx, lam=lam)
 
 
 LAYER_CASES = [
@@ -538,8 +541,8 @@ def test_tree6_profiles_reach_many_unknowns(tree6):
     # the in-test tree exercises several LDL^T blocks and every leaf
     net, irm = tree6
     cfg = ReconConfig(**TREE6_CFG, lam=1e-5)
-    times, _, _ = _profile_points(net, "J1X", cfg)
-    active = _active(times[-1], cfg)
+    times, _, _ = _profile_points(net, "J1X", cfg, irm.dt)
+    active = _active(times[-1], cfg, irm.dt)
     assert active.any(axis=1).all() and active.sum() > 2 * inversion._BLOCK
 
 
@@ -574,15 +577,15 @@ def test_profile_action_times_nest():
     def run(spec, data):
         net = validate_network(spec)
         pid = data.draw(st.sampled_from(sorted(net.pipes)))
-        cfg = ReconConfig(tau=10.0, dt=0.01, dx=data.draw(st.floats(min_value=5.0, max_value=50.0)), lam=1e-5)
-        times, _, _ = _profile_points(net, pid, cfg)
+        cfg = ReconConfig(tau=10.0, dx=data.draw(st.floats(min_value=5.0, max_value=50.0)), lam=1e-5)
+        times, _, _ = _profile_points(net, pid, cfg, 0.01)
         assert len(times) >= 1 and (times[:-1] <= times[1:]).all()  # every pipe is at least dx long
 
     run()
 
 
 def _assert_matches_reference(net, irm, pipe, cfg, vp, points=None):
-    points = points if points is not None else profile_cut_points(net, pipe, cfg)
+    points = points if points is not None else profile_cut_points(net, pipe, cfg, irm.dt)
     expected = np.array([reference_volume(irm, p, cfg, net) for p in points])
     assert len(vp.volumes) == len(expected) > 10
     assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))
@@ -645,7 +648,7 @@ def test_fallback_on_nonreciprocal_irm(exp1_net, exp1_irm):
 def test_transposed_irm_gives_the_same_volumes(exp2_net, exp2_irm):
     # swapping the leaf axes of the kernels builds S^T exactly; S^T and S
     # have the same symmetric part, so the factored volumes agree bit for bit
-    cfg = ReconConfig(tau=0.9, dt=exp2_irm.dt, dx=7.0, lam=1.0)
+    cfg = ReconConfig(tau=0.9, dx=7.0, lam=1.0)
     swapped = SampledIRM(exp2_irm.dt, exp2_irm.leaves, exp2_irm.k.transpose(1, 0, 2), exp2_irm.horizon)
     vp, vp_t = (volume_profile(exp2_net, irm, "ED", cfg) for irm in (exp2_irm, swapped))
     assert vp.solver == vp_t.solver == "layer-stripping" and vp.reciprocity > 0
@@ -691,7 +694,7 @@ def test_certificate_bounds_volume_error(request, case, pipe, lam):
     # solve of the stacked system, up to that solve's own rounding
     net, irm, cfg = _profile_case(request, case, lam)
     vp = volume_profile(net, irm, pipe, cfg)
-    expected = reference_volume(irm, profile_cut_points(net, pipe, cfg)[-1], cfg, net)
+    expected = reference_volume(irm, profile_cut_points(net, pipe, cfg, irm.dt)[-1], cfg, net)
     assert vp.solver == "layer-stripping"
     assert vp.residual <= inversion.STABILITY_TOL
     assert vp.volume_bound < inversion.STABILITY_TOL
@@ -774,10 +777,10 @@ def test_ldlt_kernel_matches_reference(request, case, pipe, lam):
     # the factor is the reference's bit for bit; the block-inverse back
     # substitution sums in another order, so x agrees to rounding
     net, irm, cfg = _profile_case(request, case, lam)
-    times, _, _ = _profile_points(net, pipe, cfg)
-    flat = _active(times, cfg).reshape(len(times), -1)
+    times, _, _ = _profile_points(net, pipe, cfg, irm.dt)
+    flat = _active(times, cfg, irm.dt).reshape(len(times), -1)
     idx = np.flatnonzero(flat.any(axis=0))
-    s, nu = _s_matrix(irm, cfg, net, idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")])
+    s, nu = _s_matrix(irm, math.floor(cfg.tau / irm.dt), net, idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")])
     n = nu.size
     a = np.hstack([s - 1j * math.sqrt(lam) * np.eye(n), nu[:, None]])
     expected = a.copy()
@@ -790,10 +793,18 @@ def test_ldlt_kernel_matches_reference(request, case, pipe, lam):
 
 
 @pytest.mark.parametrize("field, value", [("lam", math.nan), ("lam", -1.0), ("lam", math.inf),
-                                          ("tau", math.nan), ("dt", 0.0), ("dx", -10.0), ("dx", math.inf)])
+                                          ("tau", math.nan), ("dx", -10.0), ("dx", math.inf)])
 def test_recon_config_out_of_range(field, value):
     with pytest.raises(OutOfRange):
         ReconConfig(**{**EXP1_CFG, "lam": 1e-5, field: value})
+
+
+def test_recon_config_is_keyword_only_and_has_no_step():
+    # the sample step is the IRM's: an old call naming dt, or passing it second, is refused
+    with pytest.raises(TypeError):
+        ReconConfig(tau=0.8, dt=0.01, dx=10.0)
+    with pytest.raises(TypeError):
+        ReconConfig(0.8, 0.01, 10.0)
 
 
 @pytest.mark.parametrize("lam", [math.nan, -1.0, math.inf])
@@ -803,7 +814,8 @@ def test_solve_refuses_bad_lambda(lam):
 
 
 def test_pipe_shorter_than_dx_gives_empty_profile(exp1_net, exp1_irm):
-    vp = volume_profile(exp1_net, exp1_irm, "BD", ReconConfig(tau=0.8, dt=0.01, dx=500.0, lam=1e-5))
+    cfg = ReconConfig(tau=0.8, dx=500.0, lam=1e-5)
+    vp = volume_profile(exp1_net, exp1_irm, "BD", cfg)
     assert vp.positions.size == vp.volumes.size == 0
-    with pytest.raises(GridMismatch):  # no point fits, but the grid is still checked
-        volume_profile(exp1_net, exp1_irm, "BD", ReconConfig(tau=0.8, dt=0.02, dx=500.0, lam=1e-5))
+    with pytest.raises(HorizonTooShort):  # no point fits, but the horizon is still checked
+        volume_profile(exp1_net, zero_irm(exp1_net, 0.01, 1.0), "BD", cfg)

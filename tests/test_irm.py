@@ -5,6 +5,7 @@ import heapq
 import importlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -408,15 +409,18 @@ def test_measured_kernels_vanish_near_zero(exp1_net):
 
 @pytest.mark.parametrize("resample_dt, fields", [(None, False), (0.007, True)])
 def test_measurement_past_physical_memory_refused_before_any_run(exp2_net, monkeypatch, resample_dt, fields):
-    # step series, inflow per vertex, a trace per leaf, H and Q per node with fields, and the kernel grid,
-    # against a physical memory set a byte either side of that sum: no step series or run is made when refused
+    # step series, inflow per vertex, a trace per leaf, H and Q per node with fields, the kernel grid, and one
+    # source's smoothing (per leaf, its window copy and four series), against a physical memory set a byte either
+    # side of that sum: no step series or run is made when refused
     irm_module = importlib.import_module("pipescope.irm")
     simulate_module = importlib.import_module("pipescope.simulate")
     cfg = SimConfig(dx=10.0, duration=0.6, courant=0.95)
     cells, dt, n_steps = _run_size(exp2_net, cfg)
     n, n_nodes, n_vertices = len(exp2_net.accessible), sum(cells) + len(cells), len(exp2_net.vertices)
     n_out = n_steps + 1 if resample_dt is None else grid_size(n_steps * dt, resample_dt)
-    need = 8 * n * ((n_steps + 1) * (1 + n_vertices + n + (2 * n_nodes if fields else 0)) + n * n_out)
+    window = max(1, int(0.02 / dt))
+    need = 8 * n * ((n_steps + 1) * (1 + n_vertices + n + (2 * n_nodes if fields else 0)) + n * n_out
+                    + (n_steps + 2 - window) * window + 4 * (n_steps + 1))
     calls = []
     monkeypatch.setattr(irm_module, "step_inflow", lambda *args: calls.append(args))
     monkeypatch.setattr(simulate_module, "_physical_memory", lambda: need - 1)
@@ -428,6 +432,30 @@ def test_measurement_past_physical_memory_refused_before_any_run(exp2_net, monke
     monkeypatch.setattr(simulate_module, "_physical_memory", lambda: need)
     irm, runs = measure_irm(exp2_net, cfg, resample_dt=resample_dt, fields=fields)
     assert irm.k.shape == (n, n, n_out) and len(runs) == n
+
+
+@pytest.mark.parametrize("dx", [0.5, 0.25])
+@pytest.mark.parametrize("resample_dt", [None, 0.007])
+def test_measurement_peak_within_memory_estimate(exp2_net, monkeypatch, dx, resample_dt):
+    # the median copies a source's full windows, N x (n_steps + 2 - w) x w with w = 0.02 s / dt, so that copy
+    # grows as 1/dx^2; the estimate the memory guard checks counts it, and the traced peak stays within it
+    irm_module = importlib.import_module("pipescope.irm")
+    require, estimates = irm_module._require_memory, []
+
+    def recorded(what, n_bytes):
+        estimates.append(n_bytes)
+        require(what, n_bytes)
+
+    monkeypatch.setattr(irm_module, "_require_memory", recorded)
+    measure_irm(exp2_net, SimConfig(dx=dx, duration=0.1, courant=0.95), resample_dt=resample_dt)  # warm up
+    estimates.clear()
+    tracemalloc.start()
+    try:
+        measure_irm(exp2_net, SimConfig(dx=dx, duration=1.9, courant=0.95), resample_dt=resample_dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1 and peak <= estimates[0]
 
 
 def test_measured_kernels_match_per_trace_reference(exp2_net):

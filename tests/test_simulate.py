@@ -157,6 +157,13 @@ def test_run_past_a_few_megabytes_of_memory_refused(exp2_net, monkeypatch):
         simulate(exp2_net, {}, cfg, fields=False)
 
 
+def test_unrepresentable_run_without_a_memory_reading_is_out_of_range(exp2_net, monkeypatch):
+    # no physical-memory reading, so no guard: numpy's refusal of a 1e300 s step series becomes OutOfRange
+    monkeypatch.setattr(SIMULATE, "_physical_memory", lambda: 0)
+    with pytest.raises(OutOfRange, match="does not fit in memory: Maximum allowed dimension exceeded"):
+        step_inflow(exp2_net, SimConfig(dx=5.0, duration=1e300), "A")
+
+
 def test_no_memory_guard_where_the_system_does_not_say(monkeypatch):
     def unsupported(name):
         raise ValueError(f"unrecognized configuration name {name!r}")
