@@ -4,7 +4,14 @@ Two broad families matter for the CLI exit-code mapping: ``ConfigError``
 (bad input, exit 2) and ``NumericError`` (a solve or guard failed at run
 time, exit 3). ``ActionTimeExceedsTau`` gets its own exit code (4) because
 it identifies the offending reconstruction point.
+
+``_allocating`` guards every array the input sizes: it refuses one past
+physical memory before allocating it, and turns an allocation numpy
+refuses into ``OutOfRange``.
 """
+
+import os
+from contextlib import contextmanager
 
 
 class PipescopeError(Exception):
@@ -98,3 +105,23 @@ class SingularSystem(NumericError):
 
 class TooFewPoints(ConfigError):
     pass
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 where the system does not say."""
+    try:
+        return max(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), 0)
+    except (AttributeError, OSError, ValueError):
+        return 0
+
+
+@contextmanager
+def _allocating(what: str, n_bytes: int = 0):
+    """Refuse ``what``, arrays of ``n_bytes``, past physical memory; turn an allocation or count numpy refuses into
+    OutOfRange naming ``what``. With no reading of physical memory, only the second check runs."""
+    if 0 < (memory := _physical_memory()) < n_bytes:
+        raise OutOfRange(f"{what} needs {n_bytes} bytes, more than the {memory} bytes of physical memory")
+    try:
+        yield
+    except (MemoryError, ValueError, OverflowError) as exc:  # ValueError: a shape numpy cannot represent at all
+        raise OutOfRange(f"{what} does not fit in memory: {exc}") from exc

@@ -66,14 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ActionTimeExceedsTau,
-    ConfigError,
-    HorizonTooShort,
-    OutOfRange,
-    SingularSystem,
-    TooFewPoints,
-)
+from .errors import (ActionTimeExceedsTau, ConfigError, HorizonTooShort, OutOfRange, SingularSystem, TooFewPoints,
+                     _allocating)
 from .graph import ActionTimes, Network, PointOnPipe, action_times_along
 from .irm import SampledIRM
 
@@ -174,7 +168,8 @@ def _s_matrix(irm: SampledIRM, m: int, net: Network, idx: np.ndarray):
     coef = 0.5 * irm.dt * nu
     direct = (nus * net.wave_speed / (areas * net.gravity))[leaf]
     row_leaf, row_l = leaf[:, None], lv[:, None]
-    s = np.empty((idx.size, idx.size))
+    with _allocating(f"a system of {idx.size} unknowns", 24 * idx.size**2):  # S, and the complex buffer it factors
+        s = np.empty((idx.size, idx.size))
     for c0 in range(0, idx.size, _BLOCK):
         c = slice(c0, min(c0 + _BLOCK, idx.size))
         # column c is source leaf[c] at sample lv[c], row r receiver leaf[r] at sample lv[r]
@@ -247,10 +242,12 @@ def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig, dt: float):
     pipe = net.pipes[pipe_id]
     # a kept point is within a*(tau + dt/4) of the far end, so no candidate lies over a dx past that
     reach = min(pipe.length, net.wave_speed * (cfg.tau + dt / 4))
-    try:
-        d = np.arange(1, int(reach / cfg.dx) + 2) * cfg.dx
-    except (OverflowError, MemoryError, ValueError) as exc:  # a point count numpy cannot allocate or represent
-        raise OutOfRange(f"dx {cfg.dx} gives more profile points than fit in memory: {exc}") from exc
+    with _allocating(f"profile points {cfg.dx} m apart over {reach:g} m"):  # their count may overflow
+        n = int(reach / cfg.dx) + 1
+    # per point its distances, offsets and masks, and per leaf an action time and, at each of M samples,
+    # volume_profile's active mask and the float comparison it is made from
+    with _allocating(f"{n} profile points", n * (32 + len(net.accessible) * (8 + 9 * math.floor(cfg.tau / dt)))):
+        d = np.arange(1, n + 1) * cfg.dx
     d = np.minimum(d[d <= pipe.length + cfg.dx * 1e-9], pipe.length)
     offsets = d if net.far_side_vertex(pipe_id) == pipe.from_vertex else pipe.length - d
     f = action_times_along(net, pipe_id, offsets)

@@ -29,15 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    HorizonTooLarge,
-    NonuniformPipeArea,
-    OutOfRange,
-    WindowTooLarge,
-)
+from .errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, WindowTooLarge, _allocating
 from .graph import Network
-from .simulate import (Histories, SimConfig, _batch_bytes, _require_memory, _run_size, junction_scatter, simulate_runs,
-                       step_inflow)
+from .simulate import Histories, SimConfig, _batch_bytes, _run_size, junction_scatter, simulate_runs, step_inflow
 
 __all__ = [
     "AnalyticIRM",
@@ -216,8 +210,10 @@ def sample_irm(an: AnalyticIRM, dt: float) -> SampledIRM:
     if not 0 < dt < math.inf:
         raise OutOfRange(f"dt must be positive and finite, not {dt}")
     n = len(an.leaves)
-    n_samples = grid_size(an.horizon, dt)
-    k = np.zeros((n, n, n_samples))
+    with _allocating(f"a grid of kernel samples {dt} s apart over {an.horizon:g} s"):  # its count may overflow
+        n_samples = grid_size(an.horizon, dt)
+    with _allocating(f"{n * n * n_samples} kernel samples,", 8 * n * n * n_samples):
+        k = np.zeros((n, n, n_samples))
     for (i, j), train in an.deltas.items():
         for t0, coeff in train:
             idx = math.ceil(t0 / dt - 0.5)
@@ -273,11 +269,14 @@ def _require_two_samples(n: int):
         raise OutOfRange(f"a step response needs two or more time samples, not {n}: the run is shorter than one time step")
 
 
-def _window(smooth_window_s: float, dt: float) -> int:
-    """Samples of a smoothing window of ``smooth_window_s`` seconds at step dt, floored, at least 1."""
+def _window(smooth_window_s: float, dt: float, n: int) -> int:
+    """Samples of a smoothing window of ``smooth_window_s`` seconds at step dt, floored, at least 1, at most ``n``."""
     if not 0 <= smooth_window_s < math.inf:
         raise OutOfRange(f"smoothing window must be finite and >= 0, not {smooth_window_s}")
-    return max(1, int(smooth_window_s / dt))
+    window = max(1, int(smooth_window_s / dt))
+    if window > n:
+        raise WindowTooLarge(f"window {window} exceeds series length {n}")
+    return window
 
 
 def irm_row_from_step_response(
@@ -290,7 +289,7 @@ def irm_row_from_step_response(
     simulation grid t.
     """
     _require_two_samples(len(t))
-    window = _window(smooth_window_s, float(t[1] - t[0]))
+    window = _window(smooth_window_s, float(t[1] - t[0]), len(t))
     kernels = differentiate(median_smooth(np.array(list(traces.values()), dtype=float), window), t)
     return dict(zip(traces, kernels))
 
@@ -312,24 +311,20 @@ def measure_irm(
     if resample_dt is not None and not 0 < resample_dt < math.inf:
         raise OutOfRange(f"resampling dt must be positive and finite, not {resample_dt}")
     n = len(net.accessible)
-    # every run samples t = 0, dt, ..., n_steps*dt: under one step, or too large a kernel grid, is refused before any run
+    # every run samples t = 0, dt, ..., n_steps*dt: under one step, a longer window or too large a grid is refused here
     cells, dt, n_steps = _run_size(net, cfg)
     _require_two_samples(n_steps + 1)
-    window = _window(smooth_window_s, dt)
+    window = _window(smooth_window_s, dt, n_steps + 1)
     dt_out = dt if resample_dt is None else resample_dt
-    try:
+    with _allocating(f"a grid of kernel samples {dt_out} s apart over {n_steps * dt:g} s"):  # its count may overflow
         n_out = n_steps + 1 if resample_dt is None else grid_size(n_steps * dt, dt_out)
-        # refused past physical memory before any is made: the batch's arrays, and N times a step series, a kernel
-        # row, and per leaf one source's smoothing: the median's window copy, (n_steps + 2 - w) x w, and 4 series
-        samples = 5 * (n_steps + 1) + n * n_out + max(n_steps + 2 - window, 0) * window
-        size = f"{n} runs of {sum(cells)} cells and {n_steps} time steps, and {n * n * n_out} kernel samples,"
-        _require_memory(size, 8 * n * samples + _batch_bytes(net, cells, n_steps, n, fields))
+    # refused past physical memory before any is made: the batch's arrays, and N times a step series, a kernel row,
+    # and per leaf one source's smoothing: the median's window copy, (n_steps + 2 - w) x w, and 4 series
+    samples = 5 * (n_steps + 1) + n * n_out + (n_steps + 2 - window) * window
+    with _allocating(f"{n} runs of {sum(cells)} cells and {n_steps} time steps, and {n * n * n_out} kernel samples,",
+                     8 * n * samples + _batch_bytes(net, cells, n_steps, n, fields)):
         t_out = np.arange(n_out) * dt_out
         k = np.zeros((n, n, n_out))
-    except (MemoryError, ValueError, OverflowError) as exc:  # a sample count numpy cannot allocate or represent
-        raise OutOfRange(
-            f"a kernel grid of step {dt_out} over {n_steps * dt:g} s gives more kernel samples than fit in memory: {exc}"
-        ) from exc
 
     runs = simulate_runs(net, [step_inflow(net, cfg, source) for source in net.accessible], cfg, fields=fields)
     for i, hist in enumerate(runs):

@@ -47,13 +47,11 @@ Buffers are made once per batch; only the per-vertex sums are new.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedSeriesLength, OutOfRange, UnstableConfig
+from .errors import MismatchedSeriesLength, OutOfRange, UnstableConfig, _allocating
 from .graph import Network
 
 __all__ = [
@@ -108,7 +106,7 @@ class Histories:
 def step_inflow(net: Network, cfg: SimConfig, leaf: str) -> dict[str, np.ndarray]:
     """Ideal unit step: value 1 from t = 0 on, at one leaf."""
     cells, _, n_steps = _run_size(net, cfg)
-    with _allocating(cells, n_steps, 8 * (n_steps + 1)):
+    with _allocating(f"a run of {sum(cells)} cells and {n_steps} time steps", 8 * (n_steps + 1)):
         return {leaf: np.ones(n_steps + 1)}
 
 
@@ -128,34 +126,12 @@ def _run_size(net: Network, cfg: SimConfig) -> tuple[list[int], float, int]:
 
 
 def _batch_bytes(net: Network, cells: list[int], n_steps: int, n_runs: int, fields: bool) -> int:
-    """Bytes of a batch's per-step arrays: vertex inflow, leaf traces and, with ``fields``, H and Q of every node."""
-    per_run = len(net.vertices) + len(net.accessible) + (2 * (sum(cells) + len(cells)) if fields else 0)
-    return 8 * (n_steps + 1) * n_runs * per_run
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory, or 0 where the system does not say."""
-    try:
-        return max(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), 0)
-    except (AttributeError, OSError, ValueError):
-        return 0
-
-
-def _require_memory(what: str, n_bytes: int) -> None:
-    """Refuse arrays of more bytes than physical memory before they are allocated, let alone filled."""
-    if 0 < (memory := _physical_memory()) < n_bytes:
-        raise OutOfRange(f"{what} needs {n_bytes} bytes, more than the {memory} bytes of physical memory")
-
-
-@contextmanager
-def _allocating(cells: list[int], n_steps: int, n_bytes: int):
-    """Refuse a run of ``n_bytes`` past physical memory; turn a failed allocation into OutOfRange naming its size."""
-    size = f"a run of {sum(cells)} cells and {n_steps} time steps"
-    _require_memory(size, n_bytes)
-    try:
-        yield
-    except (MemoryError, ValueError) as exc:  # ValueError: a shape numpy cannot represent at all
-        raise OutOfRange(f"{size} does not fit in memory: {exc}") from exc
+    """Bytes of a batch: per step, its time and per run the vertex inflow, leaf traces and, with ``fields``, H and Q
+    of every node; per node of every run, the state, weighted, foot, theta and weights, B and what is made from it,
+    with temporaries (20 values); per pipe end, its indices and impedances (12 values); the pipe grids (4 per node)."""
+    n_nodes = sum(cells) + len(cells)
+    per_run = len(net.vertices) + len(net.accessible) + (2 * n_nodes if fields else 0)
+    return 8 * ((n_steps + 1) * (n_runs * per_run + 1) + n_runs * (20 * n_nodes + 24 * len(cells)) + 4 * n_nodes)
 
 
 def _pipe_grids(net: Network, cells: list[int]) -> dict[str, _PipeGrid]:
@@ -193,7 +169,8 @@ def simulate_runs(net: Network, runs: list[dict[str, np.ndarray]], cfg: SimConfi
         return []
     vertex = {v: i for i, v in enumerate(net.vertices)}
     n_runs, n_vertices, n_nodes = len(runs), len(vertex), sum(cells) + len(cells)
-    with _allocating(cells, n_steps, _batch_bytes(net, cells, n_steps, n_runs, fields)):
+    with _allocating(f"a run of {sum(cells)} cells and {n_steps} time steps",
+                     _batch_bytes(net, cells, n_steps, n_runs, fields)):
         grids = _pipe_grids(net, cells)
         inflow = np.zeros((n_steps + 1, n_runs, n_vertices))  # per step, vertex inflow; the step leaves heads there
         if fields:  # per step, the state: H then Q, each per node of every run

@@ -586,9 +586,9 @@ def test_simulate_irm_kernel_grid_refused_before_any_run(tmp_path, capsys, monke
 
 
 def test_simulate_irm_past_physical_memory_exit_2(tmp_path, capsys, monkeypatch):
-    # the exp2 defaults, about 0.1 MB of arrays, with 64 kB of physical memory: refused, bytes named, before any run
+    # the exp2 defaults, about 0.35 MB of arrays, with 64 kB of physical memory: refused, bytes named, before any run
     calls = []
-    monkeypatch.setattr(importlib.import_module("pipescope.simulate"), "_physical_memory", lambda: 1 << 16)
+    monkeypatch.setattr(importlib.import_module("pipescope.errors"), "_physical_memory", lambda: 1 << 16)
     monkeypatch.setattr("pipescope.irm.simulate_runs", lambda *args, **kwargs: calls.append(args))
     code = run(["simulate-irm", "--preset", "exp2", "--out", str(tmp_path / "x.csv")])
     assert code == 2 and calls == []
@@ -596,6 +596,33 @@ def test_simulate_irm_past_physical_memory_exit_2(tmp_path, capsys, monkeypatch)
     assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
     assert re.search(r"kernel samples, needs \d+ bytes, more than the 65536 bytes of physical memory", err)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("dt", ["1e-12", "5e-324"])
+def test_oracle_irm_kernel_grid_too_large_for_memory_exit_2(tmp_path, capsys, dt):
+    # 1.6e12 samples per kernel, past any physical memory, and a sample count that overflows: neither is allocated
+    code = run(["oracle-irm", "--preset", "exp1", "--dt", dt, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert "kernel samples" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_reconstruct_system_past_physical_memory_exit_2(tmp_path, exp1_irm_path, capsys, monkeypatch):
+    # DC's points and masks fit in 256 kB of physical memory, its 540 kB system (150 unknowns) does not: refused,
+    # bytes named, before S is allocated
+    capsys.readouterr()
+    monkeypatch.setattr(importlib.import_module("pipescope.errors"), "_physical_memory", lambda: 1 << 18)
+    monkeypatch.setattr(importlib.import_module("pipescope.inversion").np, "empty",
+                        lambda *args: pytest.fail("allocated"))
+    code = run(["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--pipes", "DC", "--lambda", "1e-5",
+                "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert "a system of 150 unknowns needs 540000 bytes, more than the 262144 bytes of physical memory" in err
+    assert list(tmp_path.glob("r/*.csv")) == []
 
 
 def test_simulate_irm_shorter_than_one_step_exit_2(tmp_path, net1_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Boundary-control system assembly, solve, volumes, area profiles."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -206,6 +207,28 @@ def test_profile_dx_too_small_for_memory(exp1_net, exp1_irm):
     for dx in (1e-300, 5e-324):
         with pytest.raises(OutOfRange, match="profile points"):
             volume_profile(exp1_net, exp1_irm, "DC", ReconConfig(tau=0.8, dx=dx, lam=1e-5))
+
+
+def test_profile_points_past_physical_memory_refused_before_allocating(exp1_net, exp1_irm, monkeypatch):
+    # DC at dx 1e-4: 8,025,001 candidate points, whose active masks over 2 leaves and 80 samples take 11.9 GB,
+    # against 1 GiB of physical memory; no point is made
+    monkeypatch.setattr(importlib.import_module("pipescope.errors"), "_physical_memory", lambda: 1 << 30)
+    monkeypatch.setattr(np, "arange", lambda *args: pytest.fail("allocated"))
+    with pytest.raises(OutOfRange, match=f"8025001 profile points needs {8025001 * (32 + 2 * (8 + 9 * 80))} bytes"):
+        volume_profile(exp1_net, exp1_irm, "DC", ReconConfig(tau=0.8, dx=1e-4, lam=1e-5))
+
+
+def test_system_past_physical_memory_refused_before_allocating(exp2_net, monkeypatch):
+    # a zero 3 x 3 x 190,001 IRM at dt 1e-5: ED's profile uses 259,100 samples, an S of 537 GB and a factored buffer
+    # twice that, against 8 GiB of physical memory; neither the profile nor one point allocates its S
+    irm = SampledIRM(1e-5, exp2_net.accessible, np.zeros((3, 3, 190_001)), 1.9)
+    cfg = ReconConfig(tau=0.9, dx=7.0, lam=1.0)
+    monkeypatch.setattr(importlib.import_module("pipescope.errors"), "_physical_memory", lambda: 8 << 30)
+    monkeypatch.setattr(np, "empty", lambda *args: pytest.fail("allocated"))
+    with pytest.raises(OutOfRange, match=f"a system of 259100 unknowns needs {24 * 259100**2} bytes, more than"):
+        volume_profile(exp2_net, irm, "ED", cfg)
+    with pytest.raises(OutOfRange, match=r"unknowns needs \d+ bytes, more than the 8589934592 bytes"):
+        solve_boundary_flows(irm, action_times(exp2_net, PointOnPipe("ED", 100.0)), cfg, exp2_net)
 
 
 def test_action_time_exceeds_tau(exp1_net, exp1_irm):

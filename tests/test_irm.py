@@ -285,6 +285,17 @@ def test_sample_irm_same_bin_sums():
     assert irm.k[0, 0, 50] == pytest.approx(500.0)
 
 
+@pytest.mark.parametrize("dt, message", [(1e-12, r"6440000000004 kernel samples, needs \d+ bytes"),
+                                         (5e-324, "kernel samples 5e-324 s apart over 1.61 s does not fit")])
+def test_sample_irm_grid_past_memory_refused_before_allocating(exp1_net, monkeypatch, dt, message):
+    # a grid of about 1.6e12 samples per kernel, and a sample count that overflows: neither is allocated
+    analytic = oracle_irm(exp1_net, horizon=1.61)
+    monkeypatch.setattr(importlib.import_module("pipescope.errors"), "_physical_memory", lambda: 1 << 33)
+    monkeypatch.setattr(np, "zeros", lambda *args: pytest.fail("allocated"))
+    with pytest.raises(OutOfRange, match=message):
+        sample_irm(analytic, dt)
+
+
 def test_sample_irm_half_open_bin_edge():
     # t0 exactly between grid points: the lower bin wins the half-open test
     an = AnalyticIRM(("A",), {(0, 0): ((0.055, 1.0),)}, horizon=0.1)
@@ -409,11 +420,12 @@ def test_measured_kernels_vanish_near_zero(exp1_net):
 
 @pytest.mark.parametrize("resample_dt, fields", [(None, False), (0.007, True)])
 def test_measurement_past_physical_memory_refused_before_any_run(exp2_net, monkeypatch, resample_dt, fields):
-    # step series, inflow per vertex, a trace per leaf, H and Q per node with fields, the kernel grid, and one
-    # source's smoothing (per leaf, its window copy and four series), against a physical memory set a byte either
-    # side of that sum: no step series or run is made when refused
+    # step series, inflow per vertex, a trace per leaf, H and Q per node with fields, the batch's per-node and
+    # per-pipe-end working arrays, its grids and times, the kernel grid, and one source's smoothing (per leaf, its
+    # window copy and four series), against a physical memory set a byte either side of that sum: no step series or
+    # run is made when refused
     irm_module = importlib.import_module("pipescope.irm")
-    simulate_module = importlib.import_module("pipescope.simulate")
+    errors_module = importlib.import_module("pipescope.errors")
     cfg = SimConfig(dx=10.0, duration=0.6, courant=0.95)
     cells, dt, n_steps = _run_size(exp2_net, cfg)
     n, n_nodes, n_vertices = len(exp2_net.accessible), sum(cells) + len(cells), len(exp2_net.vertices)
@@ -421,17 +433,40 @@ def test_measurement_past_physical_memory_refused_before_any_run(exp2_net, monke
     window = max(1, int(0.02 / dt))
     need = 8 * n * ((n_steps + 1) * (1 + n_vertices + n + (2 * n_nodes if fields else 0)) + n * n_out
                     + (n_steps + 2 - window) * window + 4 * (n_steps + 1))
+    need += 8 * ((n_steps + 1) + n * (20 * n_nodes + 2 * 12 * len(cells)) + 4 * n_nodes)
     calls = []
     monkeypatch.setattr(irm_module, "step_inflow", lambda *args: calls.append(args))
-    monkeypatch.setattr(simulate_module, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(errors_module, "_physical_memory", lambda: need - 1)
     with pytest.raises(OutOfRange, match=f"{n} runs of {sum(cells)} cells and {n_steps} time steps, and "
                                          f"{n * n * n_out} kernel samples, needs {need} bytes"):
         measure_irm(exp2_net, cfg, resample_dt=resample_dt, fields=fields)
     assert calls == []
     monkeypatch.undo()
-    monkeypatch.setattr(simulate_module, "_physical_memory", lambda: need)
+    monkeypatch.setattr(errors_module, "_physical_memory", lambda: need)
     irm, runs = measure_irm(exp2_net, cfg, resample_dt=resample_dt, fields=fields)
     assert irm.k.shape == (n, n, n_out) and len(runs) == n
+
+
+def _traced_peak_and_estimates(monkeypatch, net, dx, duration, resample_dt):
+    """The traced peak of a warmed ``measure_irm`` and the byte counts its memory guards checked."""
+    irm_module = importlib.import_module("pipescope.irm")
+    allocating, estimates = irm_module._allocating, []
+
+    def recorded(what, n_bytes=0):
+        if n_bytes:  # the guard around the grid's sample count sizes no array
+            estimates.append(n_bytes)
+        return allocating(what, n_bytes)
+
+    monkeypatch.setattr(irm_module, "_allocating", recorded)
+    measure_irm(net, SimConfig(dx=dx, duration=0.1, courant=0.95), resample_dt=resample_dt)  # warm up
+    estimates.clear()
+    tracemalloc.start()
+    try:
+        measure_irm(net, SimConfig(dx=dx, duration=duration, courant=0.95), resample_dt=resample_dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, estimates
 
 
 @pytest.mark.parametrize("dx", [0.5, 0.25])
@@ -439,23 +474,22 @@ def test_measurement_past_physical_memory_refused_before_any_run(exp2_net, monke
 def test_measurement_peak_within_memory_estimate(exp2_net, monkeypatch, dx, resample_dt):
     # the median copies a source's full windows, N x (n_steps + 2 - w) x w with w = 0.02 s / dt, so that copy
     # grows as 1/dx^2; the estimate the memory guard checks counts it, and the traced peak stays within it
-    irm_module = importlib.import_module("pipescope.irm")
-    require, estimates = irm_module._require_memory, []
-
-    def recorded(what, n_bytes):
-        estimates.append(n_bytes)
-        require(what, n_bytes)
-
-    monkeypatch.setattr(irm_module, "_require_memory", recorded)
-    measure_irm(exp2_net, SimConfig(dx=dx, duration=0.1, courant=0.95), resample_dt=resample_dt)  # warm up
-    estimates.clear()
-    tracemalloc.start()
-    try:
-        measure_irm(exp2_net, SimConfig(dx=dx, duration=1.9, courant=0.95), resample_dt=resample_dt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, estimates = _traced_peak_and_estimates(monkeypatch, exp2_net, dx, 1.9, resample_dt)
     assert len(estimates) == 1 and peak <= estimates[0]
+
+
+def test_measurement_peak_within_memory_estimate_on_a_coarse_grid(exp1_net, monkeypatch):
+    # a coarse grid, where the batch's per-node working arrays and grids weigh as much as its per-step ones
+    peak, estimates = _traced_peak_and_estimates(monkeypatch, exp1_net, 5.0, 1.61, None)
+    assert len(estimates) == 1 and peak <= estimates[0]
+
+
+def test_measurement_window_longer_than_the_run_refused_before_any_run(exp2_net, monkeypatch):
+    calls = []
+    monkeypatch.setattr("pipescope.irm.simulate_runs", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(WindowTooLarge, match="window 21052 exceeds series length 106"):
+        measure_irm(exp2_net, SimConfig(5.0, 0.5, 0.95), smooth_window_s=100)
+    assert calls == []
 
 
 def test_measured_kernels_match_per_trace_reference(exp2_net):

@@ -4,6 +4,7 @@ import copy
 import importlib
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,12 @@ from pipescope import (
     step_inflow,
     validate_network,
 )
-from pipescope.errors import MismatchedSeriesLength, OutOfRange, UnstableConfig
-from pipescope.simulate import _physical_memory, _run_size, simulate_runs
+from pipescope.errors import MismatchedSeriesLength, OutOfRange, UnstableConfig, _allocating, _physical_memory
+from pipescope.simulate import _run_size, simulate_runs
 from test_graph import network_distance, tree_specs
 
 SIMULATE = importlib.import_module("pipescope.simulate")  # the module; the package's ``simulate`` is the function
+ERRORS = importlib.import_module("pipescope.errors")  # where the memory guard reads physical memory
 
 B_UNIT = 1000.0 / 9.81  # a/(gA) for a = 1000 m/s, g = 9.81, A = 1 m^2
 
@@ -124,10 +126,12 @@ def test_run_too_large_for_memory_raises_out_of_range(exp2_net, dx, courant, dur
 
 
 def _batch_bytes_by_hand(net, cfg, n_runs, fields):
-    """The bytes a batch's per-step arrays take: inflow per vertex, a trace per leaf, H and Q per node with fields."""
+    """The bytes a batch takes: per step its time, and per run inflow per vertex, a trace per leaf, H and Q per node
+    with fields; per node of every run 20 working values, per pipe end 12, and per node of one run 4 for the grids."""
     cells, _, n_steps = _run_size(net, cfg)
     n_nodes = sum(cells) + len(cells)
-    return 8 * (n_steps + 1) * n_runs * (len(net.vertices) + len(net.accessible) + (2 * n_nodes if fields else 0))
+    per_step = 1 + n_runs * (len(net.vertices) + len(net.accessible) + (2 * n_nodes if fields else 0))
+    return 8 * ((n_steps + 1) * per_step + n_runs * (20 * n_nodes + 2 * 12 * len(cells)) + 4 * n_nodes)
 
 
 @pytest.mark.parametrize("fields", [True, False])
@@ -136,18 +140,33 @@ def test_batch_past_physical_memory_refused_before_allocating(exp2_net, monkeypa
     cfg = SimConfig(dx=10.0, duration=0.3, courant=0.95)
     runs = [step_inflow(exp2_net, cfg, leaf) for leaf in exp2_net.accessible]
     need = _batch_bytes_by_hand(exp2_net, cfg, len(runs), fields)
-    monkeypatch.setattr(SIMULATE, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(ERRORS, "_physical_memory", lambda: need - 1)
     with pytest.raises(OutOfRange, match=f"cells and {len(runs[0]['A']) - 1} time steps needs {need} bytes, more "
                                          f"than the {need - 1} bytes of physical memory"):
         simulate_runs(exp2_net, runs, cfg, fields=fields)
-    monkeypatch.setattr(SIMULATE, "_physical_memory", lambda: need)
+    monkeypatch.setattr(ERRORS, "_physical_memory", lambda: need)
     hists = simulate_runs(exp2_net, runs, cfg, fields=fields)
     assert len(hists) == len(runs)
 
 
+def test_batch_peak_within_memory_estimate(exp2_net):
+    # the per-node working arrays (state, weighted, foot, theta, B, ...) outweigh the per-step ones on a fine grid
+    # and a short run, and the estimate the guard checks counts them: the traced peak stays within it
+    cfg = SimConfig(dx=0.5, duration=1.9, courant=0.95)
+    runs = [step_inflow(exp2_net, cfg, leaf) for leaf in exp2_net.accessible]
+    simulate_runs(exp2_net, runs, cfg, fields=False)  # warm up
+    tracemalloc.start()
+    try:
+        simulate_runs(exp2_net, runs, cfg, fields=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _batch_bytes_by_hand(exp2_net, cfg, len(runs), fields=False)
+
+
 def test_run_past_a_few_megabytes_of_memory_refused(exp2_net, monkeypatch):
     # a run of 5e6 steps would need 40 MB for its step series alone: refused before np.ones is called
-    monkeypatch.setattr(SIMULATE, "_physical_memory", lambda: 4 << 20)
+    monkeypatch.setattr(ERRORS, "_physical_memory", lambda: 4 << 20)
     monkeypatch.setattr(SIMULATE.np, "ones", lambda *args: pytest.fail("allocated"))
     monkeypatch.setattr(SIMULATE.np, "zeros", lambda *args: pytest.fail("allocated"))
     cfg = SimConfig(dx=5.0, duration=25000.0, courant=1.0)
@@ -159,7 +178,7 @@ def test_run_past_a_few_megabytes_of_memory_refused(exp2_net, monkeypatch):
 
 def test_unrepresentable_run_without_a_memory_reading_is_out_of_range(exp2_net, monkeypatch):
     # no physical-memory reading, so no guard: numpy's refusal of a 1e300 s step series becomes OutOfRange
-    monkeypatch.setattr(SIMULATE, "_physical_memory", lambda: 0)
+    monkeypatch.setattr(ERRORS, "_physical_memory", lambda: 0)
     with pytest.raises(OutOfRange, match="does not fit in memory: Maximum allowed dimension exceeded"):
         step_inflow(exp2_net, SimConfig(dx=5.0, duration=1e300), "A")
 
@@ -169,11 +188,12 @@ def test_no_memory_guard_where_the_system_does_not_say(monkeypatch):
         raise ValueError(f"unrecognized configuration name {name!r}")
 
     assert _physical_memory() > 0
-    with pytest.raises(OutOfRange, match="physical memory"):
-        SIMULATE._require_memory("a batch", 1 << 80)
-    monkeypatch.setattr(SIMULATE.os, "sysconf", unsupported)
+    with pytest.raises(OutOfRange, match="physical memory"), _allocating("a batch", 1 << 80):
+        pass
+    monkeypatch.setattr(ERRORS.os, "sysconf", unsupported)
     assert _physical_memory() == 0
-    SIMULATE._require_memory("a batch", 1 << 80)  # no reading, no guard: allocation failures remain the only check
+    with _allocating("a batch", 1 << 80):  # no reading, no guard: allocation failures remain the only check
+        pass
 
 
 def test_batch_refuses_a_bad_later_run_naming_its_leaf(exp2_net):
