@@ -9,8 +9,8 @@ experiment runs with a single flag. Every output set gets a manifest
 JSON recording the resolved configuration; ``replay`` re-runs a
 manifest and reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 2 configuration or file error, 3 numeric error,
-4 reconstruction point out of reach (action time exceeds tau).
+Exit codes, set per error family in errors.py: 0 success, 2 configuration
+or file error, 3 numeric error, 4 point out of reach (action time > tau).
 """
 
 from __future__ import annotations
@@ -27,16 +27,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ActionTimeExceedsTau, ConfigError, NumericError, PipescopeError
+from .errors import ConfigError, PipescopeError
 from .graph import Network, validate_network
 from .inversion import ReconConfig, _check_leaves, area_profile, volume_profile
 from .irm import load_irm, measure_irm, oracle_irm, sample_irm, save_irm
 from .presets import PRESETS, preset
 from .simulate import SimConfig
-
-EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
-EXIT_UNREACHABLE = 4
 
 
 def _load_json(path):
@@ -219,17 +215,21 @@ def cmd_reconstruct(resolved: dict) -> list:
     unknown = [p for p in pipes if p not in net.pipes]
     if unknown:
         raise ConfigError(f"unknown pipe id(s): {', '.join(unknown)}")
+    if len(set(pipes)) < len(pipes):
+        raise ConfigError(f"pipe {next(p for p in pipes if pipes.count(p) > 1)!r} is named more than once")
     cfgs = [ReconConfig(tau=resolved["tau"], dx=resolved["dx"], lam=lam) for lam in lams]
 
-    out_dir = resolved["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = []
+    solved = []  # every pipe is solved before anything is written, so a refused pipe leaves no file
     profiles = {}  # per pipe: the solver that ran, the reciprocity it saw and, if it factored, its trust numbers
     for pid, cfg in zip(pipes, cfgs):
         vp = volume_profile(net, irm, pid, cfg)
         profiles[pid] = {"solver": vp.solver, "reciprocity": vp.reciprocity,
                          "residual": vp.residual, "volume_bound": vp.volume_bound}
-        ap = area_profile(vp)
+        solved.append((pid, vp, area_profile(vp)))
+    out_dir = resolved["out"]
+    os.makedirs(out_dir, exist_ok=True)
+    outputs = []
+    for pid, vp, ap in solved:
         vol_path = os.path.join(out_dir, f"{pid}_volume.csv")
         _write_csv(vol_path, "pipe,x_m,V_m3", ((pid, x, v) for x, v in zip(vp.positions, vp.volumes)))
         area_path = os.path.join(out_dir, f"{pid}_area.csv")
@@ -431,21 +431,12 @@ def run(argv=None) -> int:
             return 0
         else:  # argparse allows no other command than replay
             outputs = cmd_replay(args.manifest)
-    except ActionTimeExceedsTau as exc:
-        print(f"pipescope: point out of reach: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
-    except ConfigError as exc:
-        print(f"pipescope: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericError as exc:
-        print(f"pipescope: numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except PipescopeError as exc:
-        print(f"pipescope: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except PipescopeError as exc:  # errors.py gives each family its exit code and label
+        print(f"pipescope: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except (OSError, UnicodeDecodeError) as exc:  # an input that cannot be read or is not text, an unwritable output
         print(f"pipescope: file error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return 2
     for path in outputs:
         print(path)
     return 0

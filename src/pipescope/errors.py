@@ -1,9 +1,12 @@
 """Exception types raised across the package.
 
-Two broad families matter for the CLI exit-code mapping: ``ConfigError``
-(bad input, exit 2) and ``NumericError`` (a solve or guard failed at run
-time, exit 3). ``ActionTimeExceedsTau`` gets its own exit code (4) because
-it identifies the offending reconstruction point.
+Each family carries the CLI's exit code and stderr label, and its subclasses
+inherit them; the CLI prints ``pipescope: {label}: {message}`` and exits:
+
+    ConfigError           2  configuration error  bad input or configuration
+    NumericError          3  numeric error        a solve or guard failed at run time
+    ActionTimeExceedsTau  4  point out of reach   a point needs action times past tau
+    any other             2  error
 
 ``_allocating`` guards every array the input sizes: it refuses one past
 physical memory before allocating it, and turns an allocation numpy
@@ -16,14 +19,17 @@ from contextlib import contextmanager
 
 class PipescopeError(Exception):
     """Base class for all package-specific errors."""
+    exit_code, label = 2, "error"
 
 
 class ConfigError(PipescopeError):
     """Invalid input data or configuration."""
+    label = "configuration error"
 
 
 class NumericError(PipescopeError):
     """A numerical guard or solve failed."""
+    exit_code, label = 3, "numeric error"
 
 
 # network validation
@@ -97,6 +103,7 @@ class HorizonTooShort(ConfigError):
 
 class ActionTimeExceedsTau(PipescopeError):
     """A reconstruction point needs action times longer than tau."""
+    exit_code, label = 4, "point out of reach"
 
 
 class SingularSystem(NumericError):

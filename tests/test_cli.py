@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pipescope import SimConfig, simulate, step_inflow, validate_network
 from pipescope.cli import OPTIONS, build_parser, main, run
+from pipescope.errors import ActionTimeExceedsTau, ConfigError, NumericError, PipescopeError
 from pipescope.irm import load_irm
 from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
 from test_irm import damaged_irm_lines, edited_irm_lines
@@ -453,6 +454,35 @@ def test_other_pipescope_error_exit_2(tmp_path, net1_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "pipescope: error: neither configuration nor numeric\n"
 
 
+def _error_classes(cls=PipescopeError):
+    """``cls`` and every subclass of it that ``pipescope.errors`` defines, walked recursively."""
+    subclasses = [sub for sub in cls.__subclasses__() if sub.__module__ == "pipescope.errors"]
+    return [cls] + [c for sub in subclasses for c in _error_classes(sub)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_class_exit_code_and_label(tmp_path, net1_path, capsys, monkeypatch, cls):
+    # the whole exit table: a class's code and label are those of its family, 2 and "error" outside every family
+    from pipescope import cli
+
+    def boom(*args, **kwargs):
+        raise cls(f"raised {cls.__name__}")
+
+    if issubclass(cls, ActionTimeExceedsTau):
+        code, label = 4, "point out of reach"
+    elif issubclass(cls, NumericError):
+        code, label = 3, "numeric error"
+    else:
+        code, label = 2, "configuration error" if issubclass(cls, ConfigError) else "error"
+    monkeypatch.setattr(cli, "oracle_irm", boom)
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    argv = ["oracle-irm", "--network", str(net1_path), "--horizon", "1.0", "--dt", "0.01", "--out", str(out)]
+    assert run(argv) == code
+    assert capsys.readouterr().err == f"pipescope: {label}: raised {cls.__name__}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pipe, code, start", [
     ("DC", 4, "pipescope: point out of reach: first point PointOnPipe(pipe='DC', offset=10.0)"),
     ("AD", 2, "pipescope: configuration error: kernels have 51 samples, need 70 to span 2*tau"),
@@ -655,6 +685,45 @@ def test_reconstruct_unknown_pipe_exit_2(tmp_path, exp1_irm_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "unknown pipe id(s): XX" in err and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+def test_reconstruct_repeated_pipe_exit_2(tmp_path, exp1_irm_path, capsys, source):
+    # a pipe named twice is refused before anything is solved or written, wherever the pipe list comes from
+    out = tmp_path / "r"
+    config = {"irm": str(exp1_irm_path), "tau": 0.8, "dx": 10.0, "lam": "1e-5", "pipes": ["AD", "AD"], "out": str(out)}
+    (tmp_path / "cfg.json").write_text(json.dumps({"pipes": ["AD", "AD"]}))
+    (tmp_path / "manifest.json").write_text(json.dumps({"command": "reconstruct",
+                                                        "config": {**config, "network": EXP1_NETWORK}}))
+    argv = {
+        "flag": ["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--pipes", "AD,AD", "--lambda", "1e-5",
+                 "--out", str(out)],
+        "config": ["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path),
+                   "--config", str(tmp_path / "cfg.json"), "--lambda", "1e-5", "--out", str(out)],
+        "manifest": ["replay", str(tmp_path / "manifest.json")],
+    }[source]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "pipescope: configuration error: pipe 'AD' is named more than once\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, code, start", [
+    (["--pipes", "AD,DC", "--tau", "0.3", "--lambda", "1e-5"], 4, "pipescope: point out of reach: first point "
+     "PointOnPipe(pipe='DC'"),
+    (["--pipes", "DC", "--lambda", "0"], 3, "pipescope: numeric error: restricted matrix rank"),
+    (["--pipes", "AD,BD", "--dx", "200", "--lambda", "1e-5"], 2, "pipescope: configuration error: profile for pipe "
+     "'BD' has 1 points"),
+], ids=["unreachable", "singular", "too-few-points"])
+def test_failed_reconstruct_writes_nothing(tmp_path, exp1_irm_path, capsys, flags, code, start):
+    # every pipe is solved before the output directory is made, so a refused pipe, alone or after one that solved,
+    # leaves no file
+    capsys.readouterr()
+    assert run(["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), *flags,
+                "--out", str(tmp_path / "r")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1
     assert not (tmp_path / "r").exists()
 
 
