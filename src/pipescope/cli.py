@@ -7,7 +7,9 @@ precedence is flags > --config file > --preset values > built-in
 defaults; the two presets carry the stock experiment constants so each
 experiment runs with a single flag. Every output set gets a manifest
 JSON recording the resolved configuration; ``replay`` re-runs a
-manifest and reproduces the outputs byte for byte.
+manifest and reproduces the outputs byte for byte. ``_execute`` is the
+one place that writes these commands' files: their runners only compute,
+so a run refused with any error writes nothing.
 
 Exit codes, set per error family in errors.py: 0 success, 2 configuration
 or file error, 3 numeric error, 4 point out of reach (action time > tau).
@@ -28,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, PipescopeError
-from .graph import Network, validate_network
-from .inversion import ReconConfig, _check_leaves, area_profile, volume_profile
+from .graph import validate_network
+from .inversion import ReconConfig, area_profile, volume_profile
 from .irm import load_irm, measure_irm, oracle_irm, sample_irm, save_irm
 from .presets import PRESETS, preset
 from .simulate import SimConfig
@@ -102,34 +104,15 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return resolved
 
 
-def _require_network(resolved: dict) -> Network:
-    if "network" not in resolved:
-        raise ConfigError("no network given: use --network FILE or --preset")
-    return validate_network(resolved["network"])
-
-
-def _write_manifest(command: str, resolved: dict, inputs: dict, outputs: list, path, wall: float, **extra):
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": resolved,
-        "inputs": inputs,
-        "outputs": [str(o) for o in outputs],
-        "wall_time_s": wall,
-        **extra,
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _reciprocity(irm) -> float:
-    """max|k_ij - k_ji| / max|k| of an IRM, the deviation from reciprocity; 0 for an all-zero IRM."""
-    peak = np.abs(irm.k).max(initial=0.0)
-    return float(np.abs(irm.k - irm.k.transpose(1, 0, 2)).max(initial=0.0) / peak) if peak > 0 else 0.0
+    """max|k_ij - k_ji| / max|k| of an IRM, the deviation from reciprocity, one source row at a time; 0 if all zero."""
+    k = irm.k
+    peak = max((np.abs(k[i]).max(initial=0.0) for i in range(len(k))), default=0.0)
+    skew = max((np.abs(k[i] - k[:, i]).max(initial=0.0) for i in range(len(k))), default=0.0)
+    return float(skew / peak) if peak > 0 else 0.0
 
 
-def _write_csv(path, header: str, rows):
+def _write_csv(header: str, rows, path):
     """Write ``rows`` under ``header``: strings as they are, numbers as ``repr(float(v))``, which reads back exactly."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -137,24 +120,62 @@ def _write_csv(path, header: str, rows):
             fh.write(",".join([v if isinstance(v, str) else repr(float(v)) for v in row]) + "\n")
 
 
+def _execute(command: str, resolved: dict) -> list:
+    """Run ``command`` on ``resolved``, then make its directories, write its files in order and its manifest last.
+
+    The one place that writes for the ``OPTIONS`` commands: a runner only
+    computes, so only a file error here can leave part of a run.
+    """
+    if "network" not in resolved:
+        raise ConfigError("no network given: use --network FILE or --preset")
+    net = validate_network(resolved["network"])
+    started = time.perf_counter()
+    directories, files, manifest, extra = OPTIONS[command][0](net, resolved)
+    for directory in directories:
+        os.makedirs(directory, exist_ok=True)
+    for path, write in files:
+        write(path)
+    outputs = [path for path, _ in files]
+    with open(manifest, "w") as fh:
+        json.dump({"command": command, "version": __version__, "config": resolved, "outputs": outputs,
+                   "wall_time_s": time.perf_counter() - started, **extra}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return outputs
+
+
 # -- commands -----------------------------------------------------------------
+# A runner takes the validated network and the resolved options and writes nothing. It returns the directories to
+# make, its files as ordered (path, write) pairs, its manifest's path and the manifest's extra keys.
 
 
-def cmd_oracle_irm(resolved: dict) -> list:
-    net = _require_network(resolved)
-    started = time.perf_counter()
+def _field_rows(hist, pid):
+    """Rows t,x,H,Q of one run's fields on pipe ``pid``, time-major as H and Q."""
+    x = hist.grids[pid].x
+    for t, h, q in zip(hist.t, hist.H[pid], hist.Q[pid]):
+        yield from zip([t] * len(x), x, h, q)
+
+
+def _irm_outputs(net, resolved: dict, irm, runs=()) -> tuple:
+    """The IRM file, then the runs' --dump-traces and --dump-fields CSVs, as an IRM command returns them."""
+    out, traces, fields = resolved["out"], resolved.get("dump_traces"), resolved.get("dump_fields")
+    files = [(out, functools.partial(save_irm, irm))]
+    for source, hist in zip(net.accessible, runs if traces else ()):
+        for leaf, series in hist.boundary.items():
+            write = functools.partial(_write_csv, "t,H", zip(hist.t, series))
+            files.append((os.path.join(traces, f"src_{source}_probe_{leaf}.csv"), write))
+    for source, hist in zip(net.accessible, runs if fields else ()):
+        for pid in hist.grids:
+            write = functools.partial(_write_csv, "t,x,H,Q", _field_rows(hist, pid))
+            files.append((os.path.join(fields, f"src_{source}_pipe_{pid}.csv"), write))
+    return [d for d in (traces, fields) if d], files, f"{out}.manifest.json", {"reciprocity": _reciprocity(irm)}
+
+
+def cmd_oracle_irm(net, resolved: dict) -> tuple:
     analytic = oracle_irm(net, resolved["horizon"], prune_eps=resolved["prune_eps"])
-    irm = sample_irm(analytic, resolved["dt"])
-    out = resolved["out"]
-    save_irm(irm, out)
-    _write_manifest("oracle-irm", resolved, {}, [out], f"{out}.manifest.json", time.perf_counter() - started,
-                    reciprocity=_reciprocity(irm))
-    return [out]
+    return _irm_outputs(net, resolved, sample_irm(analytic, resolved["dt"]))
 
 
-def cmd_simulate_irm(resolved: dict) -> list:
-    net = _require_network(resolved)
-    started = time.perf_counter()
+def cmd_simulate_irm(net, resolved: dict) -> tuple:
     cfg = SimConfig(dx=resolved["dx"], duration=resolved["duration"], courant=resolved["courant"])
     irm, runs = measure_irm(
         net,
@@ -163,29 +184,7 @@ def cmd_simulate_irm(resolved: dict) -> list:
         smooth_window_s=resolved["smooth_window"],
         fields=bool(resolved.get("dump_fields")),
     )
-    out = resolved["out"]
-    save_irm(irm, out)
-    outputs = [out]
-    if resolved.get("dump_traces"):
-        trace_dir = resolved["dump_traces"]
-        os.makedirs(trace_dir, exist_ok=True)
-        for source, hist in zip(net.accessible, runs):
-            for leaf, series in hist.boundary.items():
-                path = os.path.join(trace_dir, f"src_{source}_probe_{leaf}.csv")
-                _write_csv(path, "t,H", zip(hist.t, series))
-                outputs.append(path)
-    if resolved.get("dump_fields"):
-        field_dir = resolved["dump_fields"]
-        os.makedirs(field_dir, exist_ok=True)
-        for source, hist in zip(net.accessible, runs):
-            for pid, grid in hist.grids.items():
-                path = os.path.join(field_dir, f"src_{source}_pipe_{pid}.csv")
-                t, x = np.repeat(hist.t, len(grid.x)), np.tile(grid.x, len(hist.t))  # time-major, as H and Q
-                _write_csv(path, "t,x,H,Q", zip(t, x, hist.H[pid].ravel(), hist.Q[pid].ravel()))
-                outputs.append(path)
-    _write_manifest("simulate-irm", resolved, {}, outputs, f"{out}.manifest.json", time.perf_counter() - started,
-                    reciprocity=_reciprocity(irm))
-    return outputs
+    return _irm_outputs(net, resolved, irm, runs)
 
 
 def _parse_list(value, cast):
@@ -199,11 +198,8 @@ def _parse_list(value, cast):
         raise ConfigError(f"unreadable list {value!r}: {exc}") from exc
 
 
-def cmd_reconstruct(resolved: dict) -> list:
-    net = _require_network(resolved)
-    started = time.perf_counter()
+def cmd_reconstruct(net, resolved: dict) -> tuple:
     irm = load_irm(resolved["irm"])
-    _check_leaves(irm, net)
     pipes = _parse_list(resolved["pipes"], str) if resolved["pipes"] else list(net.pipes)
     if not pipes:
         raise ConfigError(f"pipe list {resolved['pipes']!r} names no pipe")
@@ -219,26 +215,19 @@ def cmd_reconstruct(resolved: dict) -> list:
         raise ConfigError(f"pipe {next(p for p in pipes if pipes.count(p) > 1)!r} is named more than once")
     cfgs = [ReconConfig(tau=resolved["tau"], dx=resolved["dx"], lam=lam) for lam in lams]
 
-    solved = []  # every pipe is solved before anything is written, so a refused pipe leaves no file
+    out_dir = resolved["out"]
+    files = []
     profiles = {}  # per pipe: the solver that ran, the reciprocity it saw and, if it factored, its trust numbers
     for pid, cfg in zip(pipes, cfgs):
         vp = volume_profile(net, irm, pid, cfg)
+        ap = area_profile(vp)
         profiles[pid] = {"solver": vp.solver, "reciprocity": vp.reciprocity,
                          "residual": vp.residual, "volume_bound": vp.volume_bound}
-        solved.append((pid, vp, area_profile(vp)))
-    out_dir = resolved["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = []
-    for pid, vp, ap in solved:
-        vol_path = os.path.join(out_dir, f"{pid}_volume.csv")
-        _write_csv(vol_path, "pipe,x_m,V_m3", ((pid, x, v) for x, v in zip(vp.positions, vp.volumes)))
-        area_path = os.path.join(out_dir, f"{pid}_area.csv")
-        _write_csv(area_path, "pipe,x_m,A_m2", ((pid, x, a) for x, a in zip(ap.positions, ap.areas)))
-        outputs.extend([vol_path, area_path])
-    manifest = os.path.join(out_dir, "manifest.json")
-    _write_manifest("reconstruct", resolved, {"irm": str(resolved["irm"])}, outputs, manifest,
-                    time.perf_counter() - started, profiles=profiles)
-    return outputs
+        for name, column, x, y in (("volume", "V_m3", vp.positions, vp.volumes),
+                                   ("area", "A_m2", ap.positions, ap.areas)):
+            write = functools.partial(_write_csv, f"pipe,x_m,{column}", zip([pid] * len(x), x, y))
+            files.append((os.path.join(out_dir, f"{pid}_{name}.csv"), write))
+    return [out_dir], files, os.path.join(out_dir, "manifest.json"), {"profiles": profiles}
 
 
 def _read_profile_csv(path):
@@ -383,7 +372,7 @@ def cmd_replay(manifest_path: str) -> list:
     missing = sorted(OPTIONS[command][3].keys() - config.keys())
     if missing:
         raise ConfigError(f"manifest {manifest_path} config lacks option(s) {', '.join(missing)}")
-    return OPTIONS[command][0](config)
+    return _execute(command, config)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -423,7 +412,7 @@ def run(argv=None) -> int:
         return exc.code
     try:
         if args.command in OPTIONS:
-            outputs = OPTIONS[args.command][0](_resolve(args, args.command))
+            outputs = _execute(args.command, _resolve(args, args.command))
         elif args.command == "plot":
             outputs = cmd_plot(vars(args))
         elif args.command == "show-network":

@@ -347,12 +347,13 @@ def save_irm(irm: SampledIRM, path) -> None:
     A kernel is one join over a token list whose t and newline slots are
     filled once, its i,j slots once a kernel, and its value slots from the
     repr of the kernel's ``tolist()`` row, which formats each float as
-    ``repr`` does: no Python code runs per row.
+    ``repr`` does: no Python code runs per row. One kernel at a time is a
+    list of Python floats, never the whole IRM.
     """
     n, n_samples = len(irm.leaves), irm.n_samples
     tokens = [None, None, None, "\n"] * n_samples  # per row: "i,j,", "t,", value, newline
     tokens[1::4] = [f"{s * irm.dt!r}," for s in range(n_samples)]
-    k = np.asarray(irm.k, dtype=float).tolist()
+    k = np.asarray(irm.k, dtype=float)
     with open(path, "w") as fh:
         fh.write(json.dumps({"dt": irm.dt, "n": n_samples, "leaves": list(irm.leaves), "horizon": irm.horizon}))
         fh.write("\ni,j,t,k\n")
@@ -361,7 +362,7 @@ def save_irm(irm: SampledIRM, path) -> None:
         for i in range(n):
             for j in range(n):
                 tokens[0::4] = [f"{i},{j},"] * n_samples
-                tokens[2::4] = repr(k[i][j])[1:-1].split(", ")
+                tokens[2::4] = repr(k[i, j].tolist())[1:-1].split(", ")
                 fh.write("".join(tokens))
 
 

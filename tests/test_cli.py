@@ -9,18 +9,19 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pipescope import SimConfig, simulate, step_inflow, validate_network
-from pipescope.cli import OPTIONS, build_parser, main, run
+from pipescope import SimConfig, oracle_irm, sample_irm, simulate, step_inflow, validate_network
+from pipescope.cli import OPTIONS, _reciprocity, build_parser, main, run
 from pipescope.errors import ActionTimeExceedsTau, ConfigError, NumericError, PipescopeError
 from pipescope.irm import load_irm
 from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
-from test_irm import damaged_irm_lines, edited_irm_lines
+from test_irm import SIX_LEAF_UNIFORM, damaged_irm_lines, edited_irm_lines
 
 
 @pytest.fixture
@@ -69,6 +70,21 @@ def test_irm_manifests_record_reciprocity(tmp_path, net1_path):
     # an all-zero IRM counts as reciprocal
     assert run(["oracle-irm", "--preset", "exp1", "--horizon", "0", "--out", str(irm1)]) == 0
     assert json.loads((tmp_path / "irm1.csv.manifest.json").read_text())["reciprocity"] == 0.0
+
+
+def test_reciprocity_peak_below_the_kernel_grid():
+    # one source row at a time: the deviation of a skewed six-leaf IRM without a temporary the size of its kernels
+    irm = sample_irm(oracle_irm(validate_network(SIX_LEAF_UNIFORM), 2.4), dt=0.01)
+    irm.k[2, 4] *= 1.5
+    _reciprocity(irm)
+    tracemalloc.start()
+    try:
+        recorded = _reciprocity(irm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recorded == np.abs(irm.k - irm.k.transpose(1, 0, 2)).max() / np.abs(irm.k).max() > 0
+    assert peak < irm.k.nbytes
 
 
 def test_oracle_irm_zero_horizon(tmp_path, net1_path):
@@ -386,6 +402,20 @@ def test_simulate_irm_with_traces(tmp_path, net1_path):
     probe = (traces / "src_A_probe_B.csv").read_text().splitlines()
     assert probe[0] == "t,H"
     assert len(probe) == 52  # 0..0.5 s at dt = 0.01, plus header
+
+
+@pytest.mark.parametrize("dump", ["--dump-traces", "--dump-fields"])
+def test_simulate_irm_unmakeable_dump_directory_writes_nothing(tmp_path, capsys, dump):
+    # the dump directory is made before any file is written, so a plain file in its path leaves no IRM behind
+    (tmp_path / "afile").touch()
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    code = run(["simulate-irm", "--preset", "exp1", "--dx", "20", "--duration", "1.61",
+                dump, str(tmp_path / "afile" / "sub"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("pipescope: file error:")
+    assert not out.exists() and not (tmp_path / "s.csv.manifest.json").exists()
 
 
 def test_simulate_irm_exp2_preset(tmp_path):
@@ -972,7 +1002,7 @@ def _exit_and_stderr(argv):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_fuzz_whole_cli_exits_cleanly(tmp_path_factory, valid_inputs, data):
-    # the same options as flags, from a --config file and from a replay manifest
+    # the same options as flags, from a --config file and from a replay manifest; a run that fails writes no file
     work = tmp_path_factory.mktemp("cli")
     command, options = data.draw(fuzzed_options(work, valid_inputs))
     network = str(valid_inputs / "net.json")
@@ -980,14 +1010,16 @@ def test_fuzz_whole_cli_exits_cleanly(tmp_path_factory, valid_inputs, data):
     (work / "cfg.json").write_text(json.dumps(options))
     manifest = {"command": command, "config": {**options, "network": EXP1_NETWORK}}
     (work / "manifest.json").write_text(json.dumps(manifest))
-    results = [
-        _exit_and_stderr([command, "--network", network, *flags]),
-        _exit_and_stderr([command, "--network", network, "--config", str(work / "cfg.json")]),
-        _exit_and_stderr(["replay", str(work / "manifest.json")]),
-    ]
-    for code, err in results:
+    results = []
+    for argv in ([command, "--network", network, *flags],
+                 [command, "--network", network, "--config", str(work / "cfg.json")],
+                 ["replay", str(work / "manifest.json")]):
+        files = {p for p in work.rglob("*") if p.is_file()}
+        code, err = _exit_and_stderr(argv)
         assert code in (0, 2, 3, 4), err
         assert "Traceback" not in err
+        assert code == 0 or {p for p in work.rglob("*") if p.is_file()} == files, err
+        results.append((code, err))
     assert results[0][0] == results[1][0]  # a config file means what the same flags mean
 
 

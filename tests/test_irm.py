@@ -918,6 +918,21 @@ def test_save_irm_writes_the_row_by_row_bytes_for_any_kernel(tmp_path_factory, i
     assert (work / "b.csv").read_bytes() == (work / "a.csv").read_bytes()
 
 
+def test_save_irm_peak_below_the_kernel_grid(tmp_path):
+    # an IRM of the benchmark's exact-tree shape, 36 kernels of 241 samples: as Python floats the whole grid would
+    # take 4x its bytes, while one kernel at a time stays below them
+    irm = sample_irm(oracle_irm(validate_network(SIX_LEAF_UNIFORM), 2.4), dt=0.01)
+    save_irm(irm, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        save_irm(irm, tmp_path / "irm.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "irm.csv").read_bytes() == _row_by_row_bytes(irm)
+    assert irm.k.shape == (6, 6, 241) and peak < irm.k.nbytes
+
+
 def _swap(lines, a, b):
     lines[a], lines[b] = lines[b], lines[a]
 
