@@ -36,7 +36,5 @@ from .inversion import (
     ReconConfig,
     VolumeProfile,
     area_profile,
-    solve_boundary_flows,
-    volume,
     volume_profile,
 )

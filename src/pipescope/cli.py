@@ -107,8 +107,12 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 def _reciprocity(irm) -> float:
     """max|k_ij - k_ji| / max|k| of an IRM, the deviation from reciprocity, one source row at a time; 0 if all zero."""
     k = irm.k
-    peak = max((np.abs(k[i]).max(initial=0.0) for i in range(len(k))), default=0.0)
-    skew = max((np.abs(k[i] - k[:, i]).max(initial=0.0) for i in range(len(k))), default=0.0)
+
+    def absmax(d):  # max|d| as max(max d, -min d): a row's difference is then the one row-sized temporary
+        return max(d.max(initial=0.0), -d.min(initial=0.0))
+
+    peak = max((absmax(k[i]) for i in range(len(k))), default=0.0)
+    skew = max((absmax(k[i] - k[:, i]) for i in range(len(k))), default=0.0)
     return float(skew / peak) if peak > 0 else 0.0
 
 
@@ -234,7 +238,7 @@ def _read_profile_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    if header[:2] != ["pipe", "x_m"] or len(header) != 3 or not rows:
+    if header not in (["pipe", "x_m", "A_m2"], ["pipe", "x_m", "V_m3"]) or not rows:
         raise ConfigError(f"{path}: expected pipe,x_m,(A_m2|V_m3) CSV with data rows")
     if any(len(r) != 3 for r in rows):
         raise ConfigError(f"{path}: every data row needs three fields")

@@ -146,9 +146,6 @@ class ActionTimes:
     f: dict[str, float]
     cut_point: PointOnPipe
 
-    def as_vector(self, order: tuple[str, ...]) -> np.ndarray:
-        return np.array([self.f.get(leaf, 0.0) for leaf in order], dtype=float)
-
     @property
     def max_f(self) -> float:
         return max(self.f.values()) if self.f else 0.0

@@ -1,5 +1,9 @@
 """Reconstruction core: boundary-control systems, their solve, volumes, areas.
 
+``volume_profile`` is the one entry point from an IRM to volumes: it
+reconstructs a pipe's profile point by point from the far end towards x0,
+and ``area_profile`` differences it.
+
 The discrete control equation for one reconstruction point p follows the
 piecewise-constant scheme: with M = floor(tau/dt) samples per leaf at
 times t_l = l*dt (l = 1..M), dt the IRM's own step, block (receiver j,
@@ -68,15 +72,13 @@ import numpy as np
 
 from .errors import (ActionTimeExceedsTau, ConfigError, HorizonTooShort, OutOfRange, SingularSystem, TooFewPoints,
                      _allocating)
-from .graph import ActionTimes, Network, PointOnPipe, action_times_along
+from .graph import Network, PointOnPipe, action_times_along
 from .irm import SampledIRM
 
 __all__ = [
     "ReconConfig",
     "VolumeProfile",
     "AreaProfile",
-    "solve_boundary_flows",
-    "volume",
     "volume_profile",
     "area_profile",
 ]
@@ -103,7 +105,8 @@ class ReconConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise OutOfRange(f"{name} must be positive and finite, not {value}")
-        _check_lambda(self.lam)
+        if not 0 <= self.lam < math.inf:
+            raise OutOfRange(f"Tikhonov weight lambda must be finite and >= 0, not {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +127,6 @@ class AreaProfile:
     pipe: str
     positions: np.ndarray  # interval starts, m from the reconstruction start
     areas: np.ndarray      # m^2
-
-
-def _check_lambda(lam: float) -> None:
-    if not 0 <= lam < math.inf:
-        raise OutOfRange(f"Tikhonov weight lambda must be finite and >= 0, not {lam}")
 
 
 def _check_leaves(irm: SampledIRM, net: Network) -> None:
@@ -184,9 +182,9 @@ def _s_matrix(irm: SampledIRM, m: int, net: Network, idx: np.ndarray):
 def _solve_point(s: np.ndarray, nu: np.ndarray, lam: float) -> np.ndarray:
     """q minimising ||S q - nu||^2 + lam ||q||^2, by normal equations, or at lam = 0 by rank-checked least squares.
 
-    With |nu| = 1 this is ||H q - 1||^2 for the point's control matrix H.
+    With |nu| = 1 this is ||H q - 1||^2 for the point's control matrix H;
+    ``lam`` is a ``ReconConfig``'s, so finite and >= 0.
     """
-    _check_lambda(lam)
     if lam > 0:
         normal = s.T @ s
         normal[np.diag_indices(nu.size)] += lam
@@ -198,39 +196,6 @@ def _solve_point(s: np.ndarray, nu: np.ndarray, lam: float) -> np.ndarray:
     if rank < nu.size:
         raise SingularSystem(f"restricted matrix rank {rank} < {nu.size} with lambda = 0")
     return sol
-
-
-def solve_boundary_flows(irm: SampledIRM, f: ActionTimes, cfg: ReconConfig, net: Network) -> dict[str, np.ndarray]:
-    """Solve for a unit head at the point with action times ``f``; inactive samples come back exactly zero.
-
-    Returns the boundary flow series Q_p(t, x_i) per leaf on the IRM's grid
-    t = dt..M*dt.
-    """
-    _check_leaves(irm, net)
-    f_vec = f.as_vector(irm.leaves)
-    if float(f_vec.max(initial=0.0)) - cfg.tau > irm.dt / 4:
-        raise ActionTimeExceedsTau(
-            f"max action time {f_vec.max():.6g}s exceeds tau = {cfg.tau}s at {f.cut_point}"
-        )
-    m = _samples_per_leaf(irm, cfg)
-    active = _active(f_vec, cfg, irm.dt)
-    idx = np.flatnonzero(active)
-    s, nu = _s_matrix(irm, m, net, idx)
-    q = np.zeros(active.size)
-    q[idx] = _solve_point(s, nu, cfg.lam)
-    return dict(zip(irm.leaves, q.reshape(active.shape)))
-
-
-def volume(flows: dict[str, np.ndarray], irm: SampledIRM, net: Network) -> float:
-    """Internal volume cut off by the point the flows were solved for, on the grid of ``irm``.
-
-    V = a^2/g * sum_i nu_i * integral Q_p(t, x_i) dt. The solver emits
-    plain Q per leaf, so nu folds in exactly once here.
-    """
-    total = 0.0
-    for leaf, series in flows.items():
-        total += net.leaf_nu(leaf) * float(np.sum(series)) * irm.dt
-    return net.wave_speed**2 / net.gravity * total
 
 
 def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig, dt: float):

@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from pipescope import (
-    PointOnPipe,
     ReconConfig,
     SimConfig,
-    action_times,
     area_profile,
     conservation_residual,
     junction_scatter,
@@ -25,12 +23,12 @@ from pipescope import (
     oracle_irm,
     sample_irm,
     simulate,
-    solve_boundary_flows,
     step_inflow,
     volume_profile,
 )
 from pipescope.errors import SingularSystem
 from pipescope.irm import SampledIRM
+from test_inversion import profile_cut_points, reference_volume
 
 DX2 = 7.0
 MARGIN = 4 * DX2  # smear allowance at blockage edges and profile ends
@@ -51,12 +49,12 @@ def exp2_truth(pid, s):
 
 
 def active_samples(f, irm, cfg):
-    """(leaf, sample) mask of the control samples t_l = l*dt (l = 1..M) with t_l > tau - f(leaf) + dt/4.
+    """(..., leaf, sample) masks of the control samples t_l = l*dt (l = 1..M) with t_l > tau - f + dt/4.
 
-    dt is the IRM's own step.
+    ``f`` holds action times (..., leaf), and dt is the IRM's own step.
     """
     t = np.arange(1, math.floor(cfg.tau / irm.dt) + 1) * irm.dt
-    return t - (cfg.tau - f.as_vector(irm.leaves)[:, None]) > irm.dt / 4
+    return t - (cfg.tau - f[..., None]) > irm.dt / 4
 
 
 def report(num, text):
@@ -215,27 +213,31 @@ def test_criterion_6_junction_algebra():
 
 
 def test_criterion_7_masking_and_identity_limits(single_pipe_net, exp1_net, exp1_irm):
+    # zero IRM, lambda = 0: flat flow A*g/a on exactly the active samples, so each point's volume is a*A*dt per
+    # active sample; one sample too many or too few moves it by 2%
     n_samples = int(1.61 / 0.01 + 1e-6) + 1
     irm0 = SampledIRM(0.01, ("L",), np.zeros((1, 1, n_samples)), 1.61)
     cfg = ReconConfig(tau=0.8, dx=10.0, lam=0.0)
-    f = action_times(single_pipe_net, PointOnPipe("P", 300.0))
-    flows = solve_boundary_flows(irm0, f, cfg, single_pipe_net)
-    flat = 1.0 * single_pipe_net.gravity / single_pipe_net.wave_speed
-    active = active_samples(f, irm0, cfg)
-    err = np.abs(flows["L"][active[0]] - flat).max()
+    vp = volume_profile(single_pipe_net, irm0, "P", cfg)
+    f = vp.positions[:, None] / single_pipe_net.wave_speed  # positions run from the leaf L, the far end
+    counts = active_samples(f, irm0, cfg).sum(axis=(1, 2))
+    expected = single_pipe_net.wave_speed * single_pipe_net.leaf_area("L") * irm0.dt * counts
+    assert len(vp.volumes) == 50 and counts.min() > 0
+    err = float(np.abs(vp.volumes / expected - 1).max())
     assert err < 1e-10
-    assert np.all(flows["L"][~active[0]] == 0.0)
 
-    # every solve returns exact zeros on inactive samples
-    for pid, offset in [("AD", 100.0), ("BD", 150.0), ("DC", 250.0)]:
+    # every profile volume is the masked build's, whose inactive rows and columns are zero
+    ref_err = 0.0
+    for pid in ("AD", "BD", "DC"):
         rcfg = ReconConfig(tau=0.8, dx=10.0, lam=1e-5)
-        fa = action_times(exp1_net, PointOnPipe(pid, offset))
-        fl = solve_boundary_flows(exp1_irm, fa, rcfg, exp1_net)
-        active = active_samples(fa, exp1_irm, rcfg)
-        assert active.any()
-        for i, leaf in enumerate(exp1_irm.leaves):
-            assert np.all(fl[leaf][~active[i]] == 0.0)
-    report(7, f"closed-form flat flow reproduced to {err:.1e}; inactive samples exactly zero")
+        volumes = volume_profile(exp1_net, exp1_irm, pid, rcfg).volumes
+        ref = np.array([reference_volume(exp1_irm, p, rcfg, exp1_net)
+                        for p in profile_cut_points(exp1_net, pid, rcfg, exp1_irm.dt)])
+        assert len(volumes) == len(ref) > 10
+        ref_err = max(ref_err, float(np.abs(volumes / ref - 1).max()))
+    assert ref_err < 1e-10
+    report(7, f"closed-form flat flow reproduced to {err:.1e}; "
+              f"masked build with inactive samples zeroed to {ref_err:.1e}")
 
 
 def test_criterion_8_no_regularization_artifact(exp2_net, exp2_irm, exp2_profiles):

@@ -72,10 +72,14 @@ def test_irm_manifests_record_reciprocity(tmp_path, net1_path):
     assert json.loads((tmp_path / "irm1.csv.manifest.json").read_text())["reciprocity"] == 0.0
 
 
-def test_reciprocity_peak_below_the_kernel_grid():
-    # one source row at a time: the deviation of a skewed six-leaf IRM without a temporary the size of its kernels
-    irm = sample_irm(oracle_irm(validate_network(SIX_LEAF_UNIFORM), 2.4), dt=0.01)
-    irm.k[2, 4] *= 1.5
+@pytest.mark.parametrize("spec, horizon, dt, skewed, share", [
+    (SIX_LEAF_UNIFORM, 2.4, 0.01, (2, 4), 1.0),
+    (EXP1_NETWORK, 1.61, 1e-4, (0, 1), 0.6),
+], ids=["six-leaf", "exp1-two-leaf"])
+def test_reciprocity_peak_below_the_kernel_grid(spec, horizon, dt, skewed, share):
+    # one source row at a time, one row-sized temporary alive: on two leaves a row is half the kernels
+    irm = sample_irm(oracle_irm(validate_network(spec), horizon), dt=dt)
+    irm.k[skewed] *= 1.5
     _reciprocity(irm)
     tracemalloc.start()
     try:
@@ -84,7 +88,7 @@ def test_reciprocity_peak_below_the_kernel_grid():
     finally:
         tracemalloc.stop()
     assert recorded == np.abs(irm.k - irm.k.transpose(1, 0, 2)).max() / np.abs(irm.k).max() > 0
-    assert peak < irm.k.nbytes
+    assert peak < share * irm.k.nbytes
 
 
 def test_oracle_irm_zero_horizon(tmp_path, net1_path):
@@ -353,6 +357,17 @@ def test_plot_bad_csv_row_exit_2(tmp_path, capsys, row):
     assert run(["plot", "--in", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("column", ["foo", "A_m3"])
+def test_plot_unknown_profile_column_exit_2(tmp_path, capsys, column):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"pipe,x_m,{column}\nP,0.0,1.0\nP,10.0,1.0\n")
+    svg = tmp_path / "x.svg"
+    assert run(["plot", "--in", str(bad), "--out", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert not svg.exists()
 
 
 def test_simulate_irm_dump_fields(tmp_path, net1_path):

@@ -431,7 +431,7 @@ def test_action_times_ad_paper_table(exp1_net):
 def test_action_times_exp2_derived(exp2_net):
     # p on ED, 50 m from E: path lengths (300, 400, 400) + 50 over 1000 m/s
     f = action_times(exp2_net, PointOnPipe("ED", 50.0))
-    assert f.as_vector(exp2_net.accessible) == pytest.approx([0.35, 0.45, 0.45])
+    assert [f.f[leaf] for leaf in exp2_net.accessible] == pytest.approx([0.35, 0.45, 0.45])
 
 
 def test_action_times_junction_rejected(exp1_net):
@@ -673,7 +673,7 @@ def test_profile_action_times_match_graph_search_bit_for_bit():
                 assert got.tobytes() == want.tobytes(), (name, pid)
             for offset, row in zip(offsets.tolist(), times):
                 f = action_times(net, PointOnPipe(pid, offset), endpoint_ok=True)
-                assert f.as_vector(net.accessible).tobytes() == row.tobytes(), (name, pid, offset)
+                assert np.array([f.f[leaf] for leaf in net.accessible]).tobytes() == row.tobytes(), (name, pid, offset)
 
 
 @given(tree_specs(), st.data())

@@ -17,8 +17,7 @@ from pipescope import (
     measure_irm,
     oracle_irm,
     sample_irm,
-    solve_boundary_flows,
-    volume,
+    validate_network,
     volume_profile,
 )
 from pipescope.errors import (
@@ -54,7 +53,7 @@ def masked_system(irm, f, cfg, net):
     idx_diff = np.abs(lv[:, None] - lv[None, :])
     idx_rev = 2 * m + 1 - lv[:, None] - lv[None, :]
     nu = np.array([net.leaf_nu(leaf) for leaf in irm.leaves], dtype=float)
-    active = lv[None, :] * irm.dt - (cfg.tau - f.as_vector(irm.leaves)[:, None]) > irm.dt / 4
+    active = lv[None, :] * irm.dt - (cfg.tau - f_vector(f, irm)[:, None]) > irm.dt / 4
     matrix = np.zeros((n * m, n * m))
     rhs = np.zeros(n * m)
     for j in range(n):
@@ -72,7 +71,7 @@ def masked_system(irm, f, cfg, net):
 
 
 def reference_volume(irm, point, cfg, net):
-    """Reference: masked build, then least squares on the stacked [H; sqrt(lambda) I]."""
+    """Reference: masked build, least squares on the stacked [H; sqrt(lambda) I], V = a^2/g sum_i nu_i integral Q_i dt."""
     f = action_times(net, point, endpoint_ok=True)
     matrix, rhs, active = masked_system(irm, f, cfg, net)
     mask = active.ravel()
@@ -81,10 +80,8 @@ def reference_volume(irm, point, cfg, net):
     stacked = np.vstack([restricted, np.sqrt(cfg.lam) * np.eye(n_active)])
     target = np.concatenate([rhs[mask], np.zeros(n_active)])
     sol, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-    q = np.zeros(matrix.shape[0])
-    q[mask] = sol
-    m = math.floor(cfg.tau / irm.dt)
-    return volume({leaf: q[i * m : (i + 1) * m] for i, leaf in enumerate(irm.leaves)}, irm, net)
+    nu = np.repeat([net.leaf_nu(leaf) for leaf in irm.leaves], active.shape[1])
+    return net.wave_speed**2 / net.gravity * irm.dt * float(nu[mask] @ sol)
 
 
 def zero_irm(net, dt, horizon):
@@ -99,38 +96,26 @@ def profile_cut_points(net, pipe, cfg, dt):
     return [PointOnPipe(pipe, offset) for offset in offsets.tolist()]
 
 
-def per_point_volumes(net, irm, pipe, cfg):
-    """Reference: one system built and solved per point, through the single-point API."""
-    return np.array([point_volume(net, irm, p, cfg) for p in profile_cut_points(net, pipe, cfg, irm.dt)])
-
-
-def point_volume(net, irm, point, cfg):
-    """V(p) for one point, on a system built just for it."""
-    return volume(solve_boundary_flows(irm, action_times(net, point, endpoint_ok=True), cfg, net), irm, net)
+def f_vector(f, irm):
+    """The action times ``f`` as a vector in the IRM's leaf order."""
+    return np.array([f.f[leaf] for leaf in irm.leaves])
 
 
 def active_mask(irm, f, cfg):
     """(N, M) mask of the samples the point with action times ``f`` uses."""
-    return _active(f.as_vector(irm.leaves), cfg, irm.dt)
+    return _active(f_vector(f, irm), cfg, irm.dt)
+
+
+def volume_at(net, irm, pipe, offset, cfg):
+    """V at the profile point ``offset`` from the pipe's far end (its position), from the whole profile."""
+    vp = volume_profile(net, irm, pipe, cfg)
+    return float(vp.volumes[np.flatnonzero(vp.positions == offset)[0]])
 
 
 EXP1_CFG = dict(tau=0.8, dx=10.0)
 
 
 # -- assembly -----------------------------------------------------------------
-
-
-def test_single_active_leaf_zeroes_other_blocks(exp1_net, exp1_irm):
-    # p on AD: only f(A) > 0, all B-columns and B-rows drop out
-    f = action_times(exp1_net, PointOnPipe("AD", 200.0))
-    cfg = ReconConfig(**EXP1_CFG)
-    active = active_mask(exp1_irm, f, cfg)
-    assert not active[1].any()
-    # the system holds no B row or column, so no B-involved kernel entry
-    # and no right-hand side entry reaches the solve, and the B flows come
-    # back exactly zero
-    for lam in (0.0, 1e-5):
-        assert np.all(solve_boundary_flows(exp1_irm, f, replace(cfg, lam=lam), exp1_net)["B"] == 0.0)
 
 
 def test_exp1_system_dimensions(exp1_net, exp1_irm):
@@ -182,13 +167,12 @@ def test_restricted_matrix_matches_masked_build(request, case, pipe, offset, tau
 
 
 def test_short_horizon(exp1_net):
-    f = action_times(exp1_net, PointOnPipe("DC", 100.0))  # max f = 0.5
     short = zero_irm(exp1_net, 0.01, 1.0)  # 101 samples < 2M = 160
     with pytest.raises(HorizonTooShort):
-        solve_boundary_flows(short, f, ReconConfig(**EXP1_CFG), exp1_net)
-    # the point's action times are checked first: out of reach, it says so on any horizon
+        volume_profile(exp1_net, short, "DC", ReconConfig(**EXP1_CFG))
+    # the points' action times are checked first: out of reach (0.41 s at the first DC point), it says so on any horizon
     with pytest.raises(ActionTimeExceedsTau):
-        solve_boundary_flows(short, f, ReconConfig(tau=0.3, dx=10.0), exp1_net)
+        volume_profile(exp1_net, short, "DC", ReconConfig(tau=0.3, dx=10.0))
 
 
 @pytest.mark.parametrize("leaves", [("A", "D"), ("B", "A"), ("A",)], ids=["non-leaf", "reversed", "missing"])
@@ -198,8 +182,6 @@ def test_irm_leaves_must_be_the_accessible_leaves(exp1_net, exp1_irm, leaves):
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
     with pytest.raises(ConfigError, match="accessible leaves"):
         volume_profile(exp1_net, irm, "DC", cfg)
-    with pytest.raises(ConfigError, match="accessible leaves"):
-        solve_boundary_flows(irm, action_times(exp1_net, PointOnPipe("DC", 100.0)), cfg, exp1_net)
 
 
 def test_profile_dx_too_small_for_memory(exp1_net, exp1_irm):
@@ -220,29 +202,20 @@ def test_profile_points_past_physical_memory_refused_before_allocating(exp1_net,
 
 def test_system_past_physical_memory_refused_before_allocating(exp2_net, monkeypatch):
     # a zero 3 x 3 x 190,001 IRM at dt 1e-5: ED's profile uses 259,100 samples, an S of 537 GB and a factored buffer
-    # twice that, against 8 GiB of physical memory; neither the profile nor one point allocates its S
+    # twice that, against 8 GiB of physical memory; the profile does not allocate its S
     irm = SampledIRM(1e-5, exp2_net.accessible, np.zeros((3, 3, 190_001)), 1.9)
     cfg = ReconConfig(tau=0.9, dx=7.0, lam=1.0)
     monkeypatch.setattr(importlib.import_module("pipescope.errors"), "_physical_memory", lambda: 8 << 30)
     monkeypatch.setattr(np, "empty", lambda *args: pytest.fail("allocated"))
     with pytest.raises(OutOfRange, match=f"a system of 259100 unknowns needs {24 * 259100**2} bytes, more than"):
         volume_profile(exp2_net, irm, "ED", cfg)
-    with pytest.raises(OutOfRange, match=r"unknowns needs \d+ bytes, more than the 8589934592 bytes"):
-        solve_boundary_flows(irm, action_times(exp2_net, PointOnPipe("ED", 100.0)), cfg, exp2_net)
-
-
-def test_action_time_exceeds_tau(exp1_net, exp1_irm):
-    f = action_times(exp1_net, PointOnPipe("DC", 100.0))  # max f = 0.5
-    with pytest.raises(ActionTimeExceedsTau):
-        solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.3, dx=10.0), exp1_net)
 
 
 def test_action_time_exceeds_tau_refused_before_assembly(exp1_net, exp1_irm, monkeypatch):
     calls = []
     monkeypatch.setattr(inversion, "_s_matrix", lambda *args: calls.append(args))
-    f = action_times(exp1_net, PointOnPipe("DC", 100.0))
     with pytest.raises(ActionTimeExceedsTau):
-        solve_boundary_flows(exp1_irm, f, ReconConfig(tau=0.3, dx=10.0), exp1_net)
+        volume_profile(exp1_net, exp1_irm, "DC", ReconConfig(tau=0.3, dx=10.0))
     assert calls == []
 
 
@@ -262,17 +235,6 @@ def test_restricted_system_near_symmetry(exp1_net, exp1_irm):
 # -- identity-limit and masking ----------------------------------------------
 
 
-def test_identity_limit_flat_flow(single_pipe_net):
-    irm = zero_irm(single_pipe_net, 0.01, 1.61)
-    cfg = ReconConfig(tau=0.8, dx=10.0, lam=0.0)
-    f = action_times(single_pipe_net, PointOnPipe("P", 300.0))
-    flows = solve_boundary_flows(irm, f, cfg, single_pipe_net)
-    expected = 1.0 * single_pipe_net.gravity / single_pipe_net.wave_speed
-    active = active_mask(irm, f, cfg)[0]
-    assert np.abs(flows["L"][active] - expected).max() < 1e-10
-    assert np.all(flows["L"][~active] == 0.0)
-
-
 def test_identity_limit_uniform_area(single_pipe_net):
     # k = 0 end to end: the closed-form solve reproduces A = 1 exactly
     irm = zero_irm(single_pipe_net, 0.01, 1.61)
@@ -283,22 +245,9 @@ def test_identity_limit_uniform_area(single_pipe_net):
     assert np.abs(vp.volumes - vp.positions).max() < 1e-8
 
 
-def test_inactive_samples_exactly_zero(exp1_net, exp1_irm):
-    cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
-    f = action_times(exp1_net, PointOnPipe("DC", 150.0))
-    flows = solve_boundary_flows(exp1_irm, f, cfg, exp1_net)
-    active = active_mask(exp1_irm, f, cfg)
-    for i, leaf in enumerate(exp1_irm.leaves):
-        assert np.all(flows[leaf][~active[i]] == 0.0)
-        assert np.all(flows[leaf][active[i]] != 0.0)
-
-
 def test_tikhonov_large_lambda_kills_flow(exp1_net, exp1_irm):
-    f = action_times(exp1_net, PointOnPipe("DC", 100.0))
-    small = solve_boundary_flows(exp1_irm, f, ReconConfig(**EXP1_CFG, lam=1e-5), exp1_net)
-    huge = solve_boundary_flows(exp1_irm, f, ReconConfig(**EXP1_CFG, lam=1e12), exp1_net)
-    scale = max(np.abs(v).max() for v in small.values())
-    assert max(np.abs(v).max() for v in huge.values()) < 1e-6 * scale
+    small, huge = (volume_profile(exp1_net, exp1_irm, "DC", ReconConfig(**EXP1_CFG, lam=lam)) for lam in (1e-5, 1e12))
+    assert np.all(np.abs(huge.volumes) < 1e-6 * np.abs(small.volumes))
 
 
 def test_singular_system_raises():
@@ -321,19 +270,12 @@ def test_singular_normal_equations_raise():
 
 def test_exp1_volume_at_dc_point(exp1_net, exp1_irm):
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
-    v = point_volume(exp1_net, exp1_irm, PointOnPipe("DC", 100.0), cfg)
-    assert v == pytest.approx(800.0, rel=1e-6)
+    assert volume_at(exp1_net, exp1_irm, "DC", 100.0, cfg) == pytest.approx(800.0, rel=1e-6)
 
 
 def test_exp1_volume_near_leaf(exp1_net, exp1_irm):
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
-    v = point_volume(exp1_net, exp1_irm, PointOnPipe("AD", 10.0), cfg)
-    assert v == pytest.approx(10.0, rel=1e-6)
-
-
-def test_zero_flows_zero_volume(exp1_net):
-    flows = {"A": np.zeros(80), "B": np.zeros(80)}
-    assert volume(flows, zero_irm(exp1_net, 0.01, 1.61), exp1_net) == 0.0
+    assert volume_at(exp1_net, exp1_irm, "AD", 10.0, cfg) == pytest.approx(10.0, rel=1e-6)
 
 
 def test_exp1_profile_extents(exp1_net, exp1_irm):
@@ -358,29 +300,6 @@ def test_exp1_volume_monotone(exp1_net, exp1_irm):
         assert np.all(np.diff(vp.volumes) > 0.0)
 
 
-@pytest.mark.parametrize(
-    "preset, pipe, lam",
-    [
-        ("exp1", "AD", 1e-5),
-        ("exp1", "BD", 1e-5),
-        ("exp1", "DC", 1e-5),
-        ("exp2", "ED", 1.0),
-        ("exp2", "BE", 1e-5),
-    ],
-)
-def test_profile_matches_stacked_lstsq(request, preset, pipe, lam):
-    # the normal-equation solve on the shared matrix against the per-point
-    # masked build solved by least squares on [H; sqrt(lambda) I]
-    net = request.getfixturevalue(f"{preset}_net")
-    irm = request.getfixturevalue(f"{preset}_irm")
-    tau, dx = (0.8, 10.0) if preset == "exp1" else (0.9, 7.0)
-    cfg = ReconConfig(tau=tau, dx=dx, lam=lam)
-    vp = volume_profile(net, irm, pipe, cfg)
-    expected = np.array([reference_volume(irm, p, cfg, net) for p in profile_cut_points(net, pipe, cfg, irm.dt)])
-    assert len(vp.volumes) == len(expected) > 10
-    assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))
-
-
 def test_profile_unreachable_first_point(exp1_net, exp1_irm):
     # the first DC point needs f(A) = 0.41 s, out of reach for tau = 0.35
     cfg = ReconConfig(tau=0.35, dx=10.0)
@@ -389,16 +308,16 @@ def test_profile_unreachable_first_point(exp1_net, exp1_irm):
 
 
 def test_marginal_point_singular_without_regularization(exp1_net, exp1_irm):
-    # at tau = max f exactly, waves from the two leaves can cancel at the
-    # junction: the restricted operator has a null direction, so the
-    # unregularized solve refuses while any positive weight proceeds
+    # at tau = max f exactly, the profile's one point 10 m from D, waves
+    # from the two leaves can cancel at the junction: the restricted
+    # operator has a null direction, so the unregularized solve refuses
+    # while any positive weight proceeds
     cfg = ReconConfig(tau=0.41, dx=10.0)
-    f = action_times(exp1_net, PointOnPipe("DC", 10.0))
     with pytest.raises(SingularSystem):
-        solve_boundary_flows(exp1_irm, f, cfg, exp1_net)
-    flows = solve_boundary_flows(exp1_irm, f, replace(cfg, lam=1e-5), exp1_net)
-    v = volume(flows, exp1_irm, exp1_net)
-    assert v == pytest.approx(710.0, rel=1e-3)
+        volume_profile(exp1_net, exp1_irm, "DC", cfg)
+    vp = volume_profile(exp1_net, exp1_irm, "DC", replace(cfg, lam=1e-5))
+    assert vp.positions.tolist() == [10.0]
+    assert vp.volumes[0] == pytest.approx(710.0, rel=1e-3)
 
 
 def test_area_profile_basics():
@@ -421,11 +340,10 @@ def test_exp1_full_reconstruction(exp1_net, exp1_irm):
 def test_identity_limit_random_trees():
     # with zero kernels every solve is closed form no matter the topology or
     # pipe orientation: flat flow A*g/a per active sample, zeros elsewhere,
-    # and the volume collapses to a * sum_i A_i * (active_i * dt)
+    # so every point's volume collapses to a * sum_i A_i * (active_i * dt)
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from pipescope import validate_network
     from test_graph import tree_specs
 
     @given(tree_specs(), st.data())
@@ -433,23 +351,18 @@ def test_identity_limit_random_trees():
     def run(spec, data):
         net = validate_network(spec)
         pid = data.draw(st.sampled_from(sorted(net.pipes)))
-        pipe = net.pipes[pid]
-        p = PointOnPipe(pid, data.draw(st.floats(min_value=0.05, max_value=0.95)) * pipe.length)
-        f = action_times(net, p)
+        p = PointOnPipe(pid, data.draw(st.floats(min_value=0.05, max_value=0.95)) * net.pipes[pid].length)
         dt = 0.01
-        tau = f.max_f + 0.1
+        tau = action_times(net, p).max_f + 0.1
         irm = zero_irm(net, dt, 2 * tau + 2 * dt)
         cfg = ReconConfig(tau=tau, dx=10.0, lam=0.0)
-        flows = solve_boundary_flows(irm, f, cfg, net)
-        v = volume(flows, irm, net)
-        expected_v = 0.0
-        for i, leaf in enumerate(net.accessible):
-            flat = net.leaf_nu(leaf) * net.leaf_area(leaf) * net.gravity / net.wave_speed
-            active = active_mask(irm, f, cfg)[i]
-            assert np.abs(flows[leaf][active] - flat).max(initial=0.0) < 1e-10
-            assert np.all(flows[leaf][~active] == 0.0)
-            expected_v += net.wave_speed * net.leaf_area(leaf) * active.sum() * dt
-        assert v == pytest.approx(expected_v, abs=1e-8)
+        vp = volume_profile(net, irm, pid, cfg)
+        points = profile_cut_points(net, pid, cfg, dt)
+        assert len(vp.volumes) == len(points) > 0
+        areas = np.array([net.leaf_area(leaf) for leaf in irm.leaves])
+        for point, v in zip(points, vp.volumes):
+            active = active_mask(irm, action_times(net, point, endpoint_ok=True), cfg)
+            assert v == pytest.approx(net.wave_speed * dt * float(areas @ active.sum(axis=1)), abs=1e-8)
 
     run()
 
@@ -471,8 +384,6 @@ REVERSED_EXP1 = {
 
 @pytest.fixture(scope="module")
 def reversed_exp1():
-    from pipescope import validate_network
-
     net = validate_network(REVERSED_EXP1)
     return net, sample_irm(oracle_irm(net, horizon=1.61), dt=0.01)
 
@@ -519,8 +430,6 @@ TREE6_CFG = dict(tau=0.5, dx=10.0)
 
 @pytest.fixture(scope="module")
 def tree6():
-    from pipescope import validate_network
-
     net = validate_network(TREE6)
     # unpruned: dropping small wavefronts breaks k_ij = k_ji on a tree of mixed areas
     return net, sample_irm(oracle_irm(net, horizon=1.01, prune_eps=0.0), dt=0.01)
@@ -551,13 +460,43 @@ LAYER_CASES = [
 
 @pytest.mark.parametrize("case, pipe, lam", LAYER_CASES)
 def test_layer_stripping_matches_per_point(request, case, pipe, lam):
+    # the factored profile against each point's own masked build, solved by least squares on [H; sqrt(lambda) I]
     net, irm, cfg = _profile_case(request, case, lam)
     vp = volume_profile(net, irm, pipe, cfg)
-    expected = per_point_volumes(net, irm, pipe, cfg)
+    expected = np.array([reference_volume(irm, p, cfg, net) for p in profile_cut_points(net, pipe, cfg, irm.dt)])
     assert vp.solver == "layer-stripping"
     assert vp.reciprocity <= 1e-14
     assert len(vp.volumes) == len(expected) > 5
     assert np.all(np.abs(vp.volumes - expected) <= 1e-10 * np.abs(expected))
+
+
+@pytest.mark.parametrize("case, lam, n_pipes", [
+    ("exp1", 1e-5, 2), ("exp1", 0.0, 2), ("exp2", 1e-5, 3), ("tree-exact-1", 1e-5, 10), ("tree-exact-7", 1e-5, 10),
+])
+def test_profile_reads_only_the_leaves_its_pipe_cuts_off(request, case, lam, n_pipes):
+    # the method is local: with every kernel of a leaf the pipe does not cut
+    # off from x0 made NaN, each profile is the same to the bit, on the same
+    # path (at lambda = 0 the per-point fallback)
+    if case.startswith("tree"):
+        from test_simulate import _treegen
+
+        net = validate_network(_treegen().generate(int(case[-1]), "exact"))
+        irm, cfg = sample_irm(oracle_irm(net, horizon=2.4), dt=0.01), ReconConfig(tau=1.195, dx=10.0, lam=lam)
+    else:
+        net, irm, cfg = _profile_case(request, case, lam)
+    local = 0
+    for pid in sorted(net.pipes):
+        f = action_times(net, PointOnPipe(pid, net.pipes[pid].length / 2)).f
+        outside = np.array([f[leaf] == 0.0 for leaf in irm.leaves])
+        if not outside.any():
+            continue
+        k = irm.k.copy()
+        k[outside] = k[:, outside] = np.nan
+        vp = volume_profile(net, irm, pid, cfg)
+        blind = volume_profile(net, SampledIRM(irm.dt, irm.leaves, k, irm.horizon), pid, cfg)
+        assert blind.volumes.tobytes() == vp.volumes.tobytes() and blind.solver == vp.solver, pid
+        local += 1
+    assert local == n_pipes
 
 
 def test_tree6_profiles_reach_many_unknowns(tree6):
@@ -592,7 +531,6 @@ def test_profile_action_times_nest():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from pipescope import validate_network
     from test_graph import tree_specs
 
     @given(tree_specs(), st.data())
@@ -820,6 +758,8 @@ def test_ldlt_kernel_matches_reference(request, case, pipe, lam):
 def test_recon_config_out_of_range(field, value):
     with pytest.raises(OutOfRange):
         ReconConfig(**{**EXP1_CFG, "lam": 1e-5, field: value})
+    with pytest.raises(OutOfRange):  # frozen, a config changes only through replace, which checks again
+        replace(ReconConfig(**EXP1_CFG, lam=1e-5), **{field: value})
 
 
 def test_recon_config_is_keyword_only_and_has_no_step():
@@ -828,12 +768,6 @@ def test_recon_config_is_keyword_only_and_has_no_step():
         ReconConfig(tau=0.8, dt=0.01, dx=10.0)
     with pytest.raises(TypeError):
         ReconConfig(0.8, 0.01, 10.0)
-
-
-@pytest.mark.parametrize("lam", [math.nan, -1.0, math.inf])
-def test_solve_refuses_bad_lambda(lam):
-    with pytest.raises(OutOfRange):
-        _solve_point(np.eye(2), np.ones(2), lam)
 
 
 def test_pipe_shorter_than_dx_gives_empty_profile(exp1_net, exp1_irm):
