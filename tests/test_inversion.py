@@ -112,11 +112,40 @@ def volume_at(net, irm, pipe, offset, cfg):
     return float(vp.volumes[np.flatnonzero(vp.positions == offset)[0]])
 
 
+def gathered(monkeypatch):
+    """The (idx, S, nu) of every ``_s_matrix`` call ``volume_profile`` makes from now on, in call order."""
+    calls = []
+    s_matrix = inversion._s_matrix
+
+    def recording(irm, m, net, idx):
+        s, nu = s_matrix(irm, m, net, idx)
+        calls.append((idx, s, nu))
+        return s, nu
+
+    monkeypatch.setattr(inversion, "_s_matrix", recording)
+    return calls
+
+
 EXP1_CFG = dict(tau=0.8, dx=10.0)
 
 
 # -- assembly -----------------------------------------------------------------
 
+
+def test_single_active_leaf_zeroes_other_blocks(exp1_net, exp1_irm, monkeypatch):
+    # p on AD: only f(A) > 0, all B-columns and B-rows drop out
+    f = action_times(exp1_net, PointOnPipe("AD", 200.0))
+    cfg = ReconConfig(**EXP1_CFG)
+    active = active_mask(exp1_irm, f, cfg)
+    assert not active[1].any()
+    # no point of AD's profile gathers a B sample, on either solve path, so
+    # no B-involved kernel entry and no right-hand side entry reaches a
+    # solve, and the B flows are exactly zero
+    calls = gathered(monkeypatch)
+    for lam in (0.0, 1e-5):
+        volume_profile(exp1_net, exp1_irm, "AD", replace(cfg, lam=lam))
+        idx = calls.pop()[0]
+        assert idx.size and np.all(idx < active.shape[1])
 
 def test_exp1_system_dimensions(exp1_net, exp1_irm):
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
@@ -211,6 +240,12 @@ def test_system_past_physical_memory_refused_before_allocating(exp2_net, monkeyp
         volume_profile(exp2_net, irm, "ED", cfg)
 
 
+def test_action_time_exceeds_tau(exp1_net, exp1_irm):
+    # the refusal names the action time the first DC point needs
+    with pytest.raises(ActionTimeExceedsTau, match=r"needs action time 0\.41s > tau = 0\.3s"):
+        volume_profile(exp1_net, exp1_irm, "DC", ReconConfig(tau=0.3, dx=10.0))
+
+
 def test_action_time_exceeds_tau_refused_before_assembly(exp1_net, exp1_irm, monkeypatch):
     calls = []
     monkeypatch.setattr(inversion, "_s_matrix", lambda *args: calls.append(args))
@@ -235,6 +270,24 @@ def test_restricted_system_near_symmetry(exp1_net, exp1_irm):
 # -- identity-limit and masking ----------------------------------------------
 
 
+def test_identity_limit_flat_flow(single_pipe_net, monkeypatch):
+    # k = 0: each point's leading block of the profile's S is its own active
+    # samples, and their flow is flat, A*g/a
+    irm = zero_irm(single_pipe_net, 0.01, 1.61)
+    cfg = ReconConfig(tau=0.8, dx=10.0, lam=0.0)
+    calls = gathered(monkeypatch)
+    vp = volume_profile(single_pipe_net, irm, "P", cfg)
+    (idx, s, nu), = calls
+    expected = single_pipe_net.leaf_area("L") * single_pipe_net.gravity / single_pipe_net.wave_speed
+    points = profile_cut_points(single_pipe_net, "P", cfg, irm.dt)
+    assert len(points) == len(vp.volumes) == 50
+    for point in points:
+        active = active_mask(irm, action_times(single_pipe_net, point, endpoint_ok=True), cfg)
+        c = int(active.sum())
+        assert sorted(idx[:c]) == np.flatnonzero(active).tolist()
+        assert np.abs(_solve_point(s[:c, :c], nu[:c], cfg.lam) - expected).max() < 1e-10
+
+
 def test_identity_limit_uniform_area(single_pipe_net):
     # k = 0 end to end: the closed-form solve reproduces A = 1 exactly
     irm = zero_irm(single_pipe_net, 0.01, 1.61)
@@ -243,6 +296,29 @@ def test_identity_limit_uniform_area(single_pipe_net):
     ap = area_profile(vp)
     assert np.abs(ap.areas - 1.0).max() < 1e-10
     assert np.abs(vp.volumes - vp.positions).max() < 1e-8
+
+
+def test_inactive_samples_exactly_zero(exp1_net, exp1_irm, monkeypatch):
+    # the point 150 m from D takes the first samples of the profile's S,
+    # exactly its active ones: its flows there are nonzero, and the samples
+    # it leaves out carry exactly zero flow
+    cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
+    calls = gathered(monkeypatch)
+    vp = volume_profile(exp1_net, exp1_irm, "DC", cfg)
+    (idx, s, nu), = calls
+    k = [p.offset for p in profile_cut_points(exp1_net, "DC", cfg, exp1_irm.dt)].index(150.0)
+    active = active_mask(exp1_irm, action_times(exp1_net, PointOnPipe("DC", 150.0)), cfg)
+    c = int(active.sum())
+    assert 0 < c < active.size and sorted(idx[:c]) == np.flatnonzero(active).tolist()
+    q = _solve_point(s[:c, :c], nu[:c], cfg.lam)
+    flows = np.zeros(active.size)
+    flows[idx[:c]] = q
+    flows = flows.reshape(active.shape)
+    for i in range(len(exp1_irm.leaves)):
+        assert np.all(flows[i][~active[i]] == 0.0)
+        assert np.all(flows[i][active[i]] != 0.0)
+    volume = exp1_net.wave_speed**2 * exp1_irm.dt / exp1_net.gravity * float(nu[:c] @ q)
+    assert vp.volumes[k] == pytest.approx(volume, rel=1e-10)
 
 
 def test_tikhonov_large_lambda_kills_flow(exp1_net, exp1_irm):
@@ -298,6 +374,30 @@ def test_exp1_volume_monotone(exp1_net, exp1_irm):
     for pid in exp1_net.pipes:
         vp = volume_profile(exp1_net, exp1_irm, pid, cfg)
         assert np.all(np.diff(vp.volumes) > 0.0)
+
+
+@pytest.mark.parametrize(
+    "preset, pipe, lam",
+    [
+        ("exp1", "AD", 1e-5),
+        ("exp1", "BD", 1e-5),
+        ("exp1", "DC", 1e-5),
+        ("exp2", "ED", 1.0),
+        ("exp2", "BE", 1e-5),
+    ],
+)
+def test_profile_matches_stacked_lstsq(request, monkeypatch, preset, pipe, lam):
+    # the per-point path, the normal equations on each point's leading block
+    # of the shared S, against the per-point masked build solved by least
+    # squares on [H; sqrt(lambda) I]
+    net = request.getfixturevalue(f"{preset}_net")
+    irm = request.getfixturevalue(f"{preset}_irm")
+    tau, dx = (0.8, 10.0) if preset == "exp1" else (0.9, 7.0)
+    cfg = ReconConfig(tau=tau, dx=dx, lam=lam)
+    monkeypatch.setattr(inversion, "STABILITY_TOL", -1.0)  # no factorisation passes, so every point is solved alone
+    vp = volume_profile(net, irm, pipe, cfg)
+    assert vp.solver == "per-point: stability check failed"
+    _assert_matches_reference(net, irm, pipe, cfg, vp)
 
 
 def test_profile_unreachable_first_point(exp1_net, exp1_irm):
