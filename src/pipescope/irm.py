@@ -21,6 +21,7 @@ differentiation removes it with no subtraction.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
 import math
@@ -158,6 +159,7 @@ def oracle_irm(
     for i, source in enumerate(net.accessible):
         pipe = net.leaf_pipe(source)
         amp0 = a / (g * Fraction(float(net.leaf_area(source))))
+        w_num, w_den = 2 * amp0.numerator, amp0.denominator * full  # weight 2 * amp0 * c / full = w_num * c / w_den
         arrivals: list[dict[int, int]] = [{} for _ in range(n)]  # per receiver: tick -> summed N
         heap: list[tuple[int, int]] = []  # (tick, rule) keys, each queued once
         pending: dict[tuple[int, int], dict[int, int]] = {}  # (tick, rule) -> {N: multiplicity}
@@ -190,11 +192,7 @@ def oracle_irm(
                             heapq.heappush(heap, next_key)
                         queued[amplitude] = queued.get(amplitude, 0) + count
         for j, bucket in enumerate(arrivals):
-            deltas[(i, j)] = tuple(
-                (float(Fraction(t, scale)), float(2 * amp0 * Fraction(c, full)))
-                for t, c in sorted(bucket.items())
-                if c != 0
-            )
+            deltas[(i, j)] = tuple((t / scale, w_num * c / w_den) for t, c in sorted(bucket.items()) if c != 0)
     for i, j in deltas:
         if i > j:
             deltas[(i, j)] = deltas[(j, i)]
@@ -337,7 +335,7 @@ def measure_irm(
 # -- persistence --------------------------------------------------------------
 
 
-_ROW_BLOCK = 1024  # IRM file rows parsed at once; bounds a block's field strings and its expected i, j, t fields
+_CHUNK = 1 << 15  # IRM file characters parsed at once, cut at a newline: bounds a chunk's field strings
 
 
 def save_irm(irm: SampledIRM, path) -> None:
@@ -369,15 +367,13 @@ def save_irm(irm: SampledIRM, path) -> None:
 def _saved_fields(start, count, labels, times):
     """The i, j and t fields ``save_irm`` writes on rows start .. start + count - 1.
 
-    ``labels`` holds ``str(i)`` for each leaf index and ``times`` the
-    repr of each sample time. Row r is sample r % n_samples of kernel
-    q = r // n_samples, which is (i, j) = (q // N, q % N).
+    ``labels`` holds ``str(i)`` for each leaf index and ``times`` the repr of each
+    sample time. Row r is sample r % n_samples of kernel (i, j) = divmod(r // n_samples, N).
     """
     n_samples, n = len(times), len(labels)
     i_fields, j_fields, t_fields = [], [], []
     for kernel in range(start // n_samples, (start + count - 1) // n_samples + 1):
-        first = max(start - kernel * n_samples, 0)
-        last = min(start + count - kernel * n_samples, n_samples)
+        first, last = max(start - kernel * n_samples, 0), min(start + count - kernel * n_samples, n_samples)
         i_fields += [labels[kernel // n]] * (last - first)
         j_fields += [labels[kernel % n]] * (last - first)
         t_fields += times[first:last]
@@ -393,56 +389,58 @@ def load_irm(path) -> SampledIRM:
     finite value; anything else raises OutOfRange. Other header keys, such
     as the ``direct`` coefficients older files carry, are ignored.
 
-    Rows are read a block at a time with one split. A block whose i, j and
-    t fields are the strings ``save_irm`` writes on its rows parses only
-    its k column and lands by slice; any other block, with rows in another
-    order or spelled another way, parses all four columns and scatters
-    its rows, under the same rules.
+    Rows are read as one text in chunks of about ``_CHUNK`` characters, each
+    cut at a newline and split once. A chunk whose i, j and t fields read as
+    ``save_irm`` writes them parses only its k column and lands by slice; any
+    other chunk strips its rows, parses all four columns and scatters them.
     """
-    with open(path) as fh:
-        try:
-            header_line, columns = fh.readline(), fh.readline()
-            rows = [row for row in map(str.strip, fh) if row]
-        except UnicodeDecodeError as exc:
-            raise OutOfRange(f"{path}: not a text file: {exc}") from exc
     try:
+        with open(path) as fh:
+            header_line, columns, body = fh.readline(), fh.readline(), fh.read()
         header = json.loads(header_line)
-        leaves, n_samples = header["leaves"], header["n"]
-        dt = float(header["dt"])
-        horizon = float(header["horizon"])
+        leaves, n_samples, dt, horizon = header["leaves"], header["n"], float(header["dt"]), float(header["horizon"])
+    except UnicodeDecodeError as exc:
+        raise OutOfRange(f"{path}: not a text file: {exc}") from exc
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise OutOfRange(f"{path}: unreadable IRM header: {exc}") from exc
     if not (isinstance(leaves, list) and all(isinstance(leaf, str) for leaf in leaves)):
         raise OutOfRange(f"{path}: header leaves {leaves!r} is not a list of strings")
     if type(n_samples) is not int or n_samples < 0:
         raise OutOfRange(f"{path}: header n = {n_samples!r} is not an integer, or is negative")
-    if not leaves:  # with a leaf, the row count below bounds n before the N x N x n grid is allocated
+    if not leaves:  # with a leaf, the line count below bounds n before the N x N x n grid is allocated
         raise OutOfRange(f"{path}: header lists no leaves, so no kernel row bounds its n = {n_samples}")
     if not (0 < dt < math.inf and 0 <= horizon < math.inf):  # the reconstruction takes its step from dt
         raise OutOfRange(f"{path}: header dt = {dt} must be positive and horizon = {horizon} >= 0, both finite")
     if columns.strip() != "i,j,t,k":
         raise OutOfRange(f"{path}: missing i,j,t,k column header")
-    n = len(leaves)
-    if len(rows) != n * n * n_samples:  # checked before the header's shape is allocated
-        raise OutOfRange(f"{path}: {len(rows)} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
+    n, lines = len(leaves), body.count("\n") + 1
+    if n * n * n_samples > lines:  # checked before the header's shape is allocated, the exact row count at the end
+        raise OutOfRange(f"{path}: at most {lines} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
     k = np.full((n, n, n_samples), np.nan)  # NaN marks a sample no row has set
     flat = k.reshape(-1)  # a view: row r of a file in save_irm's order holds flat sample r
     labels, times = [str(i) for i in range(n)], [repr(s * dt) for s in range(n_samples)]
-    for start in range(0, len(rows), _ROW_BLOCK):
-        block = rows[start : start + _ROW_BLOCK]
-        # a "\n" field between rows, which no stripped row holds, lands every fifth place only if each row has four
-        fields = ",\n,".join(block).split(",")
-        if fields[4::5].count("\n") != len(block) - 1 or len(fields) != 5 * len(block) - 1:
-            row = next(row for row in block if row.count(",") != 3)
-            raise OutOfRange(f"{path}: unreadable kernel row {row!r}: it needs four fields")
-        ijt = fields[0::5], fields[1::5], fields[2::5]
-        try:
-            values = np.array(fields[3::5], dtype=float)
-            if ijt == _saved_fields(start, len(block), labels, times):
-                flat[start : start + len(block)] = values  # where the scatter below would put each row
+    count = start = 0  # rows read so far, and where the next chunk starts
+    while start < len(body):
+        end = body.find("\n", start + _CHUNK) + 1 or len(body)  # just past a newline, or the end of the text
+        chunk, start = body[start:end].rstrip("\n"), end  # blank lines at its end hold no row
+        fields = chunk.replace("\n", ",\n,").split(",")  # a "\n" field every fifth place if each line has four
+        m = len(fields) // 5 + 1
+        if (len(fields) == 5 * m - 1 and fields[4::5].count("\n") == m - 1 and count + m <= flat.size
+                and (fields[0::5], fields[1::5], fields[2::5]) == _saved_fields(count, m, labels, times)):
+            with contextlib.suppress(ValueError):  # a k field may end in \x1c to \x1f: float() refuses, strip removes
+                flat[count : count + m] = np.array(fields[3::5], dtype=float)  # where the scatter would put each row
+                count += m
                 continue
-            i, j = (np.array(column, dtype=np.int64) for column in ijt[:2])
-            t = np.array(ijt[2], dtype=float)
+        rows = [row for row in map(str.strip, chunk.split("\n")) if row]
+        count += len(rows)
+        if not rows:
+            continue
+        fields = ",\n,".join(rows).split(",")
+        if fields[4::5].count("\n") != len(rows) - 1 or len(fields) != 5 * len(rows) - 1:
+            row = next(row for row in rows if row.count(",") != 3)
+            raise OutOfRange(f"{path}: unreadable kernel row {row!r}: it needs four fields")
+        try:
+            i, j, t, values = (np.array(fields[c::5], dtype=np.int64 if c < 2 else float) for c in range(4))
         except (ValueError, OverflowError) as exc:
             raise OutOfRange(f"{path}: unreadable kernel row: {exc}") from exc
         with np.errstate(over="ignore"):
@@ -450,8 +448,10 @@ def load_irm(path) -> SampledIRM:
         # written as "inside" so that a NaN or infinite time counts as outside too
         outside = np.flatnonzero(~((0 <= i) & (i < n) & (0 <= j) & (j < n) & (0 <= idx) & (idx < n_samples)))
         if outside.size:
-            raise OutOfRange(f"{path}: row {block[outside[0]]!r} lies outside the header's {n}x{n}x{n_samples} grid")
+            raise OutOfRange(f"{path}: row {rows[outside[0]]!r} lies outside the header's {n}x{n}x{n_samples} grid")
         k[i, j, idx.astype(np.int64)] = values
+    if count != flat.size:
+        raise OutOfRange(f"{path}: {count} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
     bad = np.count_nonzero(~np.isfinite(k))
     if bad:
         raise OutOfRange(f"{path}: {bad} kernel sample(s) not finite, or unset because of duplicate rows")

@@ -32,11 +32,12 @@ from pipescope import (
     validate_network,
 )
 from pipescope.errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, WindowTooLarge
-from pipescope.irm import _ROW_BLOCK, _saved_fields, grid_size
+from pipescope.irm import _CHUNK, _saved_fields, grid_size
 from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
 from pipescope.simulate import _run_size, junction_scatter
 
 C = 1000.0 / 9.81  # a/(gA) for unit area
+IRM_MODULE = importlib.import_module("pipescope.irm")
 
 
 # -- analytic oracle ----------------------------------------------------------
@@ -814,11 +815,8 @@ def edited_irm_lines(draw):
     return lines
 
 
-@given(damaged_irm_lines() | edited_irm_lines(), st.sampled_from(["\n", "\r\n", "\r"]))
-@settings(max_examples=400, deadline=None)
-def test_load_irm_accepts_exactly_what_the_row_by_row_loader_accepts(tmp_path_factory, lines, newline):
-    path = tmp_path_factory.mktemp("diff") / "irm.csv"
-    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+def _assert_loads_as_reference(path):
+    """``load_irm`` refuses the file if the row-by-row loader does, and otherwise returns the same IRM."""
     try:
         expected = _reference_load_irm(path)
     except OutOfRange:
@@ -828,6 +826,18 @@ def test_load_irm_accepts_exactly_what_the_row_by_row_loader_accepts(tmp_path_fa
     loaded = load_irm(path)
     assert (loaded.dt, loaded.leaves, loaded.horizon) == (expected.dt, expected.leaves, expected.horizon)
     assert loaded.k.tobytes() == expected.k.tobytes()
+
+
+@given(damaged_irm_lines() | edited_irm_lines(), st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(max_examples=400, deadline=None)
+def test_load_irm_accepts_exactly_what_the_row_by_row_loader_accepts(tmp_path_factory, lines, newline):
+    path = tmp_path_factory.mktemp("diff") / "irm.csv"
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    # the small file's ~900 characters in one chunk, then in chunks of one or two rows
+    for chunk in (_CHUNK, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IRM_MODULE, "_CHUNK", chunk)
+            _assert_loads_as_reference(path)
 
 
 def test_load_irm_refuses_bytes_that_are_not_text(exp1_net, tmp_path):
@@ -933,6 +943,36 @@ def test_save_irm_peak_below_the_kernel_grid(tmp_path):
     assert irm.k.shape == (6, 6, 241) and peak < irm.k.nbytes
 
 
+def test_load_irm_peak_below_three_and_a_half_times_the_file(tmp_path):
+    # an IRM of the benchmark's measured-tree shape, 36 kernels of 372 samples, each silent for its first third as
+    # measured kernels are before the first arrival. The loader holds the file's text, the kernel grid and one chunk's
+    # fields; a loader that also held every row as a stripped string peaked at 4.4 times the file.
+    k = np.random.default_rng(5).standard_normal((6, 6, 372)) * 1e-3
+    k[..., :124] = 0.0
+    irm = SampledIRM(0.007, tuple("ABCDEF"), k, 371 * 0.007)
+    path = tmp_path / "irm.csv"
+    save_irm(irm, path)
+    load_irm(path)
+    tracemalloc.start()
+    try:
+        loaded = load_irm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.k.tobytes() == k.tobytes()
+    assert peak < 3.5 * path.stat().st_size
+
+
+def test_load_irm_refuses_a_grid_larger_than_its_lines_before_allocating(exp1_net, tmp_path, monkeypatch):
+    path, lines = _saved_exp1_irm(exp1_net, tmp_path)
+    header = json.loads(lines[0])
+    header["n"] = 10**30
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    monkeypatch.setattr(np, "full", lambda *args: pytest.fail("allocated"))
+    with pytest.raises(OutOfRange, match="kernel rows"):
+        load_irm(path)
+
+
 def _swap(lines, a, b):
     lines[a], lines[b] = lines[b], lines[a]
 
@@ -943,41 +983,64 @@ def _respell(lines, row, column, spelling):
     lines[row] = ",".join(fields)
 
 
-# rows are lines[2:]: row 1500 is (i, j, s) = (2, 0, 0), in the second block; row 300 is (0, 1, 50), in the first
+def _chunk_starts(rows):
+    """The rows that begin ``load_irm``'s chunks of a text holding ``rows``, one to a line.
+
+    A chunk starting at character c ends at the first newline at or past
+    c + _CHUNK, and the next chunk starts just past that newline.
+    """
+    starts, chunk_start, char = [0], 0, 0
+    for r, row in enumerate(rows[:-1]):
+        char += len(row)  # row r's newline
+        if char >= chunk_start + _CHUNK:
+            starts.append(r + 1)
+            chunk_start = char + 1
+        char += 1
+    return starts
+
+
+# A block is one of load_irm's chunks, which begin at rows b = [0, b1, b2] of the file, row r being lines[2 + r].
+# Row 300 is (i, j, s) = (0, 1, 50), in the first chunk; row 1500 is (2, 0, 0), in the second.
 MULTI_BLOCK_EDITS = {
-    "i respelled +2": lambda lines: _respell(lines, 2 + 1500, 0, "+{}"),
-    "j respelled +0": lambda lines: _respell(lines, 2 + 1500, 1, "+{}"),
-    "t respelled 0.0e0": lambda lines: _respell(lines, 2 + 1500, 2, "{}e0"),
-    "i respelled 2.0e0": lambda lines: _respell(lines, 2 + 1500, 0, "{}.0e0"),
-    "rows swapped across a block boundary": lambda lines: _swap(lines, 2 + _ROW_BLOCK - 1, 2 + _ROW_BLOCK),
-    "rows swapped across two blocks": lambda lines: _swap(lines, 2 + 300, 2 + 2 * _ROW_BLOCK + 5),
-    "row duplicated over another block's": lambda lines: lines.__setitem__(2 + 1500, lines[2 + 300]),
-    "k respelled in a block in save order": lambda lines: _respell(lines, 2 + 1500, 3, "{}0"),
-    "k respelled with 17 digits": lambda lines: _respell(
+    "i respelled +2": lambda lines, b: _respell(lines, 2 + 1500, 0, "+{}"),
+    "j respelled +0": lambda lines, b: _respell(lines, 2 + 1500, 1, "+{}"),
+    "t respelled 0.0e0": lambda lines, b: _respell(lines, 2 + 1500, 2, "{}e0"),
+    "i respelled 2.0e0": lambda lines, b: _respell(lines, 2 + 1500, 0, "{}.0e0"),
+    "rows swapped across a block boundary": lambda lines, b: _swap(lines, 2 + b[1] - 1, 2 + b[1]),
+    "rows swapped across two blocks": lambda lines, b: _swap(lines, 2 + 300, 2 + b[2] + 5),
+    "row duplicated over another block's": lambda lines, b: lines.__setitem__(2 + 1500, lines[2 + 300]),
+    "k respelled in a block in save order": lambda lines, b: _respell(lines, 2 + 1500, 3, "{}0"),
+    "k respelled with 17 digits": lambda lines, b: _respell(
         lines, 2 + 300, 3, format(float(lines[2 + 300].split(",")[3]), ".16e")),
+    "blank line at a block boundary": lambda lines, b: lines.insert(2 + b[1], ""),
+    "white-space line at a block boundary": lambda lines, b: lines.insert(2 + b[2], " \t"),
+    "row ending in \\r at a block boundary": lambda lines, b: _respell(lines, 2 + b[1] - 1, 3, "{}\r"),
+    # float() refuses a trailing \x1c, which str.strip removes: the chunk is read again by the general path
+    "k ending in \\x1c at a block boundary": lambda lines, b: _respell(lines, 2 + b[1], 3, "{}\x1c"),
+    # row 1501 moved onto row 1500's line after a fifth field: its nine fields fill two rows' places in a chunk's split
+    "two rows on one line joined by a fifth field": lambda lines, b: lines.__setitem__(
+        2 + 1500, lines[2 + 1500] + ",0," + lines.pop(2 + 1501)),
+    "no final newline": lambda lines, b: lines.pop(),
+    "trailing blank lines": lambda lines, b: lines.extend(["", " ", "", ""]),
 }
 
 
 @pytest.mark.parametrize("edit", MULTI_BLOCK_EDITS.values(), ids=MULTI_BLOCK_EDITS)
 def test_load_irm_matches_row_by_row_loader_over_several_blocks(tmp_path, edit):
-    # 3 x 3 kernels of 250 samples: 2,250 rows in three blocks, whose boundaries fall inside kernels
+    # 3 x 3 kernels of 250 samples: 2,250 rows in 78,684 characters, three chunks whose boundaries fall inside kernels
     k = np.random.default_rng(18).standard_normal((3, 3, 250)) * np.logspace(-300, 300, 250)
     irm = SampledIRM(0.007, ("A", "B", "C"), k, 249 * 0.007)
     path = tmp_path / "irm.csv"
     save_irm(irm, path)
-    assert load_irm(path).k.tobytes() == k.tobytes()
-    lines = path.read_text().splitlines()
-    assert len(lines) - 2 > 2 * _ROW_BLOCK and lines[2 + 1500].startswith("2,0,0.0,")
-    labels, times = ["0", "1", "2"], [repr(s * 0.007) for s in range(250)]
-    for start in range(0, len(lines) - 2, _ROW_BLOCK):  # every block of the saved file takes the layout path
-        fields = [row.split(",") for row in lines[2 + start : 2 + start + _ROW_BLOCK]]
-        assert tuple([f[c] for f in fields] for c in range(3)) == _saved_fields(start, len(fields), labels, times)
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
-    try:
-        expected = _reference_load_irm(path)
-    except OutOfRange:
-        with pytest.raises(OutOfRange):
-            load_irm(path)
-        return
-    assert load_irm(path).k.tobytes() == expected.k.tobytes()
+    lines = path.read_text().split("\n")  # the last is the empty text after the final newline
+    starts = _chunk_starts(lines[2:-1])
+    assert len(starts) == 3 and 300 < starts[1] <= 1500 < starts[2] and lines[2 + 1500].startswith("2,0,0.0,")
+    with pytest.MonkeyPatch.context() as mp:  # every chunk of the saved file takes the layout path, cut where computed
+        seen = []
+        mp.setattr(IRM_MODULE, "_saved_fields", lambda start, *args: seen.append(start) or _saved_fields(start, *args))
+        mp.setattr(np, "rint", lambda *args: pytest.fail("a chunk of the saved file was scattered"))
+        assert load_irm(path).k.tobytes() == k.tobytes()
+    assert seen == starts
+    edit(lines, starts)
+    path.write_text("\n".join(lines))
+    _assert_loads_as_reference(path)
