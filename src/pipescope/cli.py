@@ -221,17 +221,17 @@ def cmd_reconstruct(net, resolved: dict) -> tuple:
 
     out_dir = resolved["out"]
     files = []
-    profiles = {}  # per pipe: the solver that ran, the reciprocity it saw and, if it factored, its trust numbers
+    profiles = {}  # per pipe: the solver that ran and, if it factored, its trust numbers
     for pid, cfg in zip(pipes, cfgs):
         vp = volume_profile(net, irm, pid, cfg)
         ap = area_profile(vp)
-        profiles[pid] = {"solver": vp.solver, "reciprocity": vp.reciprocity,
-                         "residual": vp.residual, "volume_bound": vp.volume_bound}
+        profiles[pid] = {"solver": vp.solver, "residual": vp.residual, "volume_bound": vp.volume_bound}
         for name, column, x, y in (("volume", "V_m3", vp.positions, vp.volumes),
                                    ("area", "A_m2", ap.positions, ap.areas)):
             write = functools.partial(_write_csv, f"pipe,x_m,{column}", zip([pid] * len(x), x, y))
             files.append((os.path.join(out_dir, f"{pid}_{name}.csv"), write))
-    return [out_dir], files, os.path.join(out_dir, "manifest.json"), {"profiles": profiles}
+    extra = {"profiles": profiles, "reciprocity": _reciprocity(irm)}
+    return [out_dir], files, os.path.join(out_dir, "manifest.json"), extra
 
 
 def _read_profile_csv(path):

@@ -23,9 +23,14 @@ active when t_l > tau - f(x_i) + dt/4. Only active samples enter its
 system, with the unit target head b = 1; inactive samples get exact zero
 flow. With |nu| = 1, S = diag(nu) H turns ||Hq - b|| into ||Sq - nu||,
 and ``_s_matrix`` gathers S from the kernels on just the samples asked
-for. The per-point solve minimizes ||Sq - nu||^2 + lambda*||q||^2 through
-the normal equations (S^T S + lambda I) q = S^T nu, or, at lambda = 0, by
-a rank-checked least-squares solve that refuses a rank-deficient system.
+for. The kernels are first averaged over their leaf axes,
+(k_ij + k_ji)/2: the model's IRM is reciprocal, so a measured IRM's skew
+part is measurement error, and S from the averaged kernels is symmetric
+bit for bit (on a mirrored oracle IRM the average is the IRM itself). The
+per-point solve minimizes ||Sq - nu||^2 + lambda*||q||^2, at lambda > 0 as
+q = Re[(S - i sqrt(lambda) I)^-1 nu] with a pivoted solve, or, at
+lambda = 0, by a rank-checked least-squares solve that refuses a
+rank-deficient system.
 
 Volumes come from the flow integral for that unit target,
 V = a^2/g * sum_i nu_i * integral Q_p(t, x_i) dt; areas are the forward
@@ -36,31 +41,21 @@ A profile needs one S and one factorisation, not one of each per point
 towards x0, and no leaf's action time falls on the way, so each point's
 active set holds the previous one's. Ordered by the point at which they
 become active, the samples make every point's S a leading block of the
-largest point's. For a symmetric S the Tikhonov solution is
-q = Re[(S - i sqrt(lambda) I)^-1 nu]. S is symmetric up to IRM
-reciprocity, and its skew part K = (S - S^T)/2 moves the volume only to
-second order (w^T K w = 0), so one unpivoted complex-symmetric LDL^T of
-the largest block of A_s = (S + S^T)/2 - i sqrt(lambda) I = L diag(d) L^T
-gives every point's volume as a prefix sum:
-V_k = a^2 dt/g * Re sum_{j < n_k} u_j^2 / d_j with u = L^-1 nu. The pivots
-exist (no leading block of A_s is singular), but no theorem makes the
-unpivoted factorisation stable here (Higham 1998 needs definite real and
-imaginary parts), so the largest point is checked at run time, in O(n^2):
-the residual of the back-substituted x against A_s checks the
-factorisation, and r = A x - nu against the whole A = S - i sqrt(lambda) I
-bounds the volume's error, through nu^T A^-1 nu = nu^T x - x^T r +
-r^T A^-1 r for a symmetric A (Golub and Meurant 2010, ch. 7) and
-||A^-1|| <= 1/sigma, sigma = sqrt(lambda) minus a bound kappa on ||K||_2
-(``_certificate`` derives the bound, with the term K adds). Where
-sigma <= 0, lambda = 0 included, no bound exists, and ``volume_profile``
-solves each point on its leading block of S instead, as it does where the
-residual or the bound exceeds ``STABILITY_TOL``. The bound reads at most
-7e-15 on every exp1, exp2 and benchmark-tree (seeds 1-10) pipe, and on
-the exp1 and exp2 pipes the two paths agree within 4e-15 relative (the
-tests hold 1e-10). Where they differ more, on systems of several hundred
-unknowns from simulated IRMs, the per-point normal equations are the ones
-off: the factorisation stays within 6e-14 of a QR least-squares solve of
-the stacked system.
+largest point's. One unpivoted complex-symmetric LDL^T of the largest
+block of A = S - i sqrt(lambda) I = L diag(d) L^T gives every point's
+volume as a prefix sum: V_k = a^2 dt/g * Re sum_{j < n_k} u_j^2 / d_j with
+u = L^-1 nu. The pivots exist (no leading block of A is singular), but no
+theorem makes the unpivoted factorisation stable here (Higham 1998 needs
+definite real and imaginary parts), so the largest point is checked at
+run time, in O(n^2): r = A x - nu for the back-substituted x checks the
+factorisation, and bounds the volume's error through nu^T A^-1 nu =
+nu^T x - x^T r + r^T A^-1 r for a symmetric A (Golub and Meurant 2010,
+ch. 7) and ||A^-1|| <= 1/sqrt(lambda) (``_certificate``). At lambda = 0
+no bound exists, and ``volume_profile`` solves each point on its leading
+block of S instead, as it does where the residual or the bound exceeds
+``STABILITY_TOL``. The bound reads at most 7e-15 on every exp1, exp2 and
+benchmark-tree (seeds 1-10) pipe, and on the exp1 and exp2 pipes the two
+paths agree within 4e-15 relative (the tests hold 1e-10).
 """
 
 from __future__ import annotations
@@ -116,9 +111,8 @@ class VolumeProfile:
     volumes: np.ndarray    # m^3
     dx: float              # m between points, the step of its areas' difference quotient
     solver: str = "per-point"  # "layer-stripping", or "per-point: <why not>"
-    reciprocity: float = 0.0   # max|S - S^T| / max|S| over the samples the points use
     # largest point, on the layer-stripping path only (None on the per-point paths):
-    residual: float | None = None      # max|A_s x - nu| for S's symmetric part, relative as |nu| = 1
+    residual: float | None = None      # max|A x - nu|, relative as |nu| = 1
     volume_bound: float | None = None  # bound on the volume's relative error
 
 
@@ -180,18 +174,14 @@ def _s_matrix(irm: SampledIRM, m: int, net: Network, idx: np.ndarray):
 
 
 def _solve_point(s: np.ndarray, nu: np.ndarray, lam: float) -> np.ndarray:
-    """q minimising ||S q - nu||^2 + lam ||q||^2, by normal equations, or at lam = 0 by rank-checked least squares.
+    """q minimising ||S q - nu||^2 + lam ||q||^2 for a symmetric S, or at lam = 0 by rank-checked least squares.
 
     With |nu| = 1 this is ||H q - 1||^2 for the point's control matrix H;
-    ``lam`` is a ``ReconConfig``'s, so finite and >= 0.
+    ``lam`` is a ``ReconConfig``'s, so finite and >= 0. At lam > 0, q =
+    Re (S - i sqrt(lam) I)^-1 nu, whose matrix no real S makes singular.
     """
     if lam > 0:
-        normal = s.T @ s
-        normal[np.diag_indices(nu.size)] += lam
-        try:
-            return np.linalg.solve(normal, s.T @ nu)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"normal equations singular with lambda = {lam}: {exc}") from exc
+        return np.linalg.solve(s - 1j * math.sqrt(lam) * np.eye(nu.size), nu).real
     sol, _, rank, _ = np.linalg.lstsq(s, nu, rcond=None)
     if rank < nu.size:
         raise SingularSystem(f"restricted matrix rank {rank} < {nu.size} with lambda = 0")
@@ -278,33 +268,16 @@ def _back_substitute(a: np.ndarray, invs: list[np.ndarray], y: np.ndarray) -> np
     return x
 
 
-def _asymmetry(s: np.ndarray) -> tuple[float, float]:
-    """max|S - S^T| / max|S|, and a bound on ||K||_2 for S's skew part K = (S - S^T)/2.
-
-    The bound is n/2 max|S - S^T|, as ||K||_2 <= sqrt(||K||_1 ||K||_inf)
-    <= n max|K_ij|. Both are taken ``_BLOCK`` columns at a time.
-    """
-    dev = scale = 0.0
-    for c0 in range(0, len(s), _BLOCK):
-        c = slice(c0, c0 + _BLOCK)
-        dev = max(dev, np.abs(s[:, c] - s[c].T).max())
-        scale = max(scale, np.abs(s[:, c]).max())
-    return (dev / scale if scale else 0.0), 0.5 * len(s) * dev
-
-
 def _layer_stripped(s: np.ndarray, nu: np.ndarray, mu: float, counts: np.ndarray, scale: float):
-    """Volumes of the points whose systems are the leading ``counts`` blocks of S - i mu I.
+    """Volumes of the points whose systems are the leading ``counts`` blocks of A = S - i mu I, S symmetric.
 
-    Factors one complex buffer [A_s | nu], A_s = (S + S^T)/2 - i mu I, filled
-    ``_BLOCK`` columns at a time. Returns the volumes, scale * Re nu_k^T
-    A_k^-1 nu_k for each leading block A_k of A_s, and x = A_s^-1 nu.
+    Factors one complex buffer [A | nu]. Returns the volumes, scale * Re
+    nu_k^T A_k^-1 nu_k for each leading block A_k of A, and x = A^-1 nu.
     """
     n = nu.size
     a = np.empty((n, n + 1), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c0 in range(0, n, _BLOCK):
-            c = slice(c0, min(c0 + _BLOCK, n))
-            a[:, c] = 0.5 * (s[:, c] + s[c].T)
+        a[:, :n] = s
         a[np.diag_indices(n)] -= 1j * mu
         a[:, n] = nu
         invs = _ldlt(a)
@@ -314,47 +287,31 @@ def _layer_stripped(s: np.ndarray, nu: np.ndarray, mu: float, counts: np.ndarray
         return scale * prefix[counts], _back_substitute(a, invs, u / d)
 
 
-def _certificate(s: np.ndarray, nu: np.ndarray, mu: float, skew: float, x: np.ndarray, v: float, scale: float):
-    """Relative residual of ``x`` on S's symmetric part, and a bound on the relative error of ``v``, in O(n^2).
+def _certificate(s: np.ndarray, nu: np.ndarray, mu: float, x: np.ndarray, v: float, scale: float):
+    """Relative residual of ``x``, and a bound on the relative error of ``v``, in O(n^2).
 
-    A = S - i mu I with S real, and ``skew`` bounds ||K||_2 for its skew
-    part K = (S - S^T)/2. ``x`` approximates A_s^-1 nu for A_s = A - K,
-    which ``_layer_stripped`` factors, and the residual A_s x - nu checks
-    that. The bound on ``v``, the volume scale * Re nu^T A^-1 nu, checks the
-    answer against the whole A: with r = A x - nu, A^-1 nu = x - A^-1 r =: w,
-    and A^-T - A^-1 = A^-T (A - A^T) A^-1 = 2 A^-T K A^-1, so
+    A = S - i mu I with S real symmetric and mu > 0, and ``x`` approximates
+    A^-1 nu, which ``_layer_stripped`` factors. The bound on ``v``, the
+    volume scale * Re nu^T A^-1 nu, follows from r = A x - nu: A^-1 nu =
+    x - A^-1 r, and A^-T = A^-1, so
 
-        nu^T A^-1 r = (A^-T nu)^T r = (w + 2 A^-T K w)^T r
-                    = x^T r - r^T A^-1 r + 2 w^T K^T A^-1 r,
-        nu^T A^-1 nu = nu^T x - x^T r + r^T A^-1 r - 2 w^T K^T A^-1 r.
+        nu^T A^-1 nu = nu^T x - x^T r + r^T A^-1 r.
 
-    For any complex z, z^H S z = z^H (S + S^T)/2 z + z^H K z with the first
-    term real and the second imaginary, so |z^H A z| >= |Im z^H A z| >=
-    (mu - ||K||_2) ||z||^2: ||A^-1||_2 <= 1/sigma with sigma = mu - ``skew``.
-    Then ||w|| <= ||x|| + ||r||/sigma and
+    For any complex z, z^H A z = z^H S z - i mu ||z||^2 with the first term
+    real, so |z^H A z| >= mu ||z||^2 and ||A^-1||_2 <= 1/mu. Then
 
-        |v - scale Re nu^T A^-1 nu| <= |v - scale Re nu^T x|
-            + scale (|x^T r| + ||r||^2/sigma + 2 skew ||r|| (||x|| + ||r||/sigma)/sigma).
+        |v - scale Re nu^T A^-1 nu| <= |v - scale Re nu^T x| + scale (|x^T r| + ||r||^2/mu).
 
     The first term catches a volume that does not match ``x``, such as a
-    corrupted prefix sum; for a reciprocal S the skew term is zero. The
-    bound is divided by |v|, and is infinite where sigma <= 0. It holds up to
-    the rounding of r itself, about n eps max|S| ||x||. |nu| = 1, so the
+    corrupted prefix sum. The bound is divided by |v|. It holds up to the
+    rounding of r itself, about n eps max|S| ||x||. |nu| = 1, so the
     largest residual entry is the relative residual.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xs = np.stack([x.real, x.imag], axis=1)  # S x and S^T x without a complex copy of S
-        sx = s @ xs
-        r, r_sym = (p[:, 0] + 1j * (p[:, 1] - mu * x.real) + mu * x.imag - nu for p in (sx, 0.5 * (sx + s.T @ xs)))
-        residual = float(np.abs(r_sym).max(initial=0.0))
-        sigma = mu - skew
-        if not sigma > 0:
-            return residual, math.inf
-        r_norm, x_norm = np.linalg.norm(r), np.linalg.norm(x)
-        err = abs(v - scale * (nu @ x).real) + scale * (
-            abs(x @ r) + r_norm**2 / sigma + 2 * skew * r_norm * (x_norm + r_norm / sigma) / sigma
-        )
-        return residual, float(err / abs(v)) if err else 0.0
+        p = s @ np.stack([x.real, x.imag], axis=1)  # S x without a complex copy of S
+        r = p[:, 0] + 1j * (p[:, 1] - mu * x.real) + mu * x.imag - nu
+        err = abs(v - scale * (nu @ x).real) + scale * (abs(x @ r) + np.linalg.norm(r) ** 2 / mu)
+        return float(np.abs(r).max(initial=0.0)), float(err / abs(v)) if err else 0.0
 
 
 def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig) -> VolumeProfile:
@@ -363,16 +320,15 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     Points start dx from the pipe end away from x0 and run towards x0,
     stopping at the pipe end or where the action times would exceed tau; the
     result records dx. Samples lie on the IRM's grid, whose kernels must
-    span 2*tau even where no point fits. One matrix S serves the whole
-    profile (see the module docstring): every point's volume is a prefix sum
-    of one LDL^T of its symmetric part. Each point is solved on its leading
-    block of S instead where sqrt(lambda) <= kappa, the bound ``_asymmetry``
-    puts on the norm of S's skew part, as no certificate exists there (at
-    lambda = 0 the rank-checked least squares refuses a singular system), or
-    where the largest point's residual or certified bound (``_certificate``)
-    exceeds ``STABILITY_TOL`` (1e-10). ``solver`` on the result names the
-    path that ran, ``reciprocity`` holds the deviation, and on the factored
-    path ``residual`` and ``volume_bound`` hold the two checked numbers.
+    span 2*tau even where no point fits. One matrix S, from the kernels
+    averaged over their leaf axes, serves the whole profile (see the module
+    docstring): every point's volume is a prefix sum of one LDL^T. Each
+    point is solved on its leading block of S instead at lambda = 0, as no
+    certificate exists there (the rank-checked least squares refuses a
+    singular system), or where the largest point's residual or certified
+    bound (``_certificate``) exceeds ``STABILITY_TOL`` (1e-10). ``solver``
+    on the result names the path that ran, and on the factored path
+    ``residual`` and ``volume_bound`` hold the two checked numbers.
     """
     _check_leaves(irm, net)
     f, _, positions = _profile_points(net, pipe_id, cfg, irm.dt)
@@ -384,21 +340,23 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     flat = _active(f, cfg, irm.dt).reshape(len(f), -1)
     idx = np.flatnonzero(flat.any(axis=0))
     idx, counts = idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")], flat.sum(axis=1)
-    s, nu = _s_matrix(irm, m, net, idx)
-    reciprocity, skew = _asymmetry(s)
+    k = irm.k[:, :, : 2 * m]  # the samples S reads
+    with _allocating(f"averaged kernels of {k.size} samples", k.nbytes):
+        k = k + k.transpose(1, 0, 2)
+    k *= 0.5
+    s, nu = _s_matrix(SampledIRM(irm.dt, irm.leaves, k, irm.horizon), m, net, idx)
     scale = net.wave_speed**2 * irm.dt / net.gravity
 
-    mu = math.sqrt(cfg.lam)
-    solver = f"per-point: sqrt(lambda) {mu:.3g} <= skew bound {skew:.3g}"  # sigma <= 0: no certificate
-    if mu > skew:
+    solver = "per-point: lambda 0"  # no certificate without regularisation
+    if cfg.lam > 0:
+        mu = math.sqrt(cfg.lam)
         volumes, x = _layer_stripped(s, nu, mu, counts, scale)
-        residual, volume_bound = _certificate(s, nu, mu, skew, x, volumes[-1], scale)
+        residual, volume_bound = _certificate(s, nu, mu, x, volumes[-1], scale)
         if residual <= STABILITY_TOL and volume_bound <= STABILITY_TOL:
-            return VolumeProfile(pipe_id, positions, volumes, cfg.dx, "layer-stripping", reciprocity, residual,
-                                 volume_bound)
+            return VolumeProfile(pipe_id, positions, volumes, cfg.dx, "layer-stripping", residual, volume_bound)
         solver = "per-point: stability check failed"
     volumes = [scale * float(nu[:c] @ _solve_point(s[:c, :c], nu[:c], cfg.lam)) for c in counts]
-    return VolumeProfile(pipe_id, positions, np.asarray(volumes), cfg.dx, solver, reciprocity)
+    return VolumeProfile(pipe_id, positions, np.asarray(volumes), cfg.dx, solver)
 
 
 def area_profile(vp: VolumeProfile) -> AreaProfile:

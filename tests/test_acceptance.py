@@ -106,32 +106,38 @@ def test_criterion_1_experiment1_quantitative(exp1_net, exp1_irm):
     report(1, f"Experiment 1 areas flat at 1 m^2, max rel err {worst:.2e} in {elapsed:.1f}s")
 
 
+def check_exp2_areas(pid, ap):
+    """Criterion 2 on one exp2 area profile: baseline within 10% of the truth, each dip located and sized.
+
+    Returns the baseline's largest relative error.
+    """
+    truth = exp2_truth(pid, ap.positions)
+    keep = (ap.positions >= ap.positions[0] + MARGIN) & (
+        ap.positions <= ap.positions[-1] - MARGIN
+    )
+    for lo, hi, _ in EXP2_BLOCKS[pid]:
+        keep &= ~((ap.positions > lo - MARGIN) & (ap.positions < hi + MARGIN))
+    rel = np.abs(ap.areas[keep] - truth[keep]) / truth[keep]
+    assert rel.max() < 0.10, f"{pid} baseline off truth by {rel.max():.3f}"
+
+    for lo, hi, depth in EXP2_BLOCKS[pid]:
+        window = (ap.positions >= lo - MARGIN) & (ap.positions <= hi + MARGIN)
+        deficit = np.clip(EXP2_BASE[pid] - ap.areas[window], 0.0, None)
+        assert deficit.sum() > 0.0, f"{pid} block ({lo},{hi}): no dip found"
+        centroid = float((ap.positions[window] * deficit).sum() / deficit.sum())
+        assert abs(centroid - (lo + hi) / 2) <= 2 * DX2, (
+            f"{pid} block ({lo},{hi}): dip centered at {centroid:.1f}"
+        )
+        peak = float(deficit.max())
+        assert 0.5 * depth <= peak <= 1.5 * depth, (
+            f"{pid} block ({lo},{hi}): depth {peak:.3f} vs truth {depth}"
+        )
+    return float(rel.max())
+
+
 def test_criterion_2_experiment2_properties(exp2_profiles):
     profiles, elapsed = exp2_profiles
-    worst_base = 0.0
-    for pid, ap in profiles.items():
-        truth = exp2_truth(pid, ap.positions)
-        keep = (ap.positions >= ap.positions[0] + MARGIN) & (
-            ap.positions <= ap.positions[-1] - MARGIN
-        )
-        for lo, hi, _ in EXP2_BLOCKS[pid]:
-            keep &= ~((ap.positions > lo - MARGIN) & (ap.positions < hi + MARGIN))
-        rel = np.abs(ap.areas[keep] - truth[keep]) / truth[keep]
-        worst_base = max(worst_base, float(rel.max()))
-        assert rel.max() < 0.10, f"{pid} baseline off truth by {rel.max():.3f}"
-
-        for lo, hi, depth in EXP2_BLOCKS[pid]:
-            window = (ap.positions >= lo - MARGIN) & (ap.positions <= hi + MARGIN)
-            deficit = np.clip(EXP2_BASE[pid] - ap.areas[window], 0.0, None)
-            assert deficit.sum() > 0.0, f"{pid} block ({lo},{hi}): no dip found"
-            centroid = float((ap.positions[window] * deficit).sum() / deficit.sum())
-            assert abs(centroid - (lo + hi) / 2) <= 2 * DX2, (
-                f"{pid} block ({lo},{hi}): dip centered at {centroid:.1f}"
-            )
-            peak = float(deficit.max())
-            assert 0.5 * depth <= peak <= 1.5 * depth, (
-                f"{pid} block ({lo},{hi}): depth {peak:.3f} vs truth {depth}"
-            )
+    worst_base = max(check_exp2_areas(pid, ap) for pid, ap in profiles.items())
     assert elapsed < 300.0
     report(
         2,

@@ -604,17 +604,19 @@ def test_reconstruct_bad_irm_file_exit_2(tmp_path, exp1_irm_path, capsys, edit):
 def test_reconstruct_manifest_records_solver(tmp_path, exp1_irm_path):
     out = tmp_path / "r"
     assert run(["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--out", str(out)]) == 0
-    profiles = json.loads((out / "manifest.json").read_text())["profiles"]
-    # the factored path records the largest point's residual and volume bound
+    manifest = json.loads((out / "manifest.json").read_text())
+    profiles = manifest["profiles"]
+    # the factored path records the largest point's residual and volume bound; the IRM's reciprocity is recorded once
     trust = {pid: (profiles[pid].pop("residual"), profiles[pid].pop("volume_bound")) for pid in profiles}
-    assert profiles == {pid: {"solver": "layer-stripping", "reciprocity": 0.0} for pid in ("AD", "BD", "DC")}
+    assert profiles == {pid: {"solver": "layer-stripping"} for pid in ("AD", "BD", "DC")}
     assert all(0 <= value <= 1e-10 for pair in trust.values() for value in pair)
+    assert manifest["reciprocity"] == 0.0
     out = tmp_path / "r0"
     argv = ["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--pipes", "AD", "--lambda", "0"]
     assert run([*argv, "--out", str(out)]) == 0
-    profiles = json.loads((out / "manifest.json").read_text())["profiles"]
-    assert profiles == {"AD": {"solver": "per-point: sqrt(lambda) 0 <= skew bound 0", "reciprocity": 0.0,
-                               "residual": None, "volume_bound": None}}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["profiles"] == {"AD": {"solver": "per-point: lambda 0", "residual": None, "volume_bound": None}}
+    assert manifest["reciprocity"] == 0.0
 
 
 @pytest.mark.parametrize(
