@@ -181,7 +181,10 @@ def _solve_point(s: np.ndarray, nu: np.ndarray, lam: float) -> np.ndarray:
     Re (S - i sqrt(lam) I)^-1 nu, whose matrix no real S makes singular.
     """
     if lam > 0:
-        return np.linalg.solve(s - 1j * math.sqrt(lam) * np.eye(nu.size), nu).real
+        with _allocating(f"a system of {nu.size} unknowns", 32 * nu.size**2):  # S - i sqrt(lam) I, and LAPACK's copy
+            a = s.astype(complex)
+            a[np.diag_indices(nu.size)] -= 1j * math.sqrt(lam)
+            return np.linalg.solve(a, nu).real
     sol, _, rank, _ = np.linalg.lstsq(s, nu, rcond=None)
     if rank < nu.size:
         raise SingularSystem(f"restricted matrix rank {rank} < {nu.size} with lambda = 0")

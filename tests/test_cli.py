@@ -6,8 +6,10 @@ import importlib
 import io
 import json
 import math
+import os
 import random
 import re
+import stat
 import sys
 import tracemalloc
 
@@ -17,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipescope import SimConfig, oracle_irm, sample_irm, simulate, step_inflow, validate_network
-from pipescope.cli import OPTIONS, _reciprocity, build_parser, main, run
+from pipescope.cli import OPTIONS, _reciprocity, _remove_old_output, build_parser, main, run
 from pipescope.errors import ActionTimeExceedsTau, ConfigError, NumericError, PipescopeError
 from pipescope.irm import load_irm
 from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
@@ -294,6 +296,81 @@ def test_reused_parser_keeps_calls_apart(tmp_path):
     assert run(reconstruct) == 0
     assert json.loads((recon / "manifest.json").read_text())["config"]["dx"] == 10.0
     assert _outputs(sorted(recon.iterdir())) == first_reconstruct
+
+
+def _exp1_pipeline(tmp_path):
+    """oracle-irm and reconstruct of exp1 into ``tmp_path``: the two commands and their output paths."""
+    irm, recon = tmp_path / "irm.csv", tmp_path / "recon"
+    commands = [["oracle-irm", "--preset", "exp1", "--out", str(irm)],
+                ["reconstruct", "--preset", "exp1", "--irm", str(irm), "--out", str(recon)]]
+    for argv in commands:
+        assert run(argv) == 0
+    return commands, [irm, tmp_path / "irm.csv.manifest.json", *sorted(recon.iterdir())]
+
+
+def test_rerun_writes_each_output_as_a_new_file(tmp_path):
+    # a hard link to each output keeps the first run's bytes through a
+    # rerun and a replay, which write new files of the same bytes
+    commands, paths = _exp1_pipeline(tmp_path)
+    (tmp_path / "links").mkdir()
+    links = [tmp_path / "links" / f"{i}_{path.name}" for i, path in enumerate(paths)]
+    for path, link in zip(paths, links):
+        os.link(path, link)
+    first, first_exact = _outputs(paths), {path: path.read_bytes() for path in paths}
+    for argv in commands:
+        assert run(argv) == 0
+    for manifest in (paths[1], paths[-1]):
+        assert run(["replay", str(manifest)]) == 0
+    assert _outputs(paths) == first
+    for path, link in zip(paths, links):
+        assert os.stat(path).st_ino != os.stat(link).st_ino, path
+        assert link.read_bytes() == first_exact[path]
+
+
+def test_refused_rerun_leaves_the_outputs_untouched(tmp_path, capsys):
+    commands, paths = _exp1_pipeline(tmp_path)
+    before = {path: (os.stat(path).st_ino, path.read_bytes()) for path in paths}
+    capsys.readouterr()
+    assert run([*commands[1], "--pipes", "DC", "--lambda", "0"]) == 3  # lambda 0 leaves DC singular
+    assert capsys.readouterr().err.startswith("pipescope: numeric error:")
+    assert {path: (os.stat(path).st_ino, path.read_bytes()) for path in paths} == before
+
+
+@pytest.mark.parametrize("command", ["oracle-irm", "plot"])
+def test_symlinked_out_is_written_through(tmp_path, command):
+    _exp1_pipeline(tmp_path)
+    argv = {"oracle-irm": ["oracle-irm", "--preset", "exp1"],
+            "plot": ["plot", "--in", str(tmp_path / "recon" / "AD_area.csv")]}[command]
+    assert run([*argv, "--out", str(tmp_path / "plain.out")]) == 0
+    target, link = tmp_path / "target.out", tmp_path / "link.out"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert run([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / "plain.out").read_bytes()
+
+
+def test_old_output_removal_keeps_what_is_not_a_regular_file(tmp_path):
+    fifo, directory, regular = tmp_path / "fifo", tmp_path / "dir", tmp_path / "file.csv"
+    os.mkfifo(fifo)
+    directory.mkdir()
+    regular.write_text("old\n")
+    for path in (fifo, directory, regular, tmp_path / "absent.csv"):
+        _remove_old_output(path)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and directory.is_dir() and not regular.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may write a read-only file")
+def test_read_only_output_still_refused(tmp_path, capsys):
+    commands, paths = _exp1_pipeline(tmp_path)
+    paths[0].chmod(0o444)
+    before = {path: (os.stat(path).st_ino, path.read_bytes()) for path in paths}
+    capsys.readouterr()
+    assert run(commands[0]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: file error:") and err.count("\n") == 1
+    assert {path: (os.stat(path).st_ino, path.read_bytes()) for path in paths} == before
+    assert stat.S_IMODE(os.stat(paths[0]).st_mode) == 0o444
 
 
 @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["reconstruct", "--help"], 0),

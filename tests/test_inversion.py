@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -918,3 +919,43 @@ def test_pipe_shorter_than_dx_gives_empty_profile(exp1_net, exp1_irm):
     assert vp.positions.size == vp.volumes.size == 0
     with pytest.raises(HorizonTooShort):  # no point fits, but the horizon is still checked
         volume_profile(exp1_net, zero_irm(exp1_net, 0.01, 1.0), "BD", cfg)
+
+
+def test_fallback_peak_within_its_guards(exp2_net, exp2_irm, monkeypatch):
+    # exp2 ED at lambda 1, solved point by point: besides S, the largest
+    # point holds one complex copy of S - i sqrt(lambda) I and LAPACK's copy
+    # of it, which tracemalloc does not see. The traced peak after the
+    # factored attempt stays within what the guards count, and the volumes
+    # match the solve on S - 1j sqrt(lambda) eye(n)
+    cfg = ReconConfig(tau=0.9, dx=7.0, lam=1.0)
+    monkeypatch.setattr(inversion, "STABILITY_TOL", -1.0)  # no factorisation passes, so every point is solved alone
+    guards = {}
+    allocating, certificate = inversion._allocating, inversion._certificate
+
+    def counted(what, n_bytes=0):
+        guards[what] = max(n_bytes, guards.get(what, 0))
+        return allocating(what, n_bytes)
+
+    def then_reset_peak(*args):
+        checked = certificate(*args)
+        tracemalloc.reset_peak()
+        return checked
+
+    monkeypatch.setattr(inversion, "_allocating", counted)
+    monkeypatch.setattr(inversion, "_certificate", then_reset_peak)
+    tracemalloc.start()
+    try:
+        vp = volume_profile(exp2_net, exp2_irm, "ED", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vp.solver == "per-point: stability check failed"
+    n = max(int(what.split()[3]) for what in guards if what.startswith("a system of"))  # largest point's unknowns
+    assert n > 300
+    assert peak <= max(guards.values()), (peak, guards)
+    assert peak <= (8 + 16 + 2) * n**2, peak  # S and one complex copy, and 2 n^2 bytes for the profile's small arrays
+
+    monkeypatch.setattr(inversion, "_solve_point",
+                        lambda s, nu, lam: np.linalg.solve(s - 1j * math.sqrt(lam) * np.eye(nu.size), nu).real)
+    reference = volume_profile(exp2_net, exp2_irm, "ED", cfg)
+    assert np.all(np.abs(vp.volumes - reference.volumes) <= 1e-14 * np.abs(reference.volumes))
