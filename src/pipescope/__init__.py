@@ -15,19 +15,15 @@ from .simulate import (
     SimConfig,
     conservation_residual,
     junction_scatter,
-    simulate,
     step_inflow,
 )
 from .irm import (
     AnalyticIRM,
     SampledIRM,
-    differentiate,
-    irm_row_from_step_response,
     load_irm,
     measure_irm,
     median_smooth,
     oracle_irm,
-    resample,
     sample_irm,
     save_irm,
 )

@@ -131,9 +131,15 @@ def _check_leaves(irm: SampledIRM, net: Network) -> None:
         )
 
 
+def _samples(cfg: ReconConfig, dt: float) -> int:
+    """M = floor(tau/dt); OutOfRange where the quotient overflows, as for a huge tau or a tiny dt."""
+    with _allocating(f"samples {dt} s apart over tau = {cfg.tau} s"):  # their count may overflow
+        return math.floor(cfg.tau / dt)
+
+
 def _samples_per_leaf(irm: SampledIRM, cfg: ReconConfig) -> int:
     """M = floor(tau/dt) on the IRM's grid; ``HorizonTooShort`` unless its kernels span 2*tau."""
-    m = math.floor(cfg.tau / irm.dt)
+    m = _samples(cfg, irm.dt)
     if irm.n_samples < 2 * m:
         raise HorizonTooShort(f"kernels have {irm.n_samples} samples, need {2 * m} to span 2*tau")
     return m
@@ -141,7 +147,7 @@ def _samples_per_leaf(irm: SampledIRM, cfg: ReconConfig) -> int:
 
 def _active(f_vec: np.ndarray, cfg: ReconConfig, dt: float) -> np.ndarray:
     """Masks (..., N, M) from action times (..., N): sample l of leaf i is active when t_l > tau - f_i + dt/4."""
-    s_times = np.arange(1, math.floor(cfg.tau / dt) + 1) * dt
+    s_times = np.arange(1, _samples(cfg, dt) + 1) * dt
     return s_times - (cfg.tau - f_vec[..., None]) > dt / 4
 
 
@@ -204,7 +210,7 @@ def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig, dt: float):
         n = int(reach / cfg.dx) + 1
     # per point its distances, offsets and masks, and per leaf an action time and, at each of M samples,
     # volume_profile's active mask and the float comparison it is made from
-    with _allocating(f"{n} profile points", n * (32 + len(net.accessible) * (8 + 9 * math.floor(cfg.tau / dt)))):
+    with _allocating(f"{n} profile points", n * (32 + len(net.accessible) * (8 + 9 * _samples(cfg, dt)))):
         d = np.arange(1, n + 1) * cfg.dx
     d = np.minimum(d[d <= pipe.length + cfg.dx * 1e-9], pipe.length)
     offsets = d if net.far_side_vertex(pipe_id) == pipe.from_vertex else pipe.length - d

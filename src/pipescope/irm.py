@@ -9,8 +9,8 @@ a/(gA) down the source pipe, junctions split it via the scattering
 coefficients, closed leaves reflect it with no sign change, and each
 arrival at an accessible leaf records twice the traveling amplitude.
 The measured route runs the transient solver with a unit-step inflow
-per source leaf and post-processes the head traces: median-smooth,
-differentiate, resample.
+per source leaf, then smooths the head traces (``median_smooth``),
+differentiates them in time (``np.gradient``) and regrids them (``np.interp``).
 
 Neither route keeps the direct impulse a/(A(x_i) g) at t = 0: the
 inversion adds it to the control matrix's diagonal from the network, so
@@ -40,10 +40,7 @@ __all__ = [
     "oracle_irm",
     "sample_irm",
     "measure_irm",
-    "irm_row_from_step_response",
     "median_smooth",
-    "differentiate",
-    "resample",
     "save_irm",
     "load_irm",
     "grid_size",
@@ -243,53 +240,15 @@ def median_smooth(series, window: int):
     return out
 
 
-def differentiate(series, t):
-    """Central differences inside, one-sided at the ends, along the last axis."""
-    series = np.asarray(series, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return np.gradient(series, t[1] - t[0], axis=-1)
-
-
-def resample(series, t_old, t_new):
-    """Linear interpolation onto a new grid inside the old one's span."""
-    t_old = np.asarray(t_old, dtype=float)
-    t_new = np.asarray(t_new, dtype=float)
-    tol = 1e-9 * max(1.0, abs(float(t_old[-1])))
-    if t_new[0] < t_old[0] - tol or t_new[-1] > t_old[-1] + tol:
-        raise OutOfRange(
-            f"target grid [{t_new[0]}, {t_new[-1]}] outside source span [{t_old[0]}, {t_old[-1]}]"
-        )
-    return np.interp(t_new, t_old, np.asarray(series, dtype=float))
-
-
-def _require_two_samples(n: int):
-    if n < 2:
-        raise OutOfRange(f"a step response needs two or more time samples, not {n}: the run is shorter than one time step")
-
-
 def _window(smooth_window_s: float, dt: float, n: int) -> int:
     """Samples of a smoothing window of ``smooth_window_s`` seconds at step dt, floored, at least 1, at most ``n``."""
     if not 0 <= smooth_window_s < math.inf:
         raise OutOfRange(f"smoothing window must be finite and >= 0, not {smooth_window_s}")
-    window = max(1, int(smooth_window_s / dt))
+    samples = smooth_window_s / dt  # inf where the quotient overflows, which int() refuses
+    window = max(1, int(samples)) if samples < math.inf else samples
     if window > n:
         raise WindowTooLarge(f"window {window} exceeds series length {n}")
     return window
-
-
-def irm_row_from_step_response(
-    t, traces: dict[str, np.ndarray], smooth_window_s: float = 0.02
-) -> dict[str, np.ndarray]:
-    """Turn one source's unit-step head traces, keyed by leaf, into one row of reflection kernels.
-
-    The traces are median-smoothed together (window given in seconds,
-    floored to samples) and differentiated in time. Output stays on the
-    simulation grid t.
-    """
-    _require_two_samples(len(t))
-    window = _window(smooth_window_s, float(t[1] - t[0]), len(t))
-    kernels = differentiate(median_smooth(np.array(list(traces.values()), dtype=float), window), t)
-    return dict(zip(traces, kernels))
 
 
 def measure_irm(
@@ -302,16 +261,19 @@ def measure_irm(
     """Simulate step responses for every source leaf and assemble the IRM.
 
     One forward run per accessible leaf (unit step there, all other ends
-    closed), all stepped together, the processing pipeline per source row,
-    then an optional resampling to a coarser grid. Returns the IRM and the
-    raw histories, which hold node fields only if ``fields`` asks for them.
+    closed), all stepped together. A source's kernel row is its leaf traces
+    median-smoothed together (window in seconds, floored to samples) and
+    differentiated in time, then with ``resample_dt`` interpolated onto that
+    grid, where ``np.interp`` holds the last value past the run's end. Returns
+    the IRM and the raw histories, with node fields only if ``fields`` asks.
     """
     if resample_dt is not None and not 0 < resample_dt < math.inf:
         raise OutOfRange(f"resampling dt must be positive and finite, not {resample_dt}")
     n = len(net.accessible)
     # every run samples t = 0, dt, ..., n_steps*dt: under one step, a longer window or too large a grid is refused here
     cells, dt, n_steps = _run_size(net, cfg)
-    _require_two_samples(n_steps + 1)
+    if n_steps < 1:
+        raise OutOfRange(f"a step response needs two or more time samples, not {n_steps + 1}: the run is under one step")
     window = _window(smooth_window_s, dt, n_steps + 1)
     dt_out = dt if resample_dt is None else resample_dt
     with _allocating(f"a grid of kernel samples {dt_out} s apart over {n_steps * dt:g} s"):  # its count may overflow
@@ -326,9 +288,8 @@ def measure_irm(
 
     runs = simulate_runs(net, [step_inflow(net, cfg, source) for source in net.accessible], cfg, fields=fields)
     for i, hist in enumerate(runs):
-        row = irm_row_from_step_response(hist.t, hist.boundary, smooth_window_s)
-        for j, receiver in enumerate(net.accessible):
-            k[i, j] = row[receiver] if resample_dt is None else resample(row[receiver], hist.t, t_out)
+        row = np.gradient(median_smooth([hist.boundary[leaf] for leaf in net.accessible], window), dt, axis=-1)
+        k[i] = row if resample_dt is None else [np.interp(t_out, hist.t, kernel) for kernel in row]
     return SampledIRM(dt_out, net.accessible, k, float(t_out[-1])), runs
 
 

@@ -57,7 +57,6 @@ from .graph import Network
 __all__ = [
     "SimConfig",
     "Histories",
-    "simulate",
     "simulate_runs",
     "step_inflow",
     "junction_scatter",
@@ -145,24 +144,13 @@ def _pipe_grids(net: Network, cells: list[int]) -> dict[str, _PipeGrid]:
     return grids
 
 
-def simulate(net: Network, flows: dict[str, np.ndarray], cfg: SimConfig, fields: bool = True) -> Histories:
-    """Run the transient solver and record the head trace at every accessible leaf.
-
-    ``flows`` maps accessible leaves to their prescribed inflow nu*Q, one
-    sample per time step from t = 0; leaves without a series are closed.
-    Every vertex then takes its head from the single vertex rule of the
-    module docstring, already at t = 0 on the quiescent network. With
-    ``fields`` the H and Q history of every node is kept. A one-run call
-    of ``simulate_runs``.
-    """
-    return simulate_runs(net, [flows], cfg, fields)[0]
-
-
 def simulate_runs(net: Network, runs: list[dict[str, np.ndarray]], cfg: SimConfig,
                   fields: bool = True) -> list[Histories]:
-    """Run ``simulate`` on every flow dict of ``runs`` at once, laid end to end; one Histories per run.
+    """Run the transient solver on every flow dict of ``runs`` at once, laid end to end; one Histories per run.
 
-    Each is bit for bit that run alone's. A batch past physical memory, or one it cannot allocate, raises OutOfRange.
+    A flow dict maps accessible leaves to their inflow nu*Q, one sample per time step from t = 0; leaves without one
+    are closed. Each Histories holds every accessible leaf's head trace and, with ``fields``, every node's H and Q,
+    bit for bit that run alone's. A batch past physical memory, or one it cannot allocate, raises OutOfRange.
     """
     cells, dt, n_steps = _run_size(net, cfg)
     if not runs:
@@ -277,7 +265,7 @@ def conservation_residual(hist: Histories, net: Network, tau: float) -> float:
     diffusion. It needs the node fields of a run made with ``fields=True``.
     """
     if not hist.H:
-        raise ValueError("conservation_residual needs node fields: simulate with fields=True")
+        raise ValueError("conservation_residual needs node fields: run with fields=True")
     dt = hist.dt
     k_tau = int(round(tau / dt))
     if not 1 <= k_tau <= len(hist.t) - 1:

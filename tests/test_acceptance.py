@@ -22,12 +22,12 @@ from pipescope import (
     measure_irm,
     oracle_irm,
     sample_irm,
-    simulate,
     step_inflow,
     volume_profile,
 )
 from pipescope.errors import SingularSystem
 from pipescope.irm import SampledIRM
+from pipescope.simulate import simulate_runs
 from test_inversion import profile_cut_points, reference_volume
 
 DX2 = 7.0
@@ -171,7 +171,7 @@ def test_criterion_4_conservation_identity(exp2_net):
     residuals = {}
     for courant, bound in ((1.0, 1e-6), (0.95, 1e-2)):
         cfg = SimConfig(dx=5.0, duration=0.6, courant=courant)
-        hist = simulate(exp2_net, step_inflow(exp2_net, cfg, "A"), cfg)
+        hist = simulate_runs(exp2_net, [step_inflow(exp2_net, cfg, "A")], cfg)[0]
         residuals[courant] = conservation_residual(hist, exp2_net, 0.5)
         assert residuals[courant] < bound
     report(

@@ -18,11 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pipescope import SimConfig, oracle_irm, sample_irm, simulate, step_inflow, validate_network
+from pipescope import SimConfig, oracle_irm, sample_irm, step_inflow, validate_network
 from pipescope.cli import OPTIONS, _reciprocity, _remove_old_output, build_parser, main, run
 from pipescope.errors import ActionTimeExceedsTau, ConfigError, NumericError, PipescopeError
-from pipescope.irm import load_irm
+from pipescope.irm import SampledIRM, load_irm, save_irm
 from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
+from pipescope.simulate import simulate_runs
 from test_irm import SIX_LEAF_UNIFORM, damaged_irm_lines, edited_irm_lines
 
 
@@ -463,7 +464,7 @@ def test_simulate_irm_dump_fields(tmp_path, net1_path):
     assert code == 0
     net = validate_network(EXP1_NETWORK)
     cfg = SimConfig(dx=50.0, duration=0.3, courant=1.0)
-    hist = simulate(net, step_inflow(net, cfg, "B"), cfg, fields=True)
+    hist = simulate_runs(net, [step_inflow(net, cfg, "B")], cfg, fields=True)[0]
     header, *rows = (fields / "src_B_pipe_DC.csv").read_text().splitlines()
     assert header == "t,x,H,Q"
     grid = hist.grids["DC"]
@@ -699,7 +700,7 @@ def test_reconstruct_manifest_records_solver(tmp_path, exp1_irm_path):
 @pytest.mark.parametrize(
     "flags",
     [["--lambda", "nan"], ["--lambda", "-1"], ["--lambda", "inf"], ["--lambda", "1e-5,nan,1e-5"],
-     ["--tau", "nan"], ["--tau", "-0.8"], ["--dx", "0"], ["--dx", "nan"]],
+     ["--tau", "nan"], ["--tau", "-0.8"], ["--dx", "0"], ["--dx", "nan"], ["--tau", "1e308"]],
 )
 def test_reconstruct_out_of_range_flag_exit_2(tmp_path, exp1_irm_path, capsys, flags):
     capsys.readouterr()
@@ -713,7 +714,7 @@ def test_reconstruct_out_of_range_flag_exit_2(tmp_path, exp1_irm_path, capsys, f
 @pytest.mark.parametrize(
     "flag, value",
     [("--dx", "nan"), ("--dx", "inf"), ("--duration", "nan"), ("--duration", "-1"), ("--smooth-window", "-1"),
-     ("--smooth-window", "nan"), ("--resample-dt", "-1"), ("--resample-dt", "nan")],
+     ("--smooth-window", "nan"), ("--smooth-window", "1e308"), ("--resample-dt", "-1"), ("--resample-dt", "nan")],
 )
 def test_simulate_irm_out_of_range_flag_exit_2(tmp_path, capsys, flag, value):
     code = run(["simulate-irm", "--preset", "exp2", flag, value, "--out", str(tmp_path / "x.csv")])
@@ -786,6 +787,17 @@ def test_reconstruct_system_past_physical_memory_exit_2(tmp_path, exp1_irm_path,
     assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
     assert "a system of 150 unknowns needs 540000 bytes, more than the 262144 bytes of physical memory" in err
     assert list(tmp_path.glob("r/*.csv")) == []
+
+
+def test_reconstruct_on_an_irm_step_too_small_to_count_samples_exit_2(tmp_path, capsys):
+    # tau / dt overflows to inf: M = floor(tau/dt) is refused before any array of the points is sized
+    irm = tmp_path / "tiny.csv"
+    save_irm(SampledIRM(5e-324, ("A", "B"), np.zeros((2, 2, 2)), 1.0), irm)
+    code = run(["reconstruct", "--preset", "exp1", "--irm", str(irm), "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error: samples 5e-324 s apart") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
 
 
 def test_simulate_irm_shorter_than_one_step_exit_2(tmp_path, net1_path, capsys, monkeypatch):

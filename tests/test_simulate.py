@@ -17,7 +17,6 @@ from pipescope import (
     SimConfig,
     conservation_residual,
     junction_scatter,
-    simulate,
     step_inflow,
     validate_network,
 )
@@ -25,7 +24,7 @@ from pipescope.errors import MismatchedSeriesLength, OutOfRange, UnstableConfig,
 from pipescope.simulate import _run_size, simulate_runs
 from test_graph import network_distance, tree_specs
 
-SIMULATE = importlib.import_module("pipescope.simulate")  # the module; the package's ``simulate`` is the function
+SIMULATE = importlib.import_module("pipescope.simulate")  # the module, whose numpy the memory tests replace
 ERRORS = importlib.import_module("pipescope.errors")  # where the memory guard reads physical memory
 
 B_UNIT = 1000.0 / 9.81  # a/(gA) for a = 1000 m/s, g = 9.81, A = 1 m^2
@@ -103,9 +102,9 @@ def test_nonfinite_or_out_of_range_config_rejected(dx, duration, courant):
 def test_series_length_mismatch(single_pipe_net):
     cfg = SimConfig(dx=5.0, duration=0.5)
     with pytest.raises(MismatchedSeriesLength):
-        simulate(single_pipe_net, {"L": np.ones(7)}, cfg)
+        simulate_runs(single_pipe_net, [{"L": np.ones(7)}], cfg)
     with pytest.raises(MismatchedSeriesLength):
-        simulate(single_pipe_net, {"R": np.ones(101)}, cfg)
+        simulate_runs(single_pipe_net, [{"R": np.ones(101)}], cfg)
 
 
 @pytest.mark.parametrize(
@@ -120,7 +119,7 @@ def test_run_too_large_for_memory_raises_out_of_range(exp2_net, dx, courant, dur
     with pytest.raises(OutOfRange, match=message):
         step_inflow(exp2_net, cfg, "A")
     with pytest.raises(OutOfRange, match=message):
-        simulate(exp2_net, {}, cfg)
+        simulate_runs(exp2_net, [{}], cfg)
     with pytest.raises(OutOfRange, match=message):  # a batch: its inflow and fields carry a runs axis
         simulate_runs(exp2_net, [{}, {}, {}], cfg, fields=True)
 
@@ -173,7 +172,7 @@ def test_run_past_a_few_megabytes_of_memory_refused(exp2_net, monkeypatch):
     with pytest.raises(OutOfRange, match=r"needs \d+ bytes, more than the 4194304 bytes of physical memory"):
         step_inflow(exp2_net, cfg, "A")
     with pytest.raises(OutOfRange, match="4194304 bytes of physical memory"):
-        simulate(exp2_net, {}, cfg, fields=False)
+        simulate_runs(exp2_net, [{}], cfg, fields=False)
 
 
 def test_unrepresentable_run_without_a_memory_reading_is_out_of_range(exp2_net, monkeypatch):
@@ -214,7 +213,7 @@ def test_right_moving_wave_uniform_pipe(single_pipe_net):
     n_steps = int(cfg.duration / 0.005 + 1e-6)
     series = np.zeros(n_steps + 1)
     series[:5] = 1.0
-    hist = simulate(single_pipe_net, {"L": series}, cfg)
+    hist = simulate_runs(single_pipe_net, [{"L": series}], cfg)[0]
 
     k = np.searchsorted(hist.t, 0.3)
     h_row = hist.H["P"][k]
@@ -230,7 +229,7 @@ def test_right_moving_wave_uniform_pipe(single_pipe_net):
 def test_causality_finite_speed(exp2_net):
     # exact zeros beyond the front hold at Courant 1, where transport is exact
     cfg = SimConfig(dx=5.0, duration=0.25, courant=1.0)
-    hist = simulate(exp2_net, step_inflow(exp2_net, cfg, "A"), cfg)
+    hist = simulate_runs(exp2_net, [step_inflow(exp2_net, cfg, "A")], cfg)[0]
     k = len(hist.t) - 1
     t = hist.t[k]
     for pid, g in hist.grids.items():
@@ -245,7 +244,7 @@ def test_causality_finite_speed(exp2_net):
 def test_junction_transmission_exp1(exp1_net):
     # unit step from A: junction passes 2/3, receiver B doubles it at 0.7 s
     cfg = SimConfig(dx=5.0, duration=1.0, courant=1.0)
-    hist = simulate(exp1_net, step_inflow(exp1_net, cfg, "A"), cfg)
+    hist = simulate_runs(exp1_net, [step_inflow(exp1_net, cfg, "A")], cfg)[0]
     h_b = hist.boundary["B"]
     before = h_b[np.searchsorted(hist.t, 0.65)]
     after = h_b[np.searchsorted(hist.t, 0.75)]
@@ -255,7 +254,7 @@ def test_junction_transmission_exp1(exp1_net):
 
 def test_closed_end_reflection_doubles(single_pipe_net):
     cfg = SimConfig(dx=5.0, duration=1.2, courant=1.0)
-    hist = simulate(single_pipe_net, step_inflow(single_pipe_net, cfg, "L"), cfg)
+    hist = simulate_runs(single_pipe_net, [step_inflow(single_pipe_net, cfg, "L")], cfg)[0]
     h_far = hist.H["P"][np.searchsorted(hist.t, 0.7), -1]
     assert h_far == pytest.approx(2.0 * B_UNIT)
     # no sign change: after the round trip (1.0 s) the reflected step stacks
@@ -266,7 +265,7 @@ def test_closed_end_reflection_doubles(single_pipe_net):
 
 def test_junction_head_continuity_and_kirchhoff(exp2_net):
     cfg = SimConfig(dx=5.0, duration=1.0, courant=0.95)
-    hist = simulate(exp2_net, step_inflow(exp2_net, cfg, "B"), cfg)
+    hist = simulate_runs(exp2_net, [step_inflow(exp2_net, cfg, "B")], cfg)[0]
     # pipe-end nodes at E: AE end, BE end, CE end, ED start
     heads = np.stack(
         [hist.H["AE"][:, -1], hist.H["BE"][:, -1], hist.H["CE"][:, -1], hist.H["ED"][:, 0]]
@@ -291,7 +290,7 @@ def test_accessible_leaf_at_pipe_end(single_pipe_spec):
     for spec in (single_pipe_spec, swapped):
         net = validate_network(spec)
         series = np.random.default_rng(5).normal(size=len(step_inflow(net, cfg, "L")["L"]))
-        hist = simulate(net, {"L": series}, cfg)
+        hist = simulate_runs(net, [{"L": series}], cfg)[0]
         node, nu = (0, 1.0) if net.leaf_nu("L") == 1 else (-1, -1.0)
         scale = np.abs(series).max()
         assert np.abs(nu * hist.Q["P"][:, node] - series).max() <= 1e-12 * scale
@@ -307,9 +306,9 @@ def test_linearity(exp1_net):
     f1 = rng.normal(size=n)
     f2 = rng.normal(size=n)
     alpha, beta = 1.7, -0.4
-    h_1 = simulate(exp1_net, {"A": f1}, cfg)
-    h_2 = simulate(exp1_net, {"B": f2}, cfg)
-    h_12 = simulate(exp1_net, {"A": alpha * f1, "B": beta * f2}, cfg)
+    h_1 = simulate_runs(exp1_net, [{"A": f1}], cfg)[0]
+    h_2 = simulate_runs(exp1_net, [{"B": f2}], cfg)[0]
+    h_12 = simulate_runs(exp1_net, [{"A": alpha * f1, "B": beta * f2}], cfg)[0]
     for pid in exp1_net.pipes:
         combo = alpha * h_1.H[pid] + beta * h_2.H[pid]
         assert np.allclose(combo, h_12.H[pid], rtol=1e-12, atol=1e-9)
@@ -336,7 +335,7 @@ def test_table_area_profile_simulates():
     }
     net = validate_network(spec)
     cfg = SimConfig(dx=5.0, duration=0.6, courant=1.0)
-    hist = simulate(net, step_inflow(net, cfg, "L"), cfg)
+    hist = simulate_runs(net, [step_inflow(net, cfg, "L")], cfg)[0]
     assert np.isfinite(hist.boundary["L"]).all()
     # the constriction reflects part of the step back before the far wall does
     echo_window = hist.boundary["L"][(hist.t > 0.25) & (hist.t < 0.9)]
@@ -349,19 +348,19 @@ def test_table_area_profile_simulates():
 
 def test_conservation_zero_flow(exp2_net):
     cfg = SimConfig(dx=5.0, duration=0.3, courant=1.0)
-    hist = simulate(exp2_net, {}, cfg)
+    hist = simulate_runs(exp2_net, [{}], cfg)[0]
     assert conservation_residual(hist, exp2_net, 0.2) == 0.0
 
 
 def test_conservation_courant_one(exp2_net):
     cfg = SimConfig(dx=5.0, duration=0.6, courant=1.0)
-    hist = simulate(exp2_net, step_inflow(exp2_net, cfg, "A"), cfg)
+    hist = simulate_runs(exp2_net, [step_inflow(exp2_net, cfg, "A")], cfg)[0]
     assert conservation_residual(hist, exp2_net, 0.5) < 1e-6
 
 
 def test_conservation_courant_095(exp2_net):
     cfg = SimConfig(dx=5.0, duration=0.6, courant=0.95)
-    hist = simulate(exp2_net, step_inflow(exp2_net, cfg, "A"), cfg)
+    hist = simulate_runs(exp2_net, [step_inflow(exp2_net, cfg, "A")], cfg)[0]
     assert conservation_residual(hist, exp2_net, 0.5) < 1e-2
 
 
@@ -370,8 +369,8 @@ def test_leaf_traces_without_fields_are_bit_identical(preset_net, request):
     net = request.getfixturevalue(preset_net)
     cfg = SimConfig(dx=10.0, duration=0.5, courant=0.95)
     flows = step_inflow(net, cfg, net.accessible[0])
-    full = simulate(net, flows, cfg, fields=True)
-    lean = simulate(net, flows, cfg, fields=False)
+    full = simulate_runs(net, [flows], cfg, fields=True)[0]
+    lean = simulate_runs(net, [flows], cfg, fields=False)[0]
     assert lean.H == lean.Q == {}
     assert list(lean.boundary) == list(net.accessible)
     assert lean.t.tobytes() == full.t.tobytes()
@@ -384,9 +383,9 @@ def test_leaf_traces_without_fields_are_bit_identical(preset_net, request):
 
 def test_zero_step_run_keeps_its_time_step(exp1_net):
     cfg = SimConfig(dx=5.0, duration=0.0, courant=0.95)
-    hist = simulate(exp1_net, step_inflow(exp1_net, cfg, "A"), cfg)
+    hist = simulate_runs(exp1_net, [step_inflow(exp1_net, cfg, "A")], cfg)[0]
     assert len(hist.t) == 1
-    longer = simulate(exp1_net, {}, SimConfig(dx=5.0, duration=0.1, courant=0.95), fields=False)
+    longer = simulate_runs(exp1_net, [{}], SimConfig(dx=5.0, duration=0.1, courant=0.95), fields=False)[0]
     assert hist.dt == longer.dt == longer.t[1] - longer.t[0]
     with pytest.raises(ValueError, match="outside the recorded time span"):
         conservation_residual(hist, exp1_net, hist.dt)
@@ -394,7 +393,7 @@ def test_zero_step_run_keeps_its_time_step(exp1_net):
 
 def test_conservation_residual_needs_fields(exp2_net):
     cfg = SimConfig(dx=10.0, duration=0.6, courant=1.0)
-    hist = simulate(exp2_net, step_inflow(exp2_net, cfg, "A"), cfg, fields=False)
+    hist = simulate_runs(exp2_net, [step_inflow(exp2_net, cfg, "A")], cfg, fields=False)[0]
     with pytest.raises(ValueError, match="fields=True"):
         conservation_residual(hist, exp2_net, 0.5)
 
@@ -508,7 +507,7 @@ def test_step_matches_gather_reference_bit_for_bit(preset_net, dx, courant, dura
         n = len(flows[net.accessible[-1]])
         driven_leaves = net.accessible[: max(2, len(net.accessible) - 1)]  # all but one leaf, or both of exp1's
         flows = {leaf: rng.normal(size=n) * 10.0 ** rng.integers(-3, 3) for leaf in driven_leaves}
-    hist = simulate(net, flows, cfg, fields=fields)
+    hist = simulate_runs(net, [flows], cfg, fields=fields)[0]
     t, boundary, H, Q = _reference_simulate(net, flows, cfg, fields=fields)
     assert hist.t.tobytes() == t.tobytes()
     assert list(hist.boundary) == list(boundary)
