@@ -22,7 +22,6 @@ from .irm import (
     SampledIRM,
     load_irm,
     measure_irm,
-    median_smooth,
     oracle_irm,
     sample_irm,
     save_irm,

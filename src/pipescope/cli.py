@@ -206,7 +206,6 @@ def cmd_simulate_irm(net, resolved: dict) -> tuple:
         net,
         cfg,
         resample_dt=resolved["resample_dt"] or None,
-        smooth_window_s=resolved["smooth_window"],
         fields=bool(resolved.get("dump_fields")),
     )
     return _irm_outputs(net, resolved, irm, runs)
@@ -372,7 +371,6 @@ OPTIONS = {
         "courant": Option("--courant", float, 0.95),
         "duration": Option("--duration", float, None),
         "resample_dt": Option("--resample-dt", float, 0.0),
-        "smooth_window": Option("--smooth-window", float, 0.02),
         "dump_traces": Option("--dump-traces", str, ""),
         "dump_fields": Option("--dump-fields", str, ""),
         "out": Option("--out", str, None),

@@ -88,10 +88,6 @@ class NonuniformPipeArea(ConfigError):
     """The wavefront oracle requires a constant area on every pipe."""
 
 
-class WindowTooLarge(ConfigError):
-    pass
-
-
 class OutOfRange(ConfigError):
     pass
 

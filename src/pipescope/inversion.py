@@ -24,9 +24,9 @@ system, with the unit target head b = 1; inactive samples get exact zero
 flow. With |nu| = 1, S = diag(nu) H turns ||Hq - b|| into ||Sq - nu||,
 and ``_s_matrix`` gathers S from the kernels on just the samples asked
 for. The kernels are first averaged over their leaf axes,
-(k_ij + k_ji)/2: the model's IRM is reciprocal, so a measured IRM's skew
-part is measurement error, and S from the averaged kernels is symmetric
-bit for bit (on a mirrored oracle IRM the average is the IRM itself). The
+(k_ij + k_ji)/2: the model's IRM is reciprocal, so the skew part is
+measurement error or pruned fronts, and S from the averaged kernels is
+symmetric bit for bit (on a reciprocal IRM, the IRM itself). The
 per-point solve minimizes ||Sq - nu||^2 + lambda*||q||^2, at lambda > 0 as
 q = Re[(S - i sqrt(lambda) I)^-1 nu] with a pivoted solve, or, at
 lambda = 0, by a rank-checked least-squares solve that refuses a

@@ -9,14 +9,15 @@ a/(gA) down the source pipe, junctions split it via the scattering
 coefficients, closed leaves reflect it with no sign change, and each
 arrival at an accessible leaf records twice the traveling amplitude.
 The measured route runs the transient solver with a unit-step inflow
-per source leaf, then smooths the head traces (``median_smooth``),
-differentiates them in time (``np.gradient``) and regrids them (``np.interp``).
+per source leaf and takes each head trace's time derivative as one hat
+average on the output grid: the second difference of the trace's running
+integral (``measure_irm``), a linear step with no smoothing.
 
 Neither route keeps the direct impulse a/(A(x_i) g) at t = 0: the
 inversion adds it to the control matrix's diagonal from the network, so
 no kernel holds a delta to differentiate. On the measured route it is
-the a/(gA) step of the source trace, constant on all of t >= 0, so
-differentiation removes it with no subtraction.
+the a/(gA) step of the source trace at t = 0, which subtracting each
+trace's first sample removes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, WindowTooLarge, _allocating
+from .errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, _allocating
 from .graph import Network
 from .simulate import Histories, SimConfig, _batch_bytes, _run_size, junction_scatter, simulate_runs, step_inflow
 
@@ -40,7 +41,6 @@ __all__ = [
     "oracle_irm",
     "sample_irm",
     "measure_irm",
-    "median_smooth",
     "save_irm",
     "load_irm",
     "grid_size",
@@ -109,9 +109,9 @@ def oracle_irm(
     individual fronts a source processes, merged ones counted one by one.
 
     Unpruned, the reciprocity k_ij = k_ji holds exactly. Pruning drops
-    different fronts from each source where pipe areas differ, so the
-    train for source i > j is copied from source j's: reciprocity then
-    holds bit-for-bit at any ``prune_eps``.
+    different fronts from each source where pipe areas differ, so there
+    the trains of (i, j) and (j, i) may differ by pruned fronts; the
+    inversion averages the two kernels.
     """
     if not 0 <= horizon < math.inf or not 0 <= prune_eps < math.inf:
         raise OutOfRange(f"horizon {horizon} and prune_eps {prune_eps} must be finite and >= 0")
@@ -190,9 +190,6 @@ def oracle_irm(
                         queued[amplitude] = queued.get(amplitude, 0) + count
         for j, bucket in enumerate(arrivals):
             deltas[(i, j)] = tuple((t / scale, w_num * c / w_den) for t, c in sorted(bucket.items()) if c != 0)
-    for i, j in deltas:
-        if i > j:
-            deltas[(i, j)] = deltas[(j, i)]
     return AnalyticIRM(net.accessible, deltas, horizon)
 
 
@@ -217,80 +214,58 @@ def sample_irm(an: AnalyticIRM, dt: float) -> SampledIRM:
     return SampledIRM(dt, an.leaves, k, an.horizon)
 
 
-def median_smooth(series, window: int):
-    """Centered running median along the last axis; the window shrinks near the edges.
-
-    Every full window is taken at once from a sliding-window view; only
-    the ``window - 1`` edge samples are computed one by one.
-    """
-    if window < 1:
-        raise WindowTooLarge("window must be at least 1 sample")
-    series = np.asarray(series, dtype=float)
-    n = series.shape[-1]
-    if window > n:
-        raise WindowTooLarge(f"window {window} exceeds series length {n}")
-    if window == 1:
-        return series.copy()
-    left = (window - 1) // 2
-    right = window // 2
-    out = np.empty_like(series)
-    out[..., left : n - right] = np.median(np.lib.stride_tricks.sliding_window_view(series, window, axis=-1), axis=-1)
-    for i in (*range(left), *range(n - right, n)):
-        out[..., i] = np.median(series[..., max(0, i - left) : i + right + 1], axis=-1)
-    return out
-
-
-def _window(smooth_window_s: float, dt: float, n: int) -> int:
-    """Samples of a smoothing window of ``smooth_window_s`` seconds at step dt, floored, at least 1, at most ``n``."""
-    if not 0 <= smooth_window_s < math.inf:
-        raise OutOfRange(f"smoothing window must be finite and >= 0, not {smooth_window_s}")
-    samples = smooth_window_s / dt  # inf where the quotient overflows, which int() refuses
-    window = max(1, int(samples)) if samples < math.inf else samples
-    if window > n:
-        raise WindowTooLarge(f"window {window} exceeds series length {n}")
-    return window
-
-
 def measure_irm(
     net: Network,
     cfg: SimConfig,
     resample_dt: float | None = None,
-    smooth_window_s: float = 0.02,
     fields: bool = False,
 ) -> tuple[SampledIRM, list[Histories]]:
     """Simulate step responses for every source leaf and assemble the IRM.
 
     One forward run per accessible leaf (unit step there, all other ends
-    closed), all stepped together. A source's kernel row is its leaf traces
-    median-smoothed together (window in seconds, floored to samples) and
-    differentiated in time, then with ``resample_dt`` interpolated onto that
-    grid, where ``np.interp`` holds the last value past the run's end. Returns
-    the IRM and the raw histories, with node fields only if ``fields`` asks.
+    closed), all stepped together. A source's kernel row is the hat average
+    of its leaf traces' time derivative: with g = H - H(0) and R the running
+    trapezoid integral of g, R = 0 for t <= 0,
+
+        k(t_l) = [R(t_l + dt_out) - 2 R(t_l) + R(t_l - dt_out)] / dt_out**2,  t_l = l dt_out,
+
+    R read with ``np.interp``; dt_out is ``resample_dt``, or the run's dt
+    without it, where this is ``np.gradient``'s central difference in the
+    interior. The grid covers the run less one dt_out, since its last sample
+    takes R one dt_out past it. Returns the IRM and the raw histories, with
+    node fields only if ``fields`` asks.
     """
     if resample_dt is not None and not 0 < resample_dt < math.inf:
         raise OutOfRange(f"resampling dt must be positive and finite, not {resample_dt}")
     n = len(net.accessible)
-    # every run samples t = 0, dt, ..., n_steps*dt: under one step, a longer window or too large a grid is refused here
+    # every run samples t = 0, dt, ..., n_steps*dt: under one step, a longer output step or too large a grid is refused
     cells, dt, n_steps = _run_size(net, cfg)
     if n_steps < 1:
         raise OutOfRange(f"a step response needs two or more time samples, not {n_steps + 1}: the run is under one step")
-    window = _window(smooth_window_s, dt, n_steps + 1)
-    dt_out = dt if resample_dt is None else resample_dt
+    dt_out = resample_dt or dt
     with _allocating(f"a grid of kernel samples {dt_out} s apart over {n_steps * dt:g} s"):  # its count may overflow
-        n_out = n_steps + 1 if resample_dt is None else grid_size(n_steps * dt, dt_out)
+        n_out = grid_size(n_steps * dt, dt_out) - 1  # so every sample's right hat neighbour lies in the run
+    if n_out < 1:
+        raise OutOfRange(f"resampling dt {dt_out} s is longer than the {n_steps * dt:g} s run: no kernel sample fits")
     # refused past physical memory before any is made: the batch's arrays, and N times a step series, a kernel row,
-    # and per leaf one source's smoothing: the median's window copy, (n_steps + 2 - w) x w, and 4 series
-    samples = 5 * (n_steps + 1) + n * n_out + (n_steps + 2 - window) * window
+    # and per leaf of one source its g and R series and three rows: R on the grid and its two differences
+    samples = 3 * (n_steps + 1) + (n + 3) * n_out
     with _allocating(f"{n} runs of {sum(cells)} cells and {n_steps} time steps, and {n * n * n_out} kernel samples,",
                      8 * n * samples + _batch_bytes(net, cells, n_steps, n, fields)):
-        t_out = np.arange(n_out) * dt_out
+        t_hat = np.arange(-1, n_out + 1) * dt_out  # the grid with one hat neighbour either side
         k = np.zeros((n, n, n_out))
 
     runs = simulate_runs(net, [step_inflow(net, cfg, source) for source in net.accessible], cfg, fields=fields)
     for i, hist in enumerate(runs):
-        row = np.gradient(median_smooth([hist.boundary[leaf] for leaf in net.accessible], window), dt, axis=-1)
-        k[i] = row if resample_dt is None else [np.interp(t_out, hist.t, kernel) for kernel in row]
-    return SampledIRM(dt_out, net.accessible, k, float(t_out[-1])), runs
+        g = np.array([hist.boundary[leaf] for leaf in net.accessible])
+        g -= g[:, :1]
+        r = np.cumsum(g, axis=-1)  # in place from here: R_m = dt (g_1 + ... + g_{m-1} + g_m / 2), as g_0 = 0
+        g *= 0.5
+        r -= g
+        r *= dt
+        for j, trace in enumerate(r):
+            k[i, j] = np.diff(np.interp(t_hat, hist.t, trace), 2) / dt_out**2
+    return SampledIRM(dt_out, net.accessible, k, float(t_hat[-2])), runs
 
 
 # -- persistence --------------------------------------------------------------

@@ -68,7 +68,7 @@ PRESETS = {
     },
     "exp2": {
         "network": EXP2_NETWORK,
-        "simulate": {"dx": 5.0, "courant": 0.95, "duration": 1.9, "resample_dt": 0.007, "smooth_window": 0.02},
+        "simulate": {"dx": 5.0, "courant": 0.95, "duration": 1.9, "resample_dt": 0.007},
         "reconstruct": {"tau": 0.9, "dx": 7.0, "pipes": ["AE", "BE", "CE", "ED"], "lam": [1e-5, 1e-5, 1e-5, 1.0]},
     },
 }

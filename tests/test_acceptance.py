@@ -3,8 +3,8 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines. Criterion 2's baseline check excludes points within 28 m (four
 reconstruction steps) of a blockage edge or a profile end, where the
-smoothing window and the regularization smear the staircase; that margin
-also frames the dip-locality windows.
+kernels' hat average and the regularization smear the staircase; that
+margin also frames the dip-locality windows.
 """
 
 import math
@@ -69,12 +69,7 @@ def exp1_irm(exp1_net):
 @pytest.fixture(scope="module")
 def exp2_irm(exp2_net):
     started = time.time()
-    irm, _ = measure_irm(
-        exp2_net,
-        SimConfig(dx=5.0, duration=1.9, courant=0.95),
-        resample_dt=0.007,
-        smooth_window_s=0.02,
-    )
+    irm, _ = measure_irm(exp2_net, SimConfig(dx=5.0, duration=1.9, courant=0.95), resample_dt=0.007)
     return irm, time.time() - started
 
 

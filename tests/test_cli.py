@@ -24,6 +24,7 @@ from pipescope.errors import ActionTimeExceedsTau, ConfigError, NumericError, Pi
 from pipescope.irm import SampledIRM, load_irm, save_irm
 from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
 from pipescope.simulate import simulate_runs
+from test_inversion import TREE6
 from test_irm import SIX_LEAF_UNIFORM, damaged_irm_lines, edited_irm_lines
 
 
@@ -73,6 +74,16 @@ def test_irm_manifests_record_reciprocity(tmp_path, net1_path):
     # an all-zero IRM counts as reciprocal
     assert run(["oracle-irm", "--preset", "exp1", "--horizon", "0", "--out", str(irm1)]) == 0
     assert json.loads((tmp_path / "irm1.csv.manifest.json").read_text())["reciprocity"] == 0.0
+
+
+def test_pruned_oracle_irm_manifest_records_its_asymmetry(tmp_path):
+    # pruning drops different fronts from each source on this mixed-area tree, and the manifest shows by how much
+    net_path, out = tmp_path / "tree6.json", tmp_path / "irm.csv"
+    net_path.write_text(json.dumps(TREE6))
+    assert run(["oracle-irm", "--network", str(net_path), "--horizon", "1.01", "--dt", "0.01", "--out", str(out)]) == 0
+    k = load_irm(out).k
+    recorded = json.loads((tmp_path / "irm.csv.manifest.json").read_text())["reciprocity"]
+    assert recorded == np.abs(k - k.transpose(1, 0, 2)).max() / np.abs(k).max() > 0
 
 
 def _reciprocity_peak(spec, horizon, dt, skewed):
@@ -713,8 +724,8 @@ def test_reconstruct_out_of_range_flag_exit_2(tmp_path, exp1_irm_path, capsys, f
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--dx", "nan"), ("--dx", "inf"), ("--duration", "nan"), ("--duration", "-1"), ("--smooth-window", "-1"),
-     ("--smooth-window", "nan"), ("--smooth-window", "1e308"), ("--resample-dt", "-1"), ("--resample-dt", "nan")],
+    [("--dx", "nan"), ("--dx", "inf"), ("--duration", "nan"), ("--duration", "-1"), ("--resample-dt", "-1"),
+     ("--resample-dt", "nan"), ("--resample-dt", "1.91")],
 )
 def test_simulate_irm_out_of_range_flag_exit_2(tmp_path, capsys, flag, value):
     code = run(["simulate-irm", "--preset", "exp2", flag, value, "--out", str(tmp_path / "x.csv")])
@@ -920,6 +931,25 @@ def test_replay_rejects_removed_jobs_option(tmp_path, exp1_irm_path, capsys):
     assert "jobs" in err and err.count("\n") == 1
 
 
+def test_removed_smooth_window_option_exit_2(tmp_path, capsys):
+    # simulate-irm manifests and config files written while the median smoothing was an option set smooth_window
+    config, out = tmp_path / "cfg.json", tmp_path / "irm.csv"
+    config.write_text(json.dumps({"smooth_window": 0.02}))
+    argv = ["simulate-irm", "--preset", "exp1", "--dx", "20", "--duration", "0.5", "--out", str(out)]
+    capsys.readouterr()
+    assert run([*argv, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "smooth_window" in err and err.count("\n") == 1 and not out.exists()
+    assert run(argv) == 0
+    manifest_path = tmp_path / "irm.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps({**manifest, "config": {**manifest["config"], "smooth_window": 0.02}}))
+    capsys.readouterr()
+    assert run(["replay", str(manifest_path)]) == 2
+    err = capsys.readouterr().err
+    assert "smooth_window" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -982,7 +1012,7 @@ def test_config_list_with_bad_element_exit_2(tmp_path, exp1_irm_path, capsys, ke
 # every option of the three manifest-writing commands with a valid value, on small exp1 runs
 VALID_OPTIONS = {
     "oracle-irm": {"horizon": 1.61, "dt": 0.01, "prune_eps": 1e-4, "out": "irm.csv"},
-    "simulate-irm": {"dx": 20.0, "courant": 0.95, "duration": 0.5, "resample_dt": 0.0, "smooth_window": 0.02,
+    "simulate-irm": {"dx": 20.0, "courant": 0.95, "duration": 0.5, "resample_dt": 0.0,
                      "dump_traces": "", "dump_fields": "", "out": "irm.csv"},
     "reconstruct": {"irm": "exp1_irm.csv", "tau": 0.8, "dx": 10.0, "lam": "1e-5", "pipes": "AD", "out": "r"},
 }
@@ -1069,7 +1099,6 @@ VALID_VALUES = {
     "courant": st.floats(0.5, 1.0),
     "duration": st.floats(0.0, 1.0),
     "resample_dt": st.just(0.0) | st.floats(0.005, 0.05),
-    "smooth_window": st.floats(0.0, 0.05),
     "tau": st.floats(0.1, 1.0),
     "lam": st.sampled_from(["1e-5", "0", "1e-5,1e-3,0.1"]),
     "pipes": st.sampled_from(["", "AD", "AD,BD,DC"]),

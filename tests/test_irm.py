@@ -20,14 +20,13 @@ from pipescope import (
     SimConfig,
     load_irm,
     measure_irm,
-    median_smooth,
     oracle_irm,
     sample_irm,
     save_irm,
     step_inflow,
     validate_network,
 )
-from pipescope.errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, WindowTooLarge
+from pipescope.errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange
 from pipescope.irm import _CHUNK, _saved_fields, grid_size
 from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
 from pipescope.simulate import _run_size, junction_scatter, simulate_runs
@@ -222,14 +221,14 @@ def test_oracle_matches_fraction_time_reference(spec, horizon, prune_eps):
     assert oracle_irm(net, horizon, prune_eps=prune_eps) == expected
 
 
-def test_oracle_pruned_mixed_tree_matches_mirrored_reference():
+def test_oracle_pruned_mixed_tree_matches_reference():
     # at 1e-4 pruning drops different fronts from different sources on this tree,
-    # so the oracle's trains for i > j are the reference's trains for (j, i)
+    # so (i, j) and (j, i) differ, and each source keeps its own trains
     net = validate_network(SIX_LEAF_MIXED)
     expected, _ = _reference_oracle(net, 2.4)
     got = oracle_irm(net, 2.4)
     assert any(expected.deltas[(i, j)] != expected.deltas[(j, i)] for i, j in expected.deltas)
-    assert got.deltas == {(i, j): expected.deltas[min(i, j), max(i, j)] for i, j in expected.deltas}
+    assert got == expected
 
 
 def test_oracle_event_guard_boundary_matches_reference():
@@ -301,63 +300,7 @@ def test_sample_irm_half_open_bin_edge():
     assert irm.k[0, 0, 6] == 0.0
 
 
-# -- processing steps ---------------------------------------------------------
-
-
-def test_median_smooth_identity_and_constant():
-    s = np.array([1.0, 5.0, -2.0, 4.0])
-    assert median_smooth(s, 1) == pytest.approx(s)
-    const = np.full(10, 3.3)
-    assert median_smooth(const, 4) == pytest.approx(const)
-
-
-def test_median_smooth_removes_spike():
-    s = np.zeros(9)
-    s[4] = 7.0
-    assert median_smooth(s, 3) == pytest.approx(np.zeros(9))
-
-
-def test_median_smooth_window_guard():
-    with pytest.raises(WindowTooLarge):
-        median_smooth(np.zeros(4), 5)
-    with pytest.raises(WindowTooLarge):
-        median_smooth(np.zeros(4), 0)
-
-
-def _median_smooth_loop(series, window):
-    """The per-sample running median that the vectorised one must reproduce bit for bit."""
-    if window == 1:
-        return series.copy()
-    left, right = (window - 1) // 2, window // 2
-    out = np.empty_like(series)
-    for i in range(len(series)):
-        out[i] = np.median(series[max(0, i - left) : min(len(series), i + right + 1)])
-    return out
-
-
-def test_median_smooth_matches_per_sample_loop():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n = int(rng.integers(1, 40))
-        series = rng.normal(size=n)
-        series[rng.random(n) < 0.2] = 0.0  # repeated values and signed zeros tie in the partition
-        series[rng.random(n) < 0.1] = -0.0
-        for window in {min(w, n) for w in (1, 2, 3, int(rng.integers(1, n + 1)), n)}:
-            got = median_smooth(series, window)
-            assert got.tobytes() == _median_smooth_loop(series, window).tobytes()
-
-
-def test_median_smooth_rows_match_one_dimensional_calls():
-    rng = np.random.default_rng(11)
-    block = rng.normal(size=(4, 57))
-    for window in (2, 5, 8, 57):
-        got = median_smooth(block, window)
-        assert got.shape == block.shape
-        for row, series in zip(got, block):
-            assert row.tobytes() == median_smooth(series, window).tobytes()
-            assert row.tobytes() == _median_smooth_loop(series, window).tobytes()
-    with pytest.raises(WindowTooLarge):
-        median_smooth(block, 58)
+# -- measured kernels -------------------------------------------------------
 
 
 def test_resample_exp2_regrid_length():
@@ -380,18 +323,18 @@ def test_measured_kernels_vanish_near_zero(exp1_net):
 @pytest.mark.parametrize("resample_dt, fields", [(None, False), (0.007, True)])
 def test_measurement_past_physical_memory_refused_before_any_run(exp2_net, monkeypatch, resample_dt, fields):
     # step series, inflow per vertex, a trace per leaf, H and Q per node with fields, the batch's per-node and
-    # per-pipe-end working arrays, its grids and times, the kernel grid, and one source's smoothing (per leaf, its
-    # window copy and four series), against a physical memory set a byte either side of that sum: no step series or
-    # run is made when refused
+    # per-pipe-end working arrays, its grids and times, the kernel grid, and one source's kernels (per leaf, its g
+    # and R series, R on the grid and its two differences), against a physical memory set a byte either side of
+    # that sum: no step series or run is made when refused
     irm_module = importlib.import_module("pipescope.irm")
     errors_module = importlib.import_module("pipescope.errors")
     cfg = SimConfig(dx=10.0, duration=0.6, courant=0.95)
     cells, dt, n_steps = _run_size(exp2_net, cfg)
     n, n_nodes, n_vertices = len(exp2_net.accessible), sum(cells) + len(cells), len(exp2_net.vertices)
-    n_out = n_steps + 1 if resample_dt is None else grid_size(n_steps * dt, resample_dt)
-    window = max(1, int(0.02 / dt))
+    dt_out = resample_dt or dt
+    n_out = grid_size(n_steps * dt - dt_out, dt_out)
     need = 8 * n * ((n_steps + 1) * (1 + n_vertices + n + (2 * n_nodes if fields else 0)) + n * n_out
-                    + (n_steps + 2 - window) * window + 4 * (n_steps + 1))
+                    + 2 * (n_steps + 1) + 3 * n_out)
     need += 8 * ((n_steps + 1) + n * (20 * n_nodes + 2 * 12 * len(cells)) + 4 * n_nodes)
     calls = []
     monkeypatch.setattr(irm_module, "step_inflow", lambda *args: calls.append(args))
@@ -431,8 +374,8 @@ def _traced_peak_and_estimates(monkeypatch, net, dx, duration, resample_dt):
 @pytest.mark.parametrize("dx", [0.5, 0.25])
 @pytest.mark.parametrize("resample_dt", [None, 0.007])
 def test_measurement_peak_within_memory_estimate(exp2_net, monkeypatch, dx, resample_dt):
-    # the median copies a source's full windows, N x (n_steps + 2 - w) x w with w = 0.02 s / dt, so that copy
-    # grows as 1/dx^2; the estimate the memory guard checks counts it, and the traced peak stays within it
+    # fine grids, where the runs' traces and one source's g and R series weigh most; the estimate the memory
+    # guard checks counts them, and the traced peak stays within it
     peak, estimates = _traced_peak_and_estimates(monkeypatch, exp2_net, dx, 1.9, resample_dt)
     assert len(estimates) == 1 and peak <= estimates[0]
 
@@ -443,63 +386,90 @@ def test_measurement_peak_within_memory_estimate_on_a_coarse_grid(exp1_net, monk
     assert len(estimates) == 1 and peak <= estimates[0]
 
 
-def test_measurement_window_longer_than_the_run_refused_before_any_run(exp2_net, monkeypatch):
+def _hat_kernel(g, t, t_hat):
+    """One kernel on the grid ``t_hat[1:-1]``, whose ends are the hat neighbours of its first and last sample.
+
+    ``g`` is a trace less its t = 0 step, sampled at the run's times ``t``;
+    R is its running trapezoid integral, read by ``np.interp`` (R = 0 for
+    t <= 0), and the kernel the second difference of R over the grid
+    divided by the grid's step squared.
+    """
+    R = (np.cumsum(g) - g / 2) * (t[1] - t[0])  # for g[0] = 0, the trapezoid rule's running sum
+    return np.diff(np.interp(t_hat, t, R), 2) / (t_hat[1] - t_hat[0]) ** 2
+
+
+def _hat_grid(t, resample_dt):
+    """The output grid of runs sampled at ``t``, with one hat neighbour either side: it ends a step before the run."""
+    dt_out = resample_dt or t[1] - t[0]
+    return np.arange(-1, grid_size(t[-1] - dt_out, dt_out) + 1) * dt_out
+
+
+def test_resampling_step_longer_than_the_run_refused_before_any_run(exp2_net, monkeypatch):
+    # a step as long as the run leaves one sample, whose right hat neighbour is the run's end; a longer one would
+    # read R held past the run, so it is refused
+    cfg = SimConfig(5.0, 0.5, 0.95)
+    _, dt, n_steps = _run_size(exp2_net, cfg)
+    irm, _ = measure_irm(exp2_net, cfg, resample_dt=n_steps * dt)
+    assert irm.n_samples == 1 and irm.horizon == 0.0
     calls = []
     monkeypatch.setattr("pipescope.irm.simulate_runs", lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(WindowTooLarge, match="window 21052 exceeds series length 106"):
-        measure_irm(exp2_net, SimConfig(5.0, 0.5, 0.95), smooth_window_s=100)
+    with pytest.raises(OutOfRange, match=r"longer than the [\d.]+ s run"):
+        measure_irm(exp2_net, cfg, resample_dt=1.001 * n_steps * dt)
     assert calls == []
 
 
 def test_measured_kernels_match_per_trace_reference(exp2_net):
-    # the one-trace-at-a-time pipeline: smooth, differentiate, resample
+    # the one-trace-at-a-time hat average of the time derivative
     cfg = SimConfig(dx=10.0, duration=0.6, courant=0.95)
     irm, runs = measure_irm(exp2_net, cfg, resample_dt=0.007)
     for i, (source, hist) in enumerate(zip(exp2_net.accessible, runs)):
         assert hist.H == hist.Q == {}
-        window = max(1, int(0.02 / hist.dt))
-        t_out = np.arange(irm.n_samples) * irm.dt
+        t_hat = _hat_grid(hist.t, 0.007)
+        assert irm.n_samples == len(t_hat) - 2 and irm.horizon == t_hat[-2] <= hist.t[-1] - 0.007
         for j, leaf in enumerate(exp2_net.accessible):
-            h = np.asarray(hist.boundary[leaf], dtype=float)
-            kernel = np.gradient(_median_smooth_loop(h, window), hist.t[1] - hist.t[0])
-            assert irm.k[i, j].tobytes() == np.interp(t_out, hist.t, kernel).tobytes()
+            h = hist.boundary[leaf]
+            assert irm.k[i, j].tobytes() == _hat_kernel(h - h[0], hist.t, t_hat).tobytes()
+
+
+def test_native_grid_kernels_are_central_differences(exp1_net):
+    # without resample_dt the hat's neighbours are the run's own samples, so inside the grid the kernel is
+    # np.gradient's central difference of the trace, and the grid stops one step before the run
+    irm, runs = measure_irm(exp1_net, SimConfig(dx=10.0, duration=1.0, courant=0.95))
+    for i, hist in enumerate(runs):
+        assert irm.dt == hist.dt and irm.n_samples == len(hist.t) - 1
+        for j, leaf in enumerate(exp1_net.accessible):
+            central = np.gradient(hist.boundary[leaf], hist.dt)[1:-1]
+            assert np.abs(irm.k[i, j, 1:] - central).max() <= 1e-9 * np.abs(central).max()
 
 
 def test_measured_kernels_match_direct_step_subtraction_to_round_off(exp2_net):
-    # the direct a/(gA) step the source trace carries is constant on t >= 0, so
-    # subtracting it before differentiating, as an earlier pipeline did, moves
-    # the kernels only at round-off
+    # the direct a/(gA) step the source trace carries is its first sample, so
+    # subtracting the analytic step instead moves the kernels only at round-off
     cfg = SimConfig(dx=5.0, duration=1.9, courant=0.95)
     irm, runs = measure_irm(exp2_net, cfg, resample_dt=0.007)
     reference = np.empty_like(irm.k)
-    t_out = np.arange(irm.n_samples) * irm.dt
     for i, (source, hist) in enumerate(zip(exp2_net.accessible, runs)):
-        window = max(1, int(0.02 / hist.dt))
+        t_hat = _hat_grid(hist.t, 0.007)
         for j, leaf in enumerate(exp2_net.accessible):
-            h = np.asarray(hist.boundary[leaf], dtype=float)
+            h = hist.boundary[leaf]
             if leaf == source:
-                h = h - (exp2_net.wave_speed / (exp2_net.gravity * exp2_net.leaf_area(leaf))) * (hist.t >= 0.0)
-            kernel = np.gradient(_median_smooth_loop(h, window), hist.t[1] - hist.t[0])
-            reference[i, j] = np.interp(t_out, hist.t, kernel)
+                h = h - exp2_net.wave_speed / (exp2_net.gravity * exp2_net.leaf_area(leaf))
+            reference[i, j] = _hat_kernel(h, hist.t, t_hat)
     assert np.abs(irm.k - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
-def _measure_irm_source_by_source(net, cfg, resample_dt, smooth_window_s=0.02, fields=False):
+def _measure_irm_source_by_source(net, cfg, resample_dt, fields=False):
     """``measure_irm`` as one ``simulate_runs`` call per source leaf, in turn: kernels and runs.
 
-    A source's traces are smoothed together, differentiated on the spacing
-    of their time axis, and each kernel is interpolated onto the output grid.
+    Each trace's kernel is its hat-averaged time derivative on the output grid.
     """
     runs = [simulate_runs(net, [step_inflow(net, cfg, source)], cfg, fields)[0] for source in net.accessible]
-    t = runs[0].t
-    t_out = t if resample_dt is None else np.arange(grid_size(t[-1], resample_dt)) * resample_dt
-    window = max(1, int(smooth_window_s / (t[1] - t[0])))
-    k = np.zeros((len(runs), len(runs), len(t_out)))
+    t_hat = _hat_grid(runs[0].t, resample_dt)
+    k = np.zeros((len(runs), len(runs), len(t_hat) - 2))
     for i, hist in enumerate(runs):
-        traces = np.array([hist.boundary[leaf] for leaf in net.accessible])
-        row = np.gradient(median_smooth(traces, window), hist.t[1] - hist.t[0], axis=-1)
-        for j, kernel in enumerate(row):
-            k[i, j] = kernel if resample_dt is None else np.interp(t_out, hist.t, kernel)
+        for j, leaf in enumerate(net.accessible):
+            h = hist.boundary[leaf]
+            k[i, j] = _hat_kernel(h - h[0], hist.t, t_hat)
     return k, runs
 
 
@@ -507,7 +477,7 @@ def _measure_irm_source_by_source(net, cfg, resample_dt, smooth_window_s=0.02, f
     "network, dx, courant, duration, resample_dt, fields",
     [
         ("exp2", 5.0, 0.95, 1.9, 0.007, False),  # the preset's simulate-irm settings
-        ("exp2", 5.0, 0.95, 1.9, 0.019000000095, False),  # grid_size puts the last of 101 samples past the run
+        ("exp2", 5.0, 0.95, 1.9, 0.019000000095, False),  # the last of 100 samples has its right neighbour past the run
         ("exp2", 10.0, 0.95, 0.6, None, True),
         ("tree", 5.0, 0.95, 2.6, 0.007, False),  # the benchmark's tree-measured settings
         ("tree", 6.0, 0.8, 0.4, 0.01, True),
@@ -543,6 +513,20 @@ def test_measured_irm_matches_oracle_bins(exp1_net):
             peak = b - 8 + int(np.argmax(np.abs(seg)))
             assert abs(peak - b) <= 1
             assert seg.sum() * dt == pytest.approx(coeff, rel=0.05)
+
+
+@pytest.mark.parametrize("resample_dt", [0.007, 0.0113])
+def test_measured_kernel_mass_matches_oracle_coefficients(exp1_net, resample_dt):
+    # at Courant 1 the simulator transports each front exactly, so a step in a trace is an oracle delta; on an
+    # output grid off the simulator's, the hat average still keeps each delta's whole weight near its arrival
+    irm, _ = measure_irm(exp1_net, SimConfig(dx=5.0, duration=1.61, courant=1.0), resample_dt=resample_dt)
+    t = np.arange(irm.n_samples) * irm.dt
+    deltas = oracle_irm(exp1_net, horizon=1.55).deltas
+    assert sum(map(len, deltas.values())) == 11
+    for (i, j), train in deltas.items():
+        for t0, coeff in train:
+            mass = irm.k[i, j][np.abs(t - t0) <= 0.045].sum() * irm.dt
+            assert abs(mass - coeff) <= 1e-11 * abs(coeff)
 
 
 # -- persistence --------------------------------------------------------------
