@@ -211,38 +211,30 @@ def cmd_simulate_irm(net, resolved: dict) -> tuple:
     return _irm_outputs(net, resolved, irm, runs)
 
 
-def _parse_list(value, cast):
-    """A comma-separated string or a JSON list of strings and numbers, as ``cast`` values."""
+def _parse_list(value):
+    """A comma-separated string or a JSON list of strings and numbers, as strings."""
     items = value if isinstance(value, list) else [v for v in value.split(",") if v != ""]
     if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in items):
         raise ConfigError(f"list {value!r} holds an item that is neither a string nor a number")
-    try:
-        return [cast(v) for v in items]
-    except ValueError as exc:
-        raise ConfigError(f"unreadable list {value!r}: {exc}") from exc
+    return [str(v) for v in items]
 
 
 def cmd_reconstruct(net, resolved: dict) -> tuple:
     irm = load_irm(resolved["irm"])
-    pipes = _parse_list(resolved["pipes"], str) if resolved["pipes"] else list(net.pipes)
+    pipes = _parse_list(resolved["pipes"]) if resolved["pipes"] else list(net.pipes)
     if not pipes:
         raise ConfigError(f"pipe list {resolved['pipes']!r} names no pipe")
-    lams = _parse_list(resolved["lam"], float)
-    if len(lams) == 1:
-        lams = lams * len(pipes)
-    if len(lams) != len(pipes):
-        raise ConfigError(f"{len(lams)} lambda values for {len(pipes)} pipes")
     unknown = [p for p in pipes if p not in net.pipes]
     if unknown:
         raise ConfigError(f"unknown pipe id(s): {', '.join(unknown)}")
     if len(set(pipes)) < len(pipes):
         raise ConfigError(f"pipe {next(p for p in pipes if pipes.count(p) > 1)!r} is named more than once")
-    cfgs = [ReconConfig(tau=resolved["tau"], dx=resolved["dx"], lam=lam) for lam in lams]
+    cfg = ReconConfig(tau=resolved["tau"], dx=resolved["dx"], lam=resolved["lam"])
 
     out_dir = resolved["out"]
     files = []
     profiles = {}  # per pipe: the solver that ran and, if it factored, its trust numbers
-    for pid, cfg in zip(pipes, cfgs):
+    for pid in pipes:
         vp = volume_profile(net, irm, pid, cfg)
         ap = area_profile(vp)
         profiles[pid] = {"solver": vp.solver, "residual": vp.residual, "volume_bound": vp.volume_bound}
@@ -379,7 +371,7 @@ OPTIONS = {
         "irm": Option("--irm", str, None),
         "tau": Option("--tau", float, None),
         "dx": Option("--dx", float, None),
-        "lam": Option("--lambda", list, None, "comma-separated per-pipe weights (or one for all)"),
+        "lam": Option("--lambda", float, None, "Tikhonov weight of every pipe's solve"),
         "pipes": Option("--pipes", list, "", "comma-separated pipe ids (default: all)"),
         "out": Option("--out", str, None, "output directory"),
     }),

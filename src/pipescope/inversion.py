@@ -5,9 +5,10 @@ reconstructs a pipe's profile point by point from the far end towards x0,
 and ``area_profile`` differences it.
 
 The discrete control equation for one reconstruction point p follows the
-piecewise-constant scheme: with M = floor(tau/dt) samples per leaf at
-times t_l = l*dt (l = 1..M), dt the IRM's own step, block (receiver j,
-source i) of the control matrix H holds
+piecewise-constant scheme: with M = floor(tau/dt + 1e-6) samples per leaf
+(the 1e-6 keeps float division from losing the sample at a tau that is a
+whole multiple of dt) at times t_l = l*dt (l = 1..M), dt the IRM's own
+step, block (receiver j, source i) of the control matrix H holds
 
     (dt/2) * nu_i * ( k_ij(|l - k|) + k_ij(2M + 1 - l - k) )
 
@@ -68,7 +69,7 @@ import numpy as np
 from .errors import (ActionTimeExceedsTau, ConfigError, HorizonTooShort, OutOfRange, SingularSystem, TooFewPoints,
                      _allocating)
 from .graph import Network, PointOnPipe, action_times_along
-from .irm import SampledIRM
+from .irm import SampledIRM, grid_size
 
 __all__ = [
     "ReconConfig",
@@ -86,7 +87,7 @@ _BLOCK = 48  # LDL^T block width: columns factored one by one inside it, matrix 
 class ReconConfig:
     """Inversion parameters for one pipe's reconstruction, by keyword only; the sample step dt is the IRM's.
 
-    tau: control horizon, M = floor(tau/dt) samples per leaf (needs 2*tau within the IRM horizon);
+    tau: control horizon, M = floor(tau/dt + 1e-6) samples per leaf (needs 2*tau within the IRM horizon);
     dx: reconstruction step along the pipe;
     lam: Tikhonov weight.
     """
@@ -132,13 +133,13 @@ def _check_leaves(irm: SampledIRM, net: Network) -> None:
 
 
 def _samples(cfg: ReconConfig, dt: float) -> int:
-    """M = floor(tau/dt); OutOfRange where the quotient overflows, as for a huge tau or a tiny dt."""
+    """M = floor(tau/dt + 1e-6), as ``grid_size`` counts a span; OutOfRange where the quotient overflows."""
     with _allocating(f"samples {dt} s apart over tau = {cfg.tau} s"):  # their count may overflow
-        return math.floor(cfg.tau / dt)
+        return grid_size(cfg.tau, dt) - 1
 
 
 def _samples_per_leaf(irm: SampledIRM, cfg: ReconConfig) -> int:
-    """M = floor(tau/dt) on the IRM's grid; ``HorizonTooShort`` unless its kernels span 2*tau."""
+    """M on the IRM's grid; ``HorizonTooShort`` unless its kernels span 2*tau."""
     m = _samples(cfg, irm.dt)
     if irm.n_samples < 2 * m:
         raise HorizonTooShort(f"kernels have {irm.n_samples} samples, need {2 * m} to span 2*tau")

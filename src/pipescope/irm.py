@@ -144,11 +144,12 @@ def oracle_irm(
         fronts = [(coeff, ticks[pid], rule_of[(ends[(vertex, pid)], pid)]) for coeff, pid in outs]
         rules.append((leaf_index.get(vertex), fronts))
 
-    # A front scatters fewer than depth = horizon_ticks // min(ticks) + 1 times before the horizon,
-    # so an amplitude N in units of den**-depth stays divisible by den, and for integer N the test
-    # |N| > floor(prune_eps * den**depth) is the test |amp| > prune_eps * amp0.
+    # A front scatters fewer than depth = horizon_ticks // min(ticks) + 1 times before the horizon, and
+    # fewer than max_events + 1 times before the guard trips, since each scattering of its line is an event
+    # the guard counts. So an amplitude N in units of den**-depth stays divisible by den, and for integer N
+    # the test |N| > floor(prune_eps * den**depth) is the test |amp| > prune_eps * amp0.
     den = math.lcm(*(coeff.denominator for _, fronts in rules for coeff, _, _ in fronts))
-    full = den ** (horizon_ticks // min(ticks.values()) + 1)
+    full = den ** min(horizon_ticks // min(ticks.values()) + 1, max_events + 1)
     threshold = math.floor(Fraction(prune_eps) * full)
     rules = [(receiver, [(int(coeff * den), t, r) for coeff, t, r in fronts]) for receiver, fronts in rules]
 

@@ -64,12 +64,12 @@ PRESETS = {
     "exp1": {
         "network": EXP1_NETWORK,
         "oracle": {"horizon": 1.61, "dt": 0.01},
-        "reconstruct": {"tau": 0.8, "dx": 10.0, "pipes": ["AD", "BD", "DC"], "lam": [1e-5, 1e-5, 1e-5]},
+        "reconstruct": {"tau": 0.8, "dx": 10.0, "pipes": ["AD", "BD", "DC"], "lam": 1e-5},
     },
     "exp2": {
         "network": EXP2_NETWORK,
         "simulate": {"dx": 5.0, "courant": 0.95, "duration": 1.9, "resample_dt": 0.007},
-        "reconstruct": {"tau": 0.9, "dx": 7.0, "pipes": ["AE", "BE", "CE", "ED"], "lam": [1e-5, 1e-5, 1e-5, 1.0]},
+        "reconstruct": {"tau": 0.9, "dx": 7.0, "pipes": ["AE", "BE", "CE", "ED"], "lam": 1.0},
     },
 }
 

@@ -7,7 +7,6 @@ kernels' hat average and the regularization smear the staircase; that
 margin also frames the dip-locality windows.
 """
 
-import math
 import time
 
 import numpy as np
@@ -27,6 +26,7 @@ from pipescope import (
 )
 from pipescope.errors import SingularSystem
 from pipescope.irm import SampledIRM
+from pipescope.presets import PRESETS
 from pipescope.simulate import simulate_runs
 from test_inversion import profile_cut_points, reference_volume
 
@@ -53,7 +53,7 @@ def active_samples(f, irm, cfg):
 
     ``f`` holds action times (..., leaf), and dt is the IRM's own step.
     """
-    t = np.arange(1, math.floor(cfg.tau / irm.dt) + 1) * irm.dt
+    t = np.arange(1, int(cfg.tau / irm.dt + 1e-6) + 1) * irm.dt
     return t - (cfg.tau - f[..., None]) > irm.dt / 4
 
 
@@ -77,10 +77,9 @@ def exp2_irm(exp2_net):
 def exp2_profiles(exp2_net, exp2_irm):
     irm, irm_seconds = exp2_irm
     started = time.time()
-    lam = {"AE": 1e-5, "BE": 1e-5, "CE": 1e-5, "ED": 1.0}
+    cfg = ReconConfig(tau=0.9, dx=DX2, lam=PRESETS["exp2"]["reconstruct"]["lam"])
     profiles = {}
     for pid in ("AE", "BE", "CE", "ED"):
-        cfg = ReconConfig(tau=0.9, dx=DX2, lam=lam[pid])
         profiles[pid] = area_profile(volume_profile(exp2_net, irm, pid, cfg))
     return profiles, irm_seconds + (time.time() - started)
 

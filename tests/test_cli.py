@@ -236,25 +236,30 @@ def test_reconstruct_unreachable_exit_4(tmp_path):
     assert code == 4
 
 
-def test_reconstruct_lambda_count_mismatch_exit_2(tmp_path):
-    irm_path = tmp_path / "irm.csv"
-    assert run(["oracle-irm", "--preset", "exp1", "--out", str(irm_path)]) == 0
-    code = run(
-        [
-            "reconstruct",
-            "--preset",
-            "exp1",
-            "--irm",
-            str(irm_path),
-            "--lambda",
-            "1e-5,1e-5",
-            "--pipes",
-            "AD,BD,DC",
-            "--out",
-            str(tmp_path / "r"),
-        ]
-    )
-    assert code == 2
+@pytest.mark.parametrize("source, value", [("flag", "1e-5,1e-5"), ("config", "1e-5"), ("config", [1e-5, 1e-5, 1e-5]),
+                                           ("manifest", "1e-5"), ("manifest", [1e-5])])
+def test_reconstruct_lambda_not_one_number_exit_2(tmp_path, exp1_irm_path, capsys, source, value):
+    # --lambda is one weight for every pipe: a list, or a string as older manifests hold, is refused and writes nothing
+    out = tmp_path / "r"
+    config = {"irm": str(exp1_irm_path), "tau": 0.8, "dx": 10.0, "lam": value, "pipes": "AD", "out": str(out)}
+    (tmp_path / "cfg.json").write_text(json.dumps({"lam": value}))
+    (tmp_path / "manifest.json").write_text(json.dumps({"command": "reconstruct",
+                                                        "config": {**config, "network": EXP1_NETWORK}}))
+    argv = {
+        "flag": ["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--lambda", value, "--out", str(out)],
+        "config": ["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path),
+                   "--config", str(tmp_path / "cfg.json"), "--out", str(out)],
+        "manifest": ["replay", str(tmp_path / "manifest.json")],
+    }[source]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    if source == "flag":  # argparse's usage error
+        assert "argument --lambda: invalid float value: '1e-5,1e-5'" in err
+    else:
+        assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+        assert f"sets lam to {value!r}, not a finite number" in err
+    assert not out.exists()
 
 
 def test_determinism_and_replay(tmp_path):
@@ -710,7 +715,7 @@ def test_reconstruct_manifest_records_solver(tmp_path, exp1_irm_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--lambda", "nan"], ["--lambda", "-1"], ["--lambda", "inf"], ["--lambda", "1e-5,nan,1e-5"],
+    [["--lambda", "nan"], ["--lambda", "-1"], ["--lambda", "inf"], ["--lambda", "1e400"],
      ["--tau", "nan"], ["--tau", "-0.8"], ["--dx", "0"], ["--dx", "nan"], ["--tau", "1e308"]],
 )
 def test_reconstruct_out_of_range_flag_exit_2(tmp_path, exp1_irm_path, capsys, flags):
@@ -801,7 +806,7 @@ def test_reconstruct_system_past_physical_memory_exit_2(tmp_path, exp1_irm_path,
 
 
 def test_reconstruct_on_an_irm_step_too_small_to_count_samples_exit_2(tmp_path, capsys):
-    # tau / dt overflows to inf: M = floor(tau/dt) is refused before any array of the points is sized
+    # tau / dt overflows to inf: M = floor(tau/dt + 1e-6) is refused before any array of the points is sized
     irm = tmp_path / "tiny.csv"
     save_irm(SampledIRM(5e-324, ("A", "B"), np.zeros((2, 2, 2)), 1.0), irm)
     code = run(["reconstruct", "--preset", "exp1", "--irm", str(irm), "--out", str(tmp_path / "r")])
@@ -848,7 +853,7 @@ def test_reconstruct_unknown_pipe_exit_2(tmp_path, exp1_irm_path, capsys):
 def test_reconstruct_repeated_pipe_exit_2(tmp_path, exp1_irm_path, capsys, source):
     # a pipe named twice is refused before anything is solved or written, wherever the pipe list comes from
     out = tmp_path / "r"
-    config = {"irm": str(exp1_irm_path), "tau": 0.8, "dx": 10.0, "lam": "1e-5", "pipes": ["AD", "AD"], "out": str(out)}
+    config = {"irm": str(exp1_irm_path), "tau": 0.8, "dx": 10.0, "lam": 1e-5, "pipes": ["AD", "AD"], "out": str(out)}
     (tmp_path / "cfg.json").write_text(json.dumps({"pipes": ["AD", "AD"]}))
     (tmp_path / "manifest.json").write_text(json.dumps({"command": "reconstruct",
                                                         "config": {**config, "network": EXP1_NETWORK}}))
@@ -1014,7 +1019,7 @@ VALID_OPTIONS = {
     "oracle-irm": {"horizon": 1.61, "dt": 0.01, "prune_eps": 1e-4, "out": "irm.csv"},
     "simulate-irm": {"dx": 20.0, "courant": 0.95, "duration": 0.5, "resample_dt": 0.0,
                      "dump_traces": "", "dump_fields": "", "out": "irm.csv"},
-    "reconstruct": {"irm": "exp1_irm.csv", "tau": 0.8, "dx": 10.0, "lam": "1e-5", "pipes": "AD", "out": "r"},
+    "reconstruct": {"irm": "exp1_irm.csv", "tau": 0.8, "dx": 10.0, "lam": 1e-5, "pipes": "AD", "out": "r"},
 }
 NOT_A_NUMBER = (st.text(max_size=5) | st.booleans() | st.none() | st.just(10**400)
                 | st.sampled_from([math.inf, -math.inf, math.nan]) | st.lists(st.integers(), max_size=2)
@@ -1030,7 +1035,7 @@ def wrong_option(draw):
     key = draw(st.sampled_from(sorted(VALID_OPTIONS[command])))
     if isinstance(VALID_OPTIONS[command][key], float):
         return command, key, draw(NOT_A_NUMBER)
-    if key in ("lam", "pipes"):
+    if key == "pipes":
         return command, key, draw(NOT_A_STRING)
     return command, key, draw(NOT_A_STRING | st.lists(st.text(max_size=3), max_size=2))
 
@@ -1100,7 +1105,7 @@ VALID_VALUES = {
     "duration": st.floats(0.0, 1.0),
     "resample_dt": st.just(0.0) | st.floats(0.005, 0.05),
     "tau": st.floats(0.1, 1.0),
-    "lam": st.sampled_from(["1e-5", "0", "1e-5,1e-3,0.1"]),
+    "lam": st.sampled_from([1e-5, 0.0, 0.1]),
     "pipes": st.sampled_from(["", "AD", "AD,BD,DC"]),
 }
 

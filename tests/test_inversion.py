@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pipescope import (
     PointOnPipe,
@@ -30,7 +32,8 @@ from pipescope.errors import (
     TooFewPoints,
 )
 import pipescope.inversion as inversion
-from pipescope.inversion import VolumeProfile, _active, _profile_points, _s_matrix, _solve_point
+from pipescope.inversion import VolumeProfile, _active, _profile_points, _s_matrix, _samples, _solve_point
+from pipescope.presets import PRESETS
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +49,7 @@ def exp2_irm(exp2_net):
 
 def masked_system(irm, f, cfg, net):
     """Reference: the full (N*M)^2 matrix built per point, inactive rows and columns zeroed."""
-    m = math.floor(cfg.tau / irm.dt)
+    m = int(cfg.tau / irm.dt + 1e-6)
     n = len(irm.leaves)
     lv = np.arange(1, m + 1)
     idx_diff = np.abs(lv[:, None] - lv[None, :])
@@ -150,7 +153,7 @@ def test_exp1_system_dimensions(exp1_net, exp1_irm):
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
     cfg = ReconConfig(**EXP1_CFG)
     matrix, rhs, active = masked_system(exp1_irm, f, cfg, exp1_net)
-    m = math.floor(cfg.tau / exp1_irm.dt)
+    m = int(cfg.tau / exp1_irm.dt + 1e-6)
     assert m == 80
     assert matrix.shape == (160, 160) and rhs.shape == (160,)
     assert active.shape == (2, 80)
@@ -179,7 +182,7 @@ def test_restricted_matrix_matches_masked_build(request, case, pipe, offset, tau
     net, irm = _net_irm(request, case)
     assert irm.dt == dt
     cfg = ReconConfig(tau=tau, dx=10.0)
-    m = math.floor(cfg.tau / irm.dt)
+    m = int(cfg.tau / irm.dt + 1e-6)
     matrix, rhs, active = masked_system(irm, action_times(net, PointOnPipe(pipe, offset)), cfg, net)
     assert active.shape == (len(irm.leaves), m)
     times, _, _ = _profile_points(net, pipe, cfg, irm.dt)
@@ -260,7 +263,7 @@ def test_restricted_system_near_symmetry(exp1_net, exp1_irm):
     # kernel magnitude (soft check; in practice it is exact here)
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
     cfg = ReconConfig(**EXP1_CFG)
-    m = math.floor(cfg.tau / exp1_irm.dt)
+    m = int(cfg.tau / exp1_irm.dt + 1e-6)
     restricted, _ = _s_matrix(exp1_irm, m, exp1_net, np.flatnonzero(active_mask(exp1_irm, f, cfg)))
     bound = 2 * exp1_irm.dt * np.abs(exp1_irm.k).max()
     assert np.abs(restricted - restricted.T).max() <= bound
@@ -355,6 +358,23 @@ def test_exp1_volume_at_dc_point(exp1_net, exp1_irm):
     assert volume_at(exp1_net, exp1_irm, "DC", 100.0, cfg) == pytest.approx(800.0, rel=1e-6)
 
 
+def test_exp1_dc_volumes_keep_the_sample_at_tau(exp1_net, exp1_irm):
+    # 0.57 / 0.01 falls just under 57 in float division: the sample at tau still counts, so each DC volume is
+    # AD and BD whole plus DC up to the point, not 10 m^3 (one sample of the a*A*dt flow) less
+    vp = volume_profile(exp1_net, exp1_irm, "DC", ReconConfig(tau=0.57, dx=10.0, lam=1e-5))
+    assert vp.positions[0] == 10.0
+    assert np.all(np.abs(vp.volumes - (700.0 + vp.positions)) <= 1e-6 * (700.0 + vp.positions))
+
+
+@given(st.integers(1, 10**5), st.floats(1e-4, 1.0))
+@example(57, 0.01)
+@example(100, 0.007)
+@settings(max_examples=300)
+def test_samples_per_leaf_at_a_multiple_of_dt(k, dt):
+    # tau = k*dt holds k samples dt, ..., k*dt, wherever float division lands k*dt / dt
+    assert _samples(ReconConfig(tau=k * dt, dx=1.0), dt) == k
+
+
 def test_exp1_volume_near_leaf(exp1_net, exp1_irm):
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
     assert volume_at(exp1_net, exp1_irm, "AD", 10.0, cfg) == pytest.approx(10.0, rel=1e-6)
@@ -447,9 +467,6 @@ def test_identity_limit_random_trees():
     # with zero kernels every solve is closed form no matter the topology or
     # pipe orientation: flat flow A*g/a per active sample, zeros elsewhere,
     # so every point's volume collapses to a * sum_i A_i * (active_i * dt)
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
     from test_graph import tree_specs
 
     @given(tree_specs(), st.data())
@@ -634,9 +651,6 @@ def test_pruned_oracle_keeps_layer_stripping(tree6):
 def test_profile_action_times_nest():
     # layer stripping needs each point's active samples to hold the previous
     # point's: no leaf's action time falls as the cut point moves towards x0
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
     from test_graph import tree_specs
 
     @given(tree_specs(), st.data())
@@ -728,7 +742,8 @@ def test_noisy_measured_irm_factors_and_meets_criterion_2(exp2_net, exp2_irm, ep
     rng = np.random.default_rng(0)
     k = exp2_irm.k + eps * np.abs(exp2_irm.k).max() * rng.standard_normal(exp2_irm.k.shape)
     irm = SampledIRM(exp2_irm.dt, exp2_irm.leaves, k, exp2_irm.horizon)
-    for pid, lam in zip(("AE", "BE", "CE", "ED"), (1e-5, 1e-5, 1e-5, 1.0)):
+    lam = PRESETS["exp2"]["reconstruct"]["lam"]
+    for pid in ("AE", "BE", "CE", "ED"):
         vp = volume_profile(exp2_net, irm, pid, ReconConfig(tau=0.9, dx=DX2, lam=lam))
         assert vp.solver == "layer-stripping", pid
         check_exp2_areas(pid, area_profile(vp))
@@ -754,8 +769,9 @@ def test_trace_noise_keeps_criterion_2(exp2_net, monkeypatch, seed):
 
     monkeypatch.setattr(irm_module, "simulate_runs", noisy)
     irm, _ = measure_irm(exp2_net, SimConfig(dx=5.0, duration=1.9, courant=0.95), resample_dt=0.007)
-    for pid, lam in zip(("AE", "BE", "CE", "ED"), (1e-5, 1e-5, 1e-5, 1.0)):
-        check_exp2_areas(pid, area_profile(volume_profile(exp2_net, irm, pid, ReconConfig(tau=0.9, dx=DX2, lam=lam))))
+    cfg = ReconConfig(tau=0.9, dx=DX2, lam=PRESETS["exp2"]["reconstruct"]["lam"])
+    for pid in ("AE", "BE", "CE", "ED"):
+        check_exp2_areas(pid, area_profile(volume_profile(exp2_net, irm, pid, cfg)))
 
 
 def test_forced_fallback_matches_layer_stripping_on_a_measured_tree(monkeypatch):
@@ -901,7 +917,7 @@ def test_ldlt_kernel_matches_reference(request, case, pipe, lam):
     times, _, _ = _profile_points(net, pipe, cfg, irm.dt)
     flat = _active(times, cfg, irm.dt).reshape(len(times), -1)
     idx = np.flatnonzero(flat.any(axis=0))
-    s, nu = _s_matrix(irm, math.floor(cfg.tau / irm.dt), net, idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")])
+    s, nu = _s_matrix(irm, int(cfg.tau / irm.dt + 1e-6), net, idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")])
     n = nu.size
     a = np.hstack([s - 1j * math.sqrt(lam) * np.eye(n), nu[:, None]])
     expected = a.copy()

@@ -5,6 +5,9 @@ import heapq
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -74,6 +77,25 @@ def test_oracle_pruning_drops_weak_fronts(exp1_net):
 def test_oracle_event_guard(exp1_net):
     with pytest.raises(HorizonTooLarge):
         oracle_irm(exp1_net, horizon=50.0, prune_eps=1e-12, max_events=200)
+
+
+def test_oracle_refuses_a_huge_horizon_at_once():
+    # the amplitude unit's exponent is capped by the event guard, so a horizon of 1e308 s trips the guard instead
+    # of raising den to a power past 1e308; a child process, timed out and held to 2 GB, keeps a hang off the suite
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from pipescope import oracle_irm, validate_network\n"
+        "from pipescope.errors import HorizonTooLarge\n"
+        "from pipescope.presets import EXP1_NETWORK\n"
+        "try:\n"
+        "    oracle_irm(validate_network(EXP1_NETWORK), 1e308, max_events=1000)\n"
+        "except HorizonTooLarge:\n"
+        "    print('refused')\n"
+    )
+    source = os.path.dirname(os.path.dirname(importlib.import_module("pipescope").__file__))
+    env = {**os.environ, "PYTHONPATH": source, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert done.stdout == "refused\n", done.stderr
 
 
 def test_oracle_rejects_nonuniform(exp2_net):
