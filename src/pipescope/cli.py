@@ -134,11 +134,10 @@ def _remove_old_output(path):
 
 
 def _write_csv(header: str, rows, path):
-    """Write ``rows`` under ``header``: strings as they are, numbers as ``repr(float(v))``, which reads back exactly."""
+    """Write ``rows`` of strings under ``header``; floats come as ``repr`` of ``column.tolist()``, which reads back."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join([v if isinstance(v, str) else repr(float(v)) for v in row]) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _execute(command: str, resolved: dict) -> list:
@@ -175,9 +174,9 @@ def _execute(command: str, resolved: dict) -> list:
 
 def _field_rows(hist, pid):
     """Rows t,x,H,Q of one run's fields on pipe ``pid``, time-major as H and Q."""
-    x = hist.grids[pid].x
-    for t, h, q in zip(hist.t, hist.H[pid], hist.Q[pid]):
-        yield from zip([t] * len(x), x, h, q)
+    x = list(map(repr, hist.grids[pid].x.tolist()))
+    for t, h, q in zip(map(repr, hist.t.tolist()), hist.H[pid], hist.Q[pid]):
+        yield from zip([t] * len(x), x, map(repr, h.tolist()), map(repr, q.tolist()))
 
 
 def _irm_outputs(net, resolved: dict, irm, runs=()) -> tuple:
@@ -186,7 +185,7 @@ def _irm_outputs(net, resolved: dict, irm, runs=()) -> tuple:
     files = [(out, functools.partial(save_irm, irm))]
     for source, hist in zip(net.accessible, runs if traces else ()):
         for leaf, series in hist.boundary.items():
-            write = functools.partial(_write_csv, "t,H", zip(hist.t, series))
+            write = functools.partial(_write_csv, "t,H", zip(map(repr, hist.t.tolist()), map(repr, series.tolist())))
             files.append((os.path.join(traces, f"src_{source}_probe_{leaf}.csv"), write))
     for source, hist in zip(net.accessible, runs if fields else ()):
         for pid in hist.grids:
@@ -240,7 +239,8 @@ def cmd_reconstruct(net, resolved: dict) -> tuple:
         profiles[pid] = {"solver": vp.solver, "residual": vp.residual, "volume_bound": vp.volume_bound}
         for name, column, x, y in (("volume", "V_m3", vp.positions, vp.volumes),
                                    ("area", "A_m2", ap.positions, ap.areas)):
-            write = functools.partial(_write_csv, f"pipe,x_m,{column}", zip([pid] * len(x), x, y))
+            rows = zip([pid] * len(x), map(repr, x.tolist()), map(repr, y.tolist()))
+            write = functools.partial(_write_csv, f"pipe,x_m,{column}", rows)
             files.append((os.path.join(out_dir, f"{pid}_{name}.csv"), write))
     extra = {"profiles": profiles, "reciprocity": _reciprocity(irm)}
     return [out_dir], files, os.path.join(out_dir, "manifest.json"), extra

@@ -42,21 +42,22 @@ A profile needs one S and one factorisation, not one of each per point
 towards x0, and no leaf's action time falls on the way, so each point's
 active set holds the previous one's. Ordered by the point at which they
 become active, the samples make every point's S a leading block of the
-largest point's. One unpivoted complex-symmetric LDL^T of the largest
-block of A = S - i sqrt(lambda) I = L diag(d) L^T gives every point's
-volume as a prefix sum: V_k = a^2 dt/g * Re sum_{j < n_k} u_j^2 / d_j with
-u = L^-1 nu. The pivots exist (no leading block of A is singular), but no
-theorem makes the unpivoted factorisation stable here (Higham 1998 needs
-definite real and imaginary parts), so the largest point is checked at
-run time, in O(n^2): r = A x - nu for the back-substituted x checks the
-factorisation, and bounds the volume's error through nu^T A^-1 nu =
-nu^T x - x^T r + r^T A^-1 r for a symmetric A (Golub and Meurant 2010,
-ch. 7) and ||A^-1|| <= 1/sqrt(lambda) (``_certificate``). At lambda = 0
-no bound exists, and ``volume_profile`` solves each point on its leading
-block of S instead, as it does where the residual or the bound exceeds
-``STABILITY_TOL``. The bound reads at most 7e-15 on every exp1, exp2 and
+largest point's. One block LDL^T of A = S - i sqrt(lambda) I gives every
+point's volume, V_k = a^2 dt/g * Re nu_k^T A_k^-1 nu_k on its leading
+block A_k, as a running sum over panels whose pivot blocks LAPACK solves
+(``_panels``, ``_layer_stripped``). No pivot block is singular
+(|z^H A z| >= sqrt(lambda) ||z||^2 for every z), but nothing pivots
+across panels, and no theorem makes that stable for every S, so the
+largest point is checked at run time, in O(n^2): r = A x - nu for the
+back-substituted x checks the factorisation, and bounds the volume's
+error through nu^T A^-1 nu = nu^T x - x^T r + r^T A^-1 r for a symmetric
+A (Golub and Meurant 2010, ch. 7) and ||A^-1|| <= 1/sqrt(lambda)
+(``_certificate``). At lambda = 0 no bound exists, and ``volume_profile``
+solves each point on its leading block of S instead, as it does where
+the residual or the bound exceeds ``STABILITY_TOL``. The bound reads at
+most 1.3e-15, and the residual 2.1e-14, on every exp1, exp2 and
 benchmark-tree (seeds 1-10) pipe, and on the exp1 and exp2 pipes the two
-paths agree within 4e-15 relative (the tests hold 1e-10).
+paths agree within 1e-15 relative (the tests hold 1e-10).
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ __all__ = [
 ]
 
 STABILITY_TOL = 1e-10  # largest point: relative residual, and the certified bound on the volume's relative error
-_BLOCK = 48  # LDL^T block width: columns factored one by one inside it, matrix products across
+_BLOCK = 48  # widest panel, and columns a block of S as it is gathered and of a panel's trailing update
+_PANEL = 16  # widest panel joined from stretches between counts; a wider stretch is cut at _BLOCK
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -167,7 +169,8 @@ def _s_matrix(irm: SampledIRM, m: int, net: Network, idx: np.ndarray):
     coef = 0.5 * irm.dt * nu
     direct = (nus * net.wave_speed / (areas * net.gravity))[leaf]
     row_leaf, row_l = leaf[:, None], lv[:, None]
-    with _allocating(f"a system of {idx.size} unknowns", 24 * idx.size**2):  # S, and the complex buffer it factors
+    n = idx.size  # S, and the complex buffer it factors with at most six (n + 1, _BLOCK) blocks (_layer_stripped)
+    with _allocating(f"a system of {n} unknowns", 8 * n**2 + 16 * (n + 1) * (n + 6 * _BLOCK)):
         s = np.empty((idx.size, idx.size))
     for c0 in range(0, idx.size, _BLOCK):
         c = slice(c0, min(c0 + _BLOCK, idx.size))
@@ -226,75 +229,69 @@ def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig, dt: float):
     return f[:n], offsets[:n], d[:n]
 
 
-def _ldlt(a: np.ndarray) -> list[np.ndarray]:
-    """Factor ``a`` = [A | v], (n, n + 1), in place: A = L diag(d) L^T without pivoting, v -> L^-1 v.
-
-    Reads only A's lower triangle. The unit lower triangle L is left below
-    the diagonal and d on it. Columns are eliminated one by one only inside
-    each diagonal block; the panel below it, the vector and the trailing
-    lower triangle take the block's step as matrix products. Returns the
-    inverses of L's diagonal blocks, in block order.
-    """
-    n = a.shape[0]
-    invs = []
-    for j0 in range(0, n, _BLOCK):
-        j1 = min(j0 + _BLOCK, n)
-        b = j1 - j0
-        # [A11 | I] with A11 made whole from its lower triangle: each row
-        # operation is one update, and it turns I into L11^-1. Row k of that
-        # right half is zero past column b + k, so the update stops there.
-        low = np.tril(a[j0:j1, j0:j1], -1)
-        work = np.hstack([low + low.T + np.diag(a.diagonal()[j0:j1]), np.eye(b)])
-        for k in range(b - 1):
-            col = work[k + 1 :, k]
-            col /= work[k, k]
-            work[k + 1 :, k + 1 : b + k + 1] -= col[:, None] * work[k, k + 1 : b + k + 1]
-        a[j0:j1, j0:j1] = work[:, :b]
-        d = work.diagonal().copy()
-        inv = work[:, b:]
-        invs.append(inv)
-        a[j0:j1, n] = inv @ a[j0:j1, n]
-        if j1 == n:
-            break
-        l21 = a[j1:, j0:j1]
-        l21[...] = l21 @ (inv.T / d)
-        a[j1:, n] -= l21 @ a[j0:j1, n]
-        for c0 in range(j1, n, _BLOCK):
-            c1 = min(c0 + _BLOCK, n)
-            a[c0:, c0:c1] -= l21[c0 - j1 :] @ (l21[c0 - j1 : c1 - j1] * d).T
-    return invs
+def _panels(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Panels [j0, j1) over the unknowns 0..max(counts): each closes on a count whose successor lies over ``_PANEL``
+    past its start, and one wider than ``_BLOCK`` (often the first point's shared block) is cut every ``_BLOCK``."""
+    panels, j0, ends = [], 0, np.unique(counts[counts > 0]).tolist()
+    for c, after in zip(ends, ends[1:] + [math.inf]):
+        if after - j0 > _PANEL:
+            panels += [(p0, min(p0 + _BLOCK, c)) for p0 in range(j0, c, _BLOCK)]
+            j0 = c
+    return panels
 
 
-def _back_substitute(a: np.ndarray, invs: list[np.ndarray], y: np.ndarray) -> np.ndarray:
-    """x = L^-T y for the unit lower triangle L that ``_ldlt`` left in ``a``, one product per block.
-
-    ``invs`` are the inverses of L's diagonal blocks that ``_ldlt`` returned.
-    """
-    n = y.size
-    x = y.copy()
-    for j0, inv in zip(reversed(range(0, n, _BLOCK)), reversed(invs)):
-        j1 = j0 + len(inv)
-        x[j0:j1] = inv.T @ (x[j0:j1] - a[j1:n, j0:j1].T @ x[j1:])
-    return x
+def _column_blocks(panels: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Consecutive panels joined into column blocks [c0, c1) of at most ``_BLOCK``, one trailing product each."""
+    blocks = []
+    for p0, p1 in panels:
+        if blocks and p1 - blocks[-1][0] <= _BLOCK:
+            blocks[-1] = (blocks[-1][0], p1)
+        else:
+            blocks.append((p0, p1))
+    return blocks
 
 
-def _layer_stripped(s: np.ndarray, nu: np.ndarray, mu: float, counts: np.ndarray, scale: float):
-    """Volumes of the points whose systems are the leading ``counts`` blocks of A = S - i mu I, S symmetric.
+def _layer_stripped(s: np.ndarray, nu: np.ndarray, mu: float, counts: np.ndarray):
+    """nu_c^T A_c^-1 nu_c at each count c, A_c the leading c x c block of A = S - i mu I (S symmetric); x = A^-1 nu.
 
-    Factors one complex buffer [A | nu]. Returns the volumes, scale * Re
-    nu_k^T A_k^-1 nu_k for each leading block A_k of A, and x = A^-1 nu.
+    ``counts`` is nondecreasing and ends at n. For each panel J (``_panels``),
+    y = D^-1 [A[J, j1:] | u_J] from LAPACK, D the panel's block of the
+    current Schur complement and u the reduced nu, updates the lower
+    trailing matrix and u, and stays in the buffer for x_J = y_u - y_A x[j1:].
+    A form gains u_J^T y_u over a panel; a count inside it reads u[:c]^T
+    D[:c, :c]^-1 u[:c], from one batched solve of D's leading blocks padded
+    with identity. A panel holds y, LAPACK's copies of D and of the
+    right-hand sides, and a product with the two buffers numpy subtracts it
+    through: six (n + 1, _BLOCK) blocks at most besides the buffer.
     """
     n = nu.size
-    a = np.empty((n, n + 1), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a[:, :n] = s
+    panels, ends = _panels(counts), np.unique(counts)
+    blocks = _column_blocks(panels)
+    a = np.empty((n + 1, n), dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        a[:n] = s
         a[np.diag_indices(n)] -= 1j * mu
-        a[:, n] = nu
-        invs = _ldlt(a)
-        d = a.diagonal().copy()
-        u = a[:, -1].copy()
-        prefix = np.concatenate(([0.0], np.cumsum(u * u / d).real))
-        return scale * prefix[counts], _back_substitute(a, invs, u / d)
+        a[n] = nu
+        forms = np.zeros(n + 1, dtype=complex)
+        for j0, j1 in panels:
+            d, u, lower = a[j0:j1, j0:j1], a[n, j0:j1], a[j1:, j0:j1]
+            y = np.linalg.solve(d, lower.T)
+            forms[j1] = forms[j0] + u @ y[:, -1]
+            inner = ends[(ends > j0) & (ends < j1)] - j0
+            if inner.size:
+                keep = np.arange(j1 - j0) < inner[:, None]
+                leading = np.where(keep[:, :, None] & keep[:, None, :], d, np.eye(j1 - j0))
+                u_c = np.where(keep, u, 0.0)
+                forms[j0 + inner] = forms[j0] + (u_c * np.linalg.solve(leading, u_c[..., None])[..., 0]).sum(axis=1)
+            for c0, c1 in blocks:
+                if c1 > j1:  # from row c0 down, so each later panel's pivot block is updated whole
+                    c0 = max(c0, j1)
+                    a[c0:, c0:c1] -= lower[c0 - j1 :] @ y[:, c0 - j1 : c1 - j1]
+            a[j0:j1, j1:], a[n, j0:j1] = y[:, :-1], y[:, -1]
+        x = np.empty(n, dtype=complex)
+        for j0, j1 in reversed(panels):
+            x[j0:j1] = a[n, j0:j1] - a[j0:j1, j1:] @ x[j1:]
+    return forms[counts], x
 
 
 def _certificate(s: np.ndarray, nu: np.ndarray, mu: float, x: np.ndarray, v: float, scale: float):
@@ -313,7 +310,7 @@ def _certificate(s: np.ndarray, nu: np.ndarray, mu: float, x: np.ndarray, v: flo
         |v - scale Re nu^T A^-1 nu| <= |v - scale Re nu^T x| + scale (|x^T r| + ||r||^2/mu).
 
     The first term catches a volume that does not match ``x``, such as a
-    corrupted prefix sum. The bound is divided by |v|. It holds up to the
+    corrupted running sum. The bound is divided by |v|. It holds up to the
     rounding of r itself, about n eps max|S| ||x||. |nu| = 1, so the
     largest residual entry is the relative residual.
     """
@@ -332,7 +329,8 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     result records dx. Samples lie on the IRM's grid, whose kernels must
     span 2*tau even where no point fits. One matrix S, from the kernels
     averaged over their leaf axes, serves the whole profile (see the module
-    docstring): every point's volume is a prefix sum of one LDL^T. Each
+    docstring): every point's volume is a running sum over the panels of
+    one block LDL^T. Each
     point is solved on its leading block of S instead at lambda = 0, as no
     certificate exists there (the rank-checked least squares refuses a
     singular system), or where the largest point's residual or certified
@@ -360,7 +358,8 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     solver = "per-point: lambda 0"  # no certificate without regularisation
     if cfg.lam > 0:
         mu = math.sqrt(cfg.lam)
-        volumes, x = _layer_stripped(s, nu, mu, counts, scale)
+        forms, x = _layer_stripped(s, nu, mu, counts)
+        volumes = scale * forms.real
         residual, volume_bound = _certificate(s, nu, mu, x, volumes[-1], scale)
         if residual <= STABILITY_TOL and volume_bound <= STABILITY_TOL:
             return VolumeProfile(pipe_id, positions, volumes, cfg.dx, "layer-stripping", residual, volume_bound)

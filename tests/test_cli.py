@@ -18,11 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pipescope import SimConfig, oracle_irm, sample_irm, step_inflow, validate_network
+from pipescope import (ReconConfig, SimConfig, area_profile, oracle_irm, sample_irm, step_inflow, validate_network,
+                       volume_profile)
 from pipescope.cli import OPTIONS, _reciprocity, _remove_old_output, build_parser, main, run
 from pipescope.errors import ActionTimeExceedsTau, ConfigError, NumericError, PipescopeError
 from pipescope.irm import SampledIRM, load_irm, save_irm
-from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK
+from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK, PRESETS
 from pipescope.simulate import simulate_runs
 from test_inversion import TREE6
 from test_irm import SIX_LEAF_UNIFORM, damaged_irm_lines, edited_irm_lines
@@ -211,6 +212,24 @@ def test_reconstruct_exp1_preset(tmp_path):
         assert np.abs(areas - 1.0).max() < 0.01
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "reconstruct"
+
+
+def test_reconstruct_csvs_write_each_value_as_its_float_repr(tmp_path):
+    # the stock exp1 volume and area CSVs hold every position and value as
+    # repr(float(v)), which reads back exactly, byte for byte
+    irm_path, out_dir = tmp_path / "irm.csv", tmp_path / "recon"
+    assert run(["oracle-irm", "--preset", "exp1", "--out", str(irm_path)]) == 0
+    assert run(["reconstruct", "--preset", "exp1", "--irm", str(irm_path), "--out", str(out_dir)]) == 0
+    stock = PRESETS["exp1"]["reconstruct"]
+    cfg = ReconConfig(tau=stock["tau"], dx=stock["dx"], lam=stock["lam"])
+    net, irm = validate_network(EXP1_NETWORK), load_irm(irm_path)
+    for pid in stock["pipes"]:
+        vp = volume_profile(net, irm, pid, cfg)
+        ap = area_profile(vp)
+        for name, column, x, y in (("volume", "V_m3", vp.positions, vp.volumes),
+                                   ("area", "A_m2", ap.positions, ap.areas)):
+            rows = "".join(f"{pid},{float(a)!r},{float(b)!r}\n" for a, b in zip(x, y))
+            assert (out_dir / f"{pid}_{name}.csv").read_bytes() == f"pipe,x_m,{column}\n{rows}".encode(), (pid, name)
 
 
 def test_reconstruct_unreachable_exit_4(tmp_path):
@@ -790,8 +809,8 @@ def test_oracle_irm_kernel_grid_too_large_for_memory_exit_2(tmp_path, capsys, dt
 
 
 def test_reconstruct_system_past_physical_memory_exit_2(tmp_path, exp1_irm_path, capsys, monkeypatch):
-    # DC's points and masks fit in 256 kB of physical memory, its 540 kB system (150 unknowns) does not: refused,
-    # bytes named, before S is allocated
+    # DC's points and masks fit in 256 kB of physical memory, its 1.24 MB system (150 unknowns, S and what its
+    # factorisation holds) does not: refused, bytes named, before S is allocated
     capsys.readouterr()
     monkeypatch.setattr(importlib.import_module("pipescope.errors"), "_physical_memory", lambda: 1 << 18)
     monkeypatch.setattr(importlib.import_module("pipescope.inversion").np, "empty",
@@ -801,7 +820,7 @@ def test_reconstruct_system_past_physical_memory_exit_2(tmp_path, exp1_irm_path,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
-    assert "a system of 150 unknowns needs 540000 bytes, more than the 262144 bytes of physical memory" in err
+    assert "a system of 150 unknowns needs 1238208 bytes, more than the 262144 bytes of physical memory" in err
     assert list(tmp_path.glob("r/*.csv")) == []
 
 

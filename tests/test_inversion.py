@@ -232,13 +232,15 @@ def test_profile_points_past_physical_memory_refused_before_allocating(exp1_net,
 
 
 def test_system_past_physical_memory_refused_before_allocating(exp2_net, monkeypatch):
-    # a zero 3 x 3 x 190,001 IRM at dt 1e-5: ED's profile uses 259,100 samples, an S of 537 GB and a factored buffer
-    # twice that, against 8 GiB of physical memory; the profile does not allocate its S
+    # a zero 3 x 3 x 190,001 IRM at dt 1e-5: ED's profile uses 259,100 samples, an S of 537 GB and a factored
+    # buffer twice that, against 8 GiB of physical memory; the profile does not allocate its S
     irm = SampledIRM(1e-5, exp2_net.accessible, np.zeros((3, 3, 190_001)), 1.9)
     cfg = ReconConfig(tau=0.9, dx=7.0, lam=1.0)
     monkeypatch.setattr(importlib.import_module("pipescope.errors"), "_physical_memory", lambda: 8 << 30)
     monkeypatch.setattr(np, "empty", lambda *args: pytest.fail("allocated"))
-    with pytest.raises(OutOfRange, match=f"a system of 259100 unknowns needs {24 * 259100**2} bytes, more than"):
+    n = 259_100
+    needs = 8 * n**2 + 16 * (n + 1) * (n + 288)
+    with pytest.raises(OutOfRange, match=f"a system of {n} unknowns needs {needs} bytes, more than"):
         volume_profile(exp2_net, irm, "ED", cfg)
 
 
@@ -626,7 +628,7 @@ def test_profile_reads_only_the_leaves_its_pipe_cuts_off(request, case, lam, n_p
 
 
 def test_tree6_profiles_reach_many_unknowns(tree6):
-    # the in-test tree exercises several LDL^T blocks and every leaf
+    # the in-test tree exercises several panels, column blocks and every leaf
     net, irm = tree6
     cfg = ReconConfig(**TREE6_CFG, lam=1e-5)
     times, _, _ = _profile_points(net, "J1X", cfg, irm.dt)
@@ -802,15 +804,15 @@ def test_transposed_irm_gives_the_same_volumes(exp2_net, exp2_irm):
 
 
 def test_fallback_when_factorisation_is_inaccurate(exp1_net, exp1_irm, monkeypatch):
-    # pivots off by 1e-8 relative leave a residual far above STABILITY_TOL
-    ldlt = inversion._ldlt
+    # x off by 1e-8 relative, with the volumes left as factored, leaves a
+    # residual of 1e-8 |nu|, far above STABILITY_TOL
+    layer_stripped = inversion._layer_stripped
 
-    def perturbed(a):
-        invs = ldlt(a)
-        a[np.diag_indices(a.shape[0])] *= 1 + 1e-8
-        return invs
+    def perturbed(*args):
+        forms, x = layer_stripped(*args)
+        return forms, x * (1 + 1e-8)
 
-    monkeypatch.setattr(inversion, "_ldlt", perturbed)
+    monkeypatch.setattr(inversion, "_layer_stripped", perturbed)
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
     vp = volume_profile(exp1_net, exp1_irm, "DC", cfg)
     assert vp.solver == "per-point: stability check failed"
@@ -870,63 +872,63 @@ def test_certificate_bounds_random_systems():
         assert error <= bound <= 2.01 * np.linalg.norm(r) ** 2 / (mu * abs(v))
 
 
-def _ldlt_outer(a):
-    """Reference: the blocked LDL^T with one np.outer update of the whole [A11 | I] row per column."""
-    n = a.shape[0]
-    block = inversion._BLOCK
-    for j0 in range(0, n, block):
-        j1 = min(j0 + block, n)
-        b = j1 - j0
-        low = np.tril(a[j0:j1, j0:j1], -1)
-        work = np.hstack([low + low.T + np.diag(a.diagonal()[j0:j1]), np.eye(b)])
-        for k in range(b - 1):
-            col = work[k + 1 :, k]
-            col /= work[k, k]
-            work[k + 1 :, k + 1 :] -= np.outer(col, work[k, k + 1 :])
-        a[j0:j1, j0:j1] = work[:, :b]
-        d = work.diagonal().copy()
-        inv = work[:, b:]
-        a[j0:j1, n] = inv @ a[j0:j1, n]
-        if j1 == n:
-            break
-        l21 = a[j1:, j0:j1]
-        l21[...] = l21 @ (inv.T / d)
-        a[j1:, n] -= l21 @ a[j0:j1, n]
-        for c0 in range(j1, n, block):
-            c1 = min(c0 + block, n)
-            a[c0:, c0:c1] -= l21[c0 - j1 :] @ (l21[c0 - j1 : c1 - j1] * d).T
-
-
-def _back_substitute_by_column(a, y):
-    """Reference: x = L^-T y, one Python step per column inside each block."""
-    n = y.size
-    x = y.copy()
-    for j0 in reversed(range(0, n, inversion._BLOCK)):
-        j1 = min(j0 + inversion._BLOCK, n)
-        x[j0:j1] -= a[j1:n, j0:j1].T @ x[j1:]
-        for k in range(j1 - 1, j0 - 1, -1):
-            x[k] -= a[k + 1 : j1, k] @ x[k + 1 : j1]
-    return x
+def _assert_matches_leading_solves(s, nu, mu, counts):
+    """The panel routine's forms and x against a complex solve of each leading block of A = S - i mu I."""
+    forms, x = inversion._layer_stripped(s, nu, mu, counts)
+    a = s - 1j * mu * np.eye(nu.size)
+    expected = np.array([nu[:c] @ np.linalg.solve(a[:c, :c], nu[:c]) for c in counts])
+    assert np.all(np.abs(forms - expected) <= 1e-10 * np.abs(expected))
+    x_ref = np.linalg.solve(a, nu)
+    assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
 @pytest.mark.parametrize("case, pipe, lam", LAYER_CASES)
-def test_ldlt_kernel_matches_reference(request, case, pipe, lam):
-    # the factor is the reference's bit for bit; the block-inverse back
-    # substitution sums in another order, so x agrees to rounding
+def test_panels_match_leading_solves(request, monkeypatch, case, pipe, lam):
+    # on each profile's own S and counts, every point's form nu_k^T A_k^-1 nu_k
+    # and the largest point's x agree with LAPACK on the leading blocks
     net, irm, cfg = _profile_case(request, case, lam)
-    times, _, _ = _profile_points(net, pipe, cfg, irm.dt)
-    flat = _active(times, cfg, irm.dt).reshape(len(times), -1)
-    idx = np.flatnonzero(flat.any(axis=0))
-    s, nu = _s_matrix(irm, int(cfg.tau / irm.dt + 1e-6), net, idx[np.argsort(flat.argmax(axis=0)[idx], kind="stable")])
-    n = nu.size
-    a = np.hstack([s - 1j * math.sqrt(lam) * np.eye(n), nu[:, None]])
-    expected = a.copy()
-    _ldlt_outer(expected)
-    invs = inversion._ldlt(a)
-    assert a.tobytes() == expected.tobytes()
-    y = a[:, -1] / a.diagonal()
-    x, x_ref = inversion._back_substitute(a, invs, y), _back_substitute_by_column(expected, y)
-    assert np.all(np.abs(x - x_ref) <= 1e-13 * np.abs(x_ref))
+    captured = []
+    layer_stripped = inversion._layer_stripped
+    monkeypatch.setattr(inversion, "_layer_stripped", lambda *args: captured.append(args) or layer_stripped(*args))
+    assert volume_profile(net, irm, pipe, cfg).solver == "layer-stripping"
+    (s, nu, mu, counts), = captured
+    _assert_matches_leading_solves(s, nu, mu, counts)
+
+
+def test_panels_match_leading_solves_on_random_systems():
+    # random symmetric S of norm 1, positive semi-definite or with a share
+    # of its spectrum shifted below zero (the profiles' S have a few
+    # eigenvalues at or just under zero), and counts from a first block of
+    # 1-80 unknowns in steps of 0-5, with one step wider than _PANEL and up
+    # to two _BLOCK panels: every form and x match LAPACK within 1e-10
+    # relative
+    @given(st.integers(1, 80), st.lists(st.integers(0, 5), max_size=30), st.data(),
+           st.floats(min_value=1e-3, max_value=1.0), st.sampled_from([0.0, 0.1, 0.5]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def run(first, steps, data, mu, shift, seed):
+        wide = data.draw(st.integers(inversion._PANEL + 1, 2 * inversion._BLOCK + 1))
+        steps.insert(data.draw(st.integers(0, len(steps))), wide)
+        counts = np.cumsum([first, *steps])
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((counts[-1], counts[-1]))
+        s = m @ m.T
+        s = s / np.linalg.eigvalsh(s).max() - shift * np.eye(counts[-1])
+        _assert_matches_leading_solves(s, rng.choice([-1.0, 1.0], counts[-1]), mu, counts)
+
+    run()
+
+
+def test_panels_end_on_counts():
+    # a stretch between two counts wider than _PANEL, such as the first
+    # point's shared block, is cut into panels of _BLOCK, the last ending
+    # on its count; narrower stretches join into panels of at most _PANEL
+    # that end on counts
+    assert (inversion._PANEL, inversion._BLOCK) == (16, 48)
+    counts = np.array([100, 100, 101, 105, 118, 170, 171])
+    assert inversion._panels(counts) == [(0, 48), (48, 96), (96, 100), (100, 105), (105, 118), (118, 166),
+                                         (166, 170), (170, 171)]
+    assert inversion._column_blocks(inversion._panels(counts)) == [(0, 48), (48, 96), (96, 118), (118, 166),
+                                                                   (166, 171)]
 
 
 @pytest.mark.parametrize("field, value", [("lam", math.nan), ("lam", -1.0), ("lam", math.inf),
@@ -952,6 +954,43 @@ def test_pipe_shorter_than_dx_gives_empty_profile(exp1_net, exp1_irm):
     assert vp.positions.size == vp.volumes.size == 0
     with pytest.raises(HorizonTooShort):  # no point fits, but the horizon is still checked
         volume_profile(exp1_net, zero_irm(exp1_net, 0.01, 1.0), "BD", cfg)
+
+
+@pytest.mark.parametrize("case, pipe, lam", [("exp2", "ED", 1.0), ("exp1", "DC", 1e-5)])
+def test_factored_peak_within_its_guards(request, monkeypatch, case, pipe, lam):
+    # the factored profile holds S and the complex buffer [A; nu^T], and at
+    # its widest panel that panel's y and one product of _BLOCK columns with
+    # the two buffers numpy takes to subtract it from a strided block;
+    # LAPACK's copies of the pivot block and right-hand sides, which
+    # tracemalloc does not see, are in the guard too. The traced peak stays
+    # within the guard, and within S, the buffer, the widest y, three
+    # products and 2 n^2 bytes for the profile's small arrays
+    net, irm, cfg = _profile_case(request, case, lam)
+    guards, counts = {}, []
+    allocating, layer_stripped = inversion._allocating, inversion._layer_stripped
+
+    def counted(what, n_bytes=0):
+        guards[what] = max(n_bytes, guards.get(what, 0))
+        return allocating(what, n_bytes)
+
+    def recorded(*args):
+        counts.append(args[3])
+        return layer_stripped(*args)
+
+    monkeypatch.setattr(inversion, "_allocating", counted)
+    monkeypatch.setattr(inversion, "_layer_stripped", recorded)
+    tracemalloc.start()
+    try:
+        vp = volume_profile(net, irm, pipe, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vp.solver == "layer-stripping"
+    n = int(counts[0][-1])
+    widest = max((j1 - j0) * (n + 1 - j1) for j0, j1 in inversion._panels(counts[0]))
+    assert n > 100 and widest > 10 * n
+    assert peak <= max(guards.values()), (peak, guards)
+    assert peak <= 8 * n**2 + 16 * (n + 1) * (n + 3 * inversion._BLOCK) + 16 * widest + 2 * n**2, peak
 
 
 def test_fallback_peak_within_its_guards(exp2_net, exp2_irm, monkeypatch):
