@@ -4,12 +4,13 @@ Subcommands: oracle-irm, simulate-irm, reconstruct, plot, show-network,
 replay. The table ``OPTIONS`` declares each of the first three once; the
 parser, the --config and manifest checks and ``replay`` read it. Option
 precedence is flags > --config file > --preset values > built-in
-defaults; the two presets carry the stock experiment constants so each
-experiment runs with a single flag. Every output set gets a manifest
-JSON recording the resolved configuration; ``replay`` re-runs a
-manifest and reproduces the outputs byte for byte. ``_execute`` is the
-one place that writes these commands' files: their runners only compute,
-so a run refused with any error writes nothing.
+defaults, and the network follows the same order; the two presets
+carry the stock experiment constants so each experiment runs with a
+single flag. Every output set gets a manifest JSON recording the
+resolved configuration; ``replay`` re-runs a manifest and reproduces the
+outputs byte for byte. ``_execute`` is the one place that writes these
+commands' files: their runners only compute, so a run refused with any
+error writes nothing.
 
 Exit codes, set per error family in errors.py: 0 success, 2 configuration
 or file error, 3 numeric error, 4 point out of reach (action time > tau).
@@ -18,6 +19,7 @@ or file error, 3 numeric error, 4 point out of reach (action time > tau).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import json
@@ -52,7 +54,8 @@ def _known_options(config, command: str, source: str) -> dict:
 
     An option the command lacks would silently change what the run means,
     so it is refused. A ``float`` option takes a finite JSON number, not a
-    boolean; any other a string, or for a ``list`` option also a list.
+    boolean; any other a string without NUL, which no path may hold, or
+    for a ``list`` option also a list.
     """
     if not isinstance(config, dict):
         raise ConfigError(f"{source} is not a JSON object")
@@ -70,39 +73,26 @@ def _known_options(config, command: str, source: str) -> dict:
             ok = isinstance(value, str) or (options[key].type is list and isinstance(value, list))
         if not ok:
             raise ConfigError(f"{source} sets {key} to {value!r}, not a {'finite number' if number else 'string'}")
+        if isinstance(value, str) and "\0" in value:
+            raise ConfigError(f"{source} sets {key} to {value!r}, which holds a NUL byte")
     return config
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge flag values over config-file values over preset values over defaults."""
+    """Read each option, then the network, from flags, else the config file, else the preset, else the defaults."""
     _, _, preset_section, options = OPTIONS[command]
     file_cfg = _known_options(_load_json(args.config), command, f"config file {args.config}") if args.config else {}
-    preset_cfg = {}
-    network_spec = None
-    if getattr(args, "preset", None):
-        p = preset(args.preset)
-        preset_cfg = p.get(preset_section, {})
-        network_spec = p["network"]
-    resolved = {}
-    for key, option in options.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        elif key in preset_cfg:
-            resolved[key] = preset_cfg[key]
-        else:
-            resolved[key] = option.default
+    stock = preset(args.preset) if args.preset else {}
+    flags = {key: value for key, value in vars(args).items() if key in options and value is not None}
+    defaults = {key: option.default for key, option in options.items()}
+    chain = collections.ChainMap(flags, file_cfg, stock.get(preset_section, {}), defaults)
+    resolved = {key: chain[key] for key in options}
     missing = [k for k, v in resolved.items() if v is None]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join('--' + m.replace('_', '-') for m in missing)}")
-    if getattr(args, "network", None):
-        network_spec = _load_json(args.network)
-    elif "network" in file_cfg:
-        network_spec = file_cfg["network"]
-    if network_spec is not None:
-        resolved["network"] = network_spec
+    network = _load_json(args.network) if args.network else file_cfg.get("network", stock.get("network"))
+    if network is not None:
+        resolved["network"] = network
     return resolved
 
 
@@ -201,12 +191,7 @@ def cmd_oracle_irm(net, resolved: dict) -> tuple:
 
 def cmd_simulate_irm(net, resolved: dict) -> tuple:
     cfg = SimConfig(dx=resolved["dx"], duration=resolved["duration"], courant=resolved["courant"])
-    irm, runs = measure_irm(
-        net,
-        cfg,
-        resample_dt=resolved["resample_dt"] or None,
-        fields=bool(resolved.get("dump_fields")),
-    )
+    irm, runs = measure_irm(net, cfg, resample_dt=resolved["resample_dt"], fields=bool(resolved.get("dump_fields")))
     return _irm_outputs(net, resolved, irm, runs)
 
 

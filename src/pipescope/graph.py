@@ -275,6 +275,16 @@ def _list(value) -> list:
     return value
 
 
+def _name(value) -> str:
+    """A string id. Anything else raises TypeError; an empty id, or one holding /, a comma, CR, LF or NUL, raises
+    ValueError, since it would leave its directory or split its CSV row."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    if not value or any(c in value for c in "/,\r\n\0"):
+        raise ValueError(f"id {value!r} is empty or holds a /, comma, CR, LF or NUL")
+    return value
+
+
 def _build_area_profile(spec) -> BlockAreaProfile | TableAreaProfile:
     if not isinstance(spec, dict):
         raise TypeError("area is not a JSON object")
@@ -299,9 +309,10 @@ def _build_area_profile(spec) -> BlockAreaProfile | TableAreaProfile:
 def validate_network(spec: dict) -> Network:
     """Parse a raw network description (the JSON schema) into a Network.
 
-    Vertex and pipe ids are strings; ``vertices``, ``pipes``,
-    ``accessible``, area ``blocks`` and sample tables are lists; lengths,
-    areas, wave speed and gravity are numbers, never booleans or strings.
+    Vertex and pipe ids are ``_name``s, so each can name a file and a CSV
+    field; ``vertices``, ``pipes``, ``accessible``, area ``blocks`` and
+    sample tables are lists; lengths, areas, wave speed and gravity are
+    numbers, never booleans or strings.
 
     Raises InvalidNetworkSpec for a malformed field, CycleDetected for a
     self-loop, and NonpositiveLength or NonpositiveArea per pipe; the
@@ -312,12 +323,10 @@ def validate_network(spec: dict) -> Network:
     try:
         wave_speed = _number(spec["wave_speed"])
         gravity = _number(spec["gravity"])
-        vertices, raw_pipes, accessible = (_list(spec[key]) for key in ("vertices", "pipes", "accessible"))
-        x0 = spec["x0"]
+        vertices, accessible = ([_name(v) for v in _list(spec[key])] for key in ("vertices", "accessible"))
+        raw_pipes, x0 = _list(spec["pipes"]), _name(spec["x0"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidNetworkSpec(f"missing or malformed field: {exc}") from exc
-    if not vertices or not all(isinstance(v, str) for v in (*vertices, x0, *accessible)):
-        raise InvalidNetworkSpec("vertices, x0 and accessible must be string vertex ids, at least one vertex")
 
     if not (0 < wave_speed < math.inf and 0 < gravity < math.inf):
         raise InvalidNetworkSpec("wave_speed and gravity must be positive and finite")
@@ -325,13 +334,11 @@ def validate_network(spec: dict) -> Network:
     pipes = []
     for rp in raw_pipes:
         try:
-            pid, v_from, v_to = rp["id"], rp["from"], rp["to"]
+            pid, v_from, v_to = _name(rp["id"]), _name(rp["from"]), _name(rp["to"])
             length = _number(rp["length"])
             area = _build_area_profile(rp["area"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidNetworkSpec(f"pipe entry {rp!r}: missing or malformed field: {exc}") from exc
-        if not all(isinstance(v, str) for v in (pid, v_from, v_to)):
-            raise InvalidNetworkSpec(f"pipe entry {rp!r}: id, from and to must be strings")
         if v_from == v_to:
             raise CycleDetected(f"pipe {pid!r} is a self-loop")
         if not 0 < length < math.inf:

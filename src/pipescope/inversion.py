@@ -70,7 +70,8 @@ import numpy as np
 from .errors import (ActionTimeExceedsTau, ConfigError, HorizonTooShort, OutOfRange, SingularSystem, TooFewPoints,
                      _allocating)
 from .graph import Network, PointOnPipe, action_times_along
-from .irm import SampledIRM, grid_size
+from .irm import SampledIRM
+from .simulate import grid_size
 
 __all__ = [
     "ReconConfig",

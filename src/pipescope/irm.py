@@ -32,8 +32,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, _allocating
-from .graph import Network
-from .simulate import Histories, SimConfig, _batch_bytes, _run_size, junction_scatter, simulate_runs, step_inflow
+from .graph import Network, _number
+from .simulate import (Histories, SimConfig, _batch_bytes, _run_size, grid_size, junction_scatter, simulate_runs,
+                       step_inflow)
 
 __all__ = [
     "AnalyticIRM",
@@ -43,17 +44,7 @@ __all__ = [
     "measure_irm",
     "save_irm",
     "load_irm",
-    "grid_size",
 ]
-
-
-def grid_size(span: float, dt: float) -> int:
-    """Samples on the grid 0, dt, ..., covering ``span`` inclusively.
-
-    The additive fudge keeps spans that are an exact multiple of dt from
-    losing their last sample to float division.
-    """
-    return int(span / dt + 1e-6) + 1
 
 
 @dataclass(frozen=True)
@@ -218,7 +209,7 @@ def sample_irm(an: AnalyticIRM, dt: float) -> SampledIRM:
 def measure_irm(
     net: Network,
     cfg: SimConfig,
-    resample_dt: float | None = None,
+    resample_dt: float = 0.0,
     fields: bool = False,
 ) -> tuple[SampledIRM, list[Histories]]:
     """Simulate step responses for every source leaf and assemble the IRM.
@@ -230,13 +221,13 @@ def measure_irm(
 
         k(t_l) = [R(t_l + dt_out) - 2 R(t_l) + R(t_l - dt_out)] / dt_out**2,  t_l = l dt_out,
 
-    R read with ``np.interp``; dt_out is ``resample_dt``, or the run's dt
-    without it, where this is ``np.gradient``'s central difference in the
-    interior. The grid covers the run less one dt_out, since its last sample
-    takes R one dt_out past it. Returns the IRM and the raw histories, with
-    node fields only if ``fields`` asks.
+    R read with ``np.interp``; dt_out is ``resample_dt``, or the run's own
+    dt where that is 0, and then this is ``np.gradient``'s central
+    difference in the interior. The grid covers the run less one dt_out,
+    since its last sample takes R one dt_out past it. Returns the IRM and
+    the raw histories, with node fields only if ``fields`` asks.
     """
-    if resample_dt is not None and not 0 < resample_dt < math.inf:
+    if not 0 <= resample_dt < math.inf:
         raise OutOfRange(f"resampling dt must be positive and finite, not {resample_dt}")
     n = len(net.accessible)
     # every run samples t = 0, dt, ..., n_steps*dt: under one step, a longer output step or too large a grid is refused
@@ -321,10 +312,11 @@ def load_irm(path) -> SampledIRM:
     """Read an IRM file written by ``save_irm``.
 
     The header's ``leaves`` must be a non-empty list of strings, ``n`` a
-    JSON integer >= 0 and ``horizon`` finite and >= 0, and every kernel
-    sample of its N x N x n grid must appear in exactly one row with a
-    finite value; anything else raises OutOfRange. Other header keys, such
-    as the ``direct`` coefficients older files carry, are ignored.
+    JSON integer >= 0, ``dt`` a positive and ``horizon`` a JSON number
+    >= 0, both finite, and every kernel sample of its N x N x n grid must
+    appear in exactly one row with a finite value; anything else raises
+    OutOfRange. Other header keys, such as the ``direct`` coefficients
+    older files carry, are ignored.
 
     Rows are read as one text in chunks of about ``_CHUNK`` characters, each
     cut at a newline and split once. A chunk whose i, j and t fields read as
@@ -335,7 +327,8 @@ def load_irm(path) -> SampledIRM:
         with open(path) as fh:
             header_line, columns, body = fh.readline(), fh.readline(), fh.read()
         header = json.loads(header_line)
-        leaves, n_samples, dt, horizon = header["leaves"], header["n"], float(header["dt"]), float(header["horizon"])
+        leaves, n_samples = header["leaves"], header["n"]
+        dt, horizon = _number(header["dt"]), _number(header["horizon"])
     except UnicodeDecodeError as exc:
         raise OutOfRange(f"{path}: not a text file: {exc}") from exc
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:

@@ -61,6 +61,7 @@ __all__ = [
     "step_inflow",
     "junction_scatter",
     "conservation_residual",
+    "grid_size",
 ]
 
 
@@ -109,6 +110,15 @@ def step_inflow(net: Network, cfg: SimConfig, leaf: str) -> dict[str, np.ndarray
         return {leaf: np.ones(n_steps + 1)}
 
 
+def grid_size(span: float, dt: float) -> int:
+    """Samples on the grid 0, dt, ..., covering ``span`` inclusively.
+
+    The additive fudge keeps spans that are an exact multiple of dt from
+    losing their last sample to float division.
+    """
+    return int(span / dt + 1e-6) + 1
+
+
 def _run_size(net: Network, cfg: SimConfig) -> tuple[list[int], float, int]:
     """Cells per pipe (in pipe order), time step and step count of a run.
 
@@ -119,7 +129,7 @@ def _run_size(net: Network, cfg: SimConfig) -> tuple[list[int], float, int]:
         cells = [max(1, round(p.length / cfg.dx)) for p in net.pipes.values()]
         min_dx = min(p.length / n for p, n in zip(net.pipes.values(), cells))
         dt = cfg.courant * min_dx / net.wave_speed
-        return cells, dt, int(cfg.duration / dt + 1e-6)
+        return cells, dt, grid_size(cfg.duration, dt) - 1
     except (OverflowError, ZeroDivisionError) as exc:
         raise OutOfRange(f"dx {cfg.dx} and courant {cfg.courant} give no finite cell or step count: {exc}") from exc
 

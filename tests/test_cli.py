@@ -23,7 +23,7 @@ from pipescope import (ReconConfig, SimConfig, area_profile, oracle_irm, sample_
 from pipescope.cli import OPTIONS, _reciprocity, _remove_old_output, build_parser, main, run
 from pipescope.errors import ActionTimeExceedsTau, ConfigError, NumericError, PipescopeError
 from pipescope.irm import SampledIRM, load_irm, save_irm
-from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK, PRESETS
+from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK, PRESETS, preset
 from pipescope.simulate import simulate_runs
 from test_inversion import TREE6
 from test_irm import SIX_LEAF_UNIFORM, damaged_irm_lines, edited_irm_lines
@@ -1031,6 +1031,47 @@ def test_config_list_with_bad_element_exit_2(tmp_path, exp1_irm_path, capsys, ke
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "pipe_id, out_name, replay",
+    [("../AD", "recon", False), ("A,D", "recon", False), ("A\0D", "recon", False), ("AD", "recon\0.csv", False),
+     ("AD", "recon\0.csv", True)],
+    ids=["pipe-id-slash", "pipe-id-comma", "pipe-id-nul", "config-out-nul", "manifest-out-nul"],
+)
+def test_id_or_path_that_would_break_a_file_exit_2_and_writes_nothing(tmp_path, exp1_irm_path, capsys, pipe_id,
+                                                                      out_name, replay):
+    # "../AD" once wrote AD_volume.csv and AD_area.csv beside --out, "A,D" wrote rows that plot refuses, and a NUL in
+    # an id or a path ended in a traceback, for reconstruct after its --out directory was made
+    spec = copy.deepcopy(EXP1_NETWORK)
+    spec["pipes"][0]["id"] = pipe_id
+    config = {"irm": str(exp1_irm_path), "tau": 0.8, "dx": 10.0, "lam": 1e-5, "pipes": "", "network": spec,
+              "out": str(tmp_path / "work" / out_name)}
+    path = tmp_path / "work" / "cfg.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"command": "reconstruct", "config": config} if replay else config))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(["replay", str(path)] if replay else ["reconstruct", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipescope: configuration error:") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("key, value", [("dt", "0.01"), ("horizon", "1.61"), ("horizon", True), ("dt", True)])
+def test_irm_header_step_or_horizon_not_a_json_number_exit_2(tmp_path, exp1_irm_path, capsys, key, value):
+    # float() read "0.01", "1.61" and true; "dt": true then failed as kernel samples that were not finite
+    header, *rows = exp1_irm_path.read_text().splitlines()
+    exp1_irm_path.write_text("\n".join([json.dumps({**json.loads(header), key: value}), *rows]) + "\n")
+    code, err = _reconstruct_exit(exp1_irm_path, tmp_path / "r", capsys)
+    assert code == 2
+    assert "unreadable IRM header" in err and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_unknown_preset_name_rejected():
+    with pytest.raises(KeyError, match="unknown preset 'exp3'"):
+        preset("exp3")
 
 
 # every option of the three manifest-writing commands with a valid value, on small exp1 runs

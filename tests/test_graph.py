@@ -289,6 +289,16 @@ def test_malformed_or_nonfinite_spec_rejected(exp1_spec, edit):
         validate_network(exp1_spec)
 
 
+def _rename_vertex(spec, old, new):
+    """Rename vertex ``old`` to ``new`` everywhere in ``spec``, so that only the name is at fault."""
+    rename = {old: new}.get
+    spec["vertices"] = [rename(v, v) for v in spec["vertices"]]
+    spec["accessible"] = [rename(v, v) for v in spec["accessible"]]
+    spec["x0"] = rename(spec["x0"], spec["x0"])
+    for pipe in spec["pipes"]:
+        pipe.update({end: rename(pipe[end], pipe[end]) for end in ("from", "to")})
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -298,8 +308,19 @@ def test_malformed_or_nonfinite_spec_rejected(exp1_spec, edit):
         lambda spec: spec["pipes"][0].update(to=["D"]),
         lambda spec: spec["accessible"].__setitem__(0, ["A"]),
         lambda spec: spec.update(x0={"C": 1}),
+        # ids that would leave the output directory, split a CSV row or end a path at a NUL byte
+        lambda spec: spec["pipes"][0].update(id="../AD"),
+        lambda spec: spec["pipes"][0].update(id="A,D"),
+        lambda spec: spec["pipes"][0].update(id="A\0D"),
+        lambda spec: spec["pipes"][0].update(id=""),
+        lambda spec: _rename_vertex(spec, "A", "A\n"),
+        lambda spec: _rename_vertex(spec, "D", "D\r"),
+        lambda spec: _rename_vertex(spec, "B", "B/"),
+        lambda spec: _rename_vertex(spec, "C", "C\0"),
+        lambda spec: _rename_vertex(spec, "A", ""),
     ],
-    ids=["pipe-id", "vertex", "from", "to", "accessible", "x0"],
+    ids=["pipe-id", "vertex", "from", "to", "accessible", "x0", "pipe-id-slash", "pipe-id-comma", "pipe-id-nul",
+         "pipe-id-empty", "leaf-lf", "junction-cr", "leaf-slash", "x0-nul", "leaf-empty"],
 )
 def test_unhashable_id_rejected(exp1_spec, edit):
     edit(exp1_spec)
@@ -441,6 +462,13 @@ def test_action_times_junction_rejected(exp1_net):
     f = action_times(exp1_net, PointOnPipe("AD", 400.0), endpoint_ok=True)
     assert f.f["A"] == pytest.approx(0.4)
     assert f.f["B"] == 0.0
+
+
+def test_end_coord_of_a_vertex_off_the_pipe_rejected(exp1_net):
+    pipe = exp1_net.pipes["AD"]
+    assert (pipe.end_coord("A"), pipe.end_coord("D")) == (0.0, 400.0)
+    with pytest.raises(InvalidPoint, match="vertex 'B' is not an end of pipe 'AD'"):
+        pipe.end_coord("B")
 
 
 def test_point_at_far_leaf_rejected(exp1_net):

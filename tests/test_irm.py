@@ -342,7 +342,7 @@ def test_measured_kernels_vanish_near_zero(exp1_net):
     assert np.abs(irm.k[0, 1][quiet]).max() < 1e-9
 
 
-@pytest.mark.parametrize("resample_dt, fields", [(None, False), (0.007, True)])
+@pytest.mark.parametrize("resample_dt, fields", [(0.0, False), (0.007, True)])
 def test_measurement_past_physical_memory_refused_before_any_run(exp2_net, monkeypatch, resample_dt, fields):
     # step series, inflow per vertex, a trace per leaf, H and Q per node with fields, the batch's per-node and
     # per-pipe-end working arrays, its grids and times, the kernel grid, and one source's kernels (per leaf, its g
@@ -394,7 +394,7 @@ def _traced_peak_and_estimates(monkeypatch, net, dx, duration, resample_dt):
 
 
 @pytest.mark.parametrize("dx", [0.5, 0.25])
-@pytest.mark.parametrize("resample_dt", [None, 0.007])
+@pytest.mark.parametrize("resample_dt", [0.0, 0.007])
 def test_measurement_peak_within_memory_estimate(exp2_net, monkeypatch, dx, resample_dt):
     # fine grids, where the runs' traces and one source's g and R series weigh most; the estimate the memory
     # guard checks counts them, and the traced peak stays within it
@@ -404,7 +404,7 @@ def test_measurement_peak_within_memory_estimate(exp2_net, monkeypatch, dx, resa
 
 def test_measurement_peak_within_memory_estimate_on_a_coarse_grid(exp1_net, monkeypatch):
     # a coarse grid, where the batch's per-node working arrays and grids weigh as much as its per-step ones
-    peak, estimates = _traced_peak_and_estimates(monkeypatch, exp1_net, 5.0, 1.61, None)
+    peak, estimates = _traced_peak_and_estimates(monkeypatch, exp1_net, 5.0, 1.61, 0.0)
     assert len(estimates) == 1 and peak <= estimates[0]
 
 
@@ -500,7 +500,7 @@ def _measure_irm_source_by_source(net, cfg, resample_dt, fields=False):
     [
         ("exp2", 5.0, 0.95, 1.9, 0.007, False),  # the preset's simulate-irm settings
         ("exp2", 5.0, 0.95, 1.9, 0.019000000095, False),  # the last of 100 samples has its right neighbour past the run
-        ("exp2", 10.0, 0.95, 0.6, None, True),
+        ("exp2", 10.0, 0.95, 0.6, 0.0, True),
         ("tree", 5.0, 0.95, 2.6, 0.007, False),  # the benchmark's tree-measured settings
         ("tree", 6.0, 0.8, 0.4, 0.01, True),
     ],
@@ -571,6 +571,14 @@ def _saved_exp1_irm(exp1_net, tmp_path):
     path = tmp_path / "irm.csv"
     save_irm(sample_irm(oracle_irm(exp1_net, horizon=1.61), dt=0.01), path)
     return path, path.read_text().splitlines()
+
+
+def test_load_irm_skips_a_chunk_of_blank_lines(exp1_net, tmp_path):
+    # more trailing newlines than one chunk holds: a chunk of them alone has no row
+    path, lines = _saved_exp1_irm(exp1_net, tmp_path)
+    k = load_irm(path).k
+    path.write_text("\n".join(lines) + "\n" * 40_000)
+    assert 40_000 > _CHUNK and load_irm(path).k.tobytes() == k.tobytes()
 
 
 def test_load_irm_rejects_truncated_file(exp1_net, tmp_path):
@@ -704,6 +712,9 @@ def _reference_load_irm(path):
             header = json.loads(fh.readline())
             leaves = header["leaves"]
             n_samples = header["n"]
+            # the header rule of load_irm: dt and horizon JSON numbers, not strings or booleans
+            if any(isinstance(v, (bool, str)) for v in (header["dt"], header["horizon"])):
+                raise TypeError("dt or horizon is not a JSON number")
             dt = float(header["dt"])
             horizon = float(header["horizon"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:

@@ -107,6 +107,10 @@ def test_series_length_mismatch(single_pipe_net):
         simulate_runs(single_pipe_net, [{"R": np.ones(101)}], cfg)
 
 
+def test_no_runs_give_no_histories(exp2_net):
+    assert simulate_runs(exp2_net, [], SimConfig(dx=5.0, duration=0.5)) == []
+
+
 @pytest.mark.parametrize(
     "dx, courant, duration, message",
     # arrays larger than any address space, a shape numpy cannot hold, and counts that are not finite
