@@ -421,12 +421,13 @@ def run(argv=None) -> int:
             return 0
         else:  # argparse allows no other command than replay
             outputs = cmd_replay(args.manifest)
-    except PipescopeError as exc:  # errors.py gives each family its exit code and label
-        print(f"pipescope: {exc.label}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (OSError, UnicodeDecodeError) as exc:  # an input that cannot be read or is not text, an unwritable output
-        print(f"pipescope: file error: {exc}", file=sys.stderr)
-        return 2
+    except (PipescopeError, OSError, UnicodeDecodeError) as exc:
+        # errors.py gives each family its exit code and label; the rest are an input that cannot be read or is not
+        # text, or an unwritable output
+        label, code = (exc.label, exc.exit_code) if isinstance(exc, PipescopeError) else ("file error", 2)
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # one line, whatever a path or id holds
+        print(f"pipescope: {label}: {message}", file=sys.stderr)
+        return code
     for path in outputs:
         print(path)
     return 0

@@ -1,16 +1,17 @@
 """Exception types raised across the package.
 
-Each family carries the CLI's exit code and stderr label, and its subclasses
-inherit them; the CLI prints ``pipescope: {label}: {message}`` and exits:
+These four classes are the whole error taxonomy: each carries the CLI's
+exit code and stderr label, the message tells one refusal from another,
+and the CLI prints ``pipescope: {label}: {message}`` and exits:
 
     ConfigError           2  configuration error  bad input or configuration
     NumericError          3  numeric error        a solve or guard failed at run time
     ActionTimeExceedsTau  4  point out of reach   a point needs action times past tau
-    any other             2  error
+    PipescopeError        2  error
 
 ``_allocating`` guards every array the input sizes: it refuses one past
 physical memory before allocating it, and turns an allocation numpy
-refuses into ``OutOfRange``.
+refuses into a ``ConfigError``.
 """
 
 import os
@@ -32,82 +33,9 @@ class NumericError(PipescopeError):
     exit_code, label = 3, "numeric error"
 
 
-# network validation
-class InvalidNetworkSpec(ConfigError):
-    pass
-
-
-class CycleDetected(InvalidNetworkSpec):
-    pass
-
-
-class Disconnected(InvalidNetworkSpec):
-    pass
-
-
-class DegreeTwoVertex(InvalidNetworkSpec):
-    pass
-
-
-class NonLeafX0(InvalidNetworkSpec):
-    pass
-
-
-class NonpositiveLength(InvalidNetworkSpec):
-    pass
-
-
-class NonpositiveArea(InvalidNetworkSpec):
-    pass
-
-
-# geometry
-class InvalidPoint(ConfigError):
-    pass
-
-
-class PointIsJunction(InvalidPoint):
-    pass
-
-
-# forward simulation
-class UnstableConfig(ConfigError):
-    pass
-
-
-class MismatchedSeriesLength(ConfigError):
-    pass
-
-
-# IRM construction
-class HorizonTooLarge(NumericError):
-    """Wavefront event count exceeded the termination guard."""
-
-
-class NonuniformPipeArea(ConfigError):
-    """The wavefront oracle requires a constant area on every pipe."""
-
-
-class OutOfRange(ConfigError):
-    pass
-
-
-# inversion
-class HorizonTooShort(ConfigError):
-    pass
-
-
 class ActionTimeExceedsTau(PipescopeError):
     """A reconstruction point needs action times longer than tau."""
     exit_code, label = 4, "point out of reach"
-
-
-class SingularSystem(NumericError):
-    pass
-
-
-class TooFewPoints(ConfigError):
-    pass
 
 
 def _physical_memory() -> int:
@@ -121,10 +49,10 @@ def _physical_memory() -> int:
 @contextmanager
 def _allocating(what: str, n_bytes: int = 0):
     """Refuse ``what``, arrays of ``n_bytes``, past physical memory; turn an allocation or count numpy refuses into
-    OutOfRange naming ``what``. With no reading of physical memory, only the second check runs."""
+    a ConfigError naming ``what``. With no reading of physical memory, only the second check runs."""
     if 0 < (memory := _physical_memory()) < n_bytes:
-        raise OutOfRange(f"{what} needs {n_bytes} bytes, more than the {memory} bytes of physical memory")
+        raise ConfigError(f"{what} needs {n_bytes} bytes, more than the {memory} bytes of physical memory")
     try:
         yield
     except (MemoryError, ValueError, OverflowError) as exc:  # ValueError: a shape numpy cannot represent at all
-        raise OutOfRange(f"{what} does not fit in memory: {exc}") from exc
+        raise ConfigError(f"{what} does not fit in memory: {exc}") from exc

@@ -10,36 +10,26 @@ list drives all response-matrix indexing downstream.
 ``validate_network`` parses the JSON description and checks each pipe;
 ``Network`` checks its ids are unique and its pipes form a tree with x0 a
 leaf, so every ``Network`` is a valid tree. Geometry here is exact and
-immutable: every derived quantity (the orientation towards x0, each pipe's
-cut-off leaves with their distances to it, action times) is a pure
-function of the network, and one walk from x0 gives the orientation. A cut
-point on a pipe separates from x0 exactly the accessible leaves whose path
-to x0 runs through that pipe; each such leaf's action time is its distance
-to the pipe's far vertex plus the point's, over the wave speed, and every
-other leaf's is 0. One walk from each leaf up to x0 gives those distances,
-held per pipe in two flat arrays; no table over pairs of vertices is kept.
+immutable: every derived quantity (the orientation towards x0, action
+times) is a pure function of the network, and one walk from x0 gives the
+orientation: each vertex's pipe towards x0. A cut point on a pipe
+separates from x0 exactly the accessible leaves whose path to x0 runs
+through that pipe; each such leaf's action time is its distance to the
+pipe's far vertex plus the point's, over the wave speed, and every other
+leaf's is 0. Each query walks every accessible leaf up towards x0 until it
+meets the pipe, summing those distances; nothing is kept per pair of
+vertices or per leaf and pipe, so storage is linear in the tree.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CycleDetected,
-    DegreeTwoVertex,
-    Disconnected,
-    InvalidNetworkSpec,
-    InvalidPoint,
-    NonLeafX0,
-    NonpositiveArea,
-    NonpositiveLength,
-    PointIsJunction,
-)
+from .errors import ConfigError
 
 __all__ = [
     "BlockAreaProfile",
@@ -115,7 +105,7 @@ class Pipe:
             return 0.0
         if vertex == self.to_vertex:
             return self.length
-        raise InvalidPoint(f"vertex {vertex!r} is not an end of pipe {self.id!r}")
+        raise ConfigError(f"vertex {vertex!r} is not an end of pipe {self.id!r}")
 
     def nu(self, vertex: str) -> int:
         """Internal normal at a pipe end: +1 at x=0, -1 at x=length."""
@@ -154,11 +144,11 @@ class ActionTimes:
 class Network:
     """Immutable tree of ``pipes`` on ``vertices``, checked and oriented towards x0 by one walk from x0.
 
-    Raises, in this order of checking: ``InvalidNetworkSpec`` (a duplicate
-    id, no vertex, or a pipe to a vertex not listed), ``Disconnected`` (too
-    few pipes, or a vertex the walk does not reach), ``CycleDetected`` (too
-    many pipes), ``DegreeTwoVertex``, ``NonLeafX0``, and
-    ``InvalidNetworkSpec`` unless ``accessible`` lists every leaf but x0 once.
+    Raises ``ConfigError``, in this order of checking: for a duplicate id,
+    no vertex, or a pipe to a vertex not listed; for too few pipes, or a
+    vertex the walk does not reach ("not connected"); for too many pipes (a
+    cycle); for a vertex of degree two; for an x0 that is not a leaf; and
+    unless ``accessible`` lists every leaf but x0 once.
     """
 
     def __init__(self, wave_speed, gravity, vertices, pipes, x0, accessible):
@@ -166,25 +156,25 @@ class Network:
         self.gravity = float(gravity)
         self.vertices: tuple[str, ...] = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
-            raise InvalidNetworkSpec("duplicate vertex ids")
+            raise ConfigError("duplicate vertex ids")
         self.pipes: dict[str, Pipe] = {}
         for p in pipes:
             if p.id in self.pipes:
-                raise InvalidNetworkSpec(f"duplicate pipe id {p.id!r}")
+                raise ConfigError(f"duplicate pipe id {p.id!r}")
             self.pipes[p.id] = p
         self.x0 = x0
         self.accessible: tuple[str, ...] = tuple(accessible)
         n_pipes, n_vertices = len(self.pipes), len(self.vertices)
         if not n_vertices:
-            raise InvalidNetworkSpec("vertices, x0 and accessible must be string vertex ids, at least one vertex")
+            raise ConfigError("vertices, x0 and accessible must be string vertex ids, at least one vertex")
         self._adjacency: dict[str, list[Pipe]] = {v: [] for v in self.vertices}
         for p in self.pipes.values():
             if p.from_vertex not in self._adjacency or p.to_vertex not in self._adjacency:
-                raise InvalidNetworkSpec(f"pipe {p.id!r} references unknown vertices")
+                raise ConfigError(f"pipe {p.id!r} references unknown vertices")
             self._adjacency[p.from_vertex].append(p)
             self._adjacency[p.to_vertex].append(p)
         if n_pipes < n_vertices - 1:
-            raise Disconnected(f"{n_pipes} pipes cannot connect {n_vertices} vertices")
+            raise ConfigError(f"{n_pipes} pipes cannot connect {n_vertices} vertices")
 
         # per vertex, the pipe the walk reached it by: on a tree, its pipe towards x0 (when x0 is a vertex)
         start = x0 if x0 in self._adjacency else self.vertices[0]
@@ -198,31 +188,21 @@ class Network:
                     parent[w] = p.id
                     stack.append(w)
         if len(parent) != n_vertices:
-            raise Disconnected("network is not connected")
+            raise ConfigError("network is not connected")
         if n_pipes != n_vertices - 1:
-            raise CycleDetected(f"{n_pipes} pipes on {n_vertices} vertices form a cycle")
+            raise ConfigError(f"{n_pipes} pipes on {n_vertices} vertices form a cycle")
         for v in self.vertices:
             if self.degree(v) == 2:
-                raise DegreeTwoVertex(f"vertex {v!r} joins exactly two pipes")
+                raise ConfigError(f"vertex {v!r} joins exactly two pipes")
         if x0 not in self._adjacency or self.degree(x0) != 1:
-            raise NonLeafX0(f"x0 = {x0!r} is not a leaf")
+            raise ConfigError(f"x0 = {x0!r} is not a leaf")
         if sorted(self.accessible) != sorted(set(self.leaves) - {x0}):
-            raise InvalidNetworkSpec("accessible list must be exactly all leaves except x0")
+            raise ConfigError("accessible list must be exactly all leaves except x0")
 
+        self._parent = parent
         # the endpoint whose parent pipe is this pipe is the far one
         self._x0_side = {pid: p.to_vertex if parent[p.from_vertex] == pid else p.from_vertex
                          for pid, p in self.pipes.items()}
-        # per pipe, the leaves it cuts off: index into accessible, distance to the far vertex summed from the leaf
-        index = {pid: array("q") for pid in self.pipes}
-        dist = {pid: array("d") for pid in self.pipes}
-        for i, leaf in enumerate(self.accessible):
-            v, d = leaf, 0.0
-            while (pid := parent[v]) is not None:  # up the leaf's path to x0
-                index[pid].append(i)
-                dist[pid].append(d)
-                d += self.pipes[pid].length
-                v = self._x0_side[pid]
-        self._cut_off = {pid: (np.frombuffer(index[pid], np.int64), np.frombuffer(dist[pid])) for pid in self.pipes}
 
     # -- structure ---------------------------------------------------------
 
@@ -292,17 +272,17 @@ def _build_area_profile(spec) -> BlockAreaProfile | TableAreaProfile:
         xs = tuple(_number(v) for v in _list(spec["samples"]["x"]))
         vals = tuple(_number(v) for v in _list(spec["samples"]["A"]))
         if len(xs) != len(vals) or len(xs) < 2 or not all(map(math.isfinite, xs + vals)):
-            raise InvalidNetworkSpec("area sample table needs matching finite x/A lists of length >= 2")
+            raise ConfigError("area sample table needs matching finite x/A lists of length >= 2")
         if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise InvalidNetworkSpec("area sample x values must be strictly increasing")
+            raise ConfigError("area sample x values must be strictly increasing")
         # the reconstruction theory needs A constant near leaf ends
         if vals[0] != vals[1] or vals[-1] != vals[-2]:
-            raise InvalidNetworkSpec("area table must be constant on its first and last segment")
+            raise ConfigError("area table must be constant on its first and last segment")
         return TableAreaProfile(xs, vals)
     blocks = tuple((_number(b["x0"]), _number(b["x1"]), _number(b["delta"])) for b in _list(spec.get("blocks", [])))
     for lo, hi, delta in blocks:
         if not (lo < hi and math.isfinite(lo + hi + delta)):
-            raise InvalidNetworkSpec(f"area block ({lo}, {hi}, {delta}) is empty or not finite")
+            raise ConfigError(f"area block ({lo}, {hi}, {delta}) is empty or not finite")
     return BlockAreaProfile(_number(spec["base"]), blocks)
 
 
@@ -314,11 +294,11 @@ def validate_network(spec: dict) -> Network:
     sample tables are lists; lengths, areas, wave speed and gravity are
     numbers, never booleans or strings.
 
-    Raises InvalidNetworkSpec for a malformed field, CycleDetected for a
-    self-loop, and NonpositiveLength or NonpositiveArea per pipe; the
-    structure is then checked by ``Network``, which raises
-    InvalidNetworkSpec (for a duplicate id or a pipe to an unknown vertex,
-    say), Disconnected, CycleDetected, DegreeTwoVertex or NonLeafX0.
+    Raises ConfigError for a malformed field, a self-loop, and a
+    nonpositive length or area per pipe; the structure is then checked by
+    ``Network``, which raises ConfigError too (for a duplicate id, a pipe to
+    an unknown vertex, a disconnected network, a cycle, a vertex of degree
+    two or an x0 that is not a leaf).
     """
     try:
         wave_speed = _number(spec["wave_speed"])
@@ -326,10 +306,10 @@ def validate_network(spec: dict) -> Network:
         vertices, accessible = ([_name(v) for v in _list(spec[key])] for key in ("vertices", "accessible"))
         raw_pipes, x0 = _list(spec["pipes"]), _name(spec["x0"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidNetworkSpec(f"missing or malformed field: {exc}") from exc
+        raise ConfigError(f"missing or malformed field: {exc}") from exc
 
     if not (0 < wave_speed < math.inf and 0 < gravity < math.inf):
-        raise InvalidNetworkSpec("wave_speed and gravity must be positive and finite")
+        raise ConfigError("wave_speed and gravity must be positive and finite")
 
     pipes = []
     for rp in raw_pipes:
@@ -338,13 +318,13 @@ def validate_network(spec: dict) -> Network:
             length = _number(rp["length"])
             area = _build_area_profile(rp["area"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidNetworkSpec(f"pipe entry {rp!r}: missing or malformed field: {exc}") from exc
+            raise ConfigError(f"pipe entry {rp!r}: missing or malformed field: {exc}") from exc
         if v_from == v_to:
-            raise CycleDetected(f"pipe {pid!r} is a self-loop")
+            raise ConfigError(f"pipe {pid!r} is a self-loop")
         if not 0 < length < math.inf:
-            raise NonpositiveLength(f"pipe {pid!r} has length {length}, not a positive finite number")
+            raise ConfigError(f"pipe {pid!r} has length {length}, not a positive finite number")
         if not 0 < area.min_area(length) < math.inf:
-            raise NonpositiveArea(f"pipe {pid!r} area profile is not positive and finite everywhere")
+            raise ConfigError(f"pipe {pid!r} area profile is not positive and finite everywhere")
         pipes.append(Pipe(pid, v_from, v_to, length, area))
 
     return Network(wave_speed, gravity, vertices, pipes, x0, accessible)
@@ -361,15 +341,15 @@ def _check_cut(net: Network, p: PointOnPipe, endpoint_ok: bool) -> None:
     """
     pipe = net.pipes.get(p.pipe)
     if pipe is None:
-        raise InvalidPoint(f"unknown pipe {p.pipe!r}")
+        raise ConfigError(f"unknown pipe {p.pipe!r}")
     if not 0.0 <= p.offset <= pipe.length:
-        raise InvalidPoint(f"offset {p.offset} outside pipe {p.pipe!r}")
+        raise ConfigError(f"offset {p.offset} outside pipe {p.pipe!r}")
     if p.offset in (0.0, pipe.length):
         at_vertex = pipe.from_vertex if p.offset == 0.0 else pipe.to_vertex
         if at_vertex != net.x0_side_vertex(p.pipe) or not endpoint_ok:
             if net.degree(at_vertex) >= 3:
-                raise PointIsJunction(f"point at {at_vertex!r} is a junction")
-            raise InvalidPoint(f"cut point must be strictly inside pipe {p.pipe!r}")
+                raise ConfigError(f"point at {at_vertex!r} is a junction")
+            raise ConfigError(f"cut point must be strictly inside pipe {p.pipe!r}")
 
 
 def action_times_along(net: Network, pipe_id: str, offsets) -> np.ndarray:
@@ -385,8 +365,13 @@ def action_times_along(net: Network, pipe_id: str, offsets) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=float)
     dv = offsets if far == pipe.from_vertex else pipe.length - offsets
     f = np.zeros((offsets.size, len(net.accessible)))
-    index, dist = net._cut_off[pipe_id]
-    f[:, index] = (dist + dv.reshape(-1, 1)) / net.wave_speed
+    for i, leaf in enumerate(net.accessible):
+        v, d = leaf, 0.0  # dist(leaf, v), summed from the leaf up its path to x0 until the path meets the pipe
+        while (pid := net._parent[v]) not in (pipe_id, None):
+            d += net.pipes[pid].length
+            v = net._x0_side[pid]
+        if pid is not None:
+            f[:, i] = (d + dv) / net.wave_speed
     return f
 
 
@@ -395,7 +380,7 @@ def action_times(net: Network, p: PointOnPipe, *, endpoint_ok: bool = False) -> 
 
     f(leaf) is the travel time from the leaf to p for leaves separated
     from x0 by p, and 0 for every other accessible leaf. Raises
-    ``InvalidPoint``, or ``PointIsJunction`` for a cut point at a junction.
+    ``ConfigError`` for a point off the pipe, or at a vertex (a junction says so).
     """
     _check_cut(net, p, endpoint_ok)
     row = action_times_along(net, p.pipe, [p.offset])[0]

@@ -67,8 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ActionTimeExceedsTau, ConfigError, HorizonTooShort, OutOfRange, SingularSystem, TooFewPoints,
-                     _allocating)
+from .errors import ActionTimeExceedsTau, ConfigError, NumericError, _allocating
 from .graph import Network, PointOnPipe, action_times_along
 from .irm import SampledIRM
 from .simulate import grid_size
@@ -103,9 +102,9 @@ class ReconConfig:
         for name in ("tau", "dx"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
-                raise OutOfRange(f"{name} must be positive and finite, not {value}")
+                raise ConfigError(f"{name} must be positive and finite, not {value}")
         if not 0 <= self.lam < math.inf:
-            raise OutOfRange(f"Tikhonov weight lambda must be finite and >= 0, not {self.lam}")
+            raise ConfigError(f"Tikhonov weight lambda must be finite and >= 0, not {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -136,16 +135,16 @@ def _check_leaves(irm: SampledIRM, net: Network) -> None:
 
 
 def _samples(cfg: ReconConfig, dt: float) -> int:
-    """M = floor(tau/dt + 1e-6), as ``grid_size`` counts a span; OutOfRange where the quotient overflows."""
+    """M = floor(tau/dt + 1e-6), as ``grid_size`` counts a span; a ConfigError where the quotient overflows."""
     with _allocating(f"samples {dt} s apart over tau = {cfg.tau} s"):  # their count may overflow
         return grid_size(cfg.tau, dt) - 1
 
 
 def _samples_per_leaf(irm: SampledIRM, cfg: ReconConfig) -> int:
-    """M on the IRM's grid; ``HorizonTooShort`` unless its kernels span 2*tau."""
+    """M on the IRM's grid; a ConfigError unless its kernels span 2*tau."""
     m = _samples(cfg, irm.dt)
     if irm.n_samples < 2 * m:
-        raise HorizonTooShort(f"kernels have {irm.n_samples} samples, need {2 * m} to span 2*tau")
+        raise ConfigError(f"kernels have {irm.n_samples} samples, need {2 * m} to span 2*tau")
     return m
 
 
@@ -198,7 +197,7 @@ def _solve_point(s: np.ndarray, nu: np.ndarray, lam: float) -> np.ndarray:
             return np.linalg.solve(a, nu).real
     sol, _, rank, _ = np.linalg.lstsq(s, nu, rcond=None)
     if rank < nu.size:
-        raise SingularSystem(f"restricted matrix rank {rank} < {nu.size} with lambda = 0")
+        raise NumericError(f"restricted matrix rank {rank} < {nu.size} with lambda = 0")
     return sol
 
 
@@ -372,7 +371,7 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
 def area_profile(vp: VolumeProfile) -> AreaProfile:
     """Forward difference quotient of volumes over the profile's own dx: one area per interval."""
     if len(vp.volumes) < 2:
-        raise TooFewPoints(
+        raise ConfigError(
             f"profile for pipe {vp.pipe!r} has {len(vp.volumes)} points, need at least 2"
         )
     areas = np.diff(vp.volumes) / vp.dx

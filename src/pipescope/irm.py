@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HorizonTooLarge, NonuniformPipeArea, OutOfRange, _allocating
+from .errors import ConfigError, NumericError, _allocating
 from .graph import Network, _number
 from .simulate import (Histories, SimConfig, _batch_bytes, _run_size, grid_size, junction_scatter, simulate_runs,
                        step_inflow)
@@ -105,10 +105,10 @@ def oracle_irm(
     inversion averages the two kernels.
     """
     if not 0 <= horizon < math.inf or not 0 <= prune_eps < math.inf:
-        raise OutOfRange(f"horizon {horizon} and prune_eps {prune_eps} must be finite and >= 0")
+        raise ConfigError(f"horizon {horizon} and prune_eps {prune_eps} must be finite and >= 0")
     for pipe in net.pipes.values():
         if not pipe.area.is_constant:
-            raise NonuniformPipeArea(f"pipe {pipe.id!r} has a nonconstant area profile")
+            raise ConfigError(f"pipe {pipe.id!r} has a nonconstant area profile")
 
     a = Fraction(net.wave_speed)
     g = Fraction(net.gravity)
@@ -162,7 +162,7 @@ def oracle_irm(
             amps = pending.pop(key)
             events += sum(amps.values())  # the guard counts individual fronts
             if events > max_events:
-                raise HorizonTooLarge(f"more than {max_events} wavefront events before {horizon}s")
+                raise NumericError(f"more than {max_events} wavefront events before {horizon}s")
             receiver, fronts = rules[rule]
             if receiver is not None:
                 bucket = arrivals[receiver]
@@ -192,7 +192,7 @@ def sample_irm(an: AnalyticIRM, dt: float) -> SampledIRM:
     point inside [t0 - dt/2, t0 + dt/2); deltas sharing a bin add up.
     """
     if not 0 < dt < math.inf:
-        raise OutOfRange(f"dt must be positive and finite, not {dt}")
+        raise ConfigError(f"dt must be positive and finite, not {dt}")
     n = len(an.leaves)
     with _allocating(f"a grid of kernel samples {dt} s apart over {an.horizon:g} s"):  # its count may overflow
         n_samples = grid_size(an.horizon, dt)
@@ -228,17 +228,18 @@ def measure_irm(
     the raw histories, with node fields only if ``fields`` asks.
     """
     if not 0 <= resample_dt < math.inf:
-        raise OutOfRange(f"resampling dt must be positive and finite, not {resample_dt}")
+        raise ConfigError(f"resampling dt must be positive and finite, not {resample_dt}")
     n = len(net.accessible)
     # every run samples t = 0, dt, ..., n_steps*dt: under one step, a longer output step or too large a grid is refused
     cells, dt, n_steps = _run_size(net, cfg)
     if n_steps < 1:
-        raise OutOfRange(f"a step response needs two or more time samples, not {n_steps + 1}: the run is under one step")
+        raise ConfigError(
+            f"a step response needs two or more time samples, not {n_steps + 1}: the run is under one step")
     dt_out = resample_dt or dt
     with _allocating(f"a grid of kernel samples {dt_out} s apart over {n_steps * dt:g} s"):  # its count may overflow
         n_out = grid_size(n_steps * dt, dt_out) - 1  # so every sample's right hat neighbour lies in the run
     if n_out < 1:
-        raise OutOfRange(f"resampling dt {dt_out} s is longer than the {n_steps * dt:g} s run: no kernel sample fits")
+        raise ConfigError(f"resampling dt {dt_out} s is longer than the {n_steps * dt:g} s run: no kernel sample fits")
     # refused past physical memory before any is made: the batch's arrays, and N times a step series, a kernel row,
     # and per leaf of one source its g and R series and three rows: R on the grid and its two differences
     samples = 3 * (n_steps + 1) + (n + 3) * n_out
@@ -315,7 +316,7 @@ def load_irm(path) -> SampledIRM:
     JSON integer >= 0, ``dt`` a positive and ``horizon`` a JSON number
     >= 0, both finite, and every kernel sample of its N x N x n grid must
     appear in exactly one row with a finite value; anything else raises
-    OutOfRange. Other header keys, such as the ``direct`` coefficients
+    ConfigError. Other header keys, such as the ``direct`` coefficients
     older files carry, are ignored.
 
     Rows are read as one text in chunks of about ``_CHUNK`` characters, each
@@ -330,22 +331,22 @@ def load_irm(path) -> SampledIRM:
         leaves, n_samples = header["leaves"], header["n"]
         dt, horizon = _number(header["dt"]), _number(header["horizon"])
     except UnicodeDecodeError as exc:
-        raise OutOfRange(f"{path}: not a text file: {exc}") from exc
+        raise ConfigError(f"{path}: not a text file: {exc}") from exc
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        raise OutOfRange(f"{path}: unreadable IRM header: {exc}") from exc
+        raise ConfigError(f"{path}: unreadable IRM header: {exc}") from exc
     if not (isinstance(leaves, list) and all(isinstance(leaf, str) for leaf in leaves)):
-        raise OutOfRange(f"{path}: header leaves {leaves!r} is not a list of strings")
+        raise ConfigError(f"{path}: header leaves {leaves!r} is not a list of strings")
     if type(n_samples) is not int or n_samples < 0:
-        raise OutOfRange(f"{path}: header n = {n_samples!r} is not an integer, or is negative")
+        raise ConfigError(f"{path}: header n = {n_samples!r} is not an integer, or is negative")
     if not leaves:  # with a leaf, the line count below bounds n before the N x N x n grid is allocated
-        raise OutOfRange(f"{path}: header lists no leaves, so no kernel row bounds its n = {n_samples}")
+        raise ConfigError(f"{path}: header lists no leaves, so no kernel row bounds its n = {n_samples}")
     if not (0 < dt < math.inf and 0 <= horizon < math.inf):  # the reconstruction takes its step from dt
-        raise OutOfRange(f"{path}: header dt = {dt} must be positive and horizon = {horizon} >= 0, both finite")
+        raise ConfigError(f"{path}: header dt = {dt} must be positive and horizon = {horizon} >= 0, both finite")
     if columns.strip() != "i,j,t,k":
-        raise OutOfRange(f"{path}: missing i,j,t,k column header")
+        raise ConfigError(f"{path}: missing i,j,t,k column header")
     n, lines = len(leaves), body.count("\n") + 1
     if n * n * n_samples > lines:  # checked before the header's shape is allocated, the exact row count at the end
-        raise OutOfRange(f"{path}: at most {lines} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
+        raise ConfigError(f"{path}: at most {lines} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
     k = np.full((n, n, n_samples), np.nan)  # NaN marks a sample no row has set
     flat = k.reshape(-1)  # a view: row r of a file in save_irm's order holds flat sample r
     labels, times = [str(i) for i in range(n)], [repr(s * dt) for s in range(n_samples)]
@@ -368,21 +369,21 @@ def load_irm(path) -> SampledIRM:
         fields = ",\n,".join(rows).split(",")
         if fields[4::5].count("\n") != len(rows) - 1 or len(fields) != 5 * len(rows) - 1:
             row = next(row for row in rows if row.count(",") != 3)
-            raise OutOfRange(f"{path}: unreadable kernel row {row!r}: it needs four fields")
+            raise ConfigError(f"{path}: unreadable kernel row {row!r}: it needs four fields")
         try:
             i, j, t, values = (np.array(fields[c::5], dtype=np.int64 if c < 2 else float) for c in range(4))
         except (ValueError, OverflowError) as exc:
-            raise OutOfRange(f"{path}: unreadable kernel row: {exc}") from exc
+            raise ConfigError(f"{path}: unreadable kernel row: {exc}") from exc
         with np.errstate(over="ignore"):
             idx = np.rint(t / dt)
         # written as "inside" so that a NaN or infinite time counts as outside too
         outside = np.flatnonzero(~((0 <= i) & (i < n) & (0 <= j) & (j < n) & (0 <= idx) & (idx < n_samples)))
         if outside.size:
-            raise OutOfRange(f"{path}: row {rows[outside[0]]!r} lies outside the header's {n}x{n}x{n_samples} grid")
+            raise ConfigError(f"{path}: row {rows[outside[0]]!r} lies outside the header's {n}x{n}x{n_samples} grid")
         k[i, j, idx.astype(np.int64)] = values
     if count != flat.size:
-        raise OutOfRange(f"{path}: {count} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
+        raise ConfigError(f"{path}: {count} kernel rows, the header's shape needs {n}*{n}*{n_samples}")
     bad = np.count_nonzero(~np.isfinite(k))
     if bad:
-        raise OutOfRange(f"{path}: {bad} kernel sample(s) not finite, or unset because of duplicate rows")
+        raise ConfigError(f"{path}: {bad} kernel sample(s) not finite, or unset because of duplicate rows")
     return SampledIRM(dt, tuple(leaves), k, horizon)

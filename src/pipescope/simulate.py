@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedSeriesLength, OutOfRange, UnstableConfig, _allocating
+from .errors import ConfigError, _allocating
 from .graph import Network
 
 __all__ = [
@@ -75,9 +75,9 @@ class SimConfig:
 
     def __post_init__(self):
         if not 0.0 < self.courant <= 1.0:
-            raise UnstableConfig(f"courant = {self.courant} outside (0, 1]")
+            raise ConfigError(f"courant = {self.courant} outside (0, 1]")
         if not (0 < self.dx < math.inf and 0 <= self.duration < math.inf):
-            raise UnstableConfig(f"dx {self.dx} must be positive and duration {self.duration} >= 0, both finite")
+            raise ConfigError(f"dx {self.dx} must be positive and duration {self.duration} >= 0, both finite")
 
 
 @dataclass
@@ -123,7 +123,7 @@ def _run_size(net: Network, cfg: SimConfig) -> tuple[list[int], float, int]:
     """Cells per pipe (in pipe order), time step and step count of a run.
 
     The smallest cell sets the time step. A dx or Courant number so small
-    that a count is not finite, or the time step is 0, raises OutOfRange.
+    that a count is not finite, or the time step is 0, raises ConfigError.
     """
     try:
         cells = [max(1, round(p.length / cfg.dx)) for p in net.pipes.values()]
@@ -131,7 +131,7 @@ def _run_size(net: Network, cfg: SimConfig) -> tuple[list[int], float, int]:
         dt = cfg.courant * min_dx / net.wave_speed
         return cells, dt, grid_size(cfg.duration, dt) - 1
     except (OverflowError, ZeroDivisionError) as exc:
-        raise OutOfRange(f"dx {cfg.dx} and courant {cfg.courant} give no finite cell or step count: {exc}") from exc
+        raise ConfigError(f"dx {cfg.dx} and courant {cfg.courant} give no finite cell or step count: {exc}") from exc
 
 
 def _batch_bytes(net: Network, cells: list[int], n_steps: int, n_runs: int, fields: bool) -> int:
@@ -160,7 +160,7 @@ def simulate_runs(net: Network, runs: list[dict[str, np.ndarray]], cfg: SimConfi
 
     A flow dict maps accessible leaves to their inflow nu*Q, one sample per time step from t = 0; leaves without one
     are closed. Each Histories holds every accessible leaf's head trace and, with ``fields``, every node's H and Q,
-    bit for bit that run alone's. A batch past physical memory, or one it cannot allocate, raises OutOfRange.
+    bit for bit that run alone's. A batch past physical memory, or one it cannot allocate, raises ConfigError.
     """
     cells, dt, n_steps = _run_size(net, cfg)
     if not runs:
@@ -177,9 +177,9 @@ def simulate_runs(net: Network, runs: list[dict[str, np.ndarray]], cfg: SimConfi
     for r, flows in enumerate(runs):
         for leaf, series in flows.items():
             if leaf not in net.accessible:
-                raise MismatchedSeriesLength(f"{leaf!r} is not an accessible leaf")
+                raise ConfigError(f"{leaf!r} is not an accessible leaf")
             if len(series) != n_steps + 1:
-                raise MismatchedSeriesLength(f"series for {leaf!r} has {len(series)} samples, run needs {n_steps + 1}")
+                raise ConfigError(f"series for {leaf!r} has {len(series)} samples, run needs {n_steps + 1}")
             inflow[:, r, vertex[leaf]] = series
 
     # per node, its pipe's Courant ratio and 1 minus it; per cell, a pipe's own or a dummy (module docstring), B

@@ -589,10 +589,9 @@ def test_show_network(capsys):
 
 def test_numeric_error_exit_3(tmp_path, net1_path, monkeypatch):
     from pipescope import cli
-    from pipescope.errors import HorizonTooLarge
 
     def boom(*args, **kwargs):
-        raise HorizonTooLarge("event explosion")
+        raise NumericError("event explosion")
 
     monkeypatch.setattr(cli, "oracle_irm", boom)
     code = run(
@@ -866,6 +865,26 @@ def test_reconstruct_unknown_pipe_exit_2(tmp_path, exp1_irm_path, capsys):
     err = capsys.readouterr().err
     assert "unknown pipe id(s): XX" in err and err.count("\n") == 1
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("case", ["pipes", "config", "network", "manifest"])
+def test_line_feed_in_a_refused_value_keeps_one_stderr_line(tmp_path, exp1_irm_path, capsys, case):
+    # these messages embed the user's string raw; run escapes CR and LF, so each refusal stays one line
+    missing, out = str(tmp_path / "no\nsuch.json"), str(tmp_path / "out")
+    shown = missing.replace("\n", "\\n")
+    unreadable = f"cannot read JSON from {shown}: [Errno 2] No such file or directory: {missing!r}"
+    reconstruct = ["reconstruct", "--preset", "exp1", "--irm", str(exp1_irm_path), "--lambda", "1e-5", "--out", out]
+    argv, message = {
+        "pipes": ([*reconstruct, "--pipes", "A\nB"], "unknown pipe id(s): A\\nB"),
+        "config": ([*reconstruct, "--config", missing], unreadable),
+        "network": (["oracle-irm", "--preset", "exp1", "--network", missing, "--out", out], unreadable),
+        "manifest": (["replay", missing], unreadable),
+    }[case]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"pipescope: configuration error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("source", ["flag", "config", "manifest"])

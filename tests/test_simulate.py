@@ -20,7 +20,7 @@ from pipescope import (
     step_inflow,
     validate_network,
 )
-from pipescope.errors import MismatchedSeriesLength, OutOfRange, UnstableConfig, _allocating, _physical_memory
+from pipescope.errors import ConfigError, _allocating, _physical_memory
 from pipescope.simulate import _run_size, simulate_runs
 from test_graph import network_distance, tree_specs
 
@@ -85,7 +85,7 @@ def test_scatter_exact_rational_balance():
 
 
 def test_courant_above_one_rejected():
-    with pytest.raises(UnstableConfig):
+    with pytest.raises(ConfigError, match=r"courant = 1\.2 outside \(0, 1\]"):
         SimConfig(dx=5.0, duration=1.0, courant=1.2)
 
 
@@ -95,15 +95,16 @@ def test_courant_above_one_rejected():
      (5.0, -1.0, 0.95), (5.0, 1.0, math.nan)],
 )
 def test_nonfinite_or_out_of_range_config_rejected(dx, duration, courant):
-    with pytest.raises(UnstableConfig):
+    match = "courant = nan outside" if math.isnan(courant) else "must be positive and duration .* >= 0, both finite"
+    with pytest.raises(ConfigError, match=match):
         SimConfig(dx=dx, duration=duration, courant=courant)
 
 
 def test_series_length_mismatch(single_pipe_net):
     cfg = SimConfig(dx=5.0, duration=0.5)
-    with pytest.raises(MismatchedSeriesLength):
+    with pytest.raises(ConfigError, match="series for 'L' has 7 samples, run needs"):
         simulate_runs(single_pipe_net, [{"L": np.ones(7)}], cfg)
-    with pytest.raises(MismatchedSeriesLength):
+    with pytest.raises(ConfigError, match="'R' is not an accessible leaf"):
         simulate_runs(single_pipe_net, [{"R": np.ones(101)}], cfg)
 
 
@@ -120,11 +121,11 @@ def test_no_runs_give_no_histories(exp2_net):
 )
 def test_run_too_large_for_memory_raises_out_of_range(exp2_net, dx, courant, duration, message):
     cfg = SimConfig(dx=dx, duration=duration, courant=courant)
-    with pytest.raises(OutOfRange, match=message):
+    with pytest.raises(ConfigError, match=message):
         step_inflow(exp2_net, cfg, "A")
-    with pytest.raises(OutOfRange, match=message):
+    with pytest.raises(ConfigError, match=message):
         simulate_runs(exp2_net, [{}], cfg)
-    with pytest.raises(OutOfRange, match=message):  # a batch: its inflow and fields carry a runs axis
+    with pytest.raises(ConfigError, match=message):  # a batch: its inflow and fields carry a runs axis
         simulate_runs(exp2_net, [{}, {}, {}], cfg, fields=True)
 
 
@@ -144,7 +145,7 @@ def test_batch_past_physical_memory_refused_before_allocating(exp2_net, monkeypa
     runs = [step_inflow(exp2_net, cfg, leaf) for leaf in exp2_net.accessible]
     need = _batch_bytes_by_hand(exp2_net, cfg, len(runs), fields)
     monkeypatch.setattr(ERRORS, "_physical_memory", lambda: need - 1)
-    with pytest.raises(OutOfRange, match=f"cells and {len(runs[0]['A']) - 1} time steps needs {need} bytes, more "
+    with pytest.raises(ConfigError, match=f"cells and {len(runs[0]['A']) - 1} time steps needs {need} bytes, more "
                                          f"than the {need - 1} bytes of physical memory"):
         simulate_runs(exp2_net, runs, cfg, fields=fields)
     monkeypatch.setattr(ERRORS, "_physical_memory", lambda: need)
@@ -173,16 +174,16 @@ def test_run_past_a_few_megabytes_of_memory_refused(exp2_net, monkeypatch):
     monkeypatch.setattr(SIMULATE.np, "ones", lambda *args: pytest.fail("allocated"))
     monkeypatch.setattr(SIMULATE.np, "zeros", lambda *args: pytest.fail("allocated"))
     cfg = SimConfig(dx=5.0, duration=25000.0, courant=1.0)
-    with pytest.raises(OutOfRange, match=r"needs \d+ bytes, more than the 4194304 bytes of physical memory"):
+    with pytest.raises(ConfigError, match=r"needs \d+ bytes, more than the 4194304 bytes of physical memory"):
         step_inflow(exp2_net, cfg, "A")
-    with pytest.raises(OutOfRange, match="4194304 bytes of physical memory"):
+    with pytest.raises(ConfigError, match="4194304 bytes of physical memory"):
         simulate_runs(exp2_net, [{}], cfg, fields=False)
 
 
 def test_unrepresentable_run_without_a_memory_reading_is_out_of_range(exp2_net, monkeypatch):
-    # no physical-memory reading, so no guard: numpy's refusal of a 1e300 s step series becomes OutOfRange
+    # no physical-memory reading, so no guard: numpy's refusal of a 1e300 s step series becomes a ConfigError
     monkeypatch.setattr(ERRORS, "_physical_memory", lambda: 0)
-    with pytest.raises(OutOfRange, match="does not fit in memory: Maximum allowed dimension exceeded"):
+    with pytest.raises(ConfigError, match="does not fit in memory: Maximum allowed dimension exceeded"):
         step_inflow(exp2_net, SimConfig(dx=5.0, duration=1e300), "A")
 
 
@@ -191,7 +192,7 @@ def test_no_memory_guard_where_the_system_does_not_say(monkeypatch):
         raise ValueError(f"unrecognized configuration name {name!r}")
 
     assert _physical_memory() > 0
-    with pytest.raises(OutOfRange, match="physical memory"), _allocating("a batch", 1 << 80):
+    with pytest.raises(ConfigError, match="physical memory"), _allocating("a batch", 1 << 80):
         pass
     monkeypatch.setattr(ERRORS.os, "sysconf", unsupported)
     assert _physical_memory() == 0
@@ -202,9 +203,9 @@ def test_no_memory_guard_where_the_system_does_not_say(monkeypatch):
 def test_batch_refuses_a_bad_later_run_naming_its_leaf(exp2_net):
     cfg = SimConfig(dx=5.0, duration=0.5, courant=0.95)
     step = step_inflow(exp2_net, cfg, "A")
-    with pytest.raises(MismatchedSeriesLength, match="'Z' is not an accessible leaf"):
+    with pytest.raises(ConfigError, match="'Z' is not an accessible leaf"):
         simulate_runs(exp2_net, [step, {"Z": step["A"]}], cfg)
-    with pytest.raises(MismatchedSeriesLength, match="series for 'C' has 7 samples"):
+    with pytest.raises(ConfigError, match="series for 'C' has 7 samples"):
         simulate_runs(exp2_net, [step, {}, {"B": step["A"], "C": np.ones(7)}], cfg, fields=False)
 
 
