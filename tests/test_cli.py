@@ -18,10 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pipescope import (ReconConfig, SimConfig, area_profile, oracle_irm, sample_irm, step_inflow, validate_network,
-                       volume_profile)
+from pipescope import (PointOnPipe, ReconConfig, SimConfig, action_times, area_profile, oracle_irm, sample_irm,
+                       step_inflow, validate_network, volume_profile)
 from pipescope.cli import OPTIONS, _reciprocity, _remove_old_output, build_parser, main, run
 from pipescope.errors import ActionTimeExceedsTau, ConfigError, NumericError, PipescopeError
+from pipescope.inversion import VolumeProfile
 from pipescope.irm import SampledIRM, load_irm, save_irm
 from pipescope.presets import EXP1_NETWORK, EXP2_NETWORK, PRESETS, preset
 from pipescope.simulate import simulate_runs
@@ -626,14 +627,85 @@ def _error_classes(cls=PipescopeError):
     return [cls] + [c for sub in subclasses for c in _error_classes(sub)]
 
 
-@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
-def test_every_error_class_exit_code_and_label(tmp_path, net1_path, capsys, monkeypatch, cls):
-    # the whole exit table: a class's code and label are those of its family, 2 and "error" outside every family
+def _exp1(edit=None, **fields):
+    """A validated copy of EXP1_NETWORK with top-level ``fields`` replaced and ``edit`` applied to the spec."""
+    spec = copy.deepcopy(EXP1_NETWORK) | fields
+    if edit:
+        edit(spec)
+    return validate_network(spec)
+
+
+def _set_pipe(key, value):
+    def edit(spec):
+        spec["pipes"][0][key] = value
+    return edit
+
+
+def _dropped_vertex_b(spec):
+    spec["pipes"] = [p for p in spec["pipes"] if p["id"] != "BD"]
+
+
+# each refusal that once had a leaf class of its own, by that class's name: its family and the library call that
+# raises it (messages as the call raises them, matched against its family's raise)
+_FORMER_LEAF_REFUSALS = {
+    "InvalidNetworkSpec": (ConfigError, lambda: _exp1(vertices=["A", "A", "B", "C", "D"]), "duplicate vertex ids"),
+    "CycleDetected": (ConfigError, lambda: _exp1(_set_pipe("to", "A")), "pipe 'AD' is a self-loop"),
+    "Disconnected": (ConfigError, lambda: _exp1(vertices=["A", "B", "C", "D", "E"]),
+                     "3 pipes cannot connect 5 vertices"),
+    "DegreeTwoVertex": (ConfigError, lambda: _exp1(_dropped_vertex_b, vertices=["A", "C", "D"], accessible=["A"]),
+                        "vertex 'D' joins exactly two pipes"),
+    "NonLeafX0": (ConfigError, lambda: _exp1(x0="D"), "x0 = 'D' is not a leaf"),
+    "NonpositiveLength": (ConfigError, lambda: _exp1(_set_pipe("length", 0.0)),
+                          "pipe 'AD' has length 0.0, not a positive finite number"),
+    "NonpositiveArea": (ConfigError, lambda: _exp1(_set_pipe("area", {"base": 0.0, "blocks": []})),
+                        "pipe 'AD' area profile is not positive and finite everywhere"),
+    "InvalidPoint": (ConfigError, lambda: action_times(_exp1(), PointOnPipe("XY", 1.0)), "unknown pipe 'XY'"),
+    "PointIsJunction": (ConfigError, lambda: action_times(_exp1(), PointOnPipe("AD", 400.0)),
+                        "point at 'D' is a junction"),
+    "UnstableConfig": (ConfigError, lambda: SimConfig(dx=1.0, duration=1.0, courant=2.0),
+                       "courant = 2.0 outside (0, 1]"),
+    "MismatchedSeriesLength": (ConfigError,
+                               lambda: simulate_runs(_exp1(), [{"A": np.zeros(5)}], SimConfig(dx=100.0, duration=0.2)),
+                               "series for 'A' has 5 samples, run needs"),
+    "HorizonTooLarge": (NumericError, lambda: oracle_irm(_exp1(), 2.0, max_events=1),
+                        "more than 1 wavefront events before 2.0s"),
+    "NonuniformPipeArea": (ConfigError, lambda: oracle_irm(validate_network(EXP2_NETWORK), 1.0),
+                           "pipe 'BE' has a nonconstant area profile"),
+    "OutOfRange": (ConfigError, lambda: sample_irm(oracle_irm(_exp1(), 1.0), 0.0),
+                   "dt must be positive and finite, not 0.0"),
+    "HorizonTooShort": (ConfigError, lambda: volume_profile(_exp1(), sample_irm(oracle_irm(_exp1(), 0.5), 0.01), "AD",
+                                                            ReconConfig(tau=0.35, dx=10.0, lam=1e-5)),
+                        "kernels have 51 samples, need 70 to span 2*tau"),
+    "SingularSystem": (NumericError, lambda: volume_profile(_exp1(), sample_irm(oracle_irm(_exp1(), 1.0), 0.01), "DC",
+                                                            ReconConfig(tau=0.41, dx=10.0)),
+                       "restricted matrix rank"),
+    "TooFewPoints": (ConfigError, lambda: area_profile(VolumeProfile("AD", np.zeros(1), np.zeros(1), 10.0)),
+                     "profile for pipe 'AD' has 1 points, need at least 2"),
+}
+
+
+@pytest.mark.parametrize("cls, trigger, start", [pytest.param(cls, None, f"raised {cls.__name__}", id=cls.__name__)
+                                                 for cls in _error_classes()] +
+                         [pytest.param(*case, id=name) for name, case in _FORMER_LEAF_REFUSALS.items()])
+def test_every_error_class_exit_code_and_label(tmp_path, net1_path, capsys, monkeypatch, cls, trigger, start):
+    # the whole exit table: a class's code and label are those of its family, 2 and "error" outside every family;
+    # each refusal that had a leaf class raises its family itself, so it keeps that family's row of the table
     from pipescope import cli
 
     def boom(*args, **kwargs):
-        raise cls(f"raised {cls.__name__}")
+        if trigger is None:
+            raise cls(start)
+        trigger()
+        pytest.fail("the call refused nothing")
 
+    if trigger is not None:
+        with pytest.raises(PipescopeError) as refused:
+            trigger()
+        assert type(refused.value) is cls
+        assert str(refused.value).startswith(start)
+        message = str(refused.value)
+    else:
+        message = start
     if issubclass(cls, ActionTimeExceedsTau):
         code, label = 4, "point out of reach"
     elif issubclass(cls, NumericError):
@@ -645,7 +717,7 @@ def test_every_error_class_exit_code_and_label(tmp_path, net1_path, capsys, monk
     out = tmp_path / "x.csv"
     argv = ["oracle-irm", "--network", str(net1_path), "--horizon", "1.0", "--dt", "0.01", "--out", str(out)]
     assert run(argv) == code
-    assert capsys.readouterr().err == f"pipescope: {label}: raised {cls.__name__}\n"
+    assert capsys.readouterr().err == f"pipescope: {label}: {message}\n"
     assert not out.exists()
 
 
