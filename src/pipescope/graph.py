@@ -12,13 +12,13 @@ list drives all response-matrix indexing downstream.
 leaf, so every ``Network`` is a valid tree. Geometry here is exact and
 immutable: every derived quantity (the orientation towards x0, action
 times) is a pure function of the network, and one walk from x0 gives the
-orientation: each vertex's pipe towards x0. A cut point on a pipe
-separates from x0 exactly the accessible leaves whose path to x0 runs
-through that pipe; each such leaf's action time is its distance to the
-pipe's far vertex plus the point's, over the wave speed, and every other
-leaf's is 0. Each query walks every accessible leaf up towards x0 until it
-meets the pipe, summing those distances; nothing is kept per pair of
-vertices or per leaf and pipe, so storage is linear in the tree.
+orientation: each pipe's far end, away from x0. A cut point on a pipe
+separates from x0 exactly the accessible leaves of the pipe's subtree,
+beyond its far end; each one's action time is its distance to the far
+vertex plus the point's, over the wave speed, and every other leaf's is 0.
+Each query walks down the asked pipe's subtree only, never back over a
+pipe it came by, summing each leaf's distance from the leaf up; nothing
+is kept per pair of vertices or per leaf and pipe, so storage is linear.
 """
 
 from __future__ import annotations
@@ -176,18 +176,17 @@ class Network:
         if n_pipes < n_vertices - 1:
             raise ConfigError(f"{n_pipes} pipes cannot connect {n_vertices} vertices")
 
-        # per vertex, the pipe the walk reached it by: on a tree, its pipe towards x0 (when x0 is a vertex)
+        # per pipe, the end the walk reached over it: on a tree, its end away from x0 (when x0 is a vertex)
         start = x0 if x0 in self._adjacency else self.vertices[0]
-        parent: dict[str, str | None] = {start: None}
+        self._far_side: dict[str, str] = {}
         stack = [start]
         while stack:
             v = stack.pop()
             for p in self._adjacency[v]:
-                w = p.to_vertex if v == p.from_vertex else p.from_vertex
-                if w not in parent:
-                    parent[w] = p.id
+                if p.id not in self._far_side:
+                    self._far_side[p.id] = w = p.to_vertex if v == p.from_vertex else p.from_vertex
                     stack.append(w)
-        if len(parent) != n_vertices:
+        if len({start, *self._far_side.values()}) != n_vertices:
             raise ConfigError("network is not connected")
         if n_pipes != n_vertices - 1:
             raise ConfigError(f"{n_pipes} pipes on {n_vertices} vertices form a cycle")
@@ -198,11 +197,6 @@ class Network:
             raise ConfigError(f"x0 = {x0!r} is not a leaf")
         if sorted(self.accessible) != sorted(set(self.leaves) - {x0}):
             raise ConfigError("accessible list must be exactly all leaves except x0")
-
-        self._parent = parent
-        # the endpoint whose parent pipe is this pipe is the far one
-        self._x0_side = {pid: p.to_vertex if parent[p.from_vertex] == pid else p.from_vertex
-                         for pid, p in self.pipes.items()}
 
     # -- structure ---------------------------------------------------------
 
@@ -226,19 +220,20 @@ class Network:
 
     def leaf_area(self, leaf: str) -> float:
         pipe = self.leaf_pipe(leaf)
-        return float(pipe.area(pipe.end_coord(leaf)))
+        end = pipe.end_coord(leaf)  # read just inside the pipe, where a block from the end holds (blocks are open)
+        return float(pipe.area(np.nextafter(end, pipe.length - end)))
 
     def leaf_nu(self, leaf: str) -> int:
         return self.leaf_pipe(leaf).nu(leaf)
 
+    def far_side_vertex(self, pipe_id: str) -> str:
+        """The endpoint of a pipe away from x0."""
+        return self._far_side[pipe_id]
+
     def x0_side_vertex(self, pipe_id: str) -> str:
         """The endpoint of a pipe through which x0 is reached."""
-        return self._x0_side[pipe_id]
-
-    def far_side_vertex(self, pipe_id: str) -> str:
         p = self.pipes[pipe_id]
-        x0_end = self._x0_side[pipe_id]
-        return p.to_vertex if x0_end == p.from_vertex else p.from_vertex
+        return p.from_vertex if self._far_side[pipe_id] == p.to_vertex else p.to_vertex
 
 
 def _number(value) -> float:
@@ -346,7 +341,7 @@ def _check_cut(net: Network, p: PointOnPipe, endpoint_ok: bool) -> None:
         raise ConfigError(f"offset {p.offset} outside pipe {p.pipe!r}")
     if p.offset in (0.0, pipe.length):
         at_vertex = pipe.from_vertex if p.offset == 0.0 else pipe.to_vertex
-        if at_vertex != net.x0_side_vertex(p.pipe) or not endpoint_ok:
+        if at_vertex == net.far_side_vertex(p.pipe) or not endpoint_ok:
             if net.degree(at_vertex) >= 3:
                 raise ConfigError(f"point at {at_vertex!r} is a junction")
             raise ConfigError(f"cut point must be strictly inside pipe {p.pipe!r}")
@@ -357,7 +352,8 @@ def action_times_along(net: Network, pipe_id: str, offsets) -> np.ndarray:
 
     A leaf the pipe cuts off from x0 gets (dist(leaf, v) + dv) / a, with v
     the pipe's far vertex and dv the point's distance from it; every other
-    leaf gets 0. Columns follow ``net.accessible``. The offsets are not
+    leaf gets 0. Columns follow ``net.accessible``. The walk goes down the
+    pipe's subtree from v and reads no pipe outside it. The offsets are not
     checked; ``action_times`` checks a single point.
     """
     pipe = net.pipes[pipe_id]
@@ -365,13 +361,18 @@ def action_times_along(net: Network, pipe_id: str, offsets) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=float)
     dv = offsets if far == pipe.from_vertex else pipe.length - offsets
     f = np.zeros((offsets.size, len(net.accessible)))
-    for i, leaf in enumerate(net.accessible):
-        v, d = leaf, 0.0  # dist(leaf, v), summed from the leaf up its path to x0 until the path meets the pipe
-        while (pid := net._parent[v]) not in (pipe_id, None):
-            d += net.pipes[pid].length
-            v = net._x0_side[pid]
-        if pid is not None:
-            f[:, i] = (d + dv) / net.wave_speed
+    column = {leaf: i for i, leaf in enumerate(net.accessible)}
+    stack = [(far, pipe, ())]  # a subtree vertex, the pipe above it, and the lengths up to far as (length, rest)
+    while stack:
+        v, above, up = stack.pop()
+        below = [p for p in net.adjacent_pipes(v) if p is not above]
+        stack += [(p.to_vertex if v == p.from_vertex else p.from_vertex, p, (p.length, up)) for p in below]
+        if not below:  # a cut-off leaf: dist(leaf, far), summed from the leaf up
+            d = 0.0
+            while up:
+                length, up = up
+                d += length
+            f[:, column[v]] = (d + dv) / net.wave_speed
     return f
 
 

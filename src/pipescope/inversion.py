@@ -126,26 +126,10 @@ class AreaProfile:
     areas: np.ndarray      # m^2
 
 
-def _check_leaves(irm: SampledIRM, net: Network) -> None:
-    """Refuse an IRM whose leaves are not the network's accessible leaves, in the same order."""
-    if tuple(irm.leaves) != net.accessible:
-        raise ConfigError(
-            f"IRM leaves {list(irm.leaves)} differ from the network's accessible leaves {list(net.accessible)}"
-        )
-
-
 def _samples(cfg: ReconConfig, dt: float) -> int:
     """M = floor(tau/dt + 1e-6), as ``grid_size`` counts a span; a ConfigError where the quotient overflows."""
     with _allocating(f"samples {dt} s apart over tau = {cfg.tau} s"):  # their count may overflow
         return grid_size(cfg.tau, dt) - 1
-
-
-def _samples_per_leaf(irm: SampledIRM, cfg: ReconConfig) -> int:
-    """M on the IRM's grid; a ConfigError unless its kernels span 2*tau."""
-    m = _samples(cfg, irm.dt)
-    if irm.n_samples < 2 * m:
-        raise ConfigError(f"kernels have {irm.n_samples} samples, need {2 * m} to span 2*tau")
-    return m
 
 
 def _active(f_vec: np.ndarray, cfg: ReconConfig, dt: float) -> np.ndarray:
@@ -157,7 +141,7 @@ def _active(f_vec: np.ndarray, cfg: ReconConfig, dt: float) -> np.ndarray:
 def _s_matrix(irm: SampledIRM, m: int, net: Network, idx: np.ndarray):
     """S = diag(nu) H on the flat samples ``idx`` (leaf * m + l - 1), in that order, and nu on them.
 
-    ``m`` is M, checked by ``_samples_per_leaf``. Entries are gathered
+    ``m`` is M, checked by ``volume_profile``. Entries are gathered
     straight from the kernels, ``_BLOCK`` columns at a time, so no
     temporary outgrows (n, ``_BLOCK``) and no sample outside ``idx`` is touched.
     """
@@ -338,9 +322,13 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     on the result names the path that ran, and on the factored path
     ``residual`` and ``volume_bound`` hold the two checked numbers.
     """
-    _check_leaves(irm, net)
+    if tuple(irm.leaves) != net.accessible:
+        raise ConfigError(f"IRM leaves {list(irm.leaves)} differ from the network's accessible leaves "
+                          f"{list(net.accessible)}")
     f, _, positions = _profile_points(net, pipe_id, cfg, irm.dt)
-    m = _samples_per_leaf(irm, cfg)
+    m = _samples(cfg, irm.dt)
+    if irm.n_samples < 2 * m:
+        raise ConfigError(f"kernels have {irm.n_samples} samples, need {2 * m} to span 2*tau")
     if not positions.size:
         return VolumeProfile(pipe_id, np.empty(0), np.empty(0), cfg.dx)
     # the samples any point uses, in the order the points take them up: no

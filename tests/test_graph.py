@@ -7,6 +7,7 @@ closed-form action times of ``pipescope.graph`` must match bit for bit.
 ``area_integral`` integrates an area profile exactly over an interval.
 """
 
+import collections
 import copy
 import math
 import tracemalloc
@@ -824,6 +825,40 @@ def test_validation_memory_on_a_caterpillar():
         expected = np.array([reference_action_times(net, PointOnPipe(pid, o), endpoint_ok=True) for o in offsets])
         assert ((expected > 0).sum(axis=1) == n_cut).all(), pid
         assert action_times_along(net, pid, offsets).tobytes() == expected.tobytes(), pid
+
+
+class _CountingPipe:
+    """A pipe that counts the reads of its length in ``reads``, by pipe id."""
+
+    def __init__(self, pipe, reads):
+        self._pipe, self._reads = pipe, reads
+
+    def __getattr__(self, name):
+        return getattr(self._pipe, name)
+
+    @property
+    def length(self):
+        self._reads[self._pipe.id] += 1
+        return self._pipe.length
+
+
+def test_action_times_read_only_the_asked_pipes_subtree():
+    # a pipe's subtree is it and the pipes beyond it: for l10 itself alone, for s500 the spine from j500 on with its
+    # leaf pipes and lend. At each query the walk may read those lengths and no other; Network reads none.
+    spec = _caterpillar()
+    reads = collections.Counter()
+    net = Network(spec["wave_speed"], spec["gravity"], spec["vertices"],
+                  [_CountingPipe(p, reads) for p in _spec_pipes(spec)], spec["x0"], spec["accessible"])
+    assert not reads
+    subtrees = {"l10": ({"l10"}, 1),
+                "s500": ({f"s{k}" for k in range(500, 999)} | {f"l{k}" for k in range(501, 1000)} | {"lend"}, 500)}
+    plain = validate_network(spec)
+    for pid, (subtree, n_cut) in subtrees.items():
+        reads.clear()
+        f = action_times_along(net, pid, [1.0])
+        assert set(reads) <= subtree, sorted(set(reads) - subtree)[:5]
+        assert (f > 0).sum() == n_cut
+        assert f.tobytes() == action_times_along(plain, pid, [1.0]).tobytes()
 
 
 # -- structure checks against the two-walk validation they replaced ----------

@@ -1,5 +1,6 @@
 """Boundary-control system assembly, solve, volumes, area profiles."""
 
+import copy
 import importlib
 import math
 import tracemalloc
@@ -784,6 +785,28 @@ def test_forced_fallback_matches_layer_stripping_on_a_measured_tree(monkeypatch)
     assert factored.solver == "layer-stripping" and vp.solver == "per-point: stability check failed"
     assert len(vp.volumes) == len(factored.volumes) > 10
     assert np.all(np.abs(vp.volumes - factored.volumes) <= 1e-12 * np.abs(factored.volumes))
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["from-leaf", "to-leaf"])
+def test_a_block_at_a_leaf_end_holds_the_leaf_area(exp2_spec, flip):
+    # blocks are open intervals, so a block of AE starting at leaf A holds the pipe just inside A as one starting
+    # 10 m past A does: both give the same IRM, so the direct term a/(gA) and the profile must agree too
+    runs = []
+    for past in (0.0, 10.0):
+        spec = copy.deepcopy(exp2_spec)
+        ae = spec["pipes"][0]
+        block = {"x0": -past, "x1": 50.0, "delta": -0.5}
+        if flip:  # A at x = length
+            ae["from"], ae["to"] = "E", "A"
+            block = {"x0": 250.0, "x1": 300.0 + past, "delta": -0.5}
+        ae["area"] = {"base": 1.0, "blocks": [block]}
+        net = validate_network(spec)
+        assert net.leaf_area("A") == 0.5
+        irm, _ = measure_irm(net, SimConfig(dx=5.0, duration=1.9, courant=0.95), resample_dt=0.007)
+        runs.append((irm.k, volume_profile(net, irm, "AE", ReconConfig(tau=0.9, dx=7.0, lam=1.0)).volumes))
+    (k_at, v_at), (k_past, v_past) = runs
+    assert k_at.tobytes() == k_past.tobytes()
+    assert v_at.size > 10 and v_at.tobytes() == v_past.tobytes()
 
 
 def test_transposed_irm_gives_the_same_volumes(exp2_net, exp2_irm):
