@@ -62,15 +62,10 @@ class BlockAreaProfile:
             a = a + delta * ((x > lo) & (x < hi))
         return a if a.ndim else float(a)
 
-    def min_area(self, length: float) -> float:
-        # piecewise constant: probing midpoints of every breakpoint interval is exact
-        edges = sorted({0.0, length, *(e for lo, hi, _ in self.blocks for e in (lo, hi) if 0.0 < e < length)})
-        mids = [(a + b) / 2 for a, b in zip(edges, edges[1:])]
-        return float(min(self(m) for m in mids)) if mids else self.base
-
-    @property
-    def is_constant(self) -> bool:
-        return all(delta == 0.0 for _, _, delta in self.blocks)
+    def extremes(self, length: float) -> tuple[float, float]:
+        """Least and greatest area on [0, length]: constant between block edges; an edge carries only the blocks
+        strictly containing it."""
+        return _extremes(self, length, [e for lo, hi, _ in self.blocks for e in (lo, hi)])
 
 
 @dataclass(frozen=True)
@@ -84,12 +79,20 @@ class TableAreaProfile:
         out = np.interp(np.asarray(x, dtype=float), self.x, self.values)
         return out if out.ndim else float(out)
 
-    def min_area(self, length: float) -> float:
-        return float(min(self.values))
+    def extremes(self, length: float) -> tuple[float, float]:
+        """Least and greatest area on [0, length]: linear between table points, its extremes lie on them."""
+        return _extremes(self, length, self.x)
 
-    @property
-    def is_constant(self) -> bool:
-        return len(set(self.values)) == 1
+
+def _extremes(area, length, points) -> tuple[float, float]:
+    """Least and greatest of ``area`` read at both ends, every point inside (0, length) and each midpoint between.
+
+    A block sum or table slope that overflows reads inf (at a midpoint for a slope), without a warning.
+    """
+    edges = sorted({0.0, length, *(p for p in points if 0.0 < p < length)})
+    with np.errstate(over="ignore"):
+        values = area(np.array(edges + [a + (b - a) / 2 for a, b in zip(edges, edges[1:])]))
+    return float(values.min()), float(values.max())
 
 
 @dataclass(frozen=True)
@@ -107,18 +110,15 @@ class Pipe:
             return self.length
         raise ConfigError(f"vertex {vertex!r} is not an end of pipe {self.id!r}")
 
-    def nu(self, vertex: str) -> int:
-        """Internal normal at a pipe end: +1 at x=0, -1 at x=length."""
-        return 1 if self.end_coord(vertex) == 0.0 else -1
-
 
 @dataclass(frozen=True)
 class PointOnPipe:
     """A point strictly inside a pipe, by pipe id and coordinate offset.
 
-    ``offset == length`` is additionally accepted by the geometric
-    operations as the one-sided limit at the far (x0-side) end of the
-    pipe; it is how a profile reconstructs all the way up to a junction.
+    With ``endpoint_ok``, ``action_times`` also accepts the pipe's x0-side
+    end, the one ``Network.far_side_vertex`` does not name (offset 0 or
+    length), as the one-sided limit from inside the pipe; it is how a
+    profile reconstructs all the way up to a junction.
     """
 
     pipe: str
@@ -134,7 +134,6 @@ class ActionTimes:
     """
 
     f: dict[str, float]
-    cut_point: PointOnPipe
 
     @property
     def max_f(self) -> float:
@@ -207,10 +206,6 @@ class Network:
     def leaves(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self.degree(v) == 1)
 
-    @property
-    def junctions(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.degree(v) >= 3)
-
     def adjacent_pipes(self, vertex: str) -> tuple[Pipe, ...]:
         return tuple(self._adjacency[vertex])
 
@@ -224,16 +219,12 @@ class Network:
         return float(pipe.area(np.nextafter(end, pipe.length - end)))
 
     def leaf_nu(self, leaf: str) -> int:
-        return self.leaf_pipe(leaf).nu(leaf)
+        """Internal normal at a leaf end: +1 at x=0, -1 at x=length."""
+        return 1 if self.leaf_pipe(leaf).end_coord(leaf) == 0.0 else -1
 
     def far_side_vertex(self, pipe_id: str) -> str:
         """The endpoint of a pipe away from x0."""
         return self._far_side[pipe_id]
-
-    def x0_side_vertex(self, pipe_id: str) -> str:
-        """The endpoint of a pipe through which x0 is reached."""
-        p = self.pipes[pipe_id]
-        return p.from_vertex if self._far_side[pipe_id] == p.to_vertex else p.to_vertex
 
 
 def _number(value) -> float:
@@ -289,8 +280,11 @@ def validate_network(spec: dict) -> Network:
     sample tables are lists; lengths, areas, wave speed and gravity are
     numbers, never booleans or strings.
 
-    Raises ConfigError for a malformed field, a self-loop, and a
-    nonpositive length or area per pipe; the structure is then checked by
+    Raises ConfigError for a malformed field, a self-loop, a nonpositive
+    length, or an area that is not positive and finite at every point of
+    [0, length], block edges included (an edge carries only the blocks that
+    strictly contain it, and an overflowing sum reads inf); nothing beyond
+    the pipe is read. The structure is then checked by
     ``Network``, which raises ConfigError too (for a duplicate id, a pipe to
     an unknown vertex, a disconnected network, a cycle, a vertex of degree
     two or an x0 that is not a leaf).
@@ -318,7 +312,8 @@ def validate_network(spec: dict) -> Network:
             raise ConfigError(f"pipe {pid!r} is a self-loop")
         if not 0 < length < math.inf:
             raise ConfigError(f"pipe {pid!r} has length {length}, not a positive finite number")
-        if not 0 < area.min_area(length) < math.inf:
+        least, greatest = area.extremes(length)
+        if not 0 < least <= greatest < math.inf:
             raise ConfigError(f"pipe {pid!r} area profile is not positive and finite everywhere")
         pipes.append(Pipe(pid, v_from, v_to, length, area))
 
@@ -385,4 +380,4 @@ def action_times(net: Network, p: PointOnPipe, *, endpoint_ok: bool = False) -> 
     """
     _check_cut(net, p, endpoint_ok)
     row = action_times_along(net, p.pipe, [p.offset])[0]
-    return ActionTimes(dict(zip(net.accessible, row.tolist())), p)
+    return ActionTimes(dict(zip(net.accessible, row.tolist())))

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ActionTimeExceedsTau, ConfigError, NumericError, _allocating
-from .graph import Network, PointOnPipe, action_times_along
+from .graph import Network, action_times_along
 from .irm import SampledIRM
 from .simulate import grid_size
 
@@ -206,8 +206,8 @@ def _profile_points(net: Network, pipe_id: str, cfg: ReconConfig, dt: float):
     over = f.max(axis=1, initial=0.0) - cfg.tau > dt / 4
     if len(over) and over[0]:
         raise ActionTimeExceedsTau(
-            f"first point {PointOnPipe(pipe_id, float(offsets[0]))} needs action time {f[0].max():.6g}s"
-            f" > tau = {cfg.tau}s"
+            f"first point of pipe {pipe_id!r}, {float(d[0])} m from its far end, needs action time"
+            f" {f[0].max():.6g}s > tau = {cfg.tau}s"
         )
     n = int(over.argmax()) if over.any() else len(d)
     return f[:n], offsets[:n], d[:n]

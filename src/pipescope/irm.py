@@ -80,7 +80,7 @@ def oracle_irm(
     prune_eps: float = 1e-4,
     max_events: int = 1_000_000,
 ) -> AnalyticIRM:
-    """Exact impulse-response deltas on a network of uniform pipes.
+    """Exact impulse-response deltas on a network of uniform pipes, each one area on [0, length], else ConfigError.
 
     Event-driven wavefront tracking in time order. Times are integer
     ticks of 1/D s, D the least common multiple of the exact travel
@@ -106,13 +106,14 @@ def oracle_irm(
     """
     if not 0 <= horizon < math.inf or not 0 <= prune_eps < math.inf:
         raise ConfigError(f"horizon {horizon} and prune_eps {prune_eps} must be finite and >= 0")
-    for pipe in net.pipes.values():
-        if not pipe.area.is_constant:
-            raise ConfigError(f"pipe {pipe.id!r} has a nonconstant area profile")
-
     a = Fraction(net.wave_speed)
     g = Fraction(net.gravity)
-    admittance = {pid: g * Fraction(float(p.area(0.0))) / a for pid, p in net.pipes.items()}
+    admittance = {}
+    for pid, p in net.pipes.items():
+        least, greatest = p.area.extremes(p.length)
+        if least != greatest:
+            raise ConfigError(f"pipe {pid!r} has a nonconstant area profile")
+        admittance[pid] = g * Fraction(least) / a
     travel = {pid: Fraction(p.length) / a for pid, p in net.pipes.items()}
     scale = math.lcm(*(t.denominator for t in travel.values()))
     ticks = {pid: int(t * scale) for pid, t in travel.items()}

@@ -283,10 +283,8 @@ def conservation_residual(hist: Histories, net: Network, tau: float) -> float:
 
     inflow = 0.0
     for leaf in net.leaves:
-        pipe = net.leaf_pipe(leaf)
-        node = 0 if pipe.end_coord(leaf) == 0.0 else -1
-        nu = pipe.nu(leaf)
-        q = hist.Q[pipe.id][:k_tau, node]
+        nu = net.leaf_nu(leaf)
+        q = hist.Q[net.leaf_pipe(leaf).id][:k_tau, 0 if nu == 1 else -1]
         inflow += nu * float(np.sum(q)) * dt
 
     stored = 0.0

@@ -722,7 +722,8 @@ def test_every_error_class_exit_code_and_label(tmp_path, net1_path, capsys, monk
 
 
 @pytest.mark.parametrize("pipe, code, start", [
-    ("DC", 4, "pipescope: point out of reach: first point PointOnPipe(pipe='DC', offset=10.0)"),
+    ("DC", 4, "pipescope: point out of reach: first point of pipe 'DC', 10.0 m from its far end, needs action time "
+     "0.41s > tau = 0.35s"),
     ("AD", 2, "pipescope: configuration error: kernels have 51 samples, need 70 to span 2*tau"),
 ])
 def test_reconstruct_on_too_short_an_irm_reports_reach_first(tmp_path, capsys, pipe, code, start):
@@ -868,6 +869,37 @@ def test_simulate_irm_past_physical_memory_exit_2(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "x.csv").exists()
 
 
+def _exp1_with_ad_blocks(tmp_path, blocks):
+    spec = copy.deepcopy(EXP1_NETWORK)
+    spec["pipes"][0]["area"]["blocks"] = [{"x0": lo, "x1": hi, "delta": delta} for lo, hi, delta in blocks]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("blocks", [
+    [(0.0, 400.0, -1.2), (0.0, 200.0, 0.5), (200.0, 400.0, 0.5)],  # -0.2 m^2 at x = 200, the one cell centre
+    [(100.0, 300.0, 1e308), (150.0, 250.0, 1e308)],  # inf where the blocks overlap
+], ids=["edge-dip", "overflow"])
+def test_simulate_irm_refuses_an_area_bad_at_an_edge_or_overflowing(tmp_path, capsys, blocks):
+    out = tmp_path / "x.csv"
+    argv = ["simulate-irm", "--preset", "exp1", "--network", _exp1_with_ad_blocks(tmp_path, blocks), "--dx", "400",
+            "--courant", "1", "--duration", "1", "--out", str(out)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == ("pipescope: configuration error: pipe 'AD' area profile is not positive and "
+                                       "finite everywhere\n")
+    assert not out.exists()
+
+
+def test_oracle_irm_accepts_a_block_beyond_the_pipe(tmp_path):
+    # a block past AD's 400 m is never read: AD stays uniform, and the IRM has stock exp1's bytes
+    argv = ["oracle-irm", "--preset", "exp1", "--network", _exp1_with_ad_blocks(tmp_path, [(500.0, 600.0, -0.5)])]
+    assert run([*argv, "--out", str(tmp_path / "beyond.csv")]) == 0
+    assert run(["oracle-irm", "--preset", "exp1", "--out", str(tmp_path / "stock.csv")]) == 0
+    assert (tmp_path / "beyond.csv").read_bytes() == (tmp_path / "stock.csv").read_bytes()
+
+
 @pytest.mark.parametrize("dt", ["1e-12", "5e-324"])
 def test_oracle_irm_kernel_grid_too_large_for_memory_exit_2(tmp_path, capsys, dt):
     # 1.6e12 samples per kernel, past any physical memory, and a sample count that overflows: neither is allocated
@@ -982,7 +1014,7 @@ def test_reconstruct_repeated_pipe_exit_2(tmp_path, exp1_irm_path, capsys, sourc
 
 @pytest.mark.parametrize("flags, code, start", [
     (["--pipes", "AD,DC", "--tau", "0.3", "--lambda", "1e-5"], 4, "pipescope: point out of reach: first point "
-     "PointOnPipe(pipe='DC'"),
+     "of pipe 'DC', 10.0 m from its far end, needs action time 0.41s > tau = 0.3s"),
     (["--pipes", "DC", "--lambda", "0"], 3, "pipescope: numeric error: restricted matrix rank"),
     (["--pipes", "AD,BD", "--dx", "200", "--lambda", "1e-5"], 2, "pipescope: configuration error: profile for pipe "
      "'BD' has 1 points"),

@@ -11,6 +11,7 @@ import collections
 import copy
 import math
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +156,7 @@ def test_exp1_network_validates(exp1_net):
     assert exp1_net.accessible == ("A", "B")
     assert exp1_net.x0 == "C"
     assert set(exp1_net.leaves) == {"A", "B", "C"}
-    assert exp1_net.junctions == ("D",)
+    assert [v for v in exp1_net.vertices if exp1_net.degree(v) >= 3] == ["D"]
     assert len(exp1_net.pipes) == len(exp1_net.vertices) - 1
 
 
@@ -250,6 +251,72 @@ def test_nonpositive_length_and_area(exp1_spec):
     bad[0] = dict(bad[0], area={"base": 0.5, "blocks": [{"x0": 10, "x1": 20, "delta": -0.5}]})
     with pytest.raises(ConfigError, match="pipe 'AD' area profile is not positive and finite everywhere"):
         validate_network(dict(exp1_spec, pipes=bad))
+
+
+@pytest.mark.parametrize("blocks", [
+    [(0.0, 400.0, -1.2), (0.0, 200.0, 0.5), (200.0, 400.0, 0.5)],  # 0.3 between the edges, -0.2 at x = 200 alone
+    [(100.0, 300.0, 1e308), (150.0, 250.0, 1e308)],  # the sum overflows to inf where they overlap
+], ids=["edge-dip", "overflow"])
+def test_area_refused_at_a_block_edge_or_on_overflow(exp1_spec, blocks):
+    exp1_spec["pipes"][0]["area"]["blocks"] = [{"x0": lo, "x1": hi, "delta": delta} for lo, hi, delta in blocks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^pipe 'AD' area profile is not positive and finite everywhere$"):
+            validate_network(exp1_spec)
+
+
+def test_area_read_only_on_the_pipe(exp1_spec):
+    # AD is 400 m long: a negative block or table sample past its end is never read
+    exp1_spec["pipes"][0]["area"]["blocks"] = [{"x0": 500.0, "x1": 600.0, "delta": -1.5}]
+    exp1_spec["pipes"][1]["area"] = {"samples": {"x": [0.0, 100.0, 1000.0, 1100.0], "A": [1.0, 1.0, -1.0, -1.0]}}
+    net = validate_network(exp1_spec)
+    assert net.pipes["AD"].area.extremes(400.0) == (1.0, 1.0)
+    assert net.pipes["BD"].area.extremes(300.0) == (net.pipes["BD"].area(300.0), 1.0)
+
+
+_coords = st.floats(min_value=-100.0, max_value=600.0)
+_lengths = st.sampled_from([100.0, 400.0]) | st.floats(min_value=1.0, max_value=500.0)
+
+
+@st.composite
+def block_profiles(draw):
+    """A block profile and a pipe length: blocks share edges, and may lie partly or wholly off the pipe."""
+    length = draw(_lengths)
+    shared = st.sampled_from([0.0, length, *draw(st.lists(_coords, max_size=3))])
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo, hi = sorted(draw(st.lists(shared | _coords, min_size=2, max_size=2, unique=True)))
+        delta = draw(st.floats(min_value=-2.0, max_value=2.0) | st.sampled_from([-1e308, 1e308]))
+        blocks.append((lo, hi, delta))
+    return BlockAreaProfile(draw(st.floats(min_value=0.1, max_value=3.0)), tuple(blocks)), length
+
+
+@st.composite
+def table_profiles(draw):
+    """A sample table, whose points may lie on, before or past the pipe, and a pipe length."""
+    xs = sorted(draw(st.lists(_coords, min_size=2, max_size=8, unique=True)))
+    values = draw(st.lists(st.floats(min_value=-2.0, max_value=3.0), min_size=len(xs), max_size=len(xs)))
+    return TableAreaProfile(tuple(xs), tuple(values)), draw(_lengths)
+
+
+@given(st.one_of(block_profiles(), table_profiles()))
+@settings(max_examples=300, deadline=None)
+def test_extremes_match_an_independent_probe_set(case):
+    area, length = case
+    points = area.x if isinstance(area, TableAreaProfile) else [e for lo, hi, _ in area.blocks for e in (lo, hi)]
+    # a uniform grid over [0, length], every edge or table point on it, and both float neighbours of each
+    base = np.concatenate([np.linspace(0.0, length, 101), [p for p in points if 0.0 <= p <= length]])
+    probes = np.concatenate([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)])
+    with np.errstate(over="ignore"):
+        values = area(probes[(probes >= 0.0) & (probes <= length)])
+    least, greatest = area.extremes(length)
+    if isinstance(area, BlockAreaProfile):
+        assert (least, greatest) == (values.min(), values.max())
+    else:
+        # np.interp rounds: near a table point it may read a few ulps of the table's scale beyond it, and a subnormal
+        # slope loses up to one subnormal ulp a metre (table points lie within 700 m of each other)
+        tol = 8 * np.spacing(max(map(abs, area.values))) + 700 * np.finfo(float).smallest_subnormal
+        assert values.min() <= least <= values.min() + tol and values.max() - tol <= greatest <= values.max()
 
 
 @pytest.mark.parametrize(
@@ -706,7 +773,8 @@ def test_action_times_match_graph_search_on_random_trees(spec, data):
     pipe = net.pipes[pid]
     inside = st.floats(min_value=0.0, max_value=pipe.length, exclude_min=True, exclude_max=True)
     # the pipe's x0-side end stands for the limit from inside, as a profile's last point may
-    offsets = data.draw(st.lists(inside, min_size=1, max_size=5)) + [pipe.end_coord(net.x0_side_vertex(pid))]
+    x0_end = pipe.length - pipe.end_coord(net.far_side_vertex(pid))
+    offsets = data.draw(st.lists(inside, min_size=1, max_size=5)) + [x0_end]
     expected = np.array([reference_action_times(net, PointOnPipe(pid, o), endpoint_ok=True) for o in offsets])
     assert action_times_along(net, pid, offsets).tobytes() == expected.tobytes()
 
@@ -784,7 +852,7 @@ def test_validation_memory_on_a_large_tree():
     few = next(pid for pid in by_count if cut_off[pid] >= 5)
     for pid in (big, few, by_count[0]):
         pipe = net.pipes[pid]
-        offsets = [0.25 * pipe.length, 0.5 * pipe.length, pipe.end_coord(net.x0_side_vertex(pid))]
+        offsets = [0.25 * pipe.length, 0.5 * pipe.length, pipe.length - pipe.end_coord(net.far_side_vertex(pid))]
         expected = np.array([reference_action_times(net, PointOnPipe(pid, o), endpoint_ok=True) for o in offsets])
         assert ((expected > 0).sum(axis=1) == cut_off[pid]).all(), pid
         assert action_times_along(net, pid, offsets).tobytes() == expected.tobytes(), pid
@@ -820,7 +888,8 @@ def test_validation_memory_on_a_caterpillar():
     # the x0 pipe cuts off every leaf, a mid-spine pipe half of them, a leaf pipe one; the graph
     # search walks the whole tree once per cut-off leaf and point, so the big pipes get one point each
     for pid, n_cut, fractions in (("px0", 1001, [0.5]), ("s500", 500, [1.0]), ("l10", 1, [0.25, 0.5, 1.0])):
-        pipe, x0_end = net.pipes[pid], net.pipes[pid].end_coord(net.x0_side_vertex(pid))
+        pipe = net.pipes[pid]
+        x0_end = pipe.length - pipe.end_coord(net.far_side_vertex(pid))
         offsets = [abs(x0_end - (1.0 - t) * pipe.length) for t in fractions]
         expected = np.array([reference_action_times(net, PointOnPipe(pid, o), endpoint_ok=True) for o in offsets])
         assert ((expected > 0).sum(axis=1) == n_cut).all(), pid
@@ -1008,7 +1077,8 @@ def test_structure_checks_match_the_two_walk_validation(spec):
         side, cut_off = expected
         assert net.accessible == tuple(spec["accessible"])
         assert net.vertices == tuple(spec["vertices"])
-        assert {pid: net.x0_side_vertex(pid) for pid in net.pipes} == side
+        assert {pid: net.far_side_vertex(pid) for pid in net.pipes} == {
+            pid: p.from_vertex if side[pid] == p.to_vertex else p.to_vertex for pid, p in net.pipes.items()}
         for pid, pipe in net.pipes.items():
             offsets = [0.3 * pipe.length, pipe.end_coord(side[pid])]
             want = reference_action_times_along(spec, side, cut_off, pid, offsets)

@@ -110,6 +110,13 @@ def test_oracle_rejects_table_area(exp1_spec):
         oracle_irm(validate_network(exp1_spec), horizon=1.0)
 
 
+def test_oracle_reads_each_pipe_only_on_it(exp1_spec):
+    # a block past AD's 400 m leaves AD uniform: the same deltas as stock exp1
+    exp1_spec["pipes"][0]["area"]["blocks"] = [{"x0": 500.0, "x1": 600.0, "delta": -0.5}]
+    beyond = oracle_irm(validate_network(exp1_spec), horizon=1.61)
+    assert beyond == oracle_irm(validate_network(EXP1_NETWORK), horizon=1.61)
+
+
 def _uniform_spec(spec):
     spec = copy.deepcopy(spec)
     for p in spec["pipes"]:
