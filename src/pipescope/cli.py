@@ -252,51 +252,34 @@ def _read_profile_csv(path):
     return pipes[0], header[2], x, y
 
 
-def _svg_polyline(points, style):
-    coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in points)
-    return f'<polyline fill="none" {style} points="{coords}"/>'
-
-
 def cmd_plot(resolved: dict) -> list:
-    panels = []
-    truth_net = None
-    if resolved.get("truth"):
-        truth_net = validate_network(_load_json(resolved["truth"]))
-    for path in resolved["inputs"]:
-        pipe_id, kind, x, y = _read_profile_csv(path)
-        truth_xy = None
+    """One panel per input CSV, each line an SVG polyline: the true area first where --truth has the pipe."""
+    truth_net = validate_network(_load_json(resolved["truth"])) if resolved.get("truth") else None
+    panels = [_read_profile_csv(path) for path in resolved["inputs"]]
+
+    width, panel_h, pad_l, pad_r, pad_t, pad_b = 640, 220, 50, 15, 25, 30
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{panel_h * len(panels)}">'
+    ]
+    for idx, (pipe_id, kind, x, y) in enumerate(panels):
+        oy = idx * panel_h
+        lines = []  # (x, y, style) of each polyline, in drawing order
         if truth_net is not None and kind == "A_m2" and pipe_id in truth_net.pipes:
             pipe = truth_net.pipes[pipe_id]
             # sample from the reconstruction-start end so coordinates line up
             from_far = truth_net.far_side_vertex(pipe_id) == pipe.from_vertex
             tx = np.linspace(0.0, pipe.length, 401)
             ty = np.asarray(pipe.area(tx if from_far else pipe.length - tx))
-            truth_xy = (tx, ty)
-        panels.append((pipe_id, kind, x, y, truth_xy))
-
-    width, panel_h, pad_l, pad_r, pad_t, pad_b = 640, 220, 50, 15, 25, 30
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{panel_h * len(panels)}">'
-    ]
-    for idx, (pipe_id, kind, x, y, truth_xy) in enumerate(panels):
-        oy = idx * panel_h
-        xs = [x] if truth_xy is None else [x, truth_xy[0]]
-        ys = [y] if truth_xy is None else [y, truth_xy[1]]
+            lines.append((tx, ty, 'stroke="gray" stroke-width="2"'))
+        lines.append((x, y, 'stroke="black" stroke-width="1" stroke-dasharray="6,3"'))
         # as Python floats, an overflowing span turns into inf with no warning, and the check below refuses it
-        x_lo, x_hi = float(min(v.min() for v in xs)), float(max(v.max() for v in xs))
-        y_lo, y_hi = float(min(v.min() for v in ys)), float(max(v.max() for v in ys))
+        x_lo, x_hi = float(min(lx.min() for lx, _, _ in lines)), float(max(lx.max() for lx, _, _ in lines))
+        y_lo, y_hi = float(min(ly.min() for _, ly, _ in lines)), float(max(ly.max() for _, ly, _ in lines))
         span_y = (y_hi - y_lo) or 1.0
         y_lo, y_hi = y_lo - 0.1 * span_y, y_hi + 0.1 * span_y
         span_x = (x_hi - x_lo) or 1.0
         if not all(map(math.isfinite, (span_x, y_lo, y_hi, y_hi - y_lo))):
             raise ConfigError(f"{pipe_id} {kind}: the values span more than a float can hold")
-
-        def sx(v):
-            return pad_l + (v - x_lo) / span_x * (width - pad_l - pad_r)
-
-        def sy(v):
-            return oy + pad_t + (y_hi - v) / (y_hi - y_lo) * (panel_h - pad_t - pad_b)
-
         parts.append(
             f'<rect x="{pad_l}" y="{oy + pad_t}" width="{width - pad_l - pad_r}" '
             f'height="{panel_h - pad_t - pad_b}" fill="none" stroke="black" stroke-width="1"/>'
@@ -305,19 +288,11 @@ def cmd_plot(resolved: dict) -> list:
             f'<text x="{pad_l}" y="{oy + pad_t - 8}" font-family="monospace" font-size="12">'
             f"{pipe_id} {kind} [{y_lo:.6g}, {y_hi:.6g}] over x [{x_lo:.6g}, {x_hi:.6g}] m</text>"
         )
-        if truth_xy is not None:
-            parts.append(
-                _svg_polyline(
-                    [(sx(px), sy(py)) for px, py in zip(*truth_xy)],
-                    'stroke="gray" stroke-width="2"',
-                )
-            )
-        parts.append(
-            _svg_polyline(
-                [(sx(px), sy(py)) for px, py in zip(x, y)],
-                'stroke="black" stroke-width="1" stroke-dasharray="6,3"',
-            )
-        )
+        for lx, ly, style in lines:
+            px = pad_l + (lx - x_lo) / span_x * (width - pad_l - pad_r)
+            py = oy + pad_t + (y_hi - ly) / (y_hi - y_lo) * (panel_h - pad_t - pad_b)
+            coords = " ".join(f"{u:.2f},{v:.2f}" for u, v in zip(px, py))
+            parts.append(f'<polyline fill="none" {style} points="{coords}"/>')
     parts.append("</svg>")
     out = resolved["out"]
     _remove_old_output(out)

@@ -83,6 +83,14 @@ class TableAreaProfile:
         """Least and greatest area on [0, length]: linear between table points, its extremes lie on them."""
         return _extremes(self, length, self.x)
 
+    def rounding(self, length: float) -> float:
+        """How far np.interp may read off the line between table points on [0, length]: 8 ulps of the largest |A|
+        at the ends of the segments that meet it, and a subnormal ulp a metre of them for a slope that underflows
+        (each end scaled alone, so that their span cannot overflow)."""
+        lo, hi = np.searchsorted(self.x, [0.0, length])
+        x, a = self.x[max(lo - 1, 0) : hi + 1], self.values[max(lo - 1, 0) : hi + 1]
+        return 8 * float(np.spacing(max(map(abs, a)))) + (x[-1] * math.ulp(0.0) - x[0] * math.ulp(0.0))
+
 
 def _extremes(area, length, points) -> tuple[float, float]:
     """Least and greatest of ``area`` read at both ends, every point inside (0, length) and each midpoint between.
@@ -219,7 +227,7 @@ class Network:
         return float(pipe.area(np.nextafter(end, pipe.length - end)))
 
     def leaf_nu(self, leaf: str) -> int:
-        """Internal normal at a leaf end: +1 at x=0, -1 at x=length."""
+        """Internal normal at a leaf end, +1 at x=0 and -1 at x=length, which ``conservation_residual`` signs by."""
         return 1 if self.leaf_pipe(leaf).end_coord(leaf) == 0.0 else -1
 
     def far_side_vertex(self, pipe_id: str) -> str:
@@ -283,11 +291,11 @@ def validate_network(spec: dict) -> Network:
     Raises ConfigError for a malformed field, a self-loop, a nonpositive
     length, or an area that is not positive and finite at every point of
     [0, length], block edges included (an edge carries only the blocks that
-    strictly contain it, and an overflowing sum reads inf); nothing beyond
-    the pipe is read. The structure is then checked by
-    ``Network``, which raises ConfigError too (for a duplicate id, a pipe to
-    an unknown vertex, a disconnected network, a cycle, a vertex of degree
-    two or an x0 that is not a leaf).
+    strictly contain it, and an overflowing sum reads inf) or, for a table,
+    not above its ``rounding``; nothing beyond the pipe is read. The
+    structure is then checked by ``Network``, which raises ConfigError too
+    (for a duplicate id, a pipe to an unknown vertex, a disconnected
+    network, a cycle, a vertex of degree two or an x0 that is not a leaf).
     """
     try:
         wave_speed = _number(spec["wave_speed"])
@@ -313,7 +321,8 @@ def validate_network(spec: dict) -> Network:
         if not 0 < length < math.inf:
             raise ConfigError(f"pipe {pid!r} has length {length}, not a positive finite number")
         least, greatest = area.extremes(length)
-        if not 0 < least <= greatest < math.inf:
+        floor = area.rounding(length) if isinstance(area, TableAreaProfile) else 0.0  # a table may read 0 below it
+        if not floor < least <= greatest < math.inf:
             raise ConfigError(f"pipe {pid!r} area profile is not positive and finite everywhere")
         pipes.append(Pipe(pid, v_from, v_to, length, area))
 

@@ -8,34 +8,35 @@ The discrete control equation for one reconstruction point p follows the
 piecewise-constant scheme: with M = floor(tau/dt + 1e-6) samples per leaf
 (the 1e-6 keeps float division from losing the sample at a tau that is a
 whole multiple of dt) at times t_l = l*dt (l = 1..M), dt the IRM's own
-step, block (receiver j, source i) of the control matrix H holds
+step, block (receiver j, source i) of the matrix S holds
 
-    (dt/2) * nu_i * ( k_ij(|l - k|) + k_ij(2M + 1 - l - k) )
+    (dt/2) * ( k_ij(|l - k|) + k_ij(2M + 1 - l - k) )
 
 in 0-based kernel indexing; the second index realizes the time-reversed
 kernel argument 2*tau - t - s evaluated midpoint-consistently (each
 sample stands for the half-open cell ending at it, so both arguments
 shift by dt/2 and the reflected term lands one sample up), and the
-diagonal blocks add the direct impulse nu_j * a/(A(x_j) g), which the
-IRM kernels leave out, on the diagonal.
+diagonal blocks add the direct impulse a/(A(x_j) g), which the IRM
+kernels leave out, on the diagonal.
 
 A point enters through its action times f alone: sample l of leaf i is
 active when t_l > tau - f(x_i) + dt/4. Only active samples enter its
-system, with the unit target head b = 1; inactive samples get exact zero
-flow. With |nu| = 1, S = diag(nu) H turns ||Hq - b|| into ||Sq - nu||,
-and ``_s_matrix`` gathers S from the kernels on just the samples asked
-for. The kernels are first averaged over their leaf axes,
-(k_ij + k_ji)/2: the model's IRM is reciprocal, so the skew part is
-measurement error or pruned fronts, and S from the averaged kernels is
-symmetric bit for bit (on a reciprocal IRM, the IRM itself). The
-per-point solve minimizes ||Sq - nu||^2 + lambda*||q||^2, at lambda > 0 as
-q = Re[(S - i sqrt(lambda) I)^-1 nu] with a pivoted solve, or, at
-lambda = 0, by a rank-checked least-squares solve that refuses a
-rank-deficient system.
+system, with the unit target head 1; inactive samples get exact zero
+flow. No leaf normal nu_i = +-1 enters: the control matrix of the pipe
+flows Q is S diag(nu) and the volume sums nu_i Q_i, so both read only
+the inflows q = diag(nu) Q, and a sign flip is exact. ``_s_matrix``
+gathers S from the kernels on just the samples asked for, averaged
+first over their leaf axes, (k_ij + k_ji)/2: the model's IRM is
+reciprocal, so the skew part is measurement error or pruned fronts, and
+S from the averaged kernels is symmetric bit for bit (on a reciprocal
+IRM, the IRM itself). The per-point solve minimizes ||Sq - 1||^2 +
+lambda*||q||^2, at lambda > 0 as q = Re[(S - i sqrt(lambda) I)^-1 1]
+with a pivoted solve, or, at lambda = 0, by a rank-checked
+least-squares solve that refuses a rank-deficient system.
 
-Volumes come from the flow integral for that unit target,
-V = a^2/g * sum_i nu_i * integral Q_p(t, x_i) dt; areas are the forward
-difference quotient of the volume profile over its own dx.
+Volumes come from the flow integral for that unit target, V = a^2/g *
+sum_i nu_i * integral Q_p(t, x_i) dt = a^2 dt/g * 1^T q; areas are the
+forward difference quotient of the volume profile over its own dx.
 
 A profile needs one S and one factorisation, not one of each per point
 (layer stripping, after Sondhi and Gopinath). Points run from the far end
@@ -43,14 +44,14 @@ towards x0, and no leaf's action time falls on the way, so each point's
 active set holds the previous one's. Ordered by the point at which they
 become active, the samples make every point's S a leading block of the
 largest point's. One block LDL^T of A = S - i sqrt(lambda) I gives every
-point's volume, V_k = a^2 dt/g * Re nu_k^T A_k^-1 nu_k on its leading
+point's volume, V_k = a^2 dt/g * Re 1^T A_k^-1 1 on its leading
 block A_k, as a running sum over panels whose pivot blocks LAPACK solves
 (``_panels``, ``_layer_stripped``). No pivot block is singular
 (|z^H A z| >= sqrt(lambda) ||z||^2 for every z), but nothing pivots
 across panels, and no theorem makes that stable for every S, so the
-largest point is checked at run time, in O(n^2): r = A x - nu for the
+largest point is checked at run time, in O(n^2): r = A x - 1 for the
 back-substituted x checks the factorisation, and bounds the volume's
-error through nu^T A^-1 nu = nu^T x - x^T r + r^T A^-1 r for a symmetric
+error through 1^T A^-1 1 = 1^T x - x^T r + r^T A^-1 r for a symmetric
 A (Golub and Meurant 2010, ch. 7) and ||A^-1|| <= 1/sqrt(lambda)
 (``_certificate``). At lambda = 0 no bound exists, and ``volume_profile``
 solves each point on its leading block of S instead, as it does where
@@ -115,7 +116,7 @@ class VolumeProfile:
     dx: float              # m between points, the step of its areas' difference quotient
     solver: str = "per-point"  # "layer-stripping", or "per-point: <why not>"
     # largest point, on the layer-stripping path only (None on the per-point paths):
-    residual: float | None = None      # max|A x - nu|, relative as |nu| = 1
+    residual: float | None = None      # max|A x - 1|, relative to the unit target
     volume_bound: float | None = None  # bound on the volume's relative error
 
 
@@ -138,8 +139,8 @@ def _active(f_vec: np.ndarray, cfg: ReconConfig, dt: float) -> np.ndarray:
     return s_times - (cfg.tau - f_vec[..., None]) > dt / 4
 
 
-def _s_matrix(irm: SampledIRM, m: int, net: Network, idx: np.ndarray):
-    """S = diag(nu) H on the flat samples ``idx`` (leaf * m + l - 1), in that order, and nu on them.
+def _s_matrix(irm: SampledIRM, m: int, net: Network, idx: np.ndarray) -> np.ndarray:
+    """S = H diag(nu), free of the leaf normals, on the flat samples ``idx`` (leaf * m + l - 1), in that order.
 
     ``m`` is M, checked by ``volume_profile``. Entries are gathered
     straight from the kernels, ``_BLOCK`` columns at a time, so no
@@ -147,11 +148,8 @@ def _s_matrix(irm: SampledIRM, m: int, net: Network, idx: np.ndarray):
     """
     leaf, lv = np.divmod(idx, m)
     lv += 1
-    nus = np.array([net.leaf_nu(x) for x in irm.leaves], dtype=float)
     areas = np.array([net.leaf_area(x) for x in irm.leaves])
-    nu = nus[leaf]
-    coef = 0.5 * irm.dt * nu
-    direct = (nus * net.wave_speed / (areas * net.gravity))[leaf]
+    direct = (net.wave_speed / (areas * net.gravity))[leaf]
     row_leaf, row_l = leaf[:, None], lv[:, None]
     n = idx.size  # S, and the complex buffer it factors with at most six (n + 1, _BLOCK) blocks (_layer_stripped)
     with _allocating(f"a system of {n} unknowns", 8 * n**2 + 16 * (n + 1) * (n + 6 * _BLOCK)):
@@ -161,27 +159,26 @@ def _s_matrix(irm: SampledIRM, m: int, net: Network, idx: np.ndarray):
         # column c is source leaf[c] at sample lv[c], row r receiver leaf[r] at sample lv[r]
         k_diff = irm.k[leaf[c], row_leaf, np.abs(row_l - lv[c])]
         k_rev = irm.k[leaf[c], row_leaf, 2 * m + 1 - row_l - lv[c]]
-        block = coef[c] * (k_diff + k_rev)
-        block[np.arange(c.start, c.stop), np.arange(c.stop - c.start)] += direct[c]
-        s[:, c] = block * nu[:, None]
-    return s, nu
+        s[:, c] = 0.5 * irm.dt * (k_diff + k_rev)
+        s[np.arange(c.start, c.stop), np.arange(c.start, c.stop)] += direct[c]
+    return s
 
 
-def _solve_point(s: np.ndarray, nu: np.ndarray, lam: float) -> np.ndarray:
-    """q minimising ||S q - nu||^2 + lam ||q||^2 for a symmetric S, or at lam = 0 by rank-checked least squares.
+def _solve_point(s: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """q minimising ||S q - b||^2 + lam ||q||^2 for a symmetric S, or at lam = 0 by rank-checked least squares.
 
-    With |nu| = 1 this is ||H q - 1||^2 for the point's control matrix H;
+    ``volume_profile`` passes b = 1, the point's unit target head, and
     ``lam`` is a ``ReconConfig``'s, so finite and >= 0. At lam > 0, q =
-    Re (S - i sqrt(lam) I)^-1 nu, whose matrix no real S makes singular.
+    Re (S - i sqrt(lam) I)^-1 b, whose matrix no real S makes singular.
     """
     if lam > 0:
-        with _allocating(f"a system of {nu.size} unknowns", 32 * nu.size**2):  # S - i sqrt(lam) I, and LAPACK's copy
+        with _allocating(f"a system of {b.size} unknowns", 32 * b.size**2):  # S - i sqrt(lam) I, and LAPACK's copy
             a = s.astype(complex)
-            a[np.diag_indices(nu.size)] -= 1j * math.sqrt(lam)
-            return np.linalg.solve(a, nu).real
-    sol, _, rank, _ = np.linalg.lstsq(s, nu, rcond=None)
-    if rank < nu.size:
-        raise NumericError(f"restricted matrix rank {rank} < {nu.size} with lambda = 0")
+            a[np.diag_indices(b.size)] -= 1j * math.sqrt(lam)
+            return np.linalg.solve(a, b).real
+    sol, _, rank, _ = np.linalg.lstsq(s, b, rcond=None)
+    if rank < b.size:
+        raise NumericError(f"restricted matrix rank {rank} < {b.size} with lambda = 0")
     return sol
 
 
@@ -235,12 +232,12 @@ def _column_blocks(panels: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return blocks
 
 
-def _layer_stripped(s: np.ndarray, nu: np.ndarray, mu: float, counts: np.ndarray):
-    """nu_c^T A_c^-1 nu_c at each count c, A_c the leading c x c block of A = S - i mu I (S symmetric); x = A^-1 nu.
+def _layer_stripped(s: np.ndarray, b: np.ndarray, mu: float, counts: np.ndarray):
+    """b_c^T A_c^-1 b_c at each count c, A_c the leading c x c block of A = S - i mu I (S symmetric); x = A^-1 b.
 
     ``counts`` is nondecreasing and ends at n. For each panel J (``_panels``),
     y = D^-1 [A[J, j1:] | u_J] from LAPACK, D the panel's block of the
-    current Schur complement and u the reduced nu, updates the lower
+    current Schur complement and u the reduced b, updates the lower
     trailing matrix and u, and stays in the buffer for x_J = y_u - y_A x[j1:].
     A form gains u_J^T y_u over a panel; a count inside it reads u[:c]^T
     D[:c, :c]^-1 u[:c], from one batched solve of D's leading blocks padded
@@ -248,14 +245,14 @@ def _layer_stripped(s: np.ndarray, nu: np.ndarray, mu: float, counts: np.ndarray
     right-hand sides, and a product with the two buffers numpy subtracts it
     through: six (n + 1, _BLOCK) blocks at most besides the buffer.
     """
-    n = nu.size
+    n = b.size
     panels, ends = _panels(counts), np.unique(counts)
     blocks = _column_blocks(panels)
     a = np.empty((n + 1, n), dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
         a[:n] = s
         a[np.diag_indices(n)] -= 1j * mu
-        a[n] = nu
+        a[n] = b
         forms = np.zeros(n + 1, dtype=complex)
         for j0, j1 in panels:
             d, u, lower = a[j0:j1, j0:j1], a[n, j0:j1], a[j1:, j0:j1]
@@ -278,30 +275,30 @@ def _layer_stripped(s: np.ndarray, nu: np.ndarray, mu: float, counts: np.ndarray
     return forms[counts], x
 
 
-def _certificate(s: np.ndarray, nu: np.ndarray, mu: float, x: np.ndarray, v: float, scale: float):
+def _certificate(s: np.ndarray, b: np.ndarray, mu: float, x: np.ndarray, v: float, scale: float):
     """Relative residual of ``x``, and a bound on the relative error of ``v``, in O(n^2).
 
     A = S - i mu I with S real symmetric and mu > 0, and ``x`` approximates
-    A^-1 nu, which ``_layer_stripped`` factors. The bound on ``v``, the
-    volume scale * Re nu^T A^-1 nu, follows from r = A x - nu: A^-1 nu =
+    A^-1 b, which ``_layer_stripped`` factors. The bound on ``v``, the
+    volume scale * Re b^T A^-1 b, follows from r = A x - b: A^-1 b =
     x - A^-1 r, and A^-T = A^-1, so
 
-        nu^T A^-1 nu = nu^T x - x^T r + r^T A^-1 r.
+        b^T A^-1 b = b^T x - x^T r + r^T A^-1 r.
 
     For any complex z, z^H A z = z^H S z - i mu ||z||^2 with the first term
     real, so |z^H A z| >= mu ||z||^2 and ||A^-1||_2 <= 1/mu. Then
 
-        |v - scale Re nu^T A^-1 nu| <= |v - scale Re nu^T x| + scale (|x^T r| + ||r||^2/mu).
+        |v - scale Re b^T A^-1 b| <= |v - scale Re b^T x| + scale (|x^T r| + ||r||^2/mu).
 
     The first term catches a volume that does not match ``x``, such as a
     corrupted running sum. The bound is divided by |v|. It holds up to the
-    rounding of r itself, about n eps max|S| ||x||. |nu| = 1, so the
+    rounding of r itself, about n eps max|S| ||x||. |b| = 1, so the
     largest residual entry is the relative residual.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = s @ np.stack([x.real, x.imag], axis=1)  # S x without a complex copy of S
-        r = p[:, 0] + 1j * (p[:, 1] - mu * x.real) + mu * x.imag - nu
-        err = abs(v - scale * (nu @ x).real) + scale * (abs(x @ r) + np.linalg.norm(r) ** 2 / mu)
+        r = p[:, 0] + 1j * (p[:, 1] - mu * x.real) + mu * x.imag - b
+        err = abs(v - scale * (b @ x).real) + scale * (abs(x @ r) + np.linalg.norm(r) ** 2 / mu)
         return float(np.abs(r).max(initial=0.0)), float(err / abs(v)) if err else 0.0
 
 
@@ -340,19 +337,19 @@ def volume_profile(net: Network, irm: SampledIRM, pipe_id: str, cfg: ReconConfig
     with _allocating(f"averaged kernels of {k.size} samples", k.nbytes):
         k = k + k.transpose(1, 0, 2)
     k *= 0.5
-    s, nu = _s_matrix(SampledIRM(irm.dt, irm.leaves, k, irm.horizon), m, net, idx)
-    scale = net.wave_speed**2 * irm.dt / net.gravity
+    s = _s_matrix(SampledIRM(irm.dt, irm.leaves, k, irm.horizon), m, net, idx)
+    ones, scale = np.ones(idx.size), net.wave_speed**2 * irm.dt / net.gravity
 
     solver = "per-point: lambda 0"  # no certificate without regularisation
     if cfg.lam > 0:
         mu = math.sqrt(cfg.lam)
-        forms, x = _layer_stripped(s, nu, mu, counts)
+        forms, x = _layer_stripped(s, ones, mu, counts)
         volumes = scale * forms.real
-        residual, volume_bound = _certificate(s, nu, mu, x, volumes[-1], scale)
+        residual, volume_bound = _certificate(s, ones, mu, x, volumes[-1], scale)
         if residual <= STABILITY_TOL and volume_bound <= STABILITY_TOL:
             return VolumeProfile(pipe_id, positions, volumes, cfg.dx, "layer-stripping", residual, volume_bound)
         solver = "per-point: stability check failed"
-    volumes = [scale * float(nu[:c] @ _solve_point(s[:c, :c], nu[:c], cfg.lam)) for c in counts]
+    volumes = [scale * float(ones[:c] @ _solve_point(s[:c, :c], ones[:c], cfg.lam)) for c in counts]
     return VolumeProfile(pipe_id, positions, np.asarray(volumes), cfg.dx, solver)
 
 

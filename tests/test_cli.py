@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import importlib
 import io
 import json
@@ -464,6 +465,24 @@ def test_plot_svg(tmp_path, net1_path):
     assert svg.read_bytes() == svg3.read_bytes()
 
 
+def test_plot_three_panels_with_and_without_truth_bytes(tmp_path):
+    # exp2's ED area against its truth, an area whose pipe the truth network lacks, and BE's volume: the truth line
+    # only where the network has the pipe, four polylines, and these bytes
+    irm_path, out_dir, net_path = tmp_path / "irm2.csv", tmp_path / "recon2", tmp_path / "net2.json"
+    net_path.write_text(json.dumps(EXP2_NETWORK))
+    assert run(["simulate-irm", "--preset", "exp2", "--out", str(irm_path)]) == 0
+    argv = ["reconstruct", "--preset", "exp2", "--irm", str(irm_path), "--pipes", "ED,BE", "--out", str(out_dir)]
+    assert run(argv) == 0
+    lines = (out_dir / "ED_area.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "ZZ_area.csv").write_text(lines[0] + "".join("ZZ" + line[2:] for line in lines[1:]))
+    svg = tmp_path / "fig.svg"
+    inputs = [str(out_dir / "ED_area.csv"), str(tmp_path / "ZZ_area.csv"), str(out_dir / "BE_volume.csv")]
+    assert run(["plot", "--in", *inputs, "--truth", str(net_path), "--out", str(svg)]) == 0
+    assert svg.read_text().count("<polyline") == 4
+    digest = "d5f69d876d5647f572d2041e19e91b93f6b5cbebded1b225b7b4c2d61832ffde"
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
+
+
 def test_plot_empty_csv_exit_2(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("pipe,x_m,A_m2\n")
@@ -890,6 +909,21 @@ def test_simulate_irm_refuses_an_area_bad_at_an_edge_or_overflowing(tmp_path, ca
     assert capsys.readouterr().err == ("pipescope: configuration error: pipe 'AD' area profile is not positive and "
                                        "finite everywhere\n")
     assert not out.exists()
+
+
+def test_simulate_irm_refuses_a_table_that_reads_zero_inside_the_pipe(tmp_path, capsys):
+    # np.interp reads exactly 0.0 just before x = 1, where the least area 2.6e-204 is lost against the table's 1 m^2
+    spec = copy.deepcopy(EXP1_NETWORK)
+    spec["pipes"][0]["area"] = {"samples": {"x": [-2, -1, 1, 2], "A": [1, 1, 2.6e-204, 2.6e-204]}}
+    (tmp_path / "net.json").write_text(json.dumps(spec))
+    out = tmp_path / "x.csv"
+    argv = ["simulate-irm", "--preset", "exp1", "--network", str(tmp_path / "net.json"), "--dx", "50",
+            "--duration", "0.5", "--out", str(out)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == ("pipescope: configuration error: pipe 'AD' area profile is not positive and "
+                                       "finite everywhere\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
 
 
 def test_oracle_irm_accepts_a_block_beyond_the_pipe(tmp_path):

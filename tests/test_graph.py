@@ -292,23 +292,27 @@ def block_profiles(draw):
 
 
 @st.composite
-def table_profiles(draw):
-    """A sample table, whose points may lie on, before or past the pipe, and a pipe length."""
+def table_profiles(draw, areas=st.floats(min_value=-2.0, max_value=3.0)):
+    """A sample table of ``areas``, whose points may lie on, before or past the pipe, and a pipe length."""
     xs = sorted(draw(st.lists(_coords, min_size=2, max_size=8, unique=True)))
-    values = draw(st.lists(st.floats(min_value=-2.0, max_value=3.0), min_size=len(xs), max_size=len(xs)))
+    values = draw(st.lists(areas, min_size=len(xs), max_size=len(xs)))
     return TableAreaProfile(tuple(xs), tuple(values)), draw(_lengths)
+
+
+def _probes(area, length):
+    """A uniform grid over [0, length], every edge or table point on it, and both float neighbours of each."""
+    points = area.x if isinstance(area, TableAreaProfile) else [e for lo, hi, _ in area.blocks for e in (lo, hi)]
+    base = np.concatenate([np.linspace(0.0, length, 101), [p for p in points if 0.0 <= p <= length]])
+    probes = np.concatenate([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)])
+    return probes[(probes >= 0.0) & (probes <= length)]
 
 
 @given(st.one_of(block_profiles(), table_profiles()))
 @settings(max_examples=300, deadline=None)
 def test_extremes_match_an_independent_probe_set(case):
     area, length = case
-    points = area.x if isinstance(area, TableAreaProfile) else [e for lo, hi, _ in area.blocks for e in (lo, hi)]
-    # a uniform grid over [0, length], every edge or table point on it, and both float neighbours of each
-    base = np.concatenate([np.linspace(0.0, length, 101), [p for p in points if 0.0 <= p <= length]])
-    probes = np.concatenate([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)])
     with np.errstate(over="ignore"):
-        values = area(probes[(probes >= 0.0) & (probes <= length)])
+        values = area(_probes(area, length))
     least, greatest = area.extremes(length)
     if isinstance(area, BlockAreaProfile):
         assert (least, greatest) == (values.min(), values.max())
@@ -317,6 +321,23 @@ def test_extremes_match_an_independent_probe_set(case):
         # slope loses up to one subnormal ulp a metre (table points lie within 700 m of each other)
         tol = 8 * np.spacing(max(map(abs, area.values))) + 700 * np.finfo(float).smallest_subnormal
         assert values.min() <= least <= values.min() + tol and values.max() - tol <= greatest <= values.max()
+
+
+@given(table_profiles(st.floats(min_value=0.0, max_value=3.0, exclude_min=True)))
+@settings(max_examples=300, deadline=None)
+def test_accepted_tables_read_positive_at_every_probe(case):
+    # positive areas down to the least subnormal: np.interp rounds a reading by a few ulps of the table's scale, so a
+    # least area within that may read 0 between table points; the table is padded with a point past each end, which
+    # np.interp reads the same everywhere
+    table, length = case
+    spec = copy.deepcopy(EXP1_NETWORK)
+    xs, values = [table.x[0] - 1, *table.x, table.x[-1] + 1], [table.values[0], *table.values, table.values[-1]]
+    spec["pipes"][0].update(length=length, area={"samples": {"x": xs, "A": values}})
+    try:
+        area = validate_network(spec).pipes["AD"].area
+    except ConfigError:
+        return
+    assert (area(_probes(area, length)) > 0).all()
 
 
 @pytest.mark.parametrize(

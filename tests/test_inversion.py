@@ -109,14 +109,14 @@ def volume_at(net, irm, pipe, offset, cfg):
 
 
 def gathered(monkeypatch):
-    """The (idx, S, nu) of every ``_s_matrix`` call ``volume_profile`` makes from now on, in call order."""
+    """The (idx, S) of every ``_s_matrix`` call ``volume_profile`` makes from now on, in call order."""
     calls = []
     s_matrix = inversion._s_matrix
 
     def recording(irm, m, net, idx):
-        s, nu = s_matrix(irm, m, net, idx)
-        calls.append((idx, s, nu))
-        return s, nu
+        s = s_matrix(irm, m, net, idx)
+        calls.append((idx, s))
+        return s
 
     monkeypatch.setattr(inversion, "_s_matrix", recording)
     return calls
@@ -152,8 +152,8 @@ def test_exp1_system_dimensions(exp1_net, exp1_irm):
     assert matrix.shape == (160, 160) and rhs.shape == (160,)
     assert active.shape == (2, 80)
     idx = np.flatnonzero(active.ravel())
-    s, nu = _s_matrix(exp1_irm, m, exp1_net, idx)
-    assert s.shape == (idx.size, idx.size) and nu.shape == (idx.size,)
+    s = _s_matrix(exp1_irm, m, exp1_net, idx)
+    assert s.shape == (idx.size, idx.size)
 
 
 @pytest.mark.parametrize(
@@ -172,7 +172,7 @@ def test_exp1_system_dimensions(exp1_net, exp1_irm):
 )
 def test_restricted_matrix_matches_masked_build(request, case, pipe, offset, tau, dt):
     # S built on the point's samples, in the order its pipe's profile takes
-    # them up, is diag(nu) times the per-point masked build, entry for entry
+    # them up, is the per-point masked build times diag(nu), entry for entry
     net, irm = _net_irm(request, case)
     assert irm.dt == dt
     cfg = ReconConfig(tau=tau, dx=10.0)
@@ -185,10 +185,10 @@ def test_restricted_matrix_matches_masked_build(request, case, pipe, offset, tau
     idx = order[active.ravel()[order]]
     assert 0 < idx.size == active.sum() < active.size
     assert not np.array_equal(idx, np.sort(idx))  # the profile takes samples up out of flat order
-    s, nu = _s_matrix(irm, m, net, idx)
-    nu_all = np.repeat([net.leaf_nu(leaf) for leaf in irm.leaves], m)
-    assert np.array_equal(nu, nu_all[idx]) and np.array_equal(rhs[idx], np.ones(idx.size))
-    assert np.array_equal(s, nu[:, None] * matrix[np.ix_(idx, idx)])
+    s = _s_matrix(irm, m, net, idx)
+    nu = np.repeat([net.leaf_nu(leaf) for leaf in irm.leaves], m)[idx]
+    assert np.array_equal(rhs[idx], np.ones(idx.size))
+    assert np.array_equal(s, matrix[np.ix_(idx, idx)] * nu[None, :])
 
 
 def test_short_horizon(exp1_net):
@@ -253,14 +253,14 @@ def test_action_time_exceeds_tau_refused_before_assembly(exp1_net, exp1_irm, mon
 
 
 def test_restricted_system_near_symmetry(exp1_net, exp1_irm):
-    # discretization of the self-adjoint control operator: with nu = +1 the
-    # kernel part is symmetric under (j,l) <-> (i,k), so the restricted
+    # discretization of the self-adjoint control operator: whatever the leaf
+    # normals, the kernel part is symmetric under (j,l) <-> (i,k), so the restricted
     # matrix deviates from its transpose by at most two samples' worth of
     # kernel magnitude (soft check; in practice it is exact here)
     f = action_times(exp1_net, PointOnPipe("DC", 100.0))
     cfg = ReconConfig(**EXP1_CFG)
     m = int(cfg.tau / exp1_irm.dt + 1e-6)
-    restricted, _ = _s_matrix(exp1_irm, m, exp1_net, np.flatnonzero(active_mask(exp1_irm, f, cfg)))
+    restricted = _s_matrix(exp1_irm, m, exp1_net, np.flatnonzero(active_mask(exp1_irm, f, cfg)))
     bound = 2 * exp1_irm.dt * np.abs(exp1_irm.k).max()
     assert np.abs(restricted - restricted.T).max() <= bound
 
@@ -275,7 +275,7 @@ def test_identity_limit_flat_flow(single_pipe_net, monkeypatch):
     cfg = ReconConfig(tau=0.8, dx=10.0, lam=0.0)
     calls = gathered(monkeypatch)
     vp = volume_profile(single_pipe_net, irm, "P", cfg)
-    (idx, s, nu), = calls
+    (idx, s), = calls
     expected = single_pipe_net.leaf_area("L") * single_pipe_net.gravity / single_pipe_net.wave_speed
     points = profile_cut_points(single_pipe_net, "P", cfg, irm.dt)
     assert len(points) == len(vp.volumes) == 50
@@ -283,7 +283,7 @@ def test_identity_limit_flat_flow(single_pipe_net, monkeypatch):
         active = active_mask(irm, action_times(single_pipe_net, point, endpoint_ok=True), cfg)
         c = int(active.sum())
         assert sorted(idx[:c]) == np.flatnonzero(active).tolist()
-        assert np.abs(_solve_point(s[:c, :c], nu[:c], cfg.lam) - expected).max() < 1e-10
+        assert np.abs(_solve_point(s[:c, :c], np.ones(c), cfg.lam) - expected).max() < 1e-10
 
 
 def test_identity_limit_uniform_area(single_pipe_net):
@@ -303,19 +303,19 @@ def test_inactive_samples_exactly_zero(exp1_net, exp1_irm, monkeypatch):
     cfg = ReconConfig(**EXP1_CFG, lam=1e-5)
     calls = gathered(monkeypatch)
     vp = volume_profile(exp1_net, exp1_irm, "DC", cfg)
-    (idx, s, nu), = calls
+    (idx, s), = calls
     k = [p.offset for p in profile_cut_points(exp1_net, "DC", cfg, exp1_irm.dt)].index(150.0)
     active = active_mask(exp1_irm, action_times(exp1_net, PointOnPipe("DC", 150.0)), cfg)
     c = int(active.sum())
     assert 0 < c < active.size and sorted(idx[:c]) == np.flatnonzero(active).tolist()
-    q = _solve_point(s[:c, :c], nu[:c], cfg.lam)
+    q = _solve_point(s[:c, :c], np.ones(c), cfg.lam)
     flows = np.zeros(active.size)
     flows[idx[:c]] = q
     flows = flows.reshape(active.shape)
     for i in range(len(exp1_irm.leaves)):
         assert np.all(flows[i][~active[i]] == 0.0)
         assert np.all(flows[i][active[i]] != 0.0)
-    volume = exp1_net.wave_speed**2 * exp1_irm.dt / exp1_net.gravity * float(nu[:c] @ q)
+    volume = exp1_net.wave_speed**2 * exp1_irm.dt / exp1_net.gravity * float(np.ones(c) @ q)
     assert vp.volumes[k] == pytest.approx(volume, rel=1e-10)
 
 
@@ -584,7 +584,7 @@ def test_layer_stripping_matches_per_point(request, monkeypatch, case, pipe, lam
     net, irm, cfg = _profile_case(request, case, lam)
     calls = gathered(monkeypatch)
     vp = volume_profile(net, irm, pipe, cfg)
-    (_, s, _), = calls
+    (_, s), = calls
     expected = np.array([reference_volume(irm, p, cfg, net) for p in profile_cut_points(net, pipe, cfg, irm.dt)])
     assert vp.solver == "layer-stripping"
     assert np.array_equal(s, s.T)
